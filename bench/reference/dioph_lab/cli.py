@@ -1,0 +1,401 @@
+"""Command-line front end: eval-dim, gen-digits, estimate, box-dim, sweep, verify.
+
+Rationals on the command line are `p` or `p/q` strings; decimal forms are
+rejected because schedule construction requires exact arithmetic.  CSV is
+the single output format (plot-ready columns, deterministic bytes).
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+
+from . import boxdim, construct, digits, dimfx, exponents, sequences
+from .sequences import parse_rational
+
+THREADS_ENV = "DIOPH_LAB_THREADS"
+
+
+def _fmt(x) -> str:
+    """Decimal rendering at 12 significant digits."""
+    if x is None:
+        return ""
+    return format(float(x), ".12g")
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _parse_regime(text: str):
+    """'eta1' or 'geo:l=<int>' -> (name, stride or None)."""
+    if text == "eta1":
+        return "eta1", None
+    if text.startswith("geo:l="):
+        return "geometric", int(text[len("geo:l="):])
+    raise ValueError(f"regime must be eta1 or geo:l=<int>, got {text!r}")
+
+
+def _build_schedule(seq_spec: str, theta: Fraction, vhat: Fraction, regime: str,
+                    stride: int | None, depth: int):
+    seq = sequences.make_sequence(seq_spec)
+    if regime == "eta1":
+        return construct.schedule_eta1(seq, theta, vhat, cover_to=depth), seq
+    return construct.schedule_geometric(seq, theta, vhat, stride, cover_to=depth), seq
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+# --- eval-dim ----------------------------------------------------------------
+
+def _formula_rows(eta: Fraction, vhat: Fraction, theta: Fraction | None,
+                  rho: Fraction | None):
+    """Every closed-form report whose domain covers the parameter point."""
+    reports = []
+    if 0 <= vhat <= eta:
+        reports.append(dimfx.baseline_bound(eta, vhat))
+    if eta == 1:
+        if 0 <= vhat <= 1:
+            reports.append(dimfx.dim_eta1(vhat))
+        if theta is not None and 0 < vhat < 1:
+            reports.append(dimfx.dim_pair_eta1(vhat, theta))
+    elif 0 < vhat < eta:
+        reports.append(dimfx.refined_upper_bound(eta, vhat))
+        reports.append(dimfx.construction_lower_bound(eta, vhat))
+        reports.append(dimfx.exact_dimension_window(eta, vhat))
+    if theta is not None and 0 < vhat < eta:
+        reports.append(dimfx.upper_bound_pair(eta, vhat, theta))
+        if rho is not None:
+            cut = max(Fraction(1), 1 / (eta - vhat))
+            if theta >= cut:
+                reports.append(dimfx.upper_bound_strip(eta, vhat, theta, rho))
+    return reports
+
+
+def cmd_eval_dim(args) -> int:
+    eta = args.eta
+    if args.grid is not None:
+        lo, hi, count = args.grid.split(":")
+        grid = dimfx.rational_linspace(parse_rational(lo), parse_rational(hi), int(count))
+    elif args.vhat is not None:
+        grid = [args.vhat]
+    else:
+        print("eval-dim needs --vhat or --grid", file=sys.stderr)
+        return 2
+    rows = []
+    for vhat in grid:
+        for rep in _formula_rows(eta, vhat, args.theta, args.rho):
+            rows.append((str(vhat), rep.source,
+                         str(rep.value) if rep.value is not None else "",
+                         _fmt(rep.value), rep.kind, str(rep.domain_ok), rep.condition))
+    if args.csv:
+        _write_csv(args.csv, ["vhat", "formula", "exact", "decimal", "kind",
+                              "domain_ok", "condition"], rows)
+        print(f"wrote {len(rows)} rows to {args.csv}")
+    else:
+        print(f"eta = {eta}" + (f", theta = {args.theta}" if args.theta is not None else "")
+              + (f", rho = {args.rho}" if args.rho is not None else ""))
+        if eta > 1 and len(grid) == 1 and 0 < grid[0] < eta:
+            th = dimfx.thresholds(eta, grid[0])
+            print(f"thresholds: l0={th.l0} l1={th.l1} ltilde={th.ltilde} lprime={th.lprime}")
+        if eta > 1 and args.theta is not None and len(grid) == 1 and 1 <= grid[0] < eta:
+            verdict = "forbidden" if dimfx.theta_is_forbidden(eta, grid[0], args.theta) \
+                else "admissible"
+            print(f"theta = {args.theta}: {verdict}")
+        print(f"{'vhat':>10}  {'formula':<20} {'exact':>12} {'decimal':>16} "
+              f"{'kind':<6} {'domain_ok':<9} condition")
+        for r in rows:
+            print(f"{r[0]:>10}  {r[1]:<20} {r[2]:>12} {r[3]:>16} {r[4]:<6} {r[5]:<9} {r[6]}")
+    return 0
+
+
+# --- gen-digits ----------------------------------------------------------------
+
+def cmd_gen_digits(args) -> int:
+    regime, stride = args.regime
+    sched, _ = _build_schedule(args.seq, args.theta, args.vhat, regime, stride, args.depth)
+    stream = construct.emit_digits(sched, args.base, args.depth)
+    digits.save_digit_file(stream, args.out)
+    print(f"wrote {stream.prefix_len} base-{args.base} digits to {args.out} "
+          f"({len(sched.entries)} blocks, covered to {sched.covered_to})")
+    print(f"targets: vhat = {sched.target_vhat}, v = {sched.target_v}")
+    if args.schedule_csv:
+        rows = [(k + 1, e.index, e.a, e.m, e.t)
+                for k, e in enumerate(sched.entries)]
+        _write_csv(args.schedule_csv, ["k", "i_k", "a_ik", "m_k", "t_k"], rows)
+        print(f"wrote schedule to {args.schedule_csv}")
+    return 0
+
+
+# --- estimate ----------------------------------------------------------------
+
+def cmd_estimate(args) -> int:
+    stream = digits.load_digit_file(args.digits)
+    if args.depth is not None:
+        stream = stream.truncated(min(args.depth, stream.prefix_len))
+    seq = sequences.make_sequence(args.seq)
+    mt = exponents.matching_times(stream, seq)
+    if mt.empty:
+        print("no observable matching times in this prefix (flagged empty)",
+              file=sys.stderr)
+        return 1
+    k = len(mt.dominant)
+    burn = min(int(k * args.burn_in), max(0, k - 2))
+    est = exponents.estimate_exponents(stream, seq, burn_in=burn)
+    eta = exponents.eta_for_stream(stream, seq)
+    ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, eta, tol=0.05)
+    try:
+        vdef = exponents.estimate_vhat_definition(
+            stream, seq, exponents.definition_grid(stream, seq))
+    except ValueError:
+        vdef = None
+    print(f"depth {est.depth}: {k} dominant pairs (burn-in {est.burn_in})")
+    print(f"v_est = {_fmt(est.v_est)}   vhat_est = {_fmt(est.vhat_est)}"
+          + (f"   vhat_def = {_fmt(vdef)}" if vdef is not None else ""))
+    print(f"eta = {_fmt(eta)}   inequality v >= vhat/(eta - vhat): "
+          f"{'ok' if ok else 'VIOLATED'}")
+    if args.csv:
+        _write_csv(args.csv, ["depth", "k_count", "v_est", "vhat_est", "lemma21_ok"],
+                   [(est.depth, est.k_count, _fmt(est.v_est), _fmt(est.vhat_est),
+                     str(ok).lower())])
+        print(f"wrote {args.csv}")
+    return 0
+
+
+# --- box-dim ----------------------------------------------------------------
+
+def cmd_box_dim(args) -> int:
+    regime, stride = args.regime
+    sched, _ = _build_schedule(args.seq, args.theta, args.vhat, regime, stride,
+                               args.max_depth)
+    if args.mode == boxdim.AT_BLOCK_ENDS:
+        depths = sched.block_ends(args.max_depth)
+    else:
+        depths = list(range(1, args.max_depth + 1))
+    series = boxdim.count_series(sched, args.base, depths)
+    slope = boxdim.dimension_slope(series, args.mode)
+    print(f"{len(series.points)} depths, mode {args.mode}: dimension estimate "
+          f"{_fmt(slope)}")
+    if args.csv:
+        rows = [(n, c, _fmt(c / n)) for n, c in series.points]
+        _write_csv(args.csv, ["n", "log_b_count", "ratio"], rows)
+        print(f"wrote {args.csv}")
+    return 0
+
+
+# --- sweep ----------------------------------------------------------------
+
+SWEEP_KEYS = {"eta", "vhat", "theta", "rho", "seq", "base", "regime", "depth",
+              "vhat_grid", "theta_grid", "csv", "seed", "burn_in"}
+
+
+def parse_config(path) -> dict[str, str]:
+    """key = value lines; # comments; unknown keys are errors."""
+    out: dict[str, str] = {}
+    with open(path) as fh:
+        for ln, line in enumerate(fh, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{ln}: expected key = value, got {line!r}")
+            key, val = (s.strip() for s in line.split("=", 1))
+            if key not in SWEEP_KEYS:
+                raise ValueError(f"{path}:{ln}: unknown key {key!r}")
+            out[key] = val
+    return out
+
+
+def _sweep_point(eta, vhat, theta, rho, roundtrip):
+    row = [str(vhat), _fmt(vhat), str(theta) if theta is not None else ""]
+    reports = {r.source: r for r in _formula_rows(eta, vhat, theta, rho)}
+    for name in ("baseline", "eta1-exact", "pair-eta1", "refined-upper",
+                 "construction-lower", "exact-window", "pair-upper", "strip-upper"):
+        rep = reports.get(name)
+        row.append(_fmt(rep.value) if rep is not None and rep.value is not None else "")
+        row.append("" if rep is None else str(rep.domain_ok).lower())
+    if roundtrip is None:
+        row.extend(["", "", ""])
+        return row
+    seq_spec, base, regime, stride, depth, burn_frac = roundtrip
+    try:
+        sched, seq = _build_schedule(seq_spec, theta, vhat, regime, stride, depth)
+        stream = construct.emit_digits(sched, base, depth)
+        mt = exponents.matching_times(stream, seq)
+        k = len(mt.dominant)
+        burn = min(int(k * burn_frac), max(0, k - 2))
+        est = exponents.estimate_exponents(stream, seq, burn_in=burn)
+        eta_val = float(eta)
+        ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, eta_val, 0.05)
+        row.extend([_fmt(est.v_est), _fmt(est.vhat_est), str(ok).lower()])
+    except ValueError:
+        row.extend(["", "", ""])  # point not constructible; formulas still stand
+    return row
+
+
+def cmd_sweep(args) -> int:
+    cfg = parse_config(args.config) if args.config else {}
+
+    def pick(name, cast, default=None):
+        cli_val = getattr(args, name, None)
+        if cli_val is not None:
+            return cli_val
+        if name in cfg:
+            return cast(cfg[name])
+        return default
+
+    eta = pick("eta", parse_rational)
+    if eta is None:
+        print("sweep needs eta (flag or config)", file=sys.stderr)
+        return 2
+    theta = pick("theta", parse_rational)
+    rho = pick("rho", parse_rational)
+    vhat_grid = pick("vhat_grid", str)
+    theta_grid = pick("theta_grid", str)
+    if (vhat_grid is None) == (theta_grid is None):
+        print("sweep needs exactly one of vhat_grid or theta_grid", file=sys.stderr)
+        return 2
+    vhat_fixed = pick("vhat", parse_rational)
+    csv_path = pick("csv", str)
+    if csv_path is None:
+        print("sweep needs a csv output path", file=sys.stderr)
+        return 2
+    seq_spec = pick("seq", str)
+    depth = pick("depth", int, 10 ** 5)
+    base = pick("base", int, 3)
+    burn_in = pick("burn_in", float, 0.2)
+    pick("seed", int, 0)  # reserved for seeded baselines; sweeps are seed-free
+
+    regime = stride = None
+    regime_raw = pick("regime", str)
+    roundtrip = None
+    if seq_spec is not None and regime_raw is not None:
+        regime, stride = _parse_regime(regime_raw)
+        roundtrip = (seq_spec, base, regime, stride, depth, burn_in)
+
+    def grid_of(text):
+        lo, hi, count = text.split(":")
+        return dimfx.rational_linspace(parse_rational(lo), parse_rational(hi), int(count))
+
+    if vhat_grid is not None:
+        points = [(eta, v, theta, rho, roundtrip) for v in grid_of(vhat_grid)]
+    else:
+        if vhat_fixed is None:
+            print("theta sweep needs a fixed vhat", file=sys.stderr)
+            return 2
+        points = [(eta, vhat_fixed, t, rho, roundtrip) for t in grid_of(theta_grid)]
+
+    threads = int(os.environ.get(THREADS_ENV, "0") or "0")
+    if threads <= 0:
+        threads = min(8, os.cpu_count() or 1)
+    if threads == 1:
+        rows = [_sweep_point(*p) for p in points]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(lambda p: _sweep_point(*p), points))
+
+    header = ["vhat", "vhat_decimal", "theta"]
+    for name in ("baseline", "eta1_exact", "pair_eta1", "refined_upper",
+                 "construction_lower", "exact_window", "pair_upper", "strip_upper"):
+        header.extend([name, name + "_ok"])
+    header.extend(["v_est", "vhat_est", "lemma21_ok"])
+    _write_csv(csv_path, header, rows)
+    print(f"wrote {len(rows)} grid points to {csv_path}")
+    return 0
+
+
+def cmd_verify(_args) -> int:
+    from . import verify
+    return 0 if verify.run_all() else 1
+
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="dioph-lab",
+                                 description=__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("eval-dim", help="evaluate every applicable dimension formula")
+    p.add_argument("--eta", type=_rational, required=True)
+    p.add_argument("--vhat", type=_rational)
+    p.add_argument("--theta", type=_rational)
+    p.add_argument("--rho", type=_rational)
+    p.add_argument("--grid", help="vhat grid lo:hi:count (rationals)")
+    p.add_argument("--csv")
+    p.set_defaults(func=cmd_eval_dim)
+
+    p = sub.add_parser("gen-digits", help="emit a schedule's digit stream to a file")
+    p.add_argument("--seq", required=True)
+    p.add_argument("--theta", type=_rational, required=True)
+    p.add_argument("--vhat", type=_rational, required=True)
+    p.add_argument("--base", type=int, required=True)
+    p.add_argument("--regime", type=_parse_regime, default=("eta1", None))
+    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--schedule-csv")
+    p.set_defaults(func=cmd_gen_digits)
+
+    p = sub.add_parser("estimate", help="estimate exponents from a digit file")
+    p.add_argument("--digits", required=True)
+    p.add_argument("--seq", required=True)
+    p.add_argument("--depth", type=int)
+    p.add_argument("--burn-in", dest="burn_in", type=float, default=0.2,
+                   help="fraction of dominant pairs to discard (default 0.2)")
+    p.add_argument("--csv")
+    p.set_defaults(func=cmd_estimate)
+
+    p = sub.add_parser("box-dim", help="box-counting estimate for a schedule set")
+    p.add_argument("--seq", required=True)
+    p.add_argument("--theta", type=_rational, required=True)
+    p.add_argument("--vhat", type=_rational, required=True)
+    p.add_argument("--base", type=int, required=True)
+    p.add_argument("--regime", type=_parse_regime, default=("eta1", None))
+    p.add_argument("--max-depth", dest="max_depth", type=int, required=True)
+    p.add_argument("--mode", choices=[boxdim.ALL_DEPTHS, boxdim.AT_BLOCK_ENDS],
+                   default=boxdim.AT_BLOCK_ENDS)
+    p.add_argument("--csv")
+    p.set_defaults(func=cmd_box_dim)
+
+    p = sub.add_parser("sweep", help="grid sweep emitting one CSV row per point")
+    p.add_argument("--config", help="key = value file; unknown keys are errors")
+    p.add_argument("--eta", type=_rational)
+    p.add_argument("--vhat", type=_rational)
+    p.add_argument("--theta", type=_rational)
+    p.add_argument("--rho", type=_rational)
+    p.add_argument("--vhat-grid", dest="vhat_grid", help="lo:hi:count")
+    p.add_argument("--theta-grid", dest="theta_grid", help="lo:hi:count")
+    p.add_argument("--seq")
+    p.add_argument("--base", type=int)
+    p.add_argument("--regime")
+    p.add_argument("--depth", type=int)
+    p.add_argument("--csv")
+    p.add_argument("--seed", type=int)
+    p.set_defaults(func=cmd_sweep)
+
+    p = sub.add_parser("verify", help="run the full invariant suite")
+    p.set_defaults(func=cmd_verify)
+    return ap
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,404 @@
+"""Explicit Cantor-type digit schedules with prescribed exponent pairs.
+
+A schedule is a sparse list of blocks (i_k, a_{i_k}, m_k, t_k): a marker
+digit 1 at position a_{i_k}, zeros up to m_k - 1, a closing 1 at m_k, and
+t_k further markers spaced m_k - a_{i_k} apart before the next block starts.
+Two block-selection regimes exist:
+
+* eta1 regime (growth exponent 1): i_{k+1} is the first index with
+  a_j > theta * a_{i_k}; realizes the pair (vhat, theta*vhat).
+* geometric regime (growth exponent eta > 1): fixed stride
+  i_{k+1} = i_k + l + 1 with theta in [eta^l, (eta^{l+1}-1)/vhat).
+
+All schedule arithmetic is exact: theta and vhat are Fractions and every
+floor is an integer floor of a rational product.  Floating point is not used
+anywhere in construction.
+"""
+
+from __future__ import annotations
+
+import math
+from bisect import bisect_right
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
+
+from .digits import DigitStream
+from .sequences import DenominatorSequence, eta_estimate
+from . import dimfx
+
+START_SCAN_CAP = 10 ** 6  # max indices scanned for a valid first block
+MAX_ENTRIES = 10_000
+
+
+class ScheduleEntry(NamedTuple):
+    index: int    # i_k
+    a: int        # a_{i_k}
+    m: int        # m_k = floor((1 + theta*vhat) * a_{i_k})
+    t: int        # number of spaced markers after m_k
+    next_index: int
+    next_a: int   # a_{i_{k+1}}
+
+    @property
+    def gap(self) -> int:
+        return self.m - self.a
+
+
+@dataclass(frozen=True)
+class CantorSchedule:
+    seq: DenominatorSequence
+    theta: Fraction
+    vhat: Fraction
+    regime: str  # "eta1" | "geometric"
+    stride_l: int | None
+    entries: tuple[ScheduleEntry, ...]
+
+    @property
+    def covered_to(self) -> int:
+        """Last digit position the schedule determines (start of the block
+        after the final entry, exclusive)."""
+        return self.entries[-1].next_a - 1
+
+    @property
+    def target_vhat(self) -> Fraction:
+        return self.vhat
+
+    @property
+    def target_v(self) -> Fraction:
+        return self.theta * self.vhat
+
+    def block_ends(self, max_depth: int | None = None) -> list[int]:
+        ends = [e.m for e in self.entries]
+        if max_depth is not None:
+            ends = [m for m in ends if m <= max_depth]
+        return ends
+
+
+@dataclass(frozen=True)
+class MeasureValue:
+    """mu(I_n) = b^(-log_b_mu) for the uniform mass on the schedule's set."""
+
+    log_b_mu: int
+    n: int
+
+
+def _floor_times(frac: Fraction, a: int) -> int:
+    return (frac.numerator * a) // frac.denominator
+
+
+def _seq_value(seq: DenominatorSequence, n: int) -> int:
+    try:
+        return seq.a(n)
+    except IndexError as exc:
+        raise ValueError(f"sequence too short: index {n} unavailable") from exc
+
+
+def _check_entry(entry: ScheduleEntry, prev: ScheduleEntry | None,
+                 vhat: Fraction, regime: str) -> None:
+    a, m, next_a = entry.a, entry.m, entry.next_a
+    if not (a + 3 <= m <= next_a - 2):
+        raise ValueError(
+            f"block sandwich violated at index {entry.index}: "
+            f"a={a}, m={m}, next_a={next_a}")
+    if prev is not None and entry.gap <= prev.gap:
+        raise ValueError(
+            f"run lengths must strictly increase: gap {entry.gap} after {prev.gap}")
+    if regime == "eta1":
+        # spaced-marker count stays bounded in this regime
+        bound = math.ceil(2 / vhat) + 1
+        if entry.t > bound:
+            raise ValueError(f"marker count t={entry.t} exceeds bound {bound}")
+
+
+def _make_entry(seq: DenominatorSequence, one_plus_tv: Fraction, i: int,
+                next_i: int) -> ScheduleEntry:
+    a = _seq_value(seq, i)
+    m = _floor_times(one_plus_tv, a)
+    next_a = _seq_value(seq, next_i)
+    t = (next_a - m - 1) // (m - a) if m > a else 0
+    return ScheduleEntry(index=i, a=a, m=m, t=t, next_index=next_i, next_a=next_a)
+
+
+def _eta1_sanity(seq: DenominatorSequence) -> None:
+    declared = seq.eta_declared
+    if declared is not None:
+        if declared != 1:
+            raise ValueError(f"eta1 schedule needs growth exponent 1, sequence has {declared}")
+        return
+    sup = seq.max_index()
+    n_max = sup if sup is not None else 1000
+    if n_max < 2:
+        raise ValueError("sequence too short to check its growth exponent")
+    est = eta_estimate(seq, n_max)
+    if est > Fraction(11, 10):
+        raise ValueError(f"sequence growth estimate {est} is not close to 1")
+
+
+def schedule_eta1(seq: DenominatorSequence, theta: Fraction, vhat: Fraction,
+                  k_max: int | None = None, *, cover_to: int | None = None) -> CantorSchedule:
+    """Schedule for the growth-exponent-1 regime.
+
+    Preconditions: 0 < vhat < 1 and theta > 1/(1 - vhat) (the boundary value
+    makes the zero blocks stop growing, so it is excluded).  Provide either
+    k_max (number of blocks) or cover_to (first position the schedule must
+    determine).
+    """
+    theta, vhat = Fraction(theta), Fraction(vhat)
+    if not 0 < vhat < 1:
+        raise ValueError(f"vhat must lie in (0, 1), got {vhat}")
+    if theta <= 1 / (1 - vhat):
+        raise ValueError(f"theta must exceed 1/(1-vhat) = {1 / (1 - vhat)}, got {theta}")
+    if (k_max is None) == (cover_to is None):
+        raise ValueError("provide exactly one of k_max or cover_to")
+    _eta1_sanity(seq)
+
+    tv = theta * vhat
+    one_plus_tv = 1 + tv
+    threshold = max(3 / tv, 1 / ((theta - 1) * tv), 1 / (theta - 1 - tv))
+    i = 1
+    while Fraction(_seq_value(seq, i)) <= threshold:
+        i += 1
+        if i > START_SCAN_CAP:
+            raise ValueError(f"no start index below the scan cap {START_SCAN_CAP}")
+
+    entries: list[ScheduleEntry] = []
+    prev = None
+    while True:
+        a = _seq_value(seq, i)
+        # find the first index with a_j > theta * a, comparing integers only
+        cut_num, cut_den = theta.numerator * a, theta.denominator
+        if seq.kind == "linear":
+            j = max(i + 1, cut_num // cut_den + 1)
+        else:
+            j = i + 1
+            while _seq_value(seq, j) * cut_den <= cut_num:
+                j += 1
+        entry = _make_entry(seq, one_plus_tv, i, j)
+        _check_entry(entry, prev, vhat, "eta1")
+        entries.append(entry)
+        prev = entry
+        if k_max is not None and len(entries) >= k_max:
+            break
+        if cover_to is not None and entry.next_a - 1 >= cover_to:
+            break
+        if len(entries) >= MAX_ENTRIES:
+            raise ValueError(f"schedule exceeded {MAX_ENTRIES} blocks")
+        i = j
+    return CantorSchedule(seq=seq, theta=theta, vhat=vhat, regime="eta1",
+                          stride_l=None, entries=tuple(entries))
+
+
+def schedule_geometric(seq: DenominatorSequence, theta: Fraction, vhat: Fraction,
+                       l: int, k_max: int | None = None, *,
+                       cover_to: int | None = None) -> CantorSchedule:
+    """Fixed-stride schedule for a sequence with growth exponent eta > 1.
+
+    Requires l at least the admissible stride threshold and
+    theta in [eta^l, (eta^{l+1} - 1)/vhat).  The first block index is found
+    by scanning for the smallest n satisfying the three start conditions
+    (each later block re-checks them, so a sporadic early match cannot
+    produce an invalid schedule).
+    """
+    theta, vhat = Fraction(theta), Fraction(vhat)
+    eta = seq.eta_declared
+    if eta is None or eta <= 1:
+        raise ValueError("geometric schedule needs a sequence with declared growth exponent > 1")
+    if not 0 < vhat < eta:
+        raise ValueError(f"vhat must lie in (0, {eta}), got {vhat}")
+    lprime = dimfx.thresholds(eta, vhat).lprime
+    if l < lprime:
+        raise ValueError(f"stride l={l} below the admissible threshold {lprime}")
+    lo, hi = eta ** l, (eta ** (l + 1) - 1) / vhat
+    if not lo <= theta < hi:
+        raise ValueError(f"theta must lie in [{lo}, {hi}), got {theta}")
+    if (k_max is None) == (cover_to is None):
+        raise ValueError("provide exactly one of k_max or cover_to")
+
+    tv = theta * vhat
+    one_plus_tv = 1 + tv
+    stride = l + 1
+
+    def start_ok(n: int) -> bool:
+        a_n = _seq_value(seq, n)
+        a_next = _seq_value(seq, n + stride)
+        return (Fraction(a_n) > 3 / tv
+                and Fraction(a_next - a_n) > 1 / tv
+                and one_plus_tv * a_n <= a_next - 2)
+
+    i = 1
+    while not start_ok(i):
+        i += 1
+        if i > START_SCAN_CAP:
+            raise ValueError(f"no valid start index below the scan cap {START_SCAN_CAP}")
+
+    entries: list[ScheduleEntry] = []
+    prev = None
+    while True:
+        if not start_ok(i):
+            raise ValueError(f"start conditions fail again at index {i}; "
+                             "sequence does not settle into its growth regime")
+        entry = _make_entry(seq, one_plus_tv, i, i + stride)
+        _check_entry(entry, prev, vhat, "geometric")
+        entries.append(entry)
+        prev = entry
+        if k_max is not None and len(entries) >= k_max:
+            break
+        if cover_to is not None and entry.next_a - 1 >= cover_to:
+            break
+        if len(entries) >= MAX_ENTRIES:
+            raise ValueError(f"schedule exceeded {MAX_ENTRIES} blocks")
+        i += stride
+    return CantorSchedule(seq=seq, theta=theta, vhat=vhat, regime="geometric",
+                          stride_l=l, entries=tuple(entries))
+
+
+FILL_DIGIT = 1  # unconstrained positions; never 0 or b-1, so no spurious runs
+
+
+def emit_digits(sched: CantorSchedule, base: int, upto: int) -> DigitStream:
+    """Materialize the first `upto` digits of the schedule's pattern.
+
+    Free positions are emitted as 1.  For base 2 the variant pattern also
+    forces a 0 immediately before each spaced marker, which caps the length
+    of the 1-runs the fill would otherwise create.
+    """
+    if base < 2:
+        raise ValueError(f"base must be >= 2, got {base}")
+    if upto < 0 or upto > sched.covered_to:
+        raise ValueError(f"upto {upto} outside covered range [0, {sched.covered_to}]")
+    buf = bytearray(b"\x01") * upto
+
+    def put(pos: int, digit: int) -> None:
+        if pos > upto:
+            return
+        cur = buf[pos - 1]
+        if cur != FILL_DIGIT and cur != digit:
+            raise AssertionError(f"conflicting digits at position {pos}")
+        buf[pos - 1] = digit
+
+    for e in sched.entries:
+        if e.a > upto:
+            break
+        put(e.a, 1)
+        zero_hi = min(e.m - 1, upto)  # positions a+1 .. m-1
+        buf[e.a: zero_hi] = b"\x00" * max(0, zero_hi - e.a)
+        put(e.m, 1)
+        for t in range(1, e.t + 1):
+            put(e.m + t * e.gap, 1)
+            if base == 2:
+                put(e.m + t * e.gap - 1, 0)
+    return DigitStream(base, bytes(buf))
+
+
+def _entry_base_exponents(sched: CantorSchedule, base: int) -> list[int]:
+    """Mass exponent on the constant stretch [a_{i_k}, m_k] of each block."""
+    bases = []
+    e = sched.entries[0].a - 1  # free positions before the first marker
+    for ent in sched.entries:
+        bases.append(e)
+        free_between = (ent.next_a - ent.m - 1) - ent.t
+        if base == 2:
+            free_between -= ent.t  # the forced zeros are constrained too
+        e += free_between
+    return bases
+
+
+def _locate(sched: CantorSchedule, n: int) -> int:
+    """Index of the entry whose block contains position n, or -1 if n
+    precedes the first block."""
+    a_values = [e.a for e in sched.entries]
+    return bisect_right(a_values, n) - 1
+
+
+def mu_cylinder(sched: CantorSchedule, base: int, n: int) -> MeasureValue:
+    """Exponent of the uniform mass of a depth-n cylinder.
+
+    On [a_{i_k}, m_k] the mass is constant; on (m_k, a_{i_k+1}) the exponent
+    grows by one per position except across the spaced markers (and, for
+    base 2, stays flat across the forced zeros as well).  Below the first
+    block every position is free, so the exponent is n itself.
+    """
+    if not 1 <= n <= sched.covered_to:
+        raise ValueError(f"depth {n} outside covered range [1, {sched.covered_to}]")
+    kk = _locate(sched, n)
+    if kk < 0:
+        return MeasureValue(log_b_mu=n, n=n)
+    ent = sched.entries[kk]
+    exponent = _entry_base_exponents(sched, base)[kk]
+    if n > ent.m:
+        g = ent.gap
+        t = (n - ent.m) // g  # spaced markers at or below n
+        exponent += (n - ent.m) - t
+        if base == 2:
+            exponent -= min(ent.t, (n - ent.m + 1) // g)  # forced zeros at or below n
+    return MeasureValue(log_b_mu=exponent, n=n)
+
+
+def mu_exponents_upto(sched: CantorSchedule, base: int, max_n: int) -> np.ndarray:
+    """log_b(mu) for every depth 1..max_n (vectorized over blocks)."""
+    if not 1 <= max_n <= sched.covered_to:
+        raise ValueError(f"depth {max_n} outside covered range")
+    out = np.empty(max_n + 1, dtype=np.int64)
+    out[0] = 0
+    first_a = sched.entries[0].a
+    top = min(first_a - 1, max_n)
+    out[1: top + 1] = np.arange(1, top + 1)
+    bases = _entry_base_exponents(sched, base)
+    for kk, ent in enumerate(sched.entries):
+        if ent.a > max_n:
+            break
+        hi = min(ent.next_a - 1, max_n)
+        flat_hi = min(ent.m, hi)
+        out[ent.a: flat_hi + 1] = bases[kk]
+        if hi > ent.m:
+            ns = np.arange(ent.m + 1, hi + 1)
+            t = (ns - ent.m) // ent.gap
+            vals = bases[kk] + (ns - ent.m) - t
+            if base == 2:
+                vals -= np.minimum(ent.t, (ns - ent.m + 1) // ent.gap)
+            out[ent.m + 1: hi + 1] = vals
+    return out
+
+
+def local_dimension(sched: CantorSchedule, base: int, n: int) -> float:
+    """Cylinder local-dimension ratio log_b(mu)/n at depth n."""
+    return mu_cylinder(sched, base, n).log_b_mu / n
+
+
+def constrained_digit(sched: CantorSchedule, base: int, pos: int) -> int | None:
+    """Forced digit at a position, or None when the position is free."""
+    if not 1 <= pos <= sched.covered_to:
+        raise ValueError(f"position {pos} outside covered range")
+    kk = _locate(sched, pos)
+    if kk < 0:
+        return None
+    ent = sched.entries[kk]
+    if pos == ent.a or pos == ent.m:
+        return 1
+    if ent.a < pos < ent.m:
+        return 0
+    off = pos - ent.m
+    g = ent.gap
+    if off % g == 0 and 1 <= off // g <= ent.t:
+        return 1
+    if base == 2 and (off + 1) % g == 0 and 1 <= (off + 1) // g <= ent.t:
+        return 0
+    return None
+
+
+def eta1_local_dimension_limit(theta: Fraction, vhat: Fraction) -> Fraction:
+    """Limit of log_b(mu(I_n))/n along block ends in the eta1 regime."""
+    theta, vhat = Fraction(theta), Fraction(vhat)
+    tv = theta * vhat
+    return (theta - 1 - tv) / ((theta - 1) * (1 + tv))
+
+
+def geometric_local_dimension_limit(eta: Fraction, theta: Fraction, vhat: Fraction,
+                                    l: int) -> Fraction:
+    """Same limit in the fixed-stride regime with stride parameter l."""
+    eta, theta, vhat = Fraction(eta), Fraction(theta), Fraction(vhat)
+    tv = theta * vhat
+    top = eta ** (l + 1) - 1
+    return (top - tv) / (top * (1 + tv))

@@ -1,0 +1,237 @@
+"""Base-b digit streams and their maximal 0/(b-1) runs.
+
+A DigitStream is a finite materialized prefix of a conceptually infinite
+fractional expansion.  Everything downstream (run detection, exponent
+estimation) consumes these prefixes and reports estimates tagged with the
+prefix length.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+
+import numpy as np
+
+# Positions are 1-based everywhere: digit j of xi is x_j, j >= 1.
+
+TAIL_GUARD = 64  # final window checked by the irrationality proxy
+
+_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
+_CHAR_VALUE = {c: v for v, c in enumerate(_ALPHABET)}
+_CHAR_VALUE.update({c.upper(): v for v, c in enumerate(_ALPHABET) if c.isalpha()})
+_TRANSLATE = bytearray(b"\xff" * 256)
+for _c, _v in _CHAR_VALUE.items():
+    _TRANSLATE[ord(_c)] = _v
+_TRANSLATE = bytes(_TRANSLATE)
+
+
+@dataclass(frozen=True)
+class DigitStream:
+    """Immutable prefix of a base-b fractional digit sequence."""
+
+    base: int
+    data: bytes  # digit values, one byte per digit
+
+    def __post_init__(self):
+        if self.base < 2:
+            raise ValueError(f"base must be >= 2, got {self.base}")
+        if len(self.data) > 0 and max(self.data) >= self.base:
+            bad = max(self.data)
+            raise ValueError(f"digit {bad} out of range for base {self.base}")
+
+    @property
+    def prefix_len(self) -> int:
+        return len(self.data)
+
+    def digit(self, j: int) -> int:
+        """Digit x_j at 1-based position j."""
+        if not 1 <= j <= len(self.data):
+            raise IndexError(f"position {j} outside prefix of length {len(self.data)}")
+        return self.data[j - 1]
+
+    def truncated(self, count: int) -> "DigitStream":
+        """Stream holding only the first `count` digits."""
+        if count > len(self.data):
+            raise ValueError(f"cannot truncate to {count}: only {len(self.data)} digits")
+        return DigitStream(self.base, self.data[:count])
+
+    def as_array(self) -> np.ndarray:
+        return np.frombuffer(self.data, dtype=np.uint8)
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+
+@dataclass(frozen=True)
+class RunBlock:
+    """Maximal run of a repeated digit that is 0 or b-1.
+
+    start is the 1-based position of the first digit of the block; value is
+    the repeated digit.  Maximality: the neighbours at start-1 and
+    start+length (when they exist) differ from value.
+    """
+
+    start: int
+    length: int
+    value: int
+
+    @property
+    def end(self) -> int:
+        """1-based position of the last digit in the block."""
+        return self.start + self.length - 1
+
+    @property
+    def kind(self) -> str:
+        return "zero" if self.value == 0 else "bmax"
+
+
+def check_tail_guard(stream: DigitStream) -> None:
+    """Irrationality proxy on ingested data.
+
+    A prefix long enough to judge must not end in a constant-0 or
+    constant-(b-1) window of TAIL_GUARD digits (an eventually constant tail
+    is a rational's signature).  Shorter prefixes are exempt, and emitted
+    schedule prefixes are not screened: cutting one inside a zero block is
+    normal, the truncated run is simply discarded downstream.
+    """
+    data = stream.data
+    if len(data) < TAIL_GUARD:
+        return
+    tail = data[-TAIL_GUARD:]
+    if all(d == 0 for d in tail):
+        raise ValueError("stream ends in an all-zero tail window (looks rational)")
+    if all(d == stream.base - 1 for d in tail):
+        raise ValueError("stream ends in an all-(b-1) tail window (looks rational)")
+
+
+def digits_from_string(text: str, base: int, tail_guard: bool = True) -> DigitStream:
+    """Parse digit characters (0-9 then a-z, base <= 36) into a stream."""
+    if base > len(_ALPHABET):
+        raise ValueError(f"base {base} exceeds the digit alphabet (max {len(_ALPHABET)})")
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"non-ascii character in digit text: {exc}") from None
+    vals = raw.translate(_TRANSLATE)
+    if vals and max(vals) >= base:
+        bad = next(i for i, v in enumerate(vals) if v >= base)
+        raise ValueError(f"character {text[bad]!r} is not a base-{base} digit")
+    stream = DigitStream(base, vals)
+    if tail_guard:
+        check_tail_guard(stream)
+    return stream
+
+
+def digits_to_string(stream: DigitStream) -> str:
+    if stream.base > len(_ALPHABET):
+        raise ValueError(f"base {stream.base} has no character encoding")
+    encode = (_ALPHABET.encode("ascii") + b"\x00" * (256 - len(_ALPHABET)))
+    return stream.data.translate(encode).decode("ascii")
+
+
+def digits_from_rational(p: int, q: int, base: int, count: int) -> DigitStream:
+    """First `count` base-b digits of p/q by long division.
+
+    When p/q admits two expansions the terminating one is produced (long
+    division yields it naturally).  Requires 0 <= p < q so p/q is in [0, 1).
+    """
+    if q == 0:
+        raise ZeroDivisionError("q must be nonzero")
+    if q < 0:
+        p, q = -p, -q
+    if not 0 <= p < q:
+        raise ValueError(f"{p}/{q} is not in [0, 1)")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    out = bytearray()
+    r = p
+    for _ in range(count):
+        r *= base
+        out.append(r // q)
+        r %= q
+    stream = DigitStream(base, bytes(out))
+    check_tail_guard(stream)
+    return stream
+
+
+def random_digits(base: int, count: int, seed: int) -> DigitStream:
+    """Uniform random digits from a seeded generator (reproducible)."""
+    rng = random.Random(seed)
+    data = bytes(rng.randrange(base) for _ in range(count))
+    stream = DigitStream(base, data)
+    check_tail_guard(stream)
+    return stream
+
+
+def _boundaries(arr: np.ndarray):
+    """0-based (starts, ends, values) of all maximal constant runs."""
+    n = arr.shape[0]
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    change = np.flatnonzero(arr[1:] != arr[:-1])
+    starts = np.concatenate(([0], change + 1))
+    ends = np.concatenate((change, [n - 1]))
+    return starts, ends, arr[starts].astype(np.int64)
+
+
+def run_blocks(stream: DigitStream) -> list[RunBlock]:
+    """All maximal runs of repeated 0 or repeated b-1, in start order.
+
+    For base 2 every digit is 0 or b-1, so the blocks tile the whole prefix.
+    """
+    arr = stream.as_array()
+    starts, ends, vals = _boundaries(arr)
+    bmax = stream.base - 1
+    keep = (vals == 0) | (vals == bmax)
+    blocks = []
+    for s, e, v in zip(starts[keep], ends[keep], vals[keep]):
+        blocks.append(RunBlock(start=int(s) + 1, length=int(e - s) + 1, value=int(v)))
+    return blocks
+
+
+def run_end_table(stream: DigitStream) -> np.ndarray:
+    """Per-position lookup of run ends for 0/(b-1) runs.
+
+    Entry j (1-based) is the 1-based position of the last digit of the
+    maximal 0- or (b-1)-run containing position j, or 0 when the digit at j
+    is neither 0 nor b-1.  Entry 0 is padding.
+    """
+    arr = stream.as_array()
+    n = arr.shape[0]
+    table = np.zeros(n + 1, dtype=np.int64)
+    if n == 0:
+        return table
+    starts, ends, vals = _boundaries(arr)
+    lengths = ends - starts + 1
+    per_pos_end = np.repeat(ends + 1, lengths)  # 1-based end for every position
+    per_pos_val = np.repeat(vals, lengths)
+    mask = (per_pos_val == 0) | (per_pos_val == stream.base - 1)
+    table[1:] = np.where(mask, per_pos_end, 0)
+    return table
+
+
+# --- digit file format -------------------------------------------------------
+# line 1: base=<b>
+# line 2..: the digit characters (may be wrapped); no separators inside lines.
+
+
+def save_digit_file(stream: DigitStream, path) -> None:
+    text = digits_to_string(stream)
+    with open(path, "w") as fh:
+        fh.write(f"base={stream.base}\n")
+        fh.write(text)
+        fh.write("\n")
+
+
+def load_digit_file(path) -> DigitStream:
+    """Read a digit file; no tail screening (the round-trip channel for
+    emitted schedule prefixes, which may legitimately end inside a block)."""
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if not header.startswith("base="):
+            raise ValueError(f"digit file must start with 'base=<b>', got {header!r}")
+        base = int(header[len("base="):])
+        body = "".join(line.strip() for line in fh)
+    return digits_from_string(body, base, tail_guard=False)

@@ -1,0 +1,308 @@
+"""Closed-form dimension values, bounds, thresholds, and admissibility.
+
+Every formula is evaluated in exact rational arithmetic; floats appear only
+when callers format output.  Integer thresholds that are floors of log
+ratios are computed by searching powers of eta exactly, because interval
+endpoints sit exactly at such powers and floating-point logs misround there.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+EXACT = "exact"
+UPPER = "upper"
+LOWER = "lower"
+EMPTY = "empty"
+
+
+@dataclass(frozen=True)
+class DimensionReport:
+    value: Fraction | None
+    kind: str  # exact | upper | lower | empty
+    source: str
+    domain_ok: bool
+    condition: str = ""
+
+    def __post_init__(self):
+        if self.kind == EMPTY:
+            assert self.value == 0
+        elif self.value is not None:
+            assert 0 <= self.value <= 1, f"dimension {self.value} outside [0, 1]"
+
+
+@dataclass(frozen=True)
+class Thresholds:
+    l0: int
+    l1: int
+    ltilde: int
+    lprime: int
+
+
+def floor_log(eta: Fraction, x: Fraction) -> int:
+    """Unique integer f with eta^f <= x < eta^(f+1), by exact power search."""
+    eta, x = Fraction(eta), Fraction(x)
+    if eta <= 1:
+        raise ValueError(f"eta must exceed 1, got {eta}")
+    if x <= 0:
+        raise ValueError(f"x must be positive, got {x}")
+    f = 0
+    p = Fraction(1)
+    if x >= 1:
+        while p * eta <= x:
+            p *= eta
+            f += 1
+    else:
+        while p > x:
+            p /= eta
+            f -= 1
+    return f
+
+
+def smallest_power_at_least(eta: Fraction, x: Fraction) -> int:
+    """Smallest integer l >= 1 with eta^l >= x."""
+    f = floor_log(eta, x)
+    if eta ** f == x:
+        return max(1, f)
+    return max(1, f + 1)
+
+
+def l0_threshold(eta: Fraction) -> int:
+    """First stride index whose vhat window can open (depends on eta only)."""
+    eta = Fraction(eta)
+    if eta <= 1:
+        raise ValueError(f"needs eta > 1, got {eta}")
+    return max(1, floor_log(eta, 2 / (eta - 1)) + 1)
+
+
+def thresholds(eta: Fraction, vhat: Fraction) -> Thresholds:
+    """The four integer regime thresholds for growth exponent eta > 1."""
+    eta, vhat = Fraction(eta), Fraction(vhat)
+    if eta <= 1:
+        raise ValueError(f"thresholds need eta > 1, got {eta}")
+    if not 0 < vhat < eta:
+        raise ValueError(f"vhat must lie in (0, {eta}), got {vhat}")
+    l0 = l0_threshold(eta)
+    l1 = floor_log(eta, 2 / (eta - vhat)) + 1
+    ltilde = max(1, floor_log(eta, (eta + 1) / (eta - vhat)))
+    lprime = max(1, floor_log(eta, 1 / (eta - vhat)) + 1)
+    return Thresholds(l0=l0, l1=l1, ltilde=ltilde, lprime=lprime)
+
+
+def dim_eta1(vhat: Fraction) -> DimensionReport:
+    """Exact dimension in the eta = 1 regime: ((1-vhat)/(1+vhat))^2."""
+    vhat = Fraction(vhat)
+    if not 0 <= vhat <= 1:
+        raise ValueError(f"vhat must lie in [0, 1], got {vhat}")
+    value = ((1 - vhat) / (1 + vhat)) ** 2
+    return DimensionReport(value=value, kind=EXACT, source="eta1-exact",
+                           domain_ok=True, condition="0 <= vhat <= 1")
+
+
+def dim_pair_eta1(vhat: Fraction, theta: Fraction) -> DimensionReport:
+    """Exact dimension of the (vhat, theta*vhat) pair set when eta = 1."""
+    vhat, theta = Fraction(vhat), Fraction(theta)
+    if not 0 < vhat < 1:
+        raise ValueError(f"vhat must lie in (0, 1), got {vhat}")
+    cut = 1 / (1 - vhat)
+    if theta < cut:
+        return DimensionReport(value=Fraction(0), kind=EMPTY, source="pair-eta1",
+                               domain_ok=True, condition=f"theta < {cut}: empty")
+    tv = theta * vhat
+    value = (theta - 1 - tv) / ((theta - 1) * (1 + tv))
+    return DimensionReport(value=value, kind=EXACT, source="pair-eta1",
+                           domain_ok=True, condition=f"theta >= {cut}")
+
+
+def upper_bound_pair(eta: Fraction, vhat: Fraction, theta: Fraction) -> DimensionReport:
+    """Upper bound for the (vhat, theta*vhat) pair set, any eta >= 1."""
+    eta, vhat, theta = Fraction(eta), Fraction(vhat), Fraction(theta)
+    if not 0 < vhat < eta:
+        raise ValueError(f"vhat must lie in (0, {eta}), got {vhat}")
+    cut = max(Fraction(1), 1 / (eta - vhat))
+    if theta < cut:
+        return DimensionReport(value=Fraction(0), kind=EMPTY, source="pair-upper",
+                               domain_ok=True, condition=f"theta < {cut}: empty")
+    tv = theta * vhat
+    value = (eta * theta - 1 - tv) / ((eta * theta - 1) * (1 + tv))
+    return DimensionReport(value=value, kind=UPPER, source="pair-upper",
+                           domain_ok=True, condition=f"theta >= {cut}")
+
+
+def upper_bound_strip(eta: Fraction, vhat: Fraction, theta: Fraction,
+                      rho: Fraction) -> DimensionReport:
+    """Upper bound when the asymptotic exponent may exceed theta*vhat by rho."""
+    eta, vhat, theta, rho = map(Fraction, (eta, vhat, theta, rho))
+    if rho < 0:
+        raise ValueError(f"rho must be >= 0, got {rho}")
+    cut = max(Fraction(1), 1 / (eta - vhat))
+    if theta < cut:
+        raise ValueError(f"theta must be >= {cut}, got {theta}")
+    tv = theta * vhat
+    num = vhat * (eta * theta - 1 - tv) + rho * (eta - vhat)
+    den = (1 + tv) * ((eta * theta - 1) * vhat + eta * rho)
+    return DimensionReport(value=num / den, kind=UPPER, source="strip-upper",
+                           domain_ok=True, condition=f"theta >= {cut}, rho >= 0")
+
+
+def baseline_bound(eta: Fraction, vhat: Fraction) -> DimensionReport:
+    """The all-purpose upper bound ((eta-vhat)/(eta+vhat))^2."""
+    eta, vhat = Fraction(eta), Fraction(vhat)
+    if not 0 <= vhat <= eta:
+        raise ValueError(f"vhat must lie in [0, {eta}], got {vhat}")
+    value = ((eta - vhat) / (eta + vhat)) ** 2
+    return DimensionReport(value=value, kind=UPPER, source="baseline",
+                           domain_ok=True, condition="0 <= vhat <= eta")
+
+
+def _in_refined_window(eta: Fraction, vhat: Fraction, l1: int, l0: int) -> bool:
+    if l1 < l0:
+        return False
+    left = max(Fraction(1), eta - 2 * eta / (eta ** l1 + 1))
+    right = eta - 2 / eta ** l1
+    return left < vhat < right
+
+
+def refined_upper_bound(eta: Fraction, vhat: Fraction) -> DimensionReport:
+    """Refined upper bound on the union of admissible vhat windows (eta > 1).
+
+    Outside the windows no value is claimed (domain_ok False).  Inside, the
+    bound is strictly below baseline_bound; that strictness is asserted.
+    """
+    eta, vhat = Fraction(eta), Fraction(vhat)
+    th = thresholds(eta, vhat)
+    inside = _in_refined_window(eta, vhat, th.l1, th.l0)
+    cond = (f"window l={th.l1}: max(1, eta - 2*eta/(eta^l+1)) < vhat < eta - 2/eta^l, "
+            f"l >= l0={th.l0}; eta taken as the exact limit of a(n+1)/a(n), "
+            "which a finite prefix cannot certify")
+    if not inside:
+        return DimensionReport(value=None, kind=UPPER, source="refined-upper",
+                               domain_ok=False, condition=cond)
+    l1 = th.l1
+    p = eta ** l1
+    branch_a = (eta * p - 1 - p * vhat) / ((eta * p - 1) * (1 + p * vhat))
+    l2 = smallest_power_at_least(eta, 1 / (eta - vhat))
+    if l2 == l1:
+        value = branch_a
+    else:
+        q = eta ** (l1 - 1)
+        branch_b = (p - 1 - q * vhat) / (q * (eta * (p - 1) - vhat))
+        value = max(branch_a, branch_b)
+    base = baseline_bound(eta, vhat).value
+    assert value < base, f"refined bound {value} not below baseline {base}"
+    return DimensionReport(value=value, kind=UPPER, source="refined-upper",
+                           domain_ok=True, condition=cond)
+
+
+def construction_lower_bound(eta: Fraction, vhat: Fraction) -> DimensionReport:
+    """Best lower bound realized by fixed-stride schedules (eta > 1)."""
+    eta, vhat = Fraction(eta), Fraction(vhat)
+    th = thresholds(eta, vhat)
+    p = eta ** th.ltilde
+    value = (eta * p - 1 - p * vhat) / ((eta * p - 1) * (1 + p * vhat))
+    return DimensionReport(value=value, kind=LOWER, source="construction-lower",
+                           domain_ok=True, condition=f"optimal stride ltilde={th.ltilde}")
+
+
+def exact_dimension_window(eta: Fraction, vhat: Fraction) -> DimensionReport:
+    """Exact dimension where upper and lower bounds meet (eta > 1).
+
+    The admissible vhat windows are left-open, right-closed; the right
+    endpoints eta - 2/eta^l are exactly the values where the bound equals
+    baseline_bound.
+    """
+    eta, vhat = Fraction(eta), Fraction(vhat)
+    if eta <= 1:
+        raise ValueError(f"needs eta > 1, got {eta}")
+    not_ok = DimensionReport(value=None, kind=EXACT, source="exact-window",
+                             domain_ok=False,
+                             condition="vhat outside every resolvable window")
+    if not 0 < vhat < eta:
+        return not_ok
+    l0 = l0_threshold(eta)
+    lc = smallest_power_at_least(eta, 2 / (eta - vhat))
+    p = eta ** lc
+    left = max(Fraction(1), eta - (p + eta * p - 1) / p ** 2)
+    right = eta - 2 / p
+    cond = f"window l={lc}: {left} < vhat <= {right}, l >= l0={l0}"
+    if lc < l0 or not (left < vhat <= right):
+        return DimensionReport(value=None, kind=EXACT, source="exact-window",
+                               domain_ok=False, condition=cond)
+    lower = construction_lower_bound(eta, vhat)
+    th = thresholds(eta, vhat)
+    assert th.ltilde == lc, f"window stride {lc} disagrees with ltilde {th.ltilde}"
+    return DimensionReport(value=lower.value, kind=EXACT, source="exact-window",
+                           domain_ok=True, condition=cond)
+
+
+@dataclass(frozen=True)
+class ThetaInterval:
+    lo: Fraction
+    hi: Fraction
+    lo_open: bool
+    hi_open: bool = True
+
+    def contains(self, theta: Fraction) -> bool:
+        theta = Fraction(theta)
+        above = theta > self.lo if self.lo_open else theta >= self.lo
+        below = theta < self.hi if self.hi_open else theta <= self.hi
+        return above and below
+
+    def __str__(self):
+        lo_b = "(" if self.lo_open else "["
+        hi_b = ")" if self.hi_open else "]"
+        return f"{lo_b}{self.lo}, {self.hi}{hi_b}"
+
+
+def forbidden_theta_gaps(eta: Fraction, vhat: Fraction, l_max: int) -> list[ThetaInterval]:
+    """Open theta ranges where the (vhat, theta*vhat) pair set is empty.
+
+    Valid for vhat in [1, eta).  The initial interval [0, max(1, 1/(eta-vhat)))
+    is closed at 0; the power gaps ((eta^l - 1)/vhat, eta^l) are open, so the
+    powers eta^l themselves stay admissible.  Overlapping pieces are merged.
+    """
+    eta, vhat = Fraction(eta), Fraction(vhat)
+    if eta <= 1:
+        raise ValueError(f"needs eta > 1, got {eta}")
+    if not 1 <= vhat < eta:
+        raise ValueError(f"vhat must lie in [1, {eta}), got {vhat}")
+    raw = [ThetaInterval(Fraction(0), max(Fraction(1), 1 / (eta - vhat)), lo_open=False)]
+    for l in range(1, l_max + 1):
+        p = eta ** l
+        lo = (p - 1) / vhat
+        if lo < p:
+            raw.append(ThetaInterval(lo, p, lo_open=True))
+    raw.sort(key=lambda iv: (iv.lo, iv.lo_open))
+    merged = [raw[0]]
+    for iv in raw[1:]:
+        cur = merged[-1]
+        touches = iv.lo < cur.hi or (iv.lo == cur.hi and not (cur.hi_open and iv.lo_open))
+        if touches:
+            if iv.hi > cur.hi or (iv.hi == cur.hi and not iv.hi_open):
+                merged[-1] = ThetaInterval(cur.lo, max(cur.hi, iv.hi),
+                                           lo_open=cur.lo_open,
+                                           hi_open=iv.hi_open if iv.hi >= cur.hi else cur.hi_open)
+        else:
+            merged.append(iv)
+    return merged
+
+
+def theta_is_forbidden(eta: Fraction, vhat: Fraction, theta: Fraction) -> bool:
+    """Pair-or-gap emptiness test for a single theta."""
+    eta, vhat, theta = Fraction(eta), Fraction(vhat), Fraction(theta)
+    if theta < max(Fraction(1), 1 / (eta - vhat)):
+        return True
+    if vhat < 1:
+        return False
+    l_max = max(1, floor_log(eta, max(theta, Fraction(2))) + 2)
+    return any(iv.contains(theta) for iv in forbidden_theta_gaps(eta, vhat, l_max))
+
+
+def rational_linspace(lo: Fraction, hi: Fraction, count: int) -> list[Fraction]:
+    """count exact rationals from lo to hi inclusive."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if count < 2:
+        raise ValueError("need at least two grid points")
+    step = (hi - lo) / (count - 1)
+    return [lo + k * step for k in range(count)]

@@ -1,0 +1,188 @@
+"""Restricted denominator sequences A = (a_n) and their growth exponent.
+
+The growth exponent eta = limsup a_{n+1}/a_n governs which dimension formulas
+apply.  Linear and polynomial sequences realize eta = 1 (with a_n != n for
+the polynomial kinds); geometric sequences realize any rational eta > 1 via
+an integer rounding recurrence.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from pathlib import Path
+
+
+class DenominatorSequence:
+    """Strictly increasing sequence of positive integers with 1-based access."""
+
+    def __init__(self, kind: str, *, degree: int | None = None,
+                 ratio: Fraction | None = None, seed: int | None = None,
+                 values: list[int] | None = None, spec: str = ""):
+        self.kind = kind
+        self.degree = degree
+        self.ratio = ratio
+        self.seed = seed
+        self.spec = spec or kind
+        if kind == "explicit":
+            if not values:
+                raise ValueError("explicit sequence has no values")
+            prev = 0
+            for v in values:
+                if v <= prev:
+                    raise ValueError(f"explicit sequence not strictly increasing at {v}")
+                prev = v
+            self._values = list(values)
+        elif kind == "geometric":
+            if ratio is None or ratio <= 1:
+                raise ValueError("geometric sequence needs rational ratio > 1")
+            if seed is None or seed < 1:
+                raise ValueError("geometric sequence needs integer seed >= 1")
+            self._values = [seed]  # extended on demand
+        elif kind in ("linear", "poly"):
+            if kind == "poly" and (degree is None or degree < 2):
+                raise ValueError("polynomial sequence needs degree >= 2")
+            self._values = None
+        else:
+            raise ValueError(f"unknown sequence kind {kind!r}")
+
+    @property
+    def eta_declared(self) -> Fraction | None:
+        """Exact growth exponent when known from the construction."""
+        if self.kind in ("linear", "poly"):
+            return Fraction(1)
+        if self.kind == "geometric":
+            return self.ratio
+        return None
+
+    def _extend_geometric(self, n: int) -> None:
+        p, q = self.ratio.numerator, self.ratio.denominator
+        vals = self._values
+        while len(vals) < n:
+            a = vals[-1]
+            # round half up, with a strict-increase floor
+            vals.append(max(a + 1, (2 * p * a + q) // (2 * q)))
+
+    def a(self, n: int) -> int:
+        """Value a_n for n >= 1."""
+        if n < 1:
+            raise IndexError(f"sequence index must be >= 1, got {n}")
+        if self.kind == "linear":
+            return n
+        if self.kind == "poly":
+            return n ** self.degree
+        if self.kind == "geometric":
+            self._extend_geometric(n)
+            return self._values[n - 1]
+        if n > len(self._values):
+            raise IndexError(f"explicit sequence has only {len(self._values)} terms")
+        return self._values[n - 1]
+
+    def max_index(self) -> int | None:
+        """Largest supported index, or None when unbounded."""
+        if self.kind == "explicit":
+            return len(self._values)
+        return None
+
+    def index_count_upto(self, limit: int) -> int:
+        """Number of indices n with a(n) <= limit."""
+        count = 0
+        for _ in self.iter_upto(limit):
+            count += 1
+        return count
+
+    def iter_upto(self, limit: int):
+        """Yield (n, a_n) for all supported n with a_n <= limit."""
+        if self.kind == "linear":
+            for n in range(1, limit + 1):
+                yield n, n
+            return
+        n = 1
+        while True:
+            if self.kind == "explicit" and n > len(self._values):
+                return
+            v = self.a(n)
+            if v > limit:
+                return
+            yield n, v
+            n += 1
+
+    def __repr__(self):
+        return f"DenominatorSequence({self.spec!r})"
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse 'p' or 'p/q'; decimal forms are rejected to keep arithmetic exact."""
+    text = text.strip()
+    parts = text.split("/")
+    if len(parts) > 2 or not all(p.lstrip("+").isdigit() for p in parts):
+        raise ValueError(f"{text!r} is not a p or p/q rational")
+    if len(parts) == 1:
+        return Fraction(int(parts[0]))
+    return Fraction(int(parts[0]), int(parts[1]))
+
+
+def make_sequence(spec: str) -> DenominatorSequence:
+    """Build a sequence from its spec string.
+
+    Grammar: `linear` | `poly:d=<int>=2>` | `geometric:eta=<p/q>,a1=<int>` |
+    `file:<path>` (one strictly increasing positive integer per line).
+    """
+    spec = spec.strip()
+    if spec == "linear":
+        return DenominatorSequence("linear", spec=spec)
+    if spec.startswith("poly:"):
+        body = spec[len("poly:"):]
+        if not body.startswith("d="):
+            raise ValueError(f"malformed poly spec {spec!r}")
+        d = int(body[2:])
+        return DenominatorSequence("poly", degree=d, spec=spec)
+    if spec.startswith("geometric:"):
+        body = spec[len("geometric:"):]
+        kv = {}
+        for item in body.split(","):
+            if "=" not in item:
+                raise ValueError(f"malformed geometric spec {spec!r}")
+            k, v = item.split("=", 1)
+            kv[k.strip()] = v.strip()
+        if set(kv) != {"eta", "a1"}:
+            raise ValueError(f"geometric spec needs eta=<p/q>,a1=<int>, got {spec!r}")
+        ratio = parse_rational(kv["eta"])
+        if ratio <= 1:
+            raise ValueError(f"geometric eta must exceed 1, got {ratio}")
+        return DenominatorSequence("geometric", ratio=ratio, seed=int(kv["a1"]), spec=spec)
+    if spec.startswith("file:"):
+        path = Path(spec[len("file:"):])
+        values = []
+        for line in path.read_text().splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            values.append(int(line))
+        return DenominatorSequence("explicit", values=values, spec=spec)
+    raise ValueError(f"unrecognized sequence spec {spec!r}")
+
+
+def eta_estimate(seq: DenominatorSequence, n_max: int, window: int | None = None) -> Fraction:
+    """Finite limsup surrogate: max of a(n+1)/a(n) over the last `window` ratios.
+
+    The window covers n = n_max - window .. n_max - 1; it defaults to the
+    last 10% of indices.  This is a tail-window maximum, not a limit.
+    """
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2 to form a ratio")
+    if window is None:
+        window = max(1, n_max // 10)
+    if window > n_max - 1:
+        raise ValueError(f"window {window} exceeds the {n_max - 1} available ratios")
+    sup = seq.max_index()
+    if sup is not None and n_max > sup:
+        raise ValueError(f"n_max {n_max} exceeds sequence length {sup}")
+    best = Fraction(0)
+    prev = seq.a(n_max - window)
+    for n in range(n_max - window, n_max):
+        nxt = seq.a(n + 1)
+        r = Fraction(nxt, prev)
+        if r > best:
+            best = r
+        prev = nxt
+    return best

@@ -1,0 +1,361 @@
+"""Self-contained invariant suite backing the `verify` subcommand.
+
+Each check re-derives its expectation independently (brute-force scans,
+alternative formulas, exact rational identities) and returns pass/fail with
+a short detail string.  The CLI prints one line per check and exits nonzero
+if any fails.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction as F
+
+import numpy as np
+
+from . import boxdim, construct, digits, dimfx, exponents, sequences
+
+LIN = sequences.make_sequence("linear")
+GEO2 = sequences.make_sequence("geometric:eta=2,a1=1")
+
+
+def _eta1_schedule(cover):
+    return construct.schedule_eta1(LIN, F(3), F(1, 3), cover_to=cover)
+
+
+def _geo_schedule(cover):
+    return construct.schedule_geometric(GEO2, F(4), F(3, 2), 2, cover_to=cover)
+
+
+def check_rational_digits():
+    """Long division agrees with the direct-formula oracle digit by digit."""
+    for base in (2, 3, 10):
+        for q in range(2, 51):
+            for p in range(1, q):
+                got = digits.digits_from_rational(p, q, base, 64).data
+                want = bytes((p * base ** j // q) % base for j in range(1, 65))
+                if got != want:
+                    return False, f"mismatch at {p}/{q} base {base}"
+    return True, "all p/q with q <= 50, bases 2/3/10, 64 digits"
+
+
+def check_run_maximality():
+    """Blocks tile without overlap and are maximal at both ends."""
+    for seed in range(20):
+        base = random.Random(seed).choice([2, 3, 10])
+        stream = digits.random_digits(base, 2000, seed + 1000)
+        blocks = digits.run_blocks(stream)
+        prev_end = 0
+        for b in blocks:
+            if b.start <= prev_end:
+                return False, f"overlap at {b} (seed {seed})"
+            prev_end = b.end
+            vals = {stream.digit(j) for j in range(b.start, b.end + 1)}
+            if vals != {b.value}:
+                return False, f"non-constant block {b}"
+            if b.start > 1 and stream.digit(b.start - 1) == b.value:
+                return False, f"not maximal on the left: {b}"
+            if b.end < stream.prefix_len and stream.digit(b.end + 1) == b.value:
+                return False, f"not maximal on the right: {b}"
+        if base == 2:
+            covered = sum(b.length for b in blocks)
+            if covered != stream.prefix_len:
+                return False, "base-2 blocks must tile the prefix"
+    return True, "20 seeded streams, direct scan"
+
+
+def check_eta_estimates():
+    for spec in ("linear", "poly:d=2", "poly:d=3"):
+        seq = sequences.make_sequence(spec)
+        est = sequences.eta_estimate(seq, 10 ** 4)
+        if abs(est - 1) > F(1, 1000):
+            return False, f"{spec}: eta estimate {est} not within 1e-3 of 1"
+    for spec, ratio in (("geometric:eta=2,a1=1", F(2)), ("geometric:eta=3/2,a1=4", F(3, 2))):
+        seq = sequences.make_sequence(spec)
+        n_max, window = 60, 6
+        est = sequences.eta_estimate(seq, n_max, window)
+        if abs(est - ratio) > F(1, seq.a(n_max - window)):
+            return False, f"{spec}: estimate {est} too far from {ratio}"
+    return True, "linear/poly -> 1, geometric -> ratio"
+
+
+def check_greedy_properties():
+    """Dominant selection is a strict-record rule: deterministic tail after a
+    deletion, and prefix extension only appends."""
+    for seed in range(12):
+        stream = digits.random_digits(random.Random(seed).choice([2, 3, 10]), 6000, seed)
+        mt = exponents.matching_times(stream, LIN)
+        dom = mt.dominant
+        if len(dom) < 3:
+            continue
+        for drop in range(1, len(dom)):
+            pairs = [p for p in mt.pairs if p != dom[drop]]
+            redone = exponents.greedy_dominant(pairs)
+            if drop + 1 < len(dom):
+                sync = dom[drop + 1]
+                if sync not in redone:
+                    return False, f"tail lost after dropping pair {drop} (seed {seed})"
+                i = redone.index(sync)
+                if redone[i:] != dom[drop + 1:]:
+                    return False, f"tail differs after dropping pair {drop} (seed {seed})"
+        half = exponents.matching_times(stream.truncated(3000), LIN)
+        if half.dominant != dom[: len(half.dominant)]:
+            return False, f"prefix extension rewrote dominant pairs (seed {seed})"
+    return True, "deletion re-sync and prefix monotonicity on seeded streams"
+
+
+def check_roundtrip_recovery():
+    """Emitted digits give back exactly the schedule's (a, m) pairs.
+
+    Base 3 recovers every pair.  Base 2 may see one extra early pair from a
+    1-run (1 is the top digit there), which can precede or displace the first
+    schedule pair; past the first entry the recovery is exact.
+    """
+    for name, sched, seq in (("eta1", _eta1_schedule(10 ** 5), LIN),
+                             ("geo", _geo_schedule(10 ** 5), GEO2)):
+        want = [(e.a, e.m) for e in sched.entries if e.m <= 10 ** 5]
+        for base in (3, 2):
+            stream = construct.emit_digits(sched, base, 10 ** 5)
+            got = [(p.a, p.m) for p in exponents.matching_times(stream, seq).dominant]
+            if base == 3 and got != want:
+                return False, f"{name}/b3: {got[:4]} != {want[:4]}"
+            if base == 2:
+                if want[1] not in got:
+                    return False, f"{name}/b2: pair {want[1]} not recovered"
+                tail = got[got.index(want[1]):]
+                if tail != want[1:]:
+                    return False, f"{name}/b2 past first entry: {tail[:4]} != {want[1:5]}"
+    return True, "exact pair recovery at depth 1e5 (b=3 fully, b=2 past first)"
+
+
+def check_exponent_targeting():
+    sched = _eta1_schedule(10 ** 6)
+    for base in (3, 2):
+        stream = construct.emit_digits(sched, base, 10 ** 6)
+        est = exponents.estimate_exponents(stream, LIN)
+        if abs(est.vhat_est - 1 / 3) > 0.02 or abs(est.v_est - 1.0) > 0.05:
+            return False, f"eta1/b{base}: v={est.v_est}, vhat={est.vhat_est}"
+    gsched = _geo_schedule(10 ** 6)
+    stream = construct.emit_digits(gsched, 3, 10 ** 6)
+    est = exponents.estimate_exponents(stream, GEO2)
+    if abs(est.vhat_est - 1.5) > 0.05 or abs(est.v_est - 6.0) > 0.1:
+        return False, f"geo: v={est.v_est}, vhat={est.vhat_est}"
+    return True, "targets hit at depth 1e6 within documented tolerances"
+
+
+def check_estimator_agreement():
+    for name, sched, seq in (("eta1", _eta1_schedule(10 ** 5), LIN),
+                             ("geo", _geo_schedule(10 ** 5), GEO2)):
+        for base in (3, 2):
+            stream = construct.emit_digits(sched, base, 10 ** 5)
+            est = exponents.estimate_exponents(stream, seq)
+            vd = exponents.estimate_vhat_definition(
+                stream, seq, exponents.definition_grid(stream, seq))
+            if abs(est.vhat_est - vd) > 0.01:
+                return False, f"{name}/b{base}: blocks {est.vhat_est} vs definition {vd}"
+    return True, "block vs definition estimators within 0.01 at depth 1e5"
+
+
+def check_exponent_inequality_everywhere():
+    cases = []
+    sched = _eta1_schedule(2 * 10 ** 5)
+    cases.append((construct.emit_digits(sched, 3, 2 * 10 ** 5), LIN, 1.0))
+    gsched = _geo_schedule(2 * 10 ** 5)
+    cases.append((construct.emit_digits(gsched, 3, 2 * 10 ** 5), GEO2, 2.0))
+    for seed in range(100):
+        cases.append((digits.random_digits(10, 20000, seed), LIN, 1.0))
+    for stream, seq, eta in cases:
+        est = exponents.estimate_exponents(stream, seq)
+        if not exponents.check_exponent_inequality(est.v_est, est.vhat_est, eta, 0.05):
+            return False, f"violated at depth {est.depth}: v={est.v_est}, vhat={est.vhat_est}"
+    return True, "both constructions plus 100 seeded random streams, tol 0.05"
+
+
+def check_eta1_consistency():
+    for vhat in (F(1, 10), F(1, 3), F(1, 2), F(7, 10), F(9, 10)):
+        for k in range(0, 60, 7):
+            theta = 1 / (1 - vhat) + F(k, 10)
+            a = dimfx.upper_bound_pair(F(1), vhat, theta)
+            b = dimfx.dim_pair_eta1(vhat, theta)
+            if a.value != b.value:
+                return False, f"eta=1 mismatch at vhat={vhat}, theta={theta}"
+    return True, "pair bound reduces exactly to the eta=1 formula"
+
+
+def check_optimizer_identity():
+    for vhat in (F(1, 3), F(1, 2), F(3, 5)):
+        lo = 1 / (1 - vhat)
+        grid = [lo + F(k, 100) for k in range(401)]
+        vals = [(dimfx.dim_pair_eta1(vhat, th).value, th) for th in grid]
+        best_val, best_th = max(vals)
+        theta0 = 2 / (1 - vhat)
+        if abs(best_th - theta0) > F(1, 100):
+            return False, f"argmax {best_th} far from {theta0} (vhat={vhat})"
+        if dimfx.dim_pair_eta1(vhat, theta0).value != dimfx.dim_eta1(vhat).value:
+            return False, f"peak value mismatch at vhat={vhat}"
+    return True, "grid max sits at theta0 = 2/(1-vhat) and equals the exact value"
+
+
+def check_sandwich_and_strictness():
+    total = 0
+    for eta in (F(3, 2), F(2), F(3)):
+        l0 = dimfx.l0_threshold(eta)
+        for l in range(l0, l0 + 4):
+            p = eta ** l
+            left = max(F(1), eta - 2 * eta / (p + 1))
+            right = eta - 2 / p
+            for vhat in dimfx.rational_linspace(left, right, 19)[1:-1]:
+                total += 1
+                up = dimfx.refined_upper_bound(eta, vhat)
+                low = dimfx.construction_lower_bound(eta, vhat)
+                base = dimfx.baseline_bound(eta, vhat)
+                if not up.domain_ok:
+                    return False, f"window point rejected: eta={eta}, vhat={vhat}"
+                if not up.value < base.value:
+                    return False, f"not strictly below baseline at eta={eta}, vhat={vhat}"
+                if not low.value <= up.value:
+                    return False, f"lower above upper at eta={eta}, vhat={vhat}"
+                ex = dimfx.exact_dimension_window(eta, vhat)
+                if ex.domain_ok and ex.value != low.value:
+                    return False, f"exact != lower at eta={eta}, vhat={vhat}"
+    return True, f"{total} window samples over eta in {{3/2, 2, 3}}"
+
+
+def check_remark_equality():
+    for eta in (F(3, 2), F(2), F(3)):
+        l0 = dimfx.l0_threshold(eta)
+        for l in range(l0, l0 + 4):
+            vhat = eta - 2 / eta ** l
+            low = dimfx.construction_lower_bound(eta, vhat)
+            base = dimfx.baseline_bound(eta, vhat)
+            if low.value != base.value:
+                return False, f"no equality at eta={eta}, l={l}"
+            ex = dimfx.exact_dimension_window(eta, vhat)
+            if not ex.domain_ok or ex.value != base.value:
+                return False, f"window misses endpoint eta={eta}, l={l}"
+    return True, "lower bound meets baseline exactly at vhat = eta - 2/eta^l"
+
+
+def check_quadratic_roots():
+    for eta in (F(3, 2), F(2), F(3)):
+        for l in range(1, 5):
+            p = eta ** l
+            c2 = p ** 3
+            c1 = -p * (p - 1) * (eta * p + p - 1)
+            c0 = (p - 1) ** 2 * (eta * p - 1)
+            t1 = (p - 1) / p
+            t2 = eta - (p + eta * p - 1) / p ** 2
+            for t in (t1, t2):
+                if c2 * t * t + c1 * t + c0 != 0:
+                    return False, f"root fails at eta={eta}, l={l}"
+    return True, "branch-crossing quadratic vanishes at both closed-form roots"
+
+
+def check_gap_coherence():
+    eta, vhat = F(2), F(3, 2)
+    for k in range(0, 64):
+        theta = F(k, 16)
+        in_gap = (theta < 2) or (2 < theta < 4)
+        if dimfx.theta_is_forbidden(eta, vhat, theta) != in_gap:
+            return False, f"gap verdict wrong at theta={theta}"
+    for theta in (F(2), F(4), F(9, 2)):
+        if dimfx.theta_is_forbidden(eta, vhat, theta):
+            return False, f"admissible theta {theta} flagged"
+    return True, "grid over [0,2) u (2,4) forbidden; 2, 4, 4.5 admissible"
+
+
+def check_measure_additivity():
+    sched = _eta1_schedule(100)
+    for base in (3, 2):
+        # mass of the root cylinder of each admissible prefix must equal the
+        # sum over its admissible one-digit extensions
+        for n in range(1, 30):
+            parent = construct.mu_cylinder(sched, base, n).log_b_mu
+            forced = construct.constrained_digit(sched, base, n + 1)
+            child = construct.mu_cylinder(sched, base, n + 1).log_b_mu
+            n_children = 1 if forced is not None else base
+            # uniform rule: children split the parent mass equally
+            total = n_children * F(1, base ** child)
+            if total != F(1, base ** parent):
+                return False, f"additivity fails at depth {n}, base {base}"
+    return True, "child masses sum to the parent mass at depths < 30"
+
+
+def check_count_equals_measure():
+    for name, sched in (("eta1", _eta1_schedule(10 ** 5)), ("geo", _geo_schedule(10 ** 5))):
+        for base in (3, 2):
+            mu = construct.mu_exponents_upto(sched, base, 10 ** 5)
+            ct = boxdim.count_exponents_upto(sched, base, 10 ** 5)
+            if not np.array_equal(mu[1:], ct[1:]):
+                bad = int(np.flatnonzero(mu[1:] != ct[1:])[0]) + 1
+                return False, f"{name}/b{base}: first mismatch at depth {bad}"
+            if (np.diff(mu[1:]) < 0).any():
+                return False, f"{name}/b{base}: mass exponent decreases"
+    return True, "count exponent == mass exponent at every depth <= 1e5"
+
+
+def check_local_dimension_limits():
+    sched = _eta1_schedule(10 ** 6)
+    ends = [m for m in sched.block_ends(10 ** 6) if m >= 10 ** 5]
+    target = float(construct.eta1_local_dimension_limit(F(3), F(1, 3)))
+    for m in ends:
+        if abs(construct.local_dimension(sched, 3, m) - target) > 0.02:
+            return False, f"eta1 at block end {m}"
+    gsched = _geo_schedule(10 ** 6)
+    gtarget = float(construct.geometric_local_dimension_limit(F(2), F(4), F(3, 2), 2))
+    gends = [m for m in gsched.block_ends(10 ** 6) if m >= 10 ** 5]
+    for m in gends:
+        if abs(construct.local_dimension(gsched, 3, m) - gtarget) > 0.01:
+            return False, f"geo at block end {m}"
+    return True, f"block ends past 1e5 within 0.02 of {target:.4f} and 0.01 of {gtarget:.6f}"
+
+
+def check_slope_stabilization():
+    sched = _eta1_schedule(4 * 10 ** 5)
+    v1 = boxdim.dimension_slope(
+        boxdim.count_series(sched, 3, sched.block_ends(10 ** 5)), boxdim.AT_BLOCK_ENDS)
+    v2 = boxdim.dimension_slope(
+        boxdim.count_series(sched, 3, sched.block_ends(2 * 10 ** 5)), boxdim.AT_BLOCK_ENDS)
+    if v2 > v1 + 0.01:
+        return False, f"liminf surrogate rose from {v1} to {v2}"
+    series = boxdim.count_series(sched, 3, list(range(1, 10 ** 5 + 1)))
+    slope = boxdim.dimension_slope(series, boxdim.ALL_DEPTHS)
+    block = boxdim.dimension_slope(
+        boxdim.count_series(sched, 3, sched.block_ends(10 ** 5)), boxdim.AT_BLOCK_ENDS)
+    if slope < block - 0.05:
+        return False, f"regression slope {slope} far below block-end value {block}"
+    return True, "doubling the horizon never raises the liminf surrogate by > 0.01"
+
+
+CHECKS = [
+    ("rational-digits-vs-oracle", check_rational_digits),
+    ("run-block-maximality", check_run_maximality),
+    ("eta-estimates", check_eta_estimates),
+    ("greedy-dominant-properties", check_greedy_properties),
+    ("roundtrip-pair-recovery", check_roundtrip_recovery),
+    ("exponent-targeting", check_exponent_targeting),
+    ("estimator-agreement", check_estimator_agreement),
+    ("exponent-inequality", check_exponent_inequality_everywhere),
+    ("eta1-consistency", check_eta1_consistency),
+    ("optimizer-identity", check_optimizer_identity),
+    ("sandwich-and-strictness", check_sandwich_and_strictness),
+    ("remark-equality", check_remark_equality),
+    ("quadratic-roots", check_quadratic_roots),
+    ("forbidden-gap-coherence", check_gap_coherence),
+    ("measure-additivity", check_measure_additivity),
+    ("count-equals-measure", check_count_equals_measure),
+    ("local-dimension-limits", check_local_dimension_limits),
+    ("slope-stabilization", check_slope_stabilization),
+]
+
+
+def run_all(printer=print) -> bool:
+    ok_all = True
+    for name, fn in CHECKS:
+        try:
+            ok, detail = fn()
+        except Exception as exc:  # a crash is a failure, not an abort
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        ok_all &= ok
+        printer(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+    return ok_all
