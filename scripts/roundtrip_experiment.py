@@ -18,9 +18,9 @@ def run_case(label, seq, sched, depth, eta, limit):
           f"v = {sched.target_v}, local dim limit = {limit} ===")
     for base in (3, 2):
         stream = construct.emit_digits(sched, base, depth)
-        est = exponents.estimate_exponents(stream, seq)
-        vdef = exponents.estimate_vhat_definition(
-            stream, seq, exponents.definition_grid(stream, seq))
+        mt = exponents.matching_times(stream, seq)
+        est = exponents.estimate_exponents(mt)
+        vdef = exponents.estimate_vhat_definition(mt, exponents.definition_grid(mt))
         ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, eta, 0.05)
         print(f"b={base}: depth {est.depth}, {est.k_count} dominant pairs "
               f"(burn-in {est.burn_in})")

@@ -43,6 +43,7 @@ from .construct import (
 )
 from .dimfx import (
     DimensionReport,
+    InvariantError,
     ThetaInterval,
     Thresholds,
     baseline_bound,

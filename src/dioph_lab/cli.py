@@ -34,6 +34,12 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _check_eta(eta: Fraction) -> None:
+    """Every formula and schedule needs a growth exponent eta >= 1."""
+    if eta < 1:
+        raise ValueError(f"eta must be >= 1, got {eta}")
+
+
 def _parse_regime(text: str):
     """'eta1' or 'geo:l=<int>' -> (name, stride or None)."""
     if text == "eta1":
@@ -86,6 +92,7 @@ def _formula_rows(eta: Fraction, vhat: Fraction, theta: Fraction | None,
 
 def cmd_eval_dim(args) -> int:
     eta = args.eta
+    _check_eta(eta)
     if args.grid is not None:
         lo, hi, count = args.grid.split(":")
         grid = dimfx.rational_linspace(parse_rational(lo), parse_rational(hi), int(count))
@@ -153,12 +160,11 @@ def cmd_estimate(args) -> int:
         return 1
     k = len(mt.dominant)
     burn = min(int(k * args.burn_in), max(0, k - 2))
-    est = exponents.estimate_exponents(stream, seq, burn_in=burn)
-    eta = exponents.eta_for_stream(stream, seq)
+    eta = exponents.eta_for_table(mt)
+    est = exponents.estimate_exponents(mt, burn_in=burn, eta=eta)
     ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, eta, tol=0.05)
     try:
-        vdef = exponents.estimate_vhat_definition(
-            stream, seq, exponents.definition_grid(stream, seq))
+        vdef = exponents.estimate_vhat_definition(mt, exponents.definition_grid(mt))
     except ValueError:
         vdef = None
     print(f"depth {est.depth}: {k} dominant pairs (burn-in {est.burn_in})")
@@ -236,7 +242,7 @@ def _sweep_point(eta, vhat, theta, rho, roundtrip):
         mt = exponents.matching_times(stream, seq)
         k = len(mt.dominant)
         burn = min(int(k * burn_frac), max(0, k - 2))
-        est = exponents.estimate_exponents(stream, seq, burn_in=burn)
+        est = exponents.estimate_exponents(mt, burn_in=burn)
         eta_val = float(eta)
         ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, eta_val, 0.05)
         row.extend([_fmt(est.v_est), _fmt(est.vhat_est), str(ok).lower()])
@@ -260,6 +266,7 @@ def cmd_sweep(args) -> int:
     if eta is None:
         print("sweep needs eta (flag or config)", file=sys.stderr)
         return 2
+    _check_eta(eta)
     theta = pick("theta", parse_rational)
     rho = pick("rho", parse_rational)
     vhat_grid = pick("vhat_grid", str)
@@ -392,7 +399,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, dimfx.InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

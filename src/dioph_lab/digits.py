@@ -36,9 +36,10 @@ class DigitStream:
     def __post_init__(self):
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {self.base}")
-        if len(self.data) > 0 and max(self.data) >= self.base:
-            bad = max(self.data)
-            raise ValueError(f"digit {bad} out of range for base {self.base}")
+        if self.data:
+            bad = int(np.frombuffer(self.data, dtype=np.uint8).max())
+            if bad >= self.base:
+                raise ValueError(f"digit {bad} out of range for base {self.base}")
 
     @property
     def prefix_len(self) -> int:
@@ -114,8 +115,9 @@ def digits_from_string(text: str, base: int, tail_guard: bool = True) -> DigitSt
     except UnicodeEncodeError as exc:
         raise ValueError(f"non-ascii character in digit text: {exc}") from None
     vals = raw.translate(_TRANSLATE)
-    if vals and max(vals) >= base:
-        bad = next(i for i, v in enumerate(vals) if v >= base)
+    arr = np.frombuffer(vals, dtype=np.uint8)
+    if arr.size and arr.max() >= base:
+        bad = int(np.argmax(arr >= base))
         raise ValueError(f"character {text[bad]!r} is not a base-{base} digit")
     stream = DigitStream(base, vals)
     if tail_guard:
@@ -191,25 +193,26 @@ def run_blocks(stream: DigitStream) -> list[RunBlock]:
     return blocks
 
 
-def run_end_table(stream: DigitStream) -> np.ndarray:
-    """Per-position lookup of run ends for 0/(b-1) runs.
+def run_end_table(stream: DigitStream, positions) -> np.ndarray:
+    """Run ends of 0/(b-1) runs at the requested 1-based positions.
 
-    Entry j (1-based) is the 1-based position of the last digit of the
-    maximal 0- or (b-1)-run containing position j, or 0 when the digit at j
-    is neither 0 nor b-1.  Entry 0 is padding.
+    Entry i is the 1-based position of the last digit of the maximal 0- or
+    (b-1)-run containing positions[i], or 0 when the digit there is neither
+    0 nor b-1.  Each run is found by binary search over the run starts, so
+    memory grows with the number of runs and positions, not with the prefix.
     """
     arr = stream.as_array()
-    n = arr.shape[0]
-    table = np.zeros(n + 1, dtype=np.int64)
-    if n == 0:
-        return table
-    starts, ends, vals = _boundaries(arr)
-    lengths = ends - starts + 1
-    per_pos_end = np.repeat(ends + 1, lengths)  # 1-based end for every position
-    per_pos_val = np.repeat(vals, lengths)
-    mask = (per_pos_val == 0) | (per_pos_val == stream.base - 1)
-    table[1:] = np.where(mask, per_pos_end, 0)
-    return table
+    pos = np.asarray(positions, dtype=np.int64)
+    if pos.size and (pos.min() < 1 or pos.max() > arr.shape[0]):
+        raise IndexError(f"positions outside prefix of length {arr.shape[0]}")
+    d = arr[pos - 1]
+    hit = (d == 0) | (d == stream.base - 1)
+    out = np.zeros(pos.shape, dtype=np.int64)
+    if hit.any():
+        starts, ends, _ = _boundaries(arr)
+        run = np.searchsorted(starts, pos[hit] - 1, side="right") - 1
+        out[hit] = ends[run] + 1
+    return out
 
 
 # --- digit file format -------------------------------------------------------

@@ -17,6 +17,14 @@ LOWER = "lower"
 EMPTY = "empty"
 
 
+class InvariantError(Exception):
+    """A library invariant failed: a bug or corrupted input, never a user error.
+
+    Not a ValueError, so handlers for bad input cannot swallow it, and raised
+    explicitly, so it survives `python -O`.
+    """
+
+
 @dataclass(frozen=True)
 class DimensionReport:
     value: Fraction | None
@@ -26,10 +34,10 @@ class DimensionReport:
     condition: str = ""
 
     def __post_init__(self):
-        if self.kind == EMPTY:
-            assert self.value == 0
-        elif self.value is not None:
-            assert 0 <= self.value <= 1, f"dimension {self.value} outside [0, 1]"
+        if self.kind == EMPTY and self.value != 0:
+            raise InvariantError(f"empty set reported with dimension {self.value}")
+        if self.value is not None and not 0 <= self.value <= 1:
+            raise InvariantError(f"dimension {self.value} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -168,7 +176,7 @@ def refined_upper_bound(eta: Fraction, vhat: Fraction) -> DimensionReport:
     """Refined upper bound on the union of admissible vhat windows (eta > 1).
 
     Outside the windows no value is claimed (domain_ok False).  Inside, the
-    bound is strictly below baseline_bound; that strictness is asserted.
+    bound is strictly below baseline_bound; that strictness is checked.
     """
     eta, vhat = Fraction(eta), Fraction(vhat)
     th = thresholds(eta, vhat)
@@ -190,7 +198,8 @@ def refined_upper_bound(eta: Fraction, vhat: Fraction) -> DimensionReport:
         branch_b = (p - 1 - q * vhat) / (q * (eta * (p - 1) - vhat))
         value = max(branch_a, branch_b)
     base = baseline_bound(eta, vhat).value
-    assert value < base, f"refined bound {value} not below baseline {base}"
+    if not value < base:
+        raise InvariantError(f"refined bound {value} not below baseline {base}")
     return DimensionReport(value=value, kind=UPPER, source="refined-upper",
                            domain_ok=True, condition=cond)
 
@@ -231,7 +240,8 @@ def exact_dimension_window(eta: Fraction, vhat: Fraction) -> DimensionReport:
                                domain_ok=False, condition=cond)
     lower = construction_lower_bound(eta, vhat)
     th = thresholds(eta, vhat)
-    assert th.ltilde == lc, f"window stride {lc} disagrees with ltilde {th.ltilde}"
+    if th.ltilde != lc:
+        raise InvariantError(f"window stride {lc} disagrees with ltilde {th.ltilde}")
     return DimensionReport(value=lower.value, kind=EXACT, source="exact-window",
                            domain_ok=True, condition=cond)
 

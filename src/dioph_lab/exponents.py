@@ -12,13 +12,16 @@ over a finite prefix, not limits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .digits import DigitStream, run_end_table
+from .dimfx import InvariantError
 from .sequences import DenominatorSequence, eta_estimate
 
 
@@ -32,26 +35,77 @@ class MatchingPair(NamedTuple):
         return self.m - self.a
 
 
-@dataclass
-class MatchingTimes:
-    """All observable (index, a, m) pairs plus the dominant subsequence.
+class PairView(Sequence):
+    """Read-only list of MatchingPair over the selected rows of a gap table.
 
-    A pair is observable when the break digit at m lies inside the prefix;
-    runs still open at the prefix end are discarded, never extrapolated.
-    `dominant` is greedy-maximal: the first pair, then each later pair whose
-    gap strictly exceeds every gap seen before it.
+    Its length is a count over the mask; the tuples are built on first read.
+    It compares equal to a list (or view) holding the same pairs.
+    """
+
+    def __init__(self, mt: MatchingTimes, mask: np.ndarray):
+        # the columns, not the table: a view cached on its table makes no cycle
+        self._columns, self._mask = (mt.n, mt.a, mt.gap), mask
+
+    @cached_property
+    def _pairs(self) -> list[MatchingPair]:
+        ns, avals, gaps = (col[self._mask].tolist() for col in self._columns)
+        return [MatchingPair(n, a, a + g) for n, a, g in zip(ns, avals, gaps)]
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._mask))
+
+    def __getitem__(self, i):
+        return self._pairs[i]
+
+    def __iter__(self):
+        return iter(self._pairs)
+
+    def __eq__(self, other):
+        if isinstance(other, PairView):
+            other = other._pairs
+        return self._pairs == other
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(self._pairs)
+
+
+@dataclass(frozen=True, eq=False)
+class MatchingTimes:
+    """Gap table of one (stream, sequence): one row per index n = 1..K.
+
+    Row n covers a_n, whose run start a_n + 1 lies inside the prefix.  Its
+    gap is the run length m - a_n when the digit after a_n opens a 0/(b-1)
+    run whose break digit m is observed, and 0 otherwise: runs still open at
+    the prefix end are discarded, never extrapolated.  The dominant rows are
+    greedy-maximal: the first complete row, then each later one whose gap
+    strictly exceeds every gap before it.  `pairs` and `dominant` view the
+    complete and dominant rows as MatchingPair tuples.
     """
 
     base: int
     depth: int
-    pairs: list[MatchingPair] = field(default_factory=list)
-    dominant: list[MatchingPair] = field(default_factory=list)
-    first_truncated_index: int | None = None  # smallest n whose run is cut off
-    longest_complete_run: int = 0
+    seq: DenominatorSequence
+    n: np.ndarray              # int64 indices 1..K
+    a: np.ndarray              # int64 a_n
+    gap: np.ndarray            # int64 m - a_n on complete rows, 0 elsewhere
+    complete: np.ndarray       # bool: the run after a_n breaks inside the prefix
+    dominant_mask: np.ndarray  # bool: strict record of gap
+    first_truncated_index: int | None  # smallest n whose run is cut off
+    longest_complete_run: int
 
     @property
     def empty(self) -> bool:
-        return not self.pairs
+        return not self.complete.any()
+
+    @cached_property
+    def pairs(self) -> PairView:
+        return PairView(self, self.complete)
+
+    @cached_property
+    def dominant(self) -> PairView:
+        return PairView(self, self.dominant_mask)
 
 
 def _index_arrays(stream: DigitStream, seq: DenominatorSequence):
@@ -68,42 +122,25 @@ def _index_arrays(stream: DigitStream, seq: DenominatorSequence):
 
 
 def matching_times(stream: DigitStream, seq: DenominatorSequence) -> MatchingTimes:
-    """Extract matching times and the dominant subsequence from a prefix."""
+    """Build the gap table of a prefix: run ends are looked up once, at a_n + 1."""
     P = stream.prefix_len
     if seq.a(1) + 2 > P:
         raise ValueError(f"prefix of {P} digits too short: a(1)+2 = {seq.a(1) + 2}")
     ns, avals = _index_arrays(stream, seq)
-    mt = MatchingTimes(base=stream.base, depth=P)
-    if ns.size == 0:
-        return mt
-
-    table = run_end_table(stream)
-    pos = avals + 1
-    digit_arr = stream.as_array()
-    d = digit_arr[pos - 1]
-    in_j = (d == 0) | (d == stream.base - 1)
-    run_end = np.where(in_j, table[pos], 0)
-    complete = in_j & (run_end < P)  # run end == P means the break digit is unseen
-    truncated = in_j & (run_end >= P)
-    if truncated.any():
-        mt.first_truncated_index = int(ns[truncated][0])
-
-    sel_n = ns[complete]
-    sel_a = avals[complete]
-    sel_m = run_end[complete] + 1
-    if sel_n.size == 0:
-        return mt
-    mt.longest_complete_run = int((sel_m - sel_a).max())
-
-    gaps = sel_m - sel_a
-    keep = np.ones(gaps.shape[0], dtype=bool)
-    if gaps.shape[0] > 1:
-        keep[1:] = gaps[1:] > np.maximum.accumulate(gaps)[:-1]
-    mt.pairs = [MatchingPair(int(n), int(a), int(m))
-                for n, a, m in zip(sel_n, sel_a, sel_m)]
-    mt.dominant = [MatchingPair(int(n), int(a), int(m))
-                   for n, a, m in zip(sel_n[keep], sel_a[keep], sel_m[keep])]
-    return mt
+    run_end = run_end_table(stream, avals + 1)
+    complete = (run_end > 0) & (run_end < P)  # run end == P: the break digit is unseen
+    truncated = run_end >= P
+    gap = np.where(complete, run_end + 1 - avals, 0)
+    first_trunc = int(ns[np.argmax(truncated)]) if truncated.any() else None
+    # complete gaps are >= 2 and the others 0, so the strict records of `gap`
+    # are exactly the dominant rows
+    dominant = gap > 0
+    dominant[1:] &= gap[1:] > np.maximum.accumulate(gap)[:-1]
+    return MatchingTimes(
+        base=stream.base, depth=P, seq=seq, n=ns, a=avals, gap=gap,
+        complete=complete, dominant_mask=dominant,
+        first_truncated_index=first_trunc,
+        longest_complete_run=int(gap.max()) if gap.size else 0)
 
 
 def greedy_dominant(pairs: list[MatchingPair]) -> list[MatchingPair]:
@@ -124,48 +161,29 @@ def default_burn_in(k_count: int, fraction: float = 0.2) -> int:
 
 def estimate_v(mt: MatchingTimes, burn_in: int) -> float:
     """Asymptotic exponent surrogate: max of gap/a over dominant pairs past burn-in."""
-    tail = mt.dominant[burn_in:]
-    if not tail:
+    dom = mt.dominant_mask
+    tail = (mt.gap[dom] / mt.a[dom])[burn_in:]
+    if not tail.size:
         raise ValueError(f"too few dominant pairs ({len(mt.dominant)}) for burn_in {burn_in}")
-    return max(p.gap / p.a for p in tail)
+    return float(tail.max())
 
 
-def estimate_vhat_blocks(mt: MatchingTimes, seq: DenominatorSequence, burn_in: int) -> float:
+def estimate_vhat_blocks(mt: MatchingTimes, burn_in: int) -> float:
     """Uniform exponent surrogate along the dominant subsequence.
 
     Each term divides the run length of pair k by a(i_{k+1} - 1), the sequence
     value one index before the next dominant index.  The last pair has no
     successor and is skipped.
     """
-    dom = mt.dominant
-    if len(dom) < burn_in + 2:
-        raise ValueError(f"need more than burn_in+1 = {burn_in + 1} dominant pairs, have {len(dom)}")
-    vals = []
-    for k in range(burn_in, len(dom) - 1):
-        succ_index = dom[k + 1].index
-        vals.append(dom[k].gap / seq.a(succ_index - 1))
-    return min(vals)
+    rows = np.flatnonzero(mt.dominant_mask)
+    if rows.size < burn_in + 2:
+        raise ValueError(f"need more than burn_in+1 = {burn_in + 1} dominant pairs, "
+                         f"have {rows.size}")
+    # rows are 0-based, so row i_{k+1} - 2 holds a(i_{k+1} - 1)
+    return float((mt.gap[rows[burn_in:-1]] / mt.a[rows[burn_in + 1:] - 1]).min())
 
 
-def _gap_by_index(stream: DigitStream, seq: DenominatorSequence):
-    """Per-index run lengths (0 when not applicable) plus truncation bookkeeping."""
-    ns, avals = _index_arrays(stream, seq)
-    P = stream.prefix_len
-    table = run_end_table(stream)
-    pos = avals + 1
-    d = stream.as_array()[pos - 1]
-    in_j = (d == 0) | (d == stream.base - 1)
-    run_end = np.where(in_j, table[pos], 0)
-    complete = in_j & (run_end < P)
-    truncated = in_j & (run_end >= P)
-    gaps = np.where(complete, run_end + 1 - avals, 0)
-    first_trunc = int(ns[truncated][0]) if truncated.any() else None
-    longest = int(gaps.max()) if gaps.size else 0
-    return ns, avals, gaps, first_trunc, longest
-
-
-def estimate_vhat_definition(stream: DigitStream, seq: DenominatorSequence,
-                             N_grid: list[int]) -> float:
+def estimate_vhat_definition(mt: MatchingTimes, N_grid) -> float:
     """Uniform exponent surrogate straight from the definition.
 
     For each N in the grid, form max over n <= N of the run length after a_n
@@ -174,44 +192,39 @@ def estimate_vhat_definition(stream: DigitStream, seq: DenominatorSequence,
     end (a truncated run has an unknown length; treating it as 0 would poison
     the min).
     """
-    if not N_grid:
+    grid = np.asarray(N_grid, dtype=np.int64)  # order and repeats leave the min alone
+    if not grid.size:
         raise ValueError("empty N grid")
-    grid = sorted(set(int(N) for N in N_grid))
-    if grid[0] < 1:
+    if grid.min() < 1:
         raise ValueError("grid indices must be >= 1")
-    ns, avals, gaps, first_trunc, _ = _gap_by_index(stream, seq)
-    if ns.size == 0 or grid[-1] > int(ns[-1]):
-        raise ValueError(f"grid exceeds prefix: max N {grid[-1]} not materialized")
-    if first_trunc is not None and grid[-1] >= first_trunc:
+    top = int(grid.max())
+    if top > mt.n.size:
+        raise ValueError(f"grid exceeds prefix: max N {top} not materialized")
+    if mt.first_truncated_index is not None and top >= mt.first_truncated_index:
         raise ValueError(
-            f"grid reaches index {grid[-1]} but the run after a_{first_trunc} "
+            f"grid reaches index {top} but the run after a_{mt.first_truncated_index} "
             f"is cut off by the prefix end")
-    runmax = np.maximum.accumulate(gaps)
-    # ns is 1..K contiguous for every kind (iter_upto yields consecutive n)
-    ratios = [runmax[N - 1] / avals[N - 1] for N in grid]
-    return float(min(ratios))
+    runmax = np.maximum.accumulate(mt.gap[:top])
+    return float((runmax[grid - 1] / mt.a[grid - 1]).min())
 
 
-def definition_grid(stream: DigitStream, seq: DenominatorSequence,
-                    start_fraction: float = 0.2) -> list[int]:
+def definition_grid(mt: MatchingTimes, start_fraction: float = 0.2) -> np.ndarray:
     """Default grid: every index from a burn-in point to the safe cap.
 
     The cap keeps all needed runs fully observed and stays inside the
     conservative bound a(N) + longest complete run <= prefix length.
     """
-    ns, avals, gaps, first_trunc, longest = _gap_by_index(stream, seq)
-    if ns.size == 0:
+    if not mt.n.size:
         raise ValueError("no usable indices in prefix")
-    cap = int(ns[-1])
-    if first_trunc is not None:
-        cap = min(cap, first_trunc - 1)
-    P = stream.prefix_len
-    while cap >= 1 and avals[cap - 1] + longest > P:
-        cap -= 1
+    cap = mt.n.size
+    if mt.first_truncated_index is not None:
+        cap = min(cap, mt.first_truncated_index - 1)
+    # a is strictly increasing: count the a(N) that satisfy the bound
+    cap = min(cap, int(np.searchsorted(mt.a, mt.depth - mt.longest_complete_run,
+                                       side="right")))
     if cap < 2:
         raise ValueError("prefix too short for a definition-based estimate")
-    lo = max(2, int(cap * start_fraction))
-    return list(range(lo, cap + 1))
+    return np.arange(max(2, int(cap * start_fraction)), cap + 1)
 
 
 def check_exponent_inequality(v_est: float, vhat_est: float, eta: float,
@@ -234,39 +247,38 @@ class ExponentEstimate:
     burn_in: int
 
 
-def estimate_exponents(stream: DigitStream, seq: DenominatorSequence,
-                       burn_in: int | None = None,
-                       eta: Fraction | None = None) -> ExponentEstimate:
-    """Run the block estimators with the default burn-in policy.
+def estimate_exponents(mt: MatchingTimes, burn_in: int | None = None,
+                       eta: Fraction | float | None = None) -> ExponentEstimate:
+    """Run the block estimators over a gap table with the default burn-in policy.
 
     A finite-prefix sanity bound vhat <= eta_est * (v + 2/a(i_last)) is
-    asserted; a violation indicates corrupted inputs rather than a tight
-    mathematical failure.
+    checked; a violation (InvariantError) indicates corrupted inputs rather
+    than a tight mathematical failure.
     """
-    mt = matching_times(stream, seq)
     if mt.empty:
         raise ValueError("no observable matching times in prefix")
     k = len(mt.dominant)
     if burn_in is None:
         burn_in = default_burn_in(k)
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     burn_in = min(burn_in, max(0, k - 2))
     v = estimate_v(mt, burn_in)
-    vhat = estimate_vhat_blocks(mt, seq, burn_in)
-    if eta is None:
-        eta_val = eta_for_stream(stream, seq)
-    else:
-        eta_val = float(eta)
-    slack = 2.0 / mt.dominant[-1].a
-    assert vhat <= eta_val * (v + slack) + 1e-12, \
-        f"vhat {vhat} exceeds finite-prefix bound {eta_val * (v + slack)}"
+    vhat = estimate_vhat_blocks(mt, burn_in)
+    eta_val = eta_for_table(mt) if eta is None else float(eta)
+    bound = eta_val * (v + 2.0 / float(mt.a[mt.dominant_mask][-1]))
+    if not vhat <= bound + 1e-12:
+        raise InvariantError(f"vhat {vhat} exceeds finite-prefix bound {bound}")
     return ExponentEstimate(v_est=v, vhat_est=vhat, depth=mt.depth,
                             k_count=k, burn_in=burn_in)
 
 
-def eta_for_stream(stream: DigitStream, seq: DenominatorSequence) -> float:
+def eta_for_table(mt: MatchingTimes) -> float:
+    """Declared eta of the table's sequence, else a tail estimate up to its depth."""
+    seq = mt.seq
     if seq.eta_declared is not None:
         return float(seq.eta_declared)
-    n_max = seq.index_count_upto(stream.prefix_len)
+    n_max = seq.index_count_upto(mt.depth)
     if n_max < 2:
         raise ValueError("sequence too short to estimate eta")
     return float(eta_estimate(seq, n_max))

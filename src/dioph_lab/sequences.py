@@ -118,6 +118,8 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"{text!r} is not a p or p/q rational")
     if len(parts) == 1:
         return Fraction(int(parts[0]))
+    if int(parts[1]) == 0:
+        raise ValueError(f"{text!r} has a zero denominator")
     return Fraction(int(parts[0]), int(parts[1]))
 
 

@@ -132,12 +132,12 @@ def check_exponent_targeting():
     sched = _eta1_schedule(10 ** 6)
     for base in (3, 2):
         stream = construct.emit_digits(sched, base, 10 ** 6)
-        est = exponents.estimate_exponents(stream, LIN)
+        est = exponents.estimate_exponents(exponents.matching_times(stream, LIN))
         if abs(est.vhat_est - 1 / 3) > 0.02 or abs(est.v_est - 1.0) > 0.05:
             return False, f"eta1/b{base}: v={est.v_est}, vhat={est.vhat_est}"
     gsched = _geo_schedule(10 ** 6)
     stream = construct.emit_digits(gsched, 3, 10 ** 6)
-    est = exponents.estimate_exponents(stream, GEO2)
+    est = exponents.estimate_exponents(exponents.matching_times(stream, GEO2))
     if abs(est.vhat_est - 1.5) > 0.05 or abs(est.v_est - 6.0) > 0.1:
         return False, f"geo: v={est.v_est}, vhat={est.vhat_est}"
     return True, "targets hit at depth 1e6 within documented tolerances"
@@ -148,9 +148,9 @@ def check_estimator_agreement():
                              ("geo", _geo_schedule(10 ** 5), GEO2)):
         for base in (3, 2):
             stream = construct.emit_digits(sched, base, 10 ** 5)
-            est = exponents.estimate_exponents(stream, seq)
-            vd = exponents.estimate_vhat_definition(
-                stream, seq, exponents.definition_grid(stream, seq))
+            mt = exponents.matching_times(stream, seq)
+            est = exponents.estimate_exponents(mt)
+            vd = exponents.estimate_vhat_definition(mt, exponents.definition_grid(mt))
             if abs(est.vhat_est - vd) > 0.01:
                 return False, f"{name}/b{base}: blocks {est.vhat_est} vs definition {vd}"
     return True, "block vs definition estimators within 0.01 at depth 1e5"
@@ -165,7 +165,7 @@ def check_exponent_inequality_everywhere():
     for seed in range(100):
         cases.append((digits.random_digits(10, 20000, seed), LIN, 1.0))
     for stream, seq, eta in cases:
-        est = exponents.estimate_exponents(stream, seq)
+        est = exponents.estimate_exponents(exponents.matching_times(stream, seq))
         if not exponents.check_exponent_inequality(est.v_est, est.vhat_est, eta, 0.05):
             return False, f"violated at depth {est.depth}: v={est.v_est}, vhat={est.vhat_est}"
     return True, "both constructions plus 100 seeded random streams, tol 0.05"

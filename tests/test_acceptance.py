@@ -74,9 +74,8 @@ def test_criterion_04_roundtrip_eta1(tmp_path):
         row = csv_path.read_text().splitlines()[1].split(",")
         v_est, vhat_est = float(row[2]), float(row[3])
         ok &= abs(vhat_est - 1 / 3) <= 0.02 and abs(v_est - 1.0) <= 0.05
-        stream = digits.load_digit_file(dig)
-        vdef = exponents.estimate_vhat_definition(
-            stream, LIN, exponents.definition_grid(stream, LIN))
+        mt = exponents.matching_times(digits.load_digit_file(dig), LIN)
+        vdef = exponents.estimate_vhat_definition(mt, exponents.definition_grid(mt))
         ok &= abs(vhat_est - vdef) <= 0.01
     _crit(4, "eta=1 construction at depth 1e6 (b=3 and b=2): vhat in 1/3+-0.02, "
              "v in 1+-0.05, estimators agree within 0.01", ok)
@@ -85,7 +84,7 @@ def test_criterion_04_roundtrip_eta1(tmp_path):
 def test_criterion_05_roundtrip_geometric(geo_streams):
     ok = True
     for base in (3, 2):
-        est = exponents.estimate_exponents(geo_streams[base], GEO2)
+        est = exponents.estimate_exponents(exponents.matching_times(geo_streams[base], GEO2))
         ok &= abs(est.vhat_est - 1.5) <= 0.05 and abs(est.v_est - 6.0) <= 0.1
     _crit(5, "geometric construction (eta=2, l=2, theta=4, vhat=3/2) at depth "
              "1e6: vhat within 0.05 of 3/2, v within 0.1 of 6", ok)
@@ -119,13 +118,13 @@ def test_criterion_07_box_count_consistency(eta1_sched, geo_sched):
 
 def test_criterion_08_exponent_inequality(eta1_streams, geo_streams):
     ok = True
-    est = exponents.estimate_exponents(eta1_streams[3], LIN)
+    est = exponents.estimate_exponents(exponents.matching_times(eta1_streams[3], LIN))
     ok &= exponents.check_exponent_inequality(est.v_est, est.vhat_est, 1.0, 0.05)
-    gest = exponents.estimate_exponents(geo_streams[3], GEO2)
+    gest = exponents.estimate_exponents(exponents.matching_times(geo_streams[3], GEO2))
     ok &= exponents.check_exponent_inequality(gest.v_est, gest.vhat_est, 2.0, 0.05)
     for seed in range(100):
         stream = digits.random_digits(10, 20000, seed)
-        e = exponents.estimate_exponents(stream, LIN)
+        e = exponents.estimate_exponents(exponents.matching_times(stream, LIN))
         ok &= exponents.check_exponent_inequality(e.v_est, e.vhat_est, 1.0, 0.05)
     _crit(8, "v >= vhat/(eta - vhat) within 0.05 on both constructions and "
              "100 seeded random streams", ok)

@@ -1,6 +1,6 @@
 import pytest
 
-from dioph_lab import cli, digits
+from dioph_lab import cli, digits, dimfx
 from dioph_lab.cli import main, parse_config
 
 
@@ -205,3 +205,40 @@ def test_verify_clean_build_exits_zero(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out and "PASS" in out
+
+
+def _run(argv, capsys):
+    """Exit code and stderr of one CLI call, argparse exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-dim", "--eta", "1/0", "--vhat", "1"],
+    ["eval-dim", "--eta", "0", "--vhat", "0"],
+    ["eval-dim", "--eta", "1/2", "--grid", "0:1/4:3"],
+    ["eval-dim", "--eta", "1", "--grid", "0:1/0:3"],
+    ["sweep", "--eta", "0", "--vhat-grid", "0:1/2:3", "--csv", "unused.csv"],
+    ["sweep", "--eta", "3/0", "--vhat-grid", "0:1/2:3", "--csv", "unused.csv"],
+], ids=["zero-denominator", "eta-zero", "eta-below-one", "grid-zero-denominator",
+        "sweep-eta-zero", "sweep-zero-denominator"])
+def test_bad_rationals_give_one_error_line(argv, capsys):
+    code, err = _run(argv, capsys)
+    assert code in (1, 2)
+    assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+    assert "Traceback" not in err
+
+
+def test_invariant_error_is_reported_not_blanked(tmp_path, capsys, monkeypatch):
+    def broken(*_args, **_kwargs):
+        raise dimfx.InvariantError("broken invariant")
+
+    monkeypatch.setattr(cli.exponents, "estimate_exponents", broken)
+    code, err = _run(["sweep", "--eta", "1", "--theta", "5", "--vhat-grid", "1/4:1/2:2",
+                      "--seq", "linear", "--regime", "eta1", "--depth", "2000",
+                      "--csv", str(tmp_path / "rt.csv")], capsys)
+    assert code == 1
+    assert err.splitlines() == ["error: broken invariant"]

@@ -181,10 +181,10 @@ def test_roundtrip_recovers_schedule_pairs(eta1_sched, geo_sched, eta1_streams,
 
 def test_exponent_targets(eta1_streams, geo_streams):
     for base in (3, 2):
-        est = exponents.estimate_exponents(eta1_streams[base], LIN)
+        est = exponents.estimate_exponents(exponents.matching_times(eta1_streams[base], LIN))
         assert est.v_est == pytest.approx(1.0, abs=0.05)
         assert est.vhat_est == pytest.approx(1 / 3, abs=0.02)
-        gest = exponents.estimate_exponents(geo_streams[base], GEO2)
+        gest = exponents.estimate_exponents(exponents.matching_times(geo_streams[base], GEO2))
         assert gest.v_est == pytest.approx(6.0, abs=0.1)
         assert gest.vhat_est == pytest.approx(1.5, abs=0.05)
 
@@ -207,7 +207,7 @@ def test_many_marker_schedule():
         ct = _count_exponents(sched, base, depth)
         assert np.array_equal(mu[1:], ct[1:])
         stream = emit_digits(sched, base, depth)
-        est = exponents.estimate_exponents(stream, LIN)
+        est = exponents.estimate_exponents(exponents.matching_times(stream, LIN))
         assert est.v_est == pytest.approx(1.0, abs=0.05)
         assert est.vhat_est == pytest.approx(1 / 6, abs=0.02)
         for n in range(1, 31):
@@ -228,7 +228,7 @@ def test_geometric_schedule_with_markers():
         ct = _count_exponents(sched, base, depth)
         assert np.array_equal(mu[1:], ct[1:])
         stream = emit_digits(sched, base, depth)
-        est = exponents.estimate_exponents(stream, GEO2)
+        est = exponents.estimate_exponents(exponents.matching_times(stream, GEO2))
         assert est.v_est == pytest.approx(2.0, abs=0.1)
         assert est.vhat_est == pytest.approx(0.5, abs=0.05)
 
@@ -303,9 +303,9 @@ def test_eta1_regime_with_square_sequence():
     depth = 10 ** 5
     sched = schedule_eta1(squares, F(3), F(1, 3), cover_to=depth)
     stream = emit_digits(sched, 3, depth)
-    est = exponents.estimate_exponents(stream, squares)
+    mt = exponents.matching_times(stream, squares)
+    est = exponents.estimate_exponents(mt)
     assert est.v_est == pytest.approx(1.0, abs=0.05)
     assert est.vhat_est == pytest.approx(1 / 3, abs=0.02)
-    vdef = exponents.estimate_vhat_definition(
-        stream, squares, exponents.definition_grid(stream, squares))
+    vdef = exponents.estimate_vhat_definition(mt, exponents.definition_grid(mt))
     assert abs(est.vhat_est - vdef) <= 0.01

@@ -1,12 +1,20 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dioph_lab
 from dioph_lab import digits, exponents, sequences
 from dioph_lab.digits import DigitStream
+from dioph_lab.dimfx import InvariantError
 from dioph_lab.exponents import (
+    MatchingTimes,
     check_exponent_inequality,
     definition_grid,
     estimate_exponents,
@@ -45,9 +53,9 @@ def test_power_sum_matching_times():
 def test_power_sum_estimates():
     mt = matching_times(power_sum_stream(2 ** 16), LIN)
     assert estimate_v(mt, 2) == pytest.approx(1.0, abs=0.05)
-    assert estimate_vhat_blocks(mt, LIN, 2) == pytest.approx(0.5, abs=0.05)
+    assert estimate_vhat_blocks(mt, 2) == pytest.approx(0.5, abs=0.05)
     grid = [2 ** k - 1 for k in range(8, 16)]
-    vd = estimate_vhat_definition(power_sum_stream(2 ** 16), LIN, grid)
+    vd = estimate_vhat_definition(mt, grid)
     assert vd == pytest.approx(0.5, abs=0.05)
 
 
@@ -86,8 +94,8 @@ def test_random_stream_exponents_near_zero():
     mt = matching_times(stream, LIN)
     # past a two-pair burn-in every surviving ratio is tiny
     assert estimate_v(mt, 2) < 0.2
-    assert estimate_vhat_blocks(mt, LIN, 2) < 0.1
-    est = estimate_exponents(stream, LIN)
+    assert estimate_vhat_blocks(mt, 2) < 0.1
+    est = estimate_exponents(mt)
     assert est.vhat_est < 0.1
     assert est.v_est < 0.3  # the default burn-in keeps one early small-index pair
 
@@ -97,7 +105,7 @@ def test_too_few_pairs_errors():
     with pytest.raises(ValueError):
         estimate_v(mt, len(mt.dominant))
     with pytest.raises(ValueError):
-        estimate_vhat_blocks(mt, LIN, len(mt.dominant) - 1)
+        estimate_vhat_blocks(mt, len(mt.dominant) - 1)
 
 
 def test_check_exponent_inequality():
@@ -111,20 +119,22 @@ def test_check_exponent_inequality():
 
 def test_definition_estimator_refuses_truncated_grid():
     stream = digits.digits_from_string("0" * 900 + "1" * 100, 2, tail_guard=False)
+    mt = matching_times(stream, LIN)
     with pytest.raises(ValueError, match="cut off"):
-        estimate_vhat_definition(stream, LIN, [950])
+        estimate_vhat_definition(mt, [950])
     with pytest.raises(ValueError, match="exceeds prefix"):
-        estimate_vhat_definition(stream, LIN, [5000])
+        estimate_vhat_definition(mt, [5000])
     with pytest.raises(ValueError):
-        estimate_vhat_definition(stream, LIN, [])
+        estimate_vhat_definition(mt, [])
 
 
 def test_definition_grid_respects_conservative_cap():
     stream = power_sum_stream(2 ** 16)
-    grid = definition_grid(stream, LIN)
-    longest = max(p.gap for p in matching_times(stream, LIN).pairs)
+    mt = matching_times(stream, LIN)
+    grid = definition_grid(mt)
+    longest = max(p.gap for p in mt.pairs)
     assert grid[-1] + longest <= stream.prefix_len
-    vd = estimate_vhat_definition(stream, LIN, grid)
+    vd = estimate_vhat_definition(mt, grid)
     assert vd == pytest.approx(0.5, abs=0.05)
 
 
@@ -184,9 +194,36 @@ def test_greedy_resyncs_after_deleting_a_dominant_pair(stream):
 
 
 def test_estimate_exponents_summary_fields():
-    stream = power_sum_stream(2 ** 14)
-    est = estimate_exponents(stream, LIN, burn_in=2)
+    mt = matching_times(power_sum_stream(2 ** 14), LIN)
+    est = estimate_exponents(mt, burn_in=2)
     assert est.depth == 2 ** 14
     assert est.burn_in == 2
-    assert est.k_count == len(matching_times(stream, LIN).dominant)
+    assert est.k_count == len(mt.dominant)
     assert 0 < est.vhat_est <= est.v_est
+
+
+def test_estimate_exponents_bound_raises_invariant_error():
+    # No prefix yields this table: a_n falls after n = 1, so the run after
+    # a_1 is divided by a(1) = 1 < a_1 and vhat = 5 overshoots the
+    # finite-prefix bound eta * (v + 2/a(i_last)) = 1 * (3 + 1).
+    gap = np.array([5, 0, 6])
+    mt = MatchingTimes(base=3, depth=20, seq=LIN, n=np.array([1, 2, 3]),
+                       a=np.array([10, 1, 2]), gap=gap, complete=gap > 0,
+                       dominant_mask=gap > 0, first_truncated_index=None,
+                       longest_complete_run=6)
+    with pytest.raises(InvariantError, match="finite-prefix bound"):
+        estimate_exponents(mt, burn_in=0, eta=1)
+    assert not issubclass(InvariantError, ValueError)
+
+
+def test_invariant_checks_survive_optimize():
+    code = ("from fractions import Fraction\n"
+            "from dioph_lab.dimfx import DimensionReport, InvariantError\n"
+            "try:\n"
+            "    DimensionReport(Fraction(2), 'upper', 'test', True)\n"
+            "except InvariantError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    src = str(Path(dioph_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0

@@ -1,0 +1,153 @@
+"""The gap table against a direct scan of the digits.
+
+The scan below walks each run digit by digit in plain Python.  It is the
+oracle for `run_end_table`, `matching_times`, `definition_grid` and
+`estimate_vhat_definition`, and it lives here only, not in the library.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from dioph_lab import digits, sequences
+from dioph_lab.exponents import (
+    MatchingPair,
+    definition_grid,
+    estimate_vhat_definition,
+    greedy_dominant,
+    matching_times,
+)
+
+SEQS = [sequences.make_sequence(s) for s in ("linear", "poly:d=2", "geometric:eta=2,a1=1")]
+
+
+def scan_run_end(data: bytes, base: int, j: int) -> int:
+    """1-based end of the 0/(b-1) run holding position j, or 0."""
+    v = data[j - 1]
+    if v not in (0, base - 1):
+        return 0
+    while j < len(data) and data[j] == v:
+        j += 1
+    return j
+
+
+def scan_table(stream, seq):
+    """Per index n with a_n + 1 in the prefix: a_n and the gap (0 when the
+    run is not 0/(b-1) or still open), plus the complete pairs and the first
+    index whose run the prefix cuts off."""
+    P = stream.prefix_len
+    avals, gaps, pairs, first_trunc = [], [], [], None
+    n = 1
+    while seq.a(n) <= P - 1:
+        a = seq.a(n)
+        end = scan_run_end(stream.data, stream.base, a + 1)
+        gap = 0
+        if end and end < P:
+            gap = end + 1 - a
+            pairs.append(MatchingPair(n, a, end + 1))
+        elif end and first_trunc is None:
+            first_trunc = n
+        avals.append(a)
+        gaps.append(gap)
+        n += 1
+    return avals, gaps, pairs, first_trunc
+
+
+def loop_grid(avals, gaps, first_trunc, P, start_fraction=0.2):
+    """The default grid with its cap found by stepping down one index at a time."""
+    cap = len(avals)
+    if first_trunc is not None:
+        cap = min(cap, first_trunc - 1)
+    longest = max(gaps)
+    while cap >= 1 and avals[cap - 1] + longest > P:
+        cap -= 1
+    if cap < 2:
+        return None
+    return list(range(max(2, int(cap * start_fraction)), cap + 1))
+
+
+def scan_vhat(avals, gaps, grid):
+    return min(max(gaps[:N]) / avals[N - 1] for N in grid)
+
+
+@st.composite
+def run_streams(draw):
+    """Streams built from runs, many ending inside a 0 or b-1 run."""
+    base = draw(st.sampled_from([2, 3, 10]))
+    runs = draw(st.lists(st.tuples(st.integers(0, base - 1), st.integers(1, 30)),
+                         min_size=1, max_size=40))
+    tail = draw(st.sampled_from([0, base - 1]))
+    data = b"".join(bytes([v]) * k for v, k in runs) + bytes([tail]) * draw(st.integers(0, 25))
+    assume(len(data) >= 3)
+    return digits.DigitStream(base, data)
+
+
+@given(run_streams(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_run_end_table_matches_scan(stream, data):
+    P = stream.prefix_len
+    positions = data.draw(st.lists(st.integers(1, P), max_size=60))
+    positions += list(range(1, P + 1))
+    want = [scan_run_end(stream.data, stream.base, j) for j in positions]
+    assert digits.run_end_table(stream, positions).tolist() == want
+
+
+def test_run_end_table_rejects_positions_outside_prefix():
+    stream = digits.digits_from_string("1001", 2)
+    for bad in ([0], [5], [1, 5]):
+        with pytest.raises(IndexError):
+            digits.run_end_table(stream, bad)
+    assert digits.run_end_table(stream, []).size == 0
+
+
+@pytest.mark.parametrize("seq", SEQS, ids=lambda s: s.spec)
+@given(stream=run_streams())
+@settings(max_examples=100, deadline=None)
+def test_matching_times_matches_scan(seq, stream):
+    avals, gaps, pairs, first_trunc = scan_table(stream, seq)
+    mt = matching_times(stream, seq)
+    assert mt.n.tolist() == list(range(1, len(avals) + 1))
+    assert mt.a.tolist() == avals
+    assert mt.gap.tolist() == gaps
+    assert mt.pairs == pairs
+    assert len(mt.pairs) == len(pairs)
+    dominant = greedy_dominant(pairs)
+    assert mt.dominant == dominant
+    rows = {p.index for p in dominant}
+    assert mt.dominant_mask.tolist() == [n in rows for n in range(1, len(avals) + 1)]
+    assert mt.first_truncated_index == first_trunc
+    assert mt.longest_complete_run == max(gaps)
+    assert mt.empty == (not pairs)
+
+
+@pytest.mark.parametrize("seq", SEQS, ids=lambda s: s.spec)
+@given(stream=run_streams(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_definition_grid_and_estimate_match_scan(seq, stream, data):
+    avals, gaps, _, first_trunc = scan_table(stream, seq)
+    mt = matching_times(stream, seq)
+    want = loop_grid(avals, gaps, first_trunc, stream.prefix_len)
+    if want is None:
+        with pytest.raises(ValueError):
+            definition_grid(mt)
+    else:
+        grid = definition_grid(mt)
+        assert grid.tolist() == want  # the searchsorted cap equals the loop's
+        assert estimate_vhat_definition(mt, grid) == scan_vhat(avals, gaps, want)
+    # any grid: refused past the table or a cut-off run, else the scanned value
+    grid = data.draw(st.lists(st.integers(1, len(avals) + 2), min_size=1, max_size=20))
+    if max(grid) > len(avals) or (first_trunc is not None and max(grid) >= first_trunc):
+        with pytest.raises(ValueError):
+            estimate_vhat_definition(mt, grid)
+    else:
+        assert estimate_vhat_definition(mt, grid) == scan_vhat(avals, gaps, grid)
+
+
+def test_open_final_run_is_truncated_not_paired():
+    # base 3, a_n = n: the 0-run opened at position 6 is still open at the end
+    stream = digits.digits_from_string("1200100000", 3, tail_guard=False)
+    mt = matching_times(stream, SEQS[0])
+    assert mt.first_truncated_index == 5
+    assert mt.pairs == [MatchingPair(1, 1, 3), MatchingPair(2, 2, 5), MatchingPair(3, 3, 5)]
+    assert np.array_equal(mt.gap, [2, 3, 2, 0, 0, 0, 0, 0, 0])
