@@ -29,7 +29,6 @@ from .exponents import (
 )
 from .construct import (
     CantorSchedule,
-    MeasureValue,
     ScheduleEntry,
     constrained_digit,
     emit_digits,

@@ -17,8 +17,6 @@ from fractions import Fraction
 from . import boxdim, construct, digits, dimfx, exponents, sequences
 from .sequences import parse_rational
 
-THREADS_ENV = "DIOPH_LAB_THREADS"
-
 
 def _fmt(x) -> str:
     """Decimal rendering at 12 significant digits."""
@@ -32,6 +30,22 @@ def _rational(text: str) -> Fraction:
         return parse_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _usage(message: str) -> int:
+    """One `error:` line on stderr and the usage exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _grid(text: str) -> list[Fraction]:
+    """'lo:hi:count' -> count exact rationals from lo to hi inclusive."""
+    try:
+        lo, hi, count = text.split(":")
+        count = int(count)
+    except ValueError:
+        raise ValueError(f"grid must be lo:hi:count, got {text!r}") from None
+    return dimfx.rational_linspace(parse_rational(lo), parse_rational(hi), count)
 
 
 def _check_eta(eta: Fraction) -> None:
@@ -94,13 +108,11 @@ def cmd_eval_dim(args) -> int:
     eta = args.eta
     _check_eta(eta)
     if args.grid is not None:
-        lo, hi, count = args.grid.split(":")
-        grid = dimfx.rational_linspace(parse_rational(lo), parse_rational(hi), int(count))
+        grid = _grid(args.grid)
     elif args.vhat is not None:
         grid = [args.vhat]
     else:
-        print("eval-dim needs --vhat or --grid", file=sys.stderr)
-        return 2
+        return _usage("eval-dim needs --vhat or --grid")
     rows = []
     for vhat in grid:
         for rep in _formula_rows(eta, vhat, args.theta, args.rho):
@@ -137,7 +149,7 @@ def cmd_gen_digits(args) -> int:
     digits.save_digit_file(stream, args.out)
     print(f"wrote {stream.prefix_len} base-{args.base} digits to {args.out} "
           f"({len(sched.entries)} blocks, covered to {sched.covered_to})")
-    print(f"targets: vhat = {sched.target_vhat}, v = {sched.target_v}")
+    print(f"targets: vhat = {sched.vhat}, v = {sched.target_v}")
     if args.schedule_csv:
         rows = [(k + 1, e.index, e.a, e.m, e.t)
                 for k, e in enumerate(sched.entries)]
@@ -204,7 +216,7 @@ def cmd_box_dim(args) -> int:
 # --- sweep ----------------------------------------------------------------
 
 SWEEP_KEYS = {"eta", "vhat", "theta", "rho", "seq", "base", "regime", "depth",
-              "vhat_grid", "theta_grid", "csv", "seed", "burn_in"}
+              "vhat_grid", "theta_grid", "csv", "burn_in"}
 
 
 def parse_config(path) -> dict[str, str]:
@@ -264,26 +276,22 @@ def cmd_sweep(args) -> int:
 
     eta = pick("eta", parse_rational)
     if eta is None:
-        print("sweep needs eta (flag or config)", file=sys.stderr)
-        return 2
+        return _usage("sweep needs eta (flag or config)")
     _check_eta(eta)
     theta = pick("theta", parse_rational)
     rho = pick("rho", parse_rational)
     vhat_grid = pick("vhat_grid", str)
     theta_grid = pick("theta_grid", str)
     if (vhat_grid is None) == (theta_grid is None):
-        print("sweep needs exactly one of vhat_grid or theta_grid", file=sys.stderr)
-        return 2
+        return _usage("sweep needs exactly one of vhat_grid or theta_grid")
     vhat_fixed = pick("vhat", parse_rational)
     csv_path = pick("csv", str)
     if csv_path is None:
-        print("sweep needs a csv output path", file=sys.stderr)
-        return 2
+        return _usage("sweep needs a csv output path")
     seq_spec = pick("seq", str)
     depth = pick("depth", int, 10 ** 5)
     base = pick("base", int, 3)
     burn_in = pick("burn_in", float, 0.2)
-    pick("seed", int, 0)  # reserved for seeded baselines; sweeps are seed-free
 
     regime = stride = None
     regime_raw = pick("regime", str)
@@ -292,26 +300,18 @@ def cmd_sweep(args) -> int:
         regime, stride = _parse_regime(regime_raw)
         roundtrip = (seq_spec, base, regime, stride, depth, burn_in)
 
-    def grid_of(text):
-        lo, hi, count = text.split(":")
-        return dimfx.rational_linspace(parse_rational(lo), parse_rational(hi), int(count))
-
     if vhat_grid is not None:
-        points = [(eta, v, theta, rho, roundtrip) for v in grid_of(vhat_grid)]
+        if roundtrip is not None and theta is None:
+            return _usage("a round-trip sweep over vhat_grid needs theta (flag or config)")
+        points = [(eta, v, theta, rho, roundtrip) for v in _grid(vhat_grid)]
     else:
         if vhat_fixed is None:
-            print("theta sweep needs a fixed vhat", file=sys.stderr)
-            return 2
-        points = [(eta, vhat_fixed, t, rho, roundtrip) for t in grid_of(theta_grid)]
+            return _usage("theta sweep needs a fixed vhat")
+        points = [(eta, vhat_fixed, t, rho, roundtrip) for t in _grid(theta_grid)]
 
-    threads = int(os.environ.get(THREADS_ENV, "0") or "0")
-    if threads <= 0:
-        threads = min(8, os.cpu_count() or 1)
-    if threads == 1:
-        rows = [_sweep_point(*p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda p: _sweep_point(*p), points))
+    threads = min(8, os.cpu_count() or 1, len(points))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        rows = list(pool.map(lambda p: _sweep_point(*p), points))
 
     header = ["vhat", "vhat_decimal", "theta"]
     for name in ("baseline", "eta1_exact", "pair_eta1", "refined_upper",
@@ -387,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime")
     p.add_argument("--depth", type=int)
     p.add_argument("--csv")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the full invariant suite")

@@ -62,10 +62,6 @@ class CantorSchedule:
         return self.entries[-1].next_a - 1
 
     @property
-    def target_vhat(self) -> Fraction:
-        return self.vhat
-
-    @property
     def target_v(self) -> Fraction:
         return self.theta * self.vhat
 
@@ -74,14 +70,6 @@ class CantorSchedule:
         if max_depth is not None:
             ends = [m for m in ends if m <= max_depth]
         return ends
-
-
-@dataclass(frozen=True)
-class MeasureValue:
-    """mu(I_n) = b^(-log_b_mu) for the uniform mass on the schedule's set."""
-
-    log_b_mu: int
-    n: int
 
 
 def _floor_times(frac: Fraction, a: int) -> int:
@@ -312,8 +300,9 @@ def _locate(sched: CantorSchedule, n: int) -> int:
     return bisect_right(a_values, n) - 1
 
 
-def mu_cylinder(sched: CantorSchedule, base: int, n: int) -> MeasureValue:
-    """Exponent of the uniform mass of a depth-n cylinder.
+def mu_cylinder(sched: CantorSchedule, base: int, n: int) -> int:
+    """Exponent e with mu(I_n) = b^(-e) for the uniform mass of a depth-n
+    cylinder.
 
     On [a_{i_k}, m_k] the mass is constant; on (m_k, a_{i_k+1}) the exponent
     grows by one per position except across the spaced markers (and, for
@@ -324,7 +313,7 @@ def mu_cylinder(sched: CantorSchedule, base: int, n: int) -> MeasureValue:
         raise ValueError(f"depth {n} outside covered range [1, {sched.covered_to}]")
     kk = _locate(sched, n)
     if kk < 0:
-        return MeasureValue(log_b_mu=n, n=n)
+        return n
     ent = sched.entries[kk]
     exponent = _entry_base_exponents(sched, base)[kk]
     if n > ent.m:
@@ -333,7 +322,7 @@ def mu_cylinder(sched: CantorSchedule, base: int, n: int) -> MeasureValue:
         exponent += (n - ent.m) - t
         if base == 2:
             exponent -= min(ent.t, (n - ent.m + 1) // g)  # forced zeros at or below n
-    return MeasureValue(log_b_mu=exponent, n=n)
+    return exponent
 
 
 def mu_exponents_upto(sched: CantorSchedule, base: int, max_n: int) -> np.ndarray:
@@ -364,7 +353,7 @@ def mu_exponents_upto(sched: CantorSchedule, base: int, max_n: int) -> np.ndarra
 
 def local_dimension(sched: CantorSchedule, base: int, n: int) -> float:
     """Cylinder local-dimension ratio log_b(mu)/n at depth n."""
-    return mu_cylinder(sched, base, n).log_b_mu / n
+    return mu_cylinder(sched, base, n) / n
 
 
 def constrained_digit(sched: CantorSchedule, base: int, pos: int) -> int | None:

@@ -53,6 +53,8 @@ class DigitStream:
 
     def truncated(self, count: int) -> "DigitStream":
         """Stream holding only the first `count` digits."""
+        if count < 0:
+            raise ValueError(f"cannot truncate to {count}: count must be >= 0")
         if count > len(self.data):
             raise ValueError(f"cannot truncate to {count}: only {len(self.data)} digits")
         return DigitStream(self.base, self.data[:count])

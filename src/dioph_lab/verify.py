@@ -1,9 +1,10 @@
-"""Self-contained invariant suite backing the `verify` subcommand.
+"""Self-contained invariant suite: the one statement of the paper's claims.
 
 Each check re-derives its expectation independently (brute-force scans,
 alternative formulas, exact rational identities) and returns pass/fail with
-a short detail string.  The CLI prints one line per check and exits nonzero
-if any fails.
+a short detail string.  `dioph-lab verify` prints one line per check and
+exits nonzero if any fails; `tests/test_acceptance.py` runs each check in
+`CHECKS` as one test.
 """
 
 from __future__ import annotations
@@ -136,10 +137,11 @@ def check_exponent_targeting():
         if abs(est.vhat_est - 1 / 3) > 0.02 or abs(est.v_est - 1.0) > 0.05:
             return False, f"eta1/b{base}: v={est.v_est}, vhat={est.vhat_est}"
     gsched = _geo_schedule(10 ** 6)
-    stream = construct.emit_digits(gsched, 3, 10 ** 6)
-    est = exponents.estimate_exponents(exponents.matching_times(stream, GEO2))
-    if abs(est.vhat_est - 1.5) > 0.05 or abs(est.v_est - 6.0) > 0.1:
-        return False, f"geo: v={est.v_est}, vhat={est.vhat_est}"
+    for base in (3, 2):
+        stream = construct.emit_digits(gsched, base, 10 ** 6)
+        est = exponents.estimate_exponents(exponents.matching_times(stream, GEO2))
+        if abs(est.vhat_est - 1.5) > 0.05 or abs(est.v_est - 6.0) > 0.1:
+            return False, f"geo/b{base}: v={est.v_est}, vhat={est.vhat_est}"
     return True, "targets hit at depth 1e6 within documented tolerances"
 
 
@@ -157,14 +159,13 @@ def check_estimator_agreement():
 
 
 def check_exponent_inequality_everywhere():
-    cases = []
-    sched = _eta1_schedule(2 * 10 ** 5)
-    cases.append((construct.emit_digits(sched, 3, 2 * 10 ** 5), LIN, 1.0))
-    gsched = _geo_schedule(2 * 10 ** 5)
-    cases.append((construct.emit_digits(gsched, 3, 2 * 10 ** 5), GEO2, 2.0))
-    for seed in range(100):
-        cases.append((digits.random_digits(10, 20000, seed), LIN, 1.0))
-    for stream, seq, eta in cases:
+    def cases():  # built one at a time, as they are checked
+        yield construct.emit_digits(_eta1_schedule(10 ** 6), 3, 10 ** 6), LIN, 1.0
+        yield construct.emit_digits(_geo_schedule(10 ** 6), 3, 10 ** 6), GEO2, 2.0
+        for seed in range(100):
+            yield digits.random_digits(10, 20000, seed), LIN, 1.0
+
+    for stream, seq, eta in cases():
         est = exponents.estimate_exponents(exponents.matching_times(stream, seq))
         if not exponents.check_exponent_inequality(est.v_est, est.vhat_est, eta, 0.05):
             return False, f"violated at depth {est.depth}: v={est.v_est}, vhat={est.vhat_est}"
@@ -218,6 +219,8 @@ def check_sandwich_and_strictness():
                 ex = dimfx.exact_dimension_window(eta, vhat)
                 if ex.domain_ok and ex.value != low.value:
                     return False, f"exact != lower at eta={eta}, vhat={vhat}"
+    if total < 200:
+        return False, f"only {total} window samples"
     return True, f"{total} window samples over eta in {{3/2, 2, 3}}"
 
 
@@ -252,16 +255,20 @@ def check_quadratic_roots():
 
 
 def check_gap_coherence():
+    """Below theta = 1/(eta - vhat) = 2 the pair set is empty by the exponent
+    inequality, so the pair bound must say so as well as the gap test."""
     eta, vhat = F(2), F(3, 2)
     for k in range(0, 64):
         theta = F(k, 16)
         in_gap = (theta < 2) or (2 < theta < 4)
         if dimfx.theta_is_forbidden(eta, vhat, theta) != in_gap:
             return False, f"gap verdict wrong at theta={theta}"
+        if theta < 2 and dimfx.upper_bound_pair(eta, vhat, theta).kind != dimfx.EMPTY:
+            return False, f"pair bound not empty at theta={theta}"
     for theta in (F(2), F(4), F(9, 2)):
         if dimfx.theta_is_forbidden(eta, vhat, theta):
             return False, f"admissible theta {theta} flagged"
-    return True, "grid over [0,2) u (2,4) forbidden; 2, 4, 4.5 admissible"
+    return True, "grid over [0,2) u (2,4) forbidden, pair bound empty below 2; 2, 4, 4.5 admissible"
 
 
 def check_measure_additivity():
@@ -269,16 +276,16 @@ def check_measure_additivity():
     for base in (3, 2):
         # mass of the root cylinder of each admissible prefix must equal the
         # sum over its admissible one-digit extensions
-        for n in range(1, 30):
-            parent = construct.mu_cylinder(sched, base, n).log_b_mu
+        for n in range(1, 31):
+            parent = construct.mu_cylinder(sched, base, n)
             forced = construct.constrained_digit(sched, base, n + 1)
-            child = construct.mu_cylinder(sched, base, n + 1).log_b_mu
+            child = construct.mu_cylinder(sched, base, n + 1)
             n_children = 1 if forced is not None else base
             # uniform rule: children split the parent mass equally
             total = n_children * F(1, base ** child)
             if total != F(1, base ** parent):
                 return False, f"additivity fails at depth {n}, base {base}"
-    return True, "child masses sum to the parent mass at depths < 30"
+    return True, "child masses sum to the parent mass at depths <= 30"
 
 
 def check_count_equals_measure():

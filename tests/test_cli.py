@@ -115,8 +115,7 @@ def test_sweep_deterministic(tmp_path, capsys):
         "# exact grid over the resolvable window\n"
         "eta = 2\n"
         "vhat_grid = 11/10:19/10:5\n"
-        f"csv = {tmp_path / 'a.csv'}\n"
-        "seed = 3\n")
+        f"csv = {tmp_path / 'a.csv'}\n")
     assert main(["sweep", "--config", str(cfg)]) == 0
     assert main(["sweep", "--config", str(cfg), "--csv", str(tmp_path / "b.csv")]) == 0
     a = (tmp_path / "a.csv").read_bytes()
@@ -144,15 +143,6 @@ def test_sweep_with_roundtrip_estimates(tmp_path, capsys):
     row = lines[1].split(",")  # vhat = 1/4, targets (5/4, 1/4)
     assert float(row[i_v]) == pytest.approx(5 / 4, abs=0.1)
     assert float(row[i_vhat]) == pytest.approx(1 / 4, abs=0.05)
-
-
-def test_sweep_thread_cap_keeps_output_identical(tmp_path, capsys, monkeypatch):
-    args = ["sweep", "--eta", "2", "--vhat-grid", "11/10:19/10:5"]
-    monkeypatch.setenv(cli.THREADS_ENV, "1")
-    assert main(args + ["--csv", str(tmp_path / "serial.csv")]) == 0
-    monkeypatch.setenv(cli.THREADS_ENV, "4")
-    assert main(args + ["--csv", str(tmp_path / "pooled.csv")]) == 0
-    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
 
 
 def test_sweep_theta_grid(tmp_path, capsys):
@@ -223,11 +213,33 @@ def _run(argv, capsys):
     ["eval-dim", "--eta", "1", "--grid", "0:1/0:3"],
     ["sweep", "--eta", "0", "--vhat-grid", "0:1/2:3", "--csv", "unused.csv"],
     ["sweep", "--eta", "3/0", "--vhat-grid", "0:1/2:3", "--csv", "unused.csv"],
+    ["sweep", "--eta", "1", "--vhat-grid", "1/2:3/4:3", "--seq", "linear",
+     "--regime", "eta1", "--csv", "unused.csv"],
+    ["eval-dim", "--eta", "1", "--grid", "1:2"],
+    ["eval-dim", "--eta", "1", "--grid", "1:2:x"],
 ], ids=["zero-denominator", "eta-zero", "eta-below-one", "grid-zero-denominator",
-        "sweep-eta-zero", "sweep-zero-denominator"])
+        "sweep-eta-zero", "sweep-zero-denominator", "sweep-roundtrip-without-theta",
+        "grid-two-fields", "grid-count-not-int"])
 def test_bad_rationals_give_one_error_line(argv, capsys):
     code, err = _run(argv, capsys)
     assert code in (1, 2)
+    assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+    assert "Traceback" not in err
+
+
+def test_grid_error_names_the_format(capsys):
+    code, err = _run(["eval-dim", "--eta", "1", "--grid", "1:2"], capsys)
+    assert code == 1
+    assert err.splitlines() == ["error: grid must be lo:hi:count, got '1:2'"]
+
+
+def test_estimate_negative_depth_is_an_error(tmp_path, capsys):
+    dig = tmp_path / "digits.txt"
+    main(["gen-digits", "--seq", "linear", "--theta", "3", "--vhat", "1/3",
+          "--base", "3", "--depth", "1000", "--out", str(dig)])
+    code, err = _run(["estimate", "--digits", str(dig), "--seq", "linear",
+                      "--depth", "-3"], capsys)
+    assert code == 1
     assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
     assert "Traceback" not in err
 

@@ -32,7 +32,7 @@ def test_eta1_worked_schedule(small_sched):
     # thresholds: max(3, 1/2, 1) = 3, so the first usable value is 4
     assert (e1.a, e1.m, e1.t) == (4, 8, 1)
     assert (e2.a, e2.m, e2.t) == (13, 26, 1)
-    assert small_sched.target_v == 1 and small_sched.target_vhat == F(1, 3)
+    assert small_sched.target_v == 1 and small_sched.vhat == F(1, 3)
 
 
 def test_eta1_theta0_matches_worked_example():
@@ -115,13 +115,13 @@ def test_emit_bounds(small_sched):
 
 
 def test_mu_worked_values(small_sched):
-    assert mu_cylinder(small_sched, 3, 13).log_b_mu == 6  # 3 + (13-8-1-1)
-    assert mu_cylinder(small_sched, 3, 20).log_b_mu == 6  # flat across the block
-    assert mu_cylinder(small_sched, 3, 26).log_b_mu == 6
+    assert mu_cylinder(small_sched, 3, 13) == 6  # 3 + (13-8-1-1)
+    assert mu_cylinder(small_sched, 3, 20) == 6  # flat across the block
+    assert mu_cylinder(small_sched, 3, 26) == 6
     assert local_dimension(small_sched, 3, 26) == pytest.approx(6 / 26)
     assert local_dimension(small_sched, 3, 13) == pytest.approx(6 / 13)
-    assert mu_cylinder(small_sched, 3, 3).log_b_mu == 3  # all free below the first marker
-    assert mu_cylinder(small_sched, 3, 8).log_b_mu == 3
+    assert mu_cylinder(small_sched, 3, 3) == 3  # all free below the first marker
+    assert mu_cylinder(small_sched, 3, 8) == 3
     with pytest.raises(ValueError):
         mu_cylinder(small_sched, 3, small_sched.covered_to + 1)
 
@@ -150,8 +150,8 @@ def test_local_dimension_converges(eta1_sched, geo_sched):
 def test_measure_additivity_small_depths(small_sched):
     for base in (3, 2):
         for n in range(1, 31):
-            parent = mu_cylinder(small_sched, base, n).log_b_mu
-            child = mu_cylinder(small_sched, base, n + 1).log_b_mu
+            parent = mu_cylinder(small_sched, base, n)
+            child = mu_cylinder(small_sched, base, n + 1)
             children = 1 if constrained_digit(small_sched, base, n + 1) is not None else base
             assert children * F(1, base ** child) == F(1, base ** parent), (base, n)
 
@@ -211,8 +211,8 @@ def test_many_marker_schedule():
         assert est.v_est == pytest.approx(1.0, abs=0.05)
         assert est.vhat_est == pytest.approx(1 / 6, abs=0.02)
         for n in range(1, 31):
-            parent = mu_cylinder(sched, base, n).log_b_mu
-            child = mu_cylinder(sched, base, n + 1).log_b_mu
+            parent = mu_cylinder(sched, base, n)
+            child = mu_cylinder(sched, base, n + 1)
             children = 1 if constrained_digit(sched, base, n + 1) is not None else base
             assert children * F(1, base ** child) == F(1, base ** parent)
 

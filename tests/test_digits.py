@@ -135,3 +135,5 @@ def test_truncated():
     assert list(s.truncated(3).data) == [1, 2, 0]
     with pytest.raises(ValueError):
         s.truncated(9)
+    with pytest.raises(ValueError):
+        s.truncated(-1)
