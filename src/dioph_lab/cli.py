@@ -32,6 +32,13 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _base(text: str) -> int:
+    base = int(text)
+    if base < 2:
+        raise argparse.ArgumentTypeError(f"base must be >= 2, got {base}")
+    return base
+
+
 def _usage(message: str) -> int:
     """One `error:` line on stderr and the usage exit code."""
     print(f"error: {message}", file=sys.stderr)
@@ -170,19 +177,16 @@ def cmd_estimate(args) -> int:
         print("no observable matching times in this prefix (flagged empty)",
               file=sys.stderr)
         return 1
-    k = len(mt.dominant)
-    burn = min(int(k * args.burn_in), max(0, k - 2))
-    eta = exponents.eta_for_table(mt)
-    est = exponents.estimate_exponents(mt, burn_in=burn, eta=eta)
-    ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, eta, tol=0.05)
+    est = exponents.estimate_exponents(mt, args.burn_in)
+    ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, est.eta, tol=0.05)
     try:
         vdef = exponents.estimate_vhat_definition(mt, exponents.definition_grid(mt))
     except ValueError:
         vdef = None
-    print(f"depth {est.depth}: {k} dominant pairs (burn-in {est.burn_in})")
+    print(f"depth {est.depth}: {est.k_count} dominant pairs (burn-in {est.burn_in})")
     print(f"v_est = {_fmt(est.v_est)}   vhat_est = {_fmt(est.vhat_est)}"
           + (f"   vhat_def = {_fmt(vdef)}" if vdef is not None else ""))
-    print(f"eta = {_fmt(eta)}   inequality v >= vhat/(eta - vhat): "
+    print(f"eta = {_fmt(est.eta)}   inequality v >= vhat/(eta - vhat): "
           f"{'ok' if ok else 'VIOLATED'}")
     if args.csv:
         _write_csv(args.csv, ["depth", "k_count", "v_est", "vhat_est", "lemma21_ok"],
@@ -215,48 +219,27 @@ def cmd_box_dim(args) -> int:
 
 # --- sweep ----------------------------------------------------------------
 
-SWEEP_KEYS = {"eta", "vhat", "theta", "rho", "seq", "base", "regime", "depth",
-              "vhat_grid", "theta_grid", "csv", "burn_in"}
-
-
-def parse_config(path) -> dict[str, str]:
-    """key = value lines; # comments; unknown keys are errors."""
-    out: dict[str, str] = {}
-    with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{ln}: expected key = value, got {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in SWEEP_KEYS:
-                raise ValueError(f"{path}:{ln}: unknown key {key!r}")
-            out[key] = val
-    return out
+SWEEP_FORMULAS = ("baseline", "eta1-exact", "pair-eta1", "refined-upper",
+                  "construction-lower", "exact-window", "pair-upper", "strip-upper")
 
 
 def _sweep_point(eta, vhat, theta, rho, roundtrip):
     row = [str(vhat), _fmt(vhat), str(theta) if theta is not None else ""]
     reports = {r.source: r for r in _formula_rows(eta, vhat, theta, rho)}
-    for name in ("baseline", "eta1-exact", "pair-eta1", "refined-upper",
-                 "construction-lower", "exact-window", "pair-upper", "strip-upper"):
+    for name in SWEEP_FORMULAS:
         rep = reports.get(name)
         row.append(_fmt(rep.value) if rep is not None and rep.value is not None else "")
         row.append("" if rep is None else str(rep.domain_ok).lower())
     if roundtrip is None:
         row.extend(["", "", ""])
         return row
-    seq_spec, base, regime, stride, depth, burn_frac = roundtrip
+    seq_spec, base, regime, stride, depth, burn_fraction = roundtrip
     try:
         sched, seq = _build_schedule(seq_spec, theta, vhat, regime, stride, depth)
         stream = construct.emit_digits(sched, base, depth)
-        mt = exponents.matching_times(stream, seq)
-        k = len(mt.dominant)
-        burn = min(int(k * burn_frac), max(0, k - 2))
-        est = exponents.estimate_exponents(mt, burn_in=burn)
-        eta_val = float(eta)
-        ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, eta_val, 0.05)
+        est = exponents.estimate_exponents(exponents.matching_times(stream, seq),
+                                           burn_fraction)
+        ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, est.eta, 0.05)
         row.extend([_fmt(est.v_est), _fmt(est.vhat_est), str(ok).lower()])
     except ValueError:
         row.extend(["", "", ""])  # point not constructible; formulas still stand
@@ -264,62 +247,43 @@ def _sweep_point(eta, vhat, theta, rho, roundtrip):
 
 
 def cmd_sweep(args) -> int:
-    cfg = parse_config(args.config) if args.config else {}
-
-    def pick(name, cast, default=None):
-        cli_val = getattr(args, name, None)
-        if cli_val is not None:
-            return cli_val
-        if name in cfg:
-            return cast(cfg[name])
-        return default
-
-    eta = pick("eta", parse_rational)
-    if eta is None:
-        return _usage("sweep needs eta (flag or config)")
-    _check_eta(eta)
-    theta = pick("theta", parse_rational)
-    rho = pick("rho", parse_rational)
-    vhat_grid = pick("vhat_grid", str)
-    theta_grid = pick("theta_grid", str)
-    if (vhat_grid is None) == (theta_grid is None):
-        return _usage("sweep needs exactly one of vhat_grid or theta_grid")
-    vhat_fixed = pick("vhat", parse_rational)
-    csv_path = pick("csv", str)
-    if csv_path is None:
-        return _usage("sweep needs a csv output path")
-    seq_spec = pick("seq", str)
-    depth = pick("depth", int, 10 ** 5)
-    base = pick("base", int, 3)
-    burn_in = pick("burn_in", float, 0.2)
-
-    regime = stride = None
-    regime_raw = pick("regime", str)
+    _check_eta(args.eta)
+    # Input errors stop here; only a point that cannot be built blanks its
+    # cells.  The spec is parsed only to check it: each point builds its own
+    # sequence, because a geometric sequence's term cache is not thread-safe.
+    if args.seq is not None:
+        sequences.make_sequence(args.seq)
+    if args.depth < 1:
+        raise ValueError(f"depth must be >= 1, got {args.depth}")
+    if not 0 <= args.burn_in <= 1:
+        raise ValueError(f"burn-in fraction must be in [0, 1], got {args.burn_in:g}")
     roundtrip = None
-    if seq_spec is not None and regime_raw is not None:
-        regime, stride = _parse_regime(regime_raw)
-        roundtrip = (seq_spec, base, regime, stride, depth, burn_in)
+    if args.seq is not None and args.regime is not None:
+        regime, stride = args.regime
+        roundtrip = (args.seq, args.base, regime, stride, args.depth, args.burn_in)
 
-    if vhat_grid is not None:
-        if roundtrip is not None and theta is None:
-            return _usage("a round-trip sweep over vhat_grid needs theta (flag or config)")
-        points = [(eta, v, theta, rho, roundtrip) for v in _grid(vhat_grid)]
+    if args.vhat_grid is not None:
+        if roundtrip is not None and args.theta is None:
+            return _usage("a round-trip sweep over --vhat-grid needs --theta")
+        points = [(args.eta, v, args.theta, args.rho, roundtrip)
+                  for v in _grid(args.vhat_grid)]
     else:
-        if vhat_fixed is None:
-            return _usage("theta sweep needs a fixed vhat")
-        points = [(eta, vhat_fixed, t, rho, roundtrip) for t in _grid(theta_grid)]
+        if args.vhat is None:
+            return _usage("a sweep over --theta-grid needs --vhat")
+        points = [(args.eta, args.vhat, t, args.rho, roundtrip)
+                  for t in _grid(args.theta_grid)]
 
     threads = min(8, os.cpu_count() or 1, len(points))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         rows = list(pool.map(lambda p: _sweep_point(*p), points))
 
     header = ["vhat", "vhat_decimal", "theta"]
-    for name in ("baseline", "eta1_exact", "pair_eta1", "refined_upper",
-                 "construction_lower", "exact_window", "pair_upper", "strip_upper"):
-        header.extend([name, name + "_ok"])
+    for name in SWEEP_FORMULAS:
+        col = name.replace("-", "_")
+        header.extend([col, col + "_ok"])
     header.extend(["v_est", "vhat_est", "lemma21_ok"])
-    _write_csv(csv_path, header, rows)
-    print(f"wrote {len(rows)} grid points to {csv_path}")
+    _write_csv(args.csv, header, rows)
+    print(f"wrote {len(rows)} grid points to {args.csv}")
     return 0
 
 
@@ -346,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True)
     p.add_argument("--theta", type=_rational, required=True)
     p.add_argument("--vhat", type=_rational, required=True)
-    p.add_argument("--base", type=int, required=True)
+    p.add_argument("--base", type=_base, required=True)
     p.add_argument("--regime", type=_parse_regime, default=("eta1", None))
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -357,8 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", required=True)
     p.add_argument("--seq", required=True)
     p.add_argument("--depth", type=int)
-    p.add_argument("--burn-in", dest="burn_in", type=float, default=0.2,
-                   help="fraction of dominant pairs to discard (default 0.2)")
+    p.add_argument("--burn-in", dest="burn_in", type=float,
+                   default=exponents.BURN_FRACTION,
+                   help="fraction of dominant pairs to discard (default %(default)s)")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_estimate)
 
@@ -366,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True)
     p.add_argument("--theta", type=_rational, required=True)
     p.add_argument("--vhat", type=_rational, required=True)
-    p.add_argument("--base", type=int, required=True)
+    p.add_argument("--base", type=_base, required=True)
     p.add_argument("--regime", type=_parse_regime, default=("eta1", None))
     p.add_argument("--max-depth", dest="max_depth", type=int, required=True)
     p.add_argument("--mode", choices=[boxdim.ALL_DEPTHS, boxdim.AT_BLOCK_ENDS],
@@ -374,19 +339,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv")
     p.set_defaults(func=cmd_box_dim)
 
-    p = sub.add_parser("sweep", help="grid sweep emitting one CSV row per point")
-    p.add_argument("--config", help="key = value file; unknown keys are errors")
-    p.add_argument("--eta", type=_rational)
+    p = sub.add_parser("sweep", help="grid sweep emitting one CSV row per point",
+                       fromfile_prefix_chars="@",
+                       epilog="@FILE reads one argument per line, e.g. --eta=2; "
+                              "flags after it override the file")
+    p.add_argument("--eta", type=_rational, required=True)
     p.add_argument("--vhat", type=_rational)
     p.add_argument("--theta", type=_rational)
     p.add_argument("--rho", type=_rational)
-    p.add_argument("--vhat-grid", dest="vhat_grid", help="lo:hi:count")
-    p.add_argument("--theta-grid", dest="theta_grid", help="lo:hi:count")
-    p.add_argument("--seq")
-    p.add_argument("--base", type=int)
-    p.add_argument("--regime")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--csv")
+    grid = p.add_mutually_exclusive_group(required=True)
+    grid.add_argument("--vhat-grid", dest="vhat_grid", help="lo:hi:count")
+    grid.add_argument("--theta-grid", dest="theta_grid", help="lo:hi:count")
+    p.add_argument("--seq", help="with --regime, run the round trip at each point")
+    p.add_argument("--base", type=_base, default=3)
+    p.add_argument("--regime", type=_parse_regime)
+    p.add_argument("--depth", type=int, default=10 ** 5)
+    p.add_argument("--burn-in", dest="burn_in", type=float,
+                   default=exponents.BURN_FRACTION,
+                   help="fraction of dominant pairs to discard (default %(default)s)")
+    p.add_argument("--csv", required=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the full invariant suite")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
@@ -23,6 +22,9 @@ import numpy as np
 from .digits import DigitStream, run_end_table
 from .dimfx import InvariantError
 from .sequences import DenominatorSequence, eta_estimate
+
+BURN_FRACTION = 0.2        # share of dominant pairs discarded as transients
+GRID_START_FRACTION = 0.2  # definition_grid starts at this share of its cap
 
 
 class MatchingPair(NamedTuple):
@@ -154,11 +156,6 @@ def greedy_dominant(pairs: list[MatchingPair]) -> list[MatchingPair]:
     return out
 
 
-def default_burn_in(k_count: int, fraction: float = 0.2) -> int:
-    """Discard the first `fraction` of dominant pairs (finite-prefix transients)."""
-    return int(k_count * fraction)
-
-
 def estimate_v(mt: MatchingTimes, burn_in: int) -> float:
     """Asymptotic exponent surrogate: max of gap/a over dominant pairs past burn-in."""
     dom = mt.dominant_mask
@@ -208,7 +205,7 @@ def estimate_vhat_definition(mt: MatchingTimes, N_grid) -> float:
     return float((runmax[grid - 1] / mt.a[grid - 1]).min())
 
 
-def definition_grid(mt: MatchingTimes, start_fraction: float = 0.2) -> np.ndarray:
+def definition_grid(mt: MatchingTimes) -> np.ndarray:
     """Default grid: every index from a burn-in point to the safe cap.
 
     The cap keeps all needed runs fully observed and stays inside the
@@ -224,7 +221,7 @@ def definition_grid(mt: MatchingTimes, start_fraction: float = 0.2) -> np.ndarra
                                        side="right")))
     if cap < 2:
         raise ValueError("prefix too short for a definition-based estimate")
-    return np.arange(max(2, int(cap * start_fraction)), cap + 1)
+    return np.arange(max(2, int(cap * GRID_START_FRACTION)), cap + 1)
 
 
 def check_exponent_inequality(v_est: float, vhat_est: float, eta: float,
@@ -245,32 +242,32 @@ class ExponentEstimate:
     depth: int
     k_count: int
     burn_in: int
+    eta: float  # eta_for_table of the gap table, used by the sanity bound
 
 
-def estimate_exponents(mt: MatchingTimes, burn_in: int | None = None,
-                       eta: Fraction | float | None = None) -> ExponentEstimate:
-    """Run the block estimators over a gap table with the default burn-in policy.
+def estimate_exponents(mt: MatchingTimes,
+                       burn_fraction: float = BURN_FRACTION) -> ExponentEstimate:
+    """Run the block estimators over a gap table.
 
-    A finite-prefix sanity bound vhat <= eta_est * (v + 2/a(i_last)) is
-    checked; a violation (InvariantError) indicates corrupted inputs rather
-    than a tight mathematical failure.
+    The first `burn_fraction` of the dominant pairs is discarded, but never
+    one of the last two.  A finite-prefix sanity bound vhat <= eta * (v + 2/a(i_last))
+    is checked with the table's eta; a violation (InvariantError) indicates
+    corrupted inputs rather than a tight mathematical failure.
     """
+    if not 0 <= burn_fraction <= 1:  # also catches nan and inf
+        raise ValueError(f"burn-in fraction must be in [0, 1], got {burn_fraction:g}")
     if mt.empty:
         raise ValueError("no observable matching times in prefix")
     k = len(mt.dominant)
-    if burn_in is None:
-        burn_in = default_burn_in(k)
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-    burn_in = min(burn_in, max(0, k - 2))
+    burn_in = min(int(k * burn_fraction), max(0, k - 2))
     v = estimate_v(mt, burn_in)
     vhat = estimate_vhat_blocks(mt, burn_in)
-    eta_val = eta_for_table(mt) if eta is None else float(eta)
-    bound = eta_val * (v + 2.0 / float(mt.a[mt.dominant_mask][-1]))
+    eta = eta_for_table(mt)
+    bound = eta * (v + 2.0 / float(mt.a[mt.dominant_mask][-1]))
     if not vhat <= bound + 1e-12:
         raise InvariantError(f"vhat {vhat} exceeds finite-prefix bound {bound}")
     return ExponentEstimate(v_est=v, vhat_est=vhat, depth=mt.depth,
-                            k_count=k, burn_in=burn_in)
+                            k_count=k, burn_in=burn_in, eta=eta)
 
 
 def eta_for_table(mt: MatchingTimes) -> float:

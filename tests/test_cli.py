@@ -1,7 +1,7 @@
 import pytest
 
-from dioph_lab import cli, digits, dimfx
-from dioph_lab.cli import main, parse_config
+from dioph_lab import cli, digits, dimfx, verify
+from dioph_lab.cli import main
 
 
 def test_eval_dim_table(capsys):
@@ -110,14 +110,13 @@ def test_box_dim_csv(tmp_path, capsys):
 
 
 def test_sweep_deterministic(tmp_path, capsys):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(
-        "# exact grid over the resolvable window\n"
-        "eta = 2\n"
-        "vhat_grid = 11/10:19/10:5\n"
-        f"csv = {tmp_path / 'a.csv'}\n")
-    assert main(["sweep", "--config", str(cfg)]) == 0
-    assert main(["sweep", "--config", str(cfg), "--csv", str(tmp_path / "b.csv")]) == 0
+    args = tmp_path / "sweep.args"
+    args.write_text(
+        "--eta=2\n"
+        "--vhat-grid=11/10:19/10:5\n"
+        f"--csv={tmp_path / 'a.csv'}\n")
+    assert main(["sweep", f"@{args}"]) == 0
+    assert main(["sweep", f"@{args}", "--csv", str(tmp_path / "b.csv")]) == 0
     a = (tmp_path / "a.csv").read_bytes()
     b = (tmp_path / "b.csv").read_bytes()
     assert a == b
@@ -126,17 +125,17 @@ def test_sweep_deterministic(tmp_path, capsys):
 
 
 def test_sweep_with_roundtrip_estimates(tmp_path, capsys):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(
-        "eta = 1\n"
-        "vhat_grid = 1/4:1/2:3\n"
-        "theta = 5\n"
-        "seq = linear\n"
-        "regime = eta1\n"
-        "depth = 30000\n"
-        "base = 3\n"
-        f"csv = {tmp_path / 'rt.csv'}\n")
-    assert main(["sweep", "--config", str(cfg)]) == 0
+    args = tmp_path / "sweep.args"
+    args.write_text(
+        "--eta=1\n"
+        "--vhat-grid=1/4:1/2:3\n"
+        "--theta=5\n"
+        "--seq=linear\n"
+        "--regime=eta1\n"
+        "--depth=30000\n"
+        "--base=3\n"
+        f"--csv={tmp_path / 'rt.csv'}\n")
+    assert main(["sweep", f"@{args}"]) == 0
     lines = (tmp_path / "rt.csv").read_text().splitlines()
     header = lines[0].split(",")
     i_v, i_vhat = header.index("v_est"), header.index("vhat_est")
@@ -171,18 +170,19 @@ def test_eval_dim_grid_csv(tmp_path, capsys):
     assert any(row.startswith("1/2,eta1-exact,1/9,") for row in lines)
 
 
-def test_parse_config_rejects_unknown_keys(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("eta = 2\nbogus = 1\n")
-    with pytest.raises(ValueError, match="unknown key"):
-        parse_config(cfg)
-    cfg.write_text("just a line\n")
-    with pytest.raises(ValueError, match="key = value"):
-        parse_config(cfg)
+def test_sweep_args_file_rejects_unknown_flags(tmp_path, capsys):
+    args = tmp_path / "bad.args"
+    args.write_text("--eta=2\n--vhat-grid=1:3/2:3\n--bogus=1\n")
+    code, err = _run(["sweep", f"@{args}", "--csv", str(tmp_path / "x.csv")], capsys)
+    assert code == 2
+    assert "unrecognized arguments: --bogus=1" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
-def test_sweep_needs_grid(capsys):
-    assert main(["sweep", "--eta", "2", "--csv", "/tmp/x.csv"]) == 2
+def test_sweep_needs_grid(tmp_path, capsys):
+    code, err = _run(["sweep", "--eta", "2", "--csv", str(tmp_path / "x.csv")], capsys)
+    assert code == 2
+    assert "--vhat-grid --theta-grid is required" in err
 
 
 def test_estimate_missing_file_errors(tmp_path, capsys):
@@ -191,10 +191,21 @@ def test_estimate_missing_file_errors(tmp_path, capsys):
     assert rc == 1
 
 
-def test_verify_clean_build_exits_zero(capsys):
+def test_verify_exit_code_follows_the_checks(capsys, monkeypatch):
+    def crash():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "CHECKS", [("stub-pass", lambda: (True, "fine"))])
     assert main(["verify"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out and "PASS" in out
+    assert capsys.readouterr().out.splitlines() == ["PASS  stub-pass: fine"]
+    monkeypatch.setattr(verify, "CHECKS", [("stub-pass", lambda: (True, "fine")),
+                                           ("stub-fail", lambda: (False, "off"))])
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == "FAIL  stub-fail: off"
+    monkeypatch.setattr(verify, "CHECKS", [("stub-crash", crash)])
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL  stub-crash: raised RuntimeError: boom"]
 
 
 def _run(argv, capsys):
@@ -204,6 +215,11 @@ def _run(argv, capsys):
     except SystemExit as exc:
         code = exc.code
     return code, capsys.readouterr().err
+
+
+# a round trip at each point: bad round-trip input must exit, not blank cells
+ROUNDTRIP_SWEEP = ["sweep", "--eta", "1", "--theta", "5", "--vhat-grid", "1/4:1/2:2",
+                   "--regime", "eta1", "--csv", "unused.csv"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -217,14 +233,23 @@ def _run(argv, capsys):
      "--regime", "eta1", "--csv", "unused.csv"],
     ["eval-dim", "--eta", "1", "--grid", "1:2"],
     ["eval-dim", "--eta", "1", "--grid", "1:2:x"],
+    [*ROUNDTRIP_SWEEP, "--seq", "bogus"],
+    [*ROUNDTRIP_SWEEP, "--seq", "linear", "--depth", "-5"],
+    [*ROUNDTRIP_SWEEP, "--seq", "linear", "--burn-in", "-1"],
+    ["box-dim", "--seq", "linear", "--theta", "3", "--vhat", "1/3", "--base", "1",
+     "--max-depth", "1000", "--mode", "all-depths"],
+    [*ROUNDTRIP_SWEEP, "--seq", "linear", "--base", "1"],
 ], ids=["zero-denominator", "eta-zero", "eta-below-one", "grid-zero-denominator",
         "sweep-eta-zero", "sweep-zero-denominator", "sweep-roundtrip-without-theta",
-        "grid-two-fields", "grid-count-not-int"])
-def test_bad_rationals_give_one_error_line(argv, capsys):
+        "grid-two-fields", "grid-count-not-int", "sweep-bad-seq", "sweep-negative-depth",
+        "sweep-negative-burn-in", "box-dim-base-one", "sweep-base-one"])
+def test_bad_rationals_give_one_error_line(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     code, err = _run(argv, capsys)
     assert code in (1, 2)
     assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "unused.csv").exists()
 
 
 def test_grid_error_names_the_format(capsys):
@@ -233,14 +258,18 @@ def test_grid_error_names_the_format(capsys):
     assert err.splitlines() == ["error: grid must be lo:hi:count, got '1:2'"]
 
 
-def test_estimate_negative_depth_is_an_error(tmp_path, capsys):
+@pytest.mark.parametrize("flag,value", [("--depth", "-3"), ("--burn-in", "-1"),
+                                        ("--burn-in", "inf")],
+                         ids=["negative-depth", "negative-burn-in", "infinite-burn-in"])
+def test_estimate_bad_flag_is_an_error(flag, value, tmp_path, capsys):
     dig = tmp_path / "digits.txt"
     main(["gen-digits", "--seq", "linear", "--theta", "3", "--vhat", "1/3",
           "--base", "3", "--depth", "1000", "--out", str(dig)])
     code, err = _run(["estimate", "--digits", str(dig), "--seq", "linear",
-                      "--depth", "-3"], capsys)
+                      flag, value], capsys)
     assert code == 1
-    assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+    errors = [ln for ln in err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and value in errors[0]
     assert "Traceback" not in err
 
 

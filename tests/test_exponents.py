@@ -195,11 +195,12 @@ def test_greedy_resyncs_after_deleting_a_dominant_pair(stream):
 
 def test_estimate_exponents_summary_fields():
     mt = matching_times(power_sum_stream(2 ** 14), LIN)
-    est = estimate_exponents(mt, burn_in=2)
+    est = estimate_exponents(mt, 0.2)
     assert est.depth == 2 ** 14
     assert est.burn_in == 2
     assert est.k_count == len(mt.dominant)
     assert 0 < est.vhat_est <= est.v_est
+    assert est.eta == 1.0
 
 
 def test_estimate_exponents_bound_raises_invariant_error():
@@ -212,7 +213,7 @@ def test_estimate_exponents_bound_raises_invariant_error():
                        dominant_mask=gap > 0, first_truncated_index=None,
                        longest_complete_run=6)
     with pytest.raises(InvariantError, match="finite-prefix bound"):
-        estimate_exponents(mt, burn_in=0, eta=1)
+        estimate_exponents(mt, 0.0)
     assert not issubclass(InvariantError, ValueError)
 
 
