@@ -30,6 +30,7 @@ from .exponents import (
 from .construct import (
     CantorSchedule,
     ScheduleEntry,
+    check_regime,
     constrained_digit,
     emit_digits,
     eta1_local_dimension_limit,
@@ -62,7 +63,6 @@ from .dimfx import (
 )
 from .boxdim import (
     CountSeries,
-    count_cylinders,
     count_exponents_upto,
     count_series,
     dimension_slope,

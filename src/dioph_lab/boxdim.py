@@ -53,14 +53,6 @@ def constraint_mask(sched: CantorSchedule, base: int, upto: int) -> np.ndarray:
     return mask
 
 
-def count_cylinders(sched: CantorSchedule, base: int, n: int) -> int:
-    """log_b of the number of depth-n cylinders meeting the schedule's set."""
-    if not 1 <= n <= sched.covered_to:
-        raise ValueError(f"depth {n} outside covered range")
-    mask = constraint_mask(sched, base, n)
-    return int(n - mask[1:].sum())
-
-
 def count_exponents_upto(sched: CantorSchedule, base: int, max_n: int) -> np.ndarray:
     """Count exponents for every depth 1..max_n (index 0 unused)."""
     mask = constraint_mask(sched, base, max_n)

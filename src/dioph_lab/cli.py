@@ -33,9 +33,12 @@ def _rational(text: str) -> Fraction:
 
 
 def _base(text: str) -> int:
-    base = int(text)
+    try:
+        base = int(text)
+    except ValueError:
+        base = 0
     if base < 2:
-        raise argparse.ArgumentTypeError(f"base must be >= 2, got {base}")
+        raise argparse.ArgumentTypeError(f"base must be an integer >= 2, got {text!r}")
     return base
 
 
@@ -62,20 +65,29 @@ def _check_eta(eta: Fraction) -> None:
 
 
 def _parse_regime(text: str):
-    """'eta1' or 'geo:l=<int>' -> (name, stride or None)."""
+    """'eta1' or 'geo:l=<int >= 1>' -> (name, stride or None).
+
+    Every admissible stride threshold is at least 1, so a smaller stride is
+    a usage error rather than a point that cannot be built.
+    """
     if text == "eta1":
         return "eta1", None
-    if text.startswith("geo:l="):
-        return "geometric", int(text[len("geo:l="):])
-    raise ValueError(f"regime must be eta1 or geo:l=<int>, got {text!r}")
+    try:
+        stride = int(text[len("geo:l="):]) if text.startswith("geo:l=") else 0
+    except ValueError:
+        stride = 0
+    if stride < 1:
+        raise argparse.ArgumentTypeError(
+            f"regime must be eta1 or geo:l=<int >= 1>, got {text!r}")
+    return "geometric", stride
 
 
 def _build_schedule(seq_spec: str, theta: Fraction, vhat: Fraction, regime: str,
                     stride: int | None, depth: int):
     seq = sequences.make_sequence(seq_spec)
     if regime == "eta1":
-        return construct.schedule_eta1(seq, theta, vhat, cover_to=depth), seq
-    return construct.schedule_geometric(seq, theta, vhat, stride, cover_to=depth), seq
+        return construct.schedule_eta1(seq, theta, vhat, cover_to=depth)
+    return construct.schedule_geometric(seq, theta, vhat, stride, cover_to=depth)
 
 
 def _write_csv(path, header, rows):
@@ -151,7 +163,7 @@ def cmd_eval_dim(args) -> int:
 
 def cmd_gen_digits(args) -> int:
     regime, stride = args.regime
-    sched, _ = _build_schedule(args.seq, args.theta, args.vhat, regime, stride, args.depth)
+    sched = _build_schedule(args.seq, args.theta, args.vhat, regime, stride, args.depth)
     stream = construct.emit_digits(sched, args.base, args.depth)
     digits.save_digit_file(stream, args.out)
     print(f"wrote {stream.prefix_len} base-{args.base} digits to {args.out} "
@@ -200,8 +212,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_box_dim(args) -> int:
     regime, stride = args.regime
-    sched, _ = _build_schedule(args.seq, args.theta, args.vhat, regime, stride,
-                               args.max_depth)
+    sched = _build_schedule(args.seq, args.theta, args.vhat, regime, stride,
+                            args.max_depth)
     if args.mode == boxdim.AT_BLOCK_ENDS:
         depths = sched.block_ends(args.max_depth)
     else:
@@ -235,9 +247,9 @@ def _sweep_point(eta, vhat, theta, rho, roundtrip):
         return row
     seq_spec, base, regime, stride, depth, burn_fraction = roundtrip
     try:
-        sched, seq = _build_schedule(seq_spec, theta, vhat, regime, stride, depth)
+        sched = _build_schedule(seq_spec, theta, vhat, regime, stride, depth)
         stream = construct.emit_digits(sched, base, depth)
-        est = exponents.estimate_exponents(exponents.matching_times(stream, seq),
+        est = exponents.estimate_exponents(exponents.matching_times(stream, sched.seq),
                                            burn_fraction)
         ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, est.eta, 0.05)
         row.extend([_fmt(est.v_est), _fmt(est.vhat_est), str(ok).lower()])
@@ -249,10 +261,13 @@ def _sweep_point(eta, vhat, theta, rho, roundtrip):
 def cmd_sweep(args) -> int:
     _check_eta(args.eta)
     # Input errors stop here; only a point that cannot be built blanks its
-    # cells.  The spec is parsed only to check it: each point builds its own
-    # sequence, because a geometric sequence's term cache is not thread-safe.
+    # cells.  The spec is parsed only to check it and its fit to the regime:
+    # each point builds its own sequence, because a geometric sequence's term
+    # cache is not thread-safe.
     if args.seq is not None:
-        sequences.make_sequence(args.seq)
+        seq = sequences.make_sequence(args.seq)
+        if args.regime is not None:
+            construct.check_regime(seq, args.regime[0])
     if args.depth < 1:
         raise ValueError(f"depth must be >= 1, got {args.depth}")
     if not 0 <= args.burn_in <= 1:

@@ -3,12 +3,17 @@
 A schedule is a sparse list of blocks (i_k, a_{i_k}, m_k, t_k): a marker
 digit 1 at position a_{i_k}, zeros up to m_k - 1, a closing 1 at m_k, and
 t_k further markers spaced m_k - a_{i_k} apart before the next block starts.
-Two block-selection regimes exist:
+One loop lays the blocks for both regimes, from the first admissible start
+index until a block reaches past the requested `cover_to` position; the two
+regimes differ only in their start rule, their next-block rule and one extra
+per-block check:
 
 * eta1 regime (growth exponent 1): i_{k+1} is the first index with
   a_j > theta * a_{i_k}; realizes the pair (vhat, theta*vhat).
 * geometric regime (growth exponent eta > 1): fixed stride
   i_{k+1} = i_k + l + 1 with theta in [eta^l, (eta^{l+1}-1)/vhat).
+
+`check_regime` tells whether a sequence's growth fits a regime.
 
 All schedule arithmetic is exact: theta and vhat are Fractions and every
 floor is an integer floor of a rational product.  Floating point is not used
@@ -21,7 +26,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,8 +56,6 @@ class CantorSchedule:
     seq: DenominatorSequence
     theta: Fraction
     vhat: Fraction
-    regime: str  # "eta1" | "geometric"
-    stride_l: int | None
     entries: tuple[ScheduleEntry, ...]
 
     @property
@@ -83,116 +86,125 @@ def _seq_value(seq: DenominatorSequence, n: int) -> int:
         raise ValueError(f"sequence too short: index {n} unavailable") from exc
 
 
-def _check_entry(entry: ScheduleEntry, prev: ScheduleEntry | None,
-                 vhat: Fraction, regime: str) -> None:
-    a, m, next_a = entry.a, entry.m, entry.next_a
-    if not (a + 3 <= m <= next_a - 2):
-        raise ValueError(
-            f"block sandwich violated at index {entry.index}: "
-            f"a={a}, m={m}, next_a={next_a}")
-    if prev is not None and entry.gap <= prev.gap:
-        raise ValueError(
-            f"run lengths must strictly increase: gap {entry.gap} after {prev.gap}")
-    if regime == "eta1":
-        # spaced-marker count stays bounded in this regime
-        bound = math.ceil(2 / vhat) + 1
-        if entry.t > bound:
-            raise ValueError(f"marker count t={entry.t} exceeds bound {bound}")
+def check_regime(seq: DenominatorSequence, regime: str) -> None:
+    """Raise ValueError unless the sequence's growth fits the regime.
 
-
-def _make_entry(seq: DenominatorSequence, one_plus_tv: Fraction, i: int,
-                next_i: int) -> ScheduleEntry:
-    a = _seq_value(seq, i)
-    m = _floor_times(one_plus_tv, a)
-    next_a = _seq_value(seq, next_i)
-    t = (next_a - m - 1) // (m - a) if m > a else 0
-    return ScheduleEntry(index=i, a=a, m=m, t=t, next_index=next_i, next_a=next_a)
-
-
-def _eta1_sanity(seq: DenominatorSequence) -> None:
+    "eta1" needs growth exponent 1 (declared, or estimated from the terms of
+    an explicit sequence); "geometric" needs a declared exponent above 1.
+    """
     declared = seq.eta_declared
-    if declared is not None:
-        if declared != 1:
-            raise ValueError(f"eta1 schedule needs growth exponent 1, sequence has {declared}")
-        return
-    sup = seq.max_index()
-    n_max = sup if sup is not None else 1000
-    if n_max < 2:
-        raise ValueError("sequence too short to check its growth exponent")
-    est = eta_estimate(seq, n_max)
-    if est > Fraction(11, 10):
-        raise ValueError(f"sequence growth estimate {est} is not close to 1")
+    if regime == "eta1":
+        if declared is not None:
+            if declared != 1:
+                raise ValueError(f"eta1 schedule needs growth exponent 1, sequence has {declared}")
+            return
+        n_max = seq.max_index()
+        if n_max < 2:
+            raise ValueError("sequence too short to check its growth exponent")
+        est = eta_estimate(seq, n_max)
+        if est > Fraction(11, 10):
+            raise ValueError(f"sequence growth estimate {est} is not close to 1")
+    elif regime == "geometric":
+        if declared is None or declared <= 1:
+            raise ValueError("geometric schedule needs a sequence with declared growth exponent > 1")
+    else:
+        raise ValueError(f"unknown regime {regime!r}")
+
+
+def _lay_blocks(seq: DenominatorSequence, theta: Fraction, vhat: Fraction, cover_to: int,
+                start_ok: Callable[[int], bool], next_index: Callable[[int, int], int],
+                check_block: Callable[[ScheduleEntry], None]) -> CantorSchedule:
+    """The block loop both regimes share.
+
+    Starts at the first index passing `start_ok`, then lays blocks until one
+    reaches past `cover_to`; `next_index(i, a_i)` picks each next block.
+    Every block must pass the regime's own `check_block`, the sandwich
+    a + 3 <= m <= next_a - 2 and strictly growing runs.
+    """
+    one_plus_tv = 1 + theta * vhat
+    i = 1
+    while not start_ok(i):
+        i += 1
+        if i > START_SCAN_CAP:
+            raise ValueError(f"no valid start index below the scan cap {START_SCAN_CAP}")
+
+    entries: list[ScheduleEntry] = []
+    while True:
+        a = _seq_value(seq, i)
+        m = _floor_times(one_plus_tv, a)
+        j = next_index(i, a)
+        next_a = _seq_value(seq, j)
+        t = (next_a - m - 1) // (m - a) if m > a else 0
+        entry = ScheduleEntry(index=i, a=a, m=m, t=t, next_index=j, next_a=next_a)
+        check_block(entry)
+        if not a + 3 <= m <= next_a - 2:
+            raise ValueError(f"block sandwich violated at index {i}: "
+                             f"a={a}, m={m}, next_a={next_a}")
+        if entries and entry.gap <= entries[-1].gap:
+            raise ValueError(f"run lengths must strictly increase: "
+                             f"gap {entry.gap} after {entries[-1].gap}")
+        entries.append(entry)
+        if next_a - 1 >= cover_to:
+            return CantorSchedule(seq=seq, theta=theta, vhat=vhat, entries=tuple(entries))
+        if len(entries) >= MAX_ENTRIES:
+            raise ValueError(f"schedule exceeded {MAX_ENTRIES} blocks")
+        i = j
 
 
 def schedule_eta1(seq: DenominatorSequence, theta: Fraction, vhat: Fraction,
-                  k_max: int | None = None, *, cover_to: int | None = None) -> CantorSchedule:
-    """Schedule for the growth-exponent-1 regime.
+                  cover_to: int) -> CantorSchedule:
+    """Schedule for the growth-exponent-1 regime, determining positions up to
+    at least `cover_to`.
 
     Preconditions: 0 < vhat < 1 and theta > 1/(1 - vhat) (the boundary value
-    makes the zero blocks stop growing, so it is excluded).  Provide either
-    k_max (number of blocks) or cover_to (first position the schedule must
-    determine).
+    makes the zero blocks stop growing, so it is excluded).  Blocks start at
+    the first a_i above max(3/(theta vhat), 1/((theta-1) theta vhat),
+    1/(theta-1-theta vhat)); each next block at the first a_j > theta * a_i.
+    Every block's marker count t stays at most ceil(2/vhat) + 1.
     """
     theta, vhat = Fraction(theta), Fraction(vhat)
+    check_regime(seq, "eta1")
     if not 0 < vhat < 1:
         raise ValueError(f"vhat must lie in (0, 1), got {vhat}")
     if theta <= 1 / (1 - vhat):
         raise ValueError(f"theta must exceed 1/(1-vhat) = {1 / (1 - vhat)}, got {theta}")
-    if (k_max is None) == (cover_to is None):
-        raise ValueError("provide exactly one of k_max or cover_to")
-    _eta1_sanity(seq)
 
     tv = theta * vhat
-    one_plus_tv = 1 + tv
     threshold = max(3 / tv, 1 / ((theta - 1) * tv), 1 / (theta - 1 - tv))
-    i = 1
-    while Fraction(_seq_value(seq, i)) <= threshold:
-        i += 1
-        if i > START_SCAN_CAP:
-            raise ValueError(f"no start index below the scan cap {START_SCAN_CAP}")
+    bound = math.ceil(2 / vhat) + 1
 
-    entries: list[ScheduleEntry] = []
-    prev = None
-    while True:
-        a = _seq_value(seq, i)
-        # find the first index with a_j > theta * a, comparing integers only
+    def next_index(i: int, a: int) -> int:
+        # the first index with a_j > theta * a, comparing integers only
         cut_num, cut_den = theta.numerator * a, theta.denominator
         if seq.kind == "linear":
-            j = max(i + 1, cut_num // cut_den + 1)
-        else:
-            j = i + 1
-            while _seq_value(seq, j) * cut_den <= cut_num:
-                j += 1
-        entry = _make_entry(seq, one_plus_tv, i, j)
-        _check_entry(entry, prev, vhat, "eta1")
-        entries.append(entry)
-        prev = entry
-        if k_max is not None and len(entries) >= k_max:
-            break
-        if cover_to is not None and entry.next_a - 1 >= cover_to:
-            break
-        if len(entries) >= MAX_ENTRIES:
-            raise ValueError(f"schedule exceeded {MAX_ENTRIES} blocks")
-        i = j
-    return CantorSchedule(seq=seq, theta=theta, vhat=vhat, regime="eta1",
-                          stride_l=None, entries=tuple(entries))
+            return max(i + 1, cut_num // cut_den + 1)
+        j = i + 1
+        while _seq_value(seq, j) * cut_den <= cut_num:
+            j += 1
+        return j
+
+    def check_block(entry: ScheduleEntry) -> None:
+        if entry.t > bound:
+            raise ValueError(f"marker count t={entry.t} exceeds bound {bound}")
+
+    return _lay_blocks(seq, theta, vhat, cover_to,
+                       lambda i: _seq_value(seq, i) > threshold, next_index, check_block)
 
 
 def schedule_geometric(seq: DenominatorSequence, theta: Fraction, vhat: Fraction,
-                       l: int, k_max: int | None = None, *,
-                       cover_to: int | None = None) -> CantorSchedule:
-    """Fixed-stride schedule for a sequence with growth exponent eta > 1.
+                       l: int, cover_to: int) -> CantorSchedule:
+    """Fixed-stride schedule for a sequence with growth exponent eta > 1,
+    determining positions up to at least `cover_to`.
 
     Requires l at least the admissible stride threshold and
-    theta in [eta^l, (eta^{l+1} - 1)/vhat).  The first block index is found
-    by scanning for the smallest n satisfying the three start conditions
-    (each later block re-checks them, so a sporadic early match cannot
-    produce an invalid schedule).
+    theta in [eta^l, (eta^{l+1} - 1)/vhat).  Blocks sit at indices
+    i, i + l + 1, i + 2(l + 1), ..., where i is the smallest n satisfying the
+    three start conditions; each later block re-checks them, so a sporadic
+    early match cannot produce an invalid schedule.
     """
     theta, vhat = Fraction(theta), Fraction(vhat)
+    check_regime(seq, "geometric")
     eta = seq.eta_declared
-    if eta is None or eta <= 1:
-        raise ValueError("geometric schedule needs a sequence with declared growth exponent > 1")
     if not 0 < vhat < eta:
         raise ValueError(f"vhat must lie in (0, {eta}), got {vhat}")
     lprime = dimfx.thresholds(eta, vhat).lprime
@@ -201,45 +213,21 @@ def schedule_geometric(seq: DenominatorSequence, theta: Fraction, vhat: Fraction
     lo, hi = eta ** l, (eta ** (l + 1) - 1) / vhat
     if not lo <= theta < hi:
         raise ValueError(f"theta must lie in [{lo}, {hi}), got {theta}")
-    if (k_max is None) == (cover_to is None):
-        raise ValueError("provide exactly one of k_max or cover_to")
 
     tv = theta * vhat
-    one_plus_tv = 1 + tv
     stride = l + 1
 
-    def start_ok(n: int) -> bool:
-        a_n = _seq_value(seq, n)
-        a_next = _seq_value(seq, n + stride)
-        return (Fraction(a_n) > 3 / tv
-                and Fraction(a_next - a_n) > 1 / tv
-                and one_plus_tv * a_n <= a_next - 2)
+    def starts(a: int, a_next: int) -> bool:
+        return a > 3 / tv and a_next - a > 1 / tv and (1 + tv) * a <= a_next - 2
 
-    i = 1
-    while not start_ok(i):
-        i += 1
-        if i > START_SCAN_CAP:
-            raise ValueError(f"no valid start index below the scan cap {START_SCAN_CAP}")
-
-    entries: list[ScheduleEntry] = []
-    prev = None
-    while True:
-        if not start_ok(i):
-            raise ValueError(f"start conditions fail again at index {i}; "
+    def check_block(entry: ScheduleEntry) -> None:
+        if not starts(entry.a, entry.next_a):
+            raise ValueError(f"start conditions fail again at index {entry.index}; "
                              "sequence does not settle into its growth regime")
-        entry = _make_entry(seq, one_plus_tv, i, i + stride)
-        _check_entry(entry, prev, vhat, "geometric")
-        entries.append(entry)
-        prev = entry
-        if k_max is not None and len(entries) >= k_max:
-            break
-        if cover_to is not None and entry.next_a - 1 >= cover_to:
-            break
-        if len(entries) >= MAX_ENTRIES:
-            raise ValueError(f"schedule exceeded {MAX_ENTRIES} blocks")
-        i += stride
-    return CantorSchedule(seq=seq, theta=theta, vhat=vhat, regime="geometric",
-                          stride_l=l, entries=tuple(entries))
+
+    return _lay_blocks(seq, theta, vhat, cover_to,
+                       lambda n: starts(_seq_value(seq, n), _seq_value(seq, n + stride)),
+                       lambda i, _a: i + stride, check_block)
 
 
 FILL_DIGIT = 1  # unconstrained positions; never 0 or b-1, so no spurious runs
@@ -263,7 +251,7 @@ def emit_digits(sched: CantorSchedule, base: int, upto: int) -> DigitStream:
             return
         cur = buf[pos - 1]
         if cur != FILL_DIGIT and cur != digit:
-            raise AssertionError(f"conflicting digits at position {pos}")
+            raise dimfx.InvariantError(f"conflicting digits at position {pos}")
         buf[pos - 1] = digit
 
     for e in sched.entries:

@@ -7,7 +7,6 @@ from dioph_lab.boxdim import (
     ALL_DEPTHS,
     AT_BLOCK_ENDS,
     CountSeries,
-    count_cylinders,
     count_exponents_upto,
     count_series,
     dimension_slope,
@@ -18,15 +17,16 @@ LIN = sequences.make_sequence("linear")
 
 @pytest.fixture(scope="module")
 def small_sched():
-    return construct.schedule_eta1(LIN, F(3), F(1, 3), k_max=3)
+    return construct.schedule_eta1(LIN, F(3), F(1, 3), cover_to=120)
 
 
 def test_count_worked_values(small_sched):
-    assert count_cylinders(small_sched, 3, 13) == 6  # free: 1-3 and 9-11
-    assert count_cylinders(small_sched, 3, 8) == 3
-    assert count_cylinders(small_sched, 3, 1) == 1
+    counts = count_exponents_upto(small_sched, 3, 13)
+    assert counts[13] == 6  # free: 1-3 and 9-11
+    assert counts[8] == 3
+    assert counts[1] == 1
     with pytest.raises(ValueError):
-        count_cylinders(small_sched, 3, small_sched.covered_to + 1)
+        count_exponents_upto(small_sched, 3, small_sched.covered_to + 1)
 
 
 def test_count_equals_measure_everywhere(eta1_sched, geo_sched):

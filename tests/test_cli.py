@@ -239,10 +239,17 @@ ROUNDTRIP_SWEEP = ["sweep", "--eta", "1", "--theta", "5", "--vhat-grid", "1/4:1/
     ["box-dim", "--seq", "linear", "--theta", "3", "--vhat", "1/3", "--base", "1",
      "--max-depth", "1000", "--mode", "all-depths"],
     [*ROUNDTRIP_SWEEP, "--seq", "linear", "--base", "1"],
+    ["sweep", "--eta", "1", "--theta", "5", "--vhat-grid", "1/4:1/2:2", "--seq", "linear",
+     "--regime", "geo:l=-1", "--csv", "unused.csv"],
+    ["sweep", "--eta", "1", "--theta", "5", "--vhat-grid", "1/4:1/2:2", "--seq", "linear",
+     "--regime", "geo:l=2", "--csv", "unused.csv"],
+    ["sweep", "--eta", "2", "--theta", "4", "--vhat-grid", "1:3/2:2",
+     "--seq", "geometric:eta=2,a1=1", "--regime", "eta1", "--csv", "unused.csv"],
 ], ids=["zero-denominator", "eta-zero", "eta-below-one", "grid-zero-denominator",
         "sweep-eta-zero", "sweep-zero-denominator", "sweep-roundtrip-without-theta",
         "grid-two-fields", "grid-count-not-int", "sweep-bad-seq", "sweep-negative-depth",
-        "sweep-negative-burn-in", "box-dim-base-one", "sweep-base-one"])
+        "sweep-negative-burn-in", "box-dim-base-one", "sweep-base-one",
+        "sweep-negative-stride", "sweep-geometric-on-linear", "sweep-eta1-on-geometric"])
 def test_bad_rationals_give_one_error_line(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, err = _run(argv, capsys)
@@ -250,6 +257,19 @@ def test_bad_rationals_give_one_error_line(argv, capsys, tmp_path, monkeypatch):
     assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
     assert "Traceback" not in err
     assert not (tmp_path / "unused.csv").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--regime", "geo:x"), ("--regime", "geo:l=0"),
+                                        ("--base", "x")],
+                         ids=["regime-not-int", "regime-zero-stride", "base-not-int"])
+def test_bad_typed_flag_names_the_value(flag, value, tmp_path, capsys):
+    argv = ["gen-digits", "--seq", "linear", "--theta", "3", "--vhat", "1/3",
+            "--base", "3", "--depth", "100", "--out", str(tmp_path / "d.txt"), flag, value]
+    code, err = _run(argv, capsys)
+    assert code == 2
+    errors = [ln for ln in err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and repr(value) in errors[0]
+    assert "_base" not in errors[0] and "_parse_regime" not in errors[0]
 
 
 def test_grid_error_names_the_format(capsys):

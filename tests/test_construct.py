@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dioph_lab import construct, exponents, sequences
+from dioph_lab import construct, dimfx, exponents, sequences
 from dioph_lab.construct import (
     constrained_digit,
     emit_digits,
@@ -24,10 +24,11 @@ GEO2 = sequences.make_sequence("geometric:eta=2,a1=1")
 
 @pytest.fixture(scope="module")
 def small_sched():
-    return schedule_eta1(LIN, F(3), F(1, 3), k_max=3)
+    return schedule_eta1(LIN, F(3), F(1, 3), cover_to=120)
 
 
 def test_eta1_worked_schedule(small_sched):
+    assert len(small_sched.entries) == 3
     e1, e2 = small_sched.entries[0], small_sched.entries[1]
     # thresholds: max(3, 1/2, 1) = 3, so the first usable value is 4
     assert (e1.a, e1.m, e1.t) == (4, 8, 1)
@@ -38,25 +39,23 @@ def test_eta1_worked_schedule(small_sched):
 def test_eta1_theta0_matches_worked_example():
     # theta = 2/(1 - vhat) is the dimension-optimal choice; for vhat = 1/3
     # it coincides with the worked theta = 3 schedule
-    sched = schedule_eta1(LIN, 2 / (1 - F(1, 3)), F(1, 3), k_max=1)
+    sched = schedule_eta1(LIN, 2 / (1 - F(1, 3)), F(1, 3), cover_to=12)
     assert (sched.entries[0].a, sched.entries[0].m) == (4, 8)
 
 
 def test_eta1_rejects_degenerate_theta():
     with pytest.raises(ValueError):
-        schedule_eta1(LIN, F(3, 2), F(1, 3), k_max=2)  # boundary excluded
+        schedule_eta1(LIN, F(3, 2), F(1, 3), cover_to=100)  # boundary excluded
     with pytest.raises(ValueError):
-        schedule_eta1(LIN, F(3), F(0), k_max=2)
+        schedule_eta1(LIN, F(3), F(0), cover_to=100)
     with pytest.raises(ValueError):
-        schedule_eta1(LIN, F(3), F(1), k_max=2)
+        schedule_eta1(LIN, F(3), F(1), cover_to=100)
     with pytest.raises(ValueError):
-        schedule_eta1(GEO2, F(3), F(1, 3), k_max=2)  # wrong growth regime
-    with pytest.raises(ValueError):
-        schedule_eta1(LIN, F(3), F(1, 3))  # k_max or cover_to required
+        schedule_eta1(GEO2, F(3), F(1, 3), cover_to=100)  # wrong growth regime
 
 
 def test_geometric_worked_schedule():
-    sched = schedule_geometric(GEO2, F(4), F(3, 2), 2, k_max=3)
+    sched = schedule_geometric(GEO2, F(4), F(3, 2), 2, cover_to=1023)
     assert [(e.index, e.a, e.m, e.t) for e in sched.entries] == [
         (2, 2, 14, 0), (5, 16, 112, 0), (8, 128, 896, 0)]
     assert all(e.next_index == e.index + 3 for e in sched.entries)
@@ -64,15 +63,72 @@ def test_geometric_worked_schedule():
 
 def test_geometric_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        schedule_geometric(GEO2, F(14, 3), F(3, 2), 2, k_max=2)  # right end open
+        schedule_geometric(GEO2, F(14, 3), F(3, 2), 2, cover_to=100)  # right end open
     with pytest.raises(ValueError):
-        schedule_geometric(GEO2, F(4), F(3, 2), 1, k_max=2)  # stride too small
+        schedule_geometric(GEO2, F(4), F(3, 2), 1, cover_to=100)  # stride too small
     with pytest.raises(ValueError):
-        schedule_geometric(LIN, F(4), F(3, 2), 2, k_max=2)  # eta not > 1
+        schedule_geometric(LIN, F(4), F(3, 2), 2, cover_to=100)  # eta not > 1
     with pytest.raises(ValueError):
-        schedule_geometric(GEO2, F(7, 2), F(3, 2), 2, k_max=2)  # below eta^l
+        schedule_geometric(GEO2, F(7, 2), F(3, 2), 2, cover_to=100)  # below eta^l
     with pytest.raises(ValueError):
-        schedule_geometric(GEO2, F(4), F(5, 2), 2, k_max=2)  # vhat above eta
+        schedule_geometric(GEO2, F(4), F(5, 2), 2, cover_to=100)  # vhat above eta
+
+
+def _explicit(values):
+    return sequences.DenominatorSequence("explicit", values=values)
+
+
+POWERS_OF_2 = _explicit([2 ** k for k in range(30)])
+
+
+@pytest.mark.parametrize("build,message", [
+    # a jump from 100 to 5000 leaves one block with far too many markers
+    (lambda: schedule_eta1(_explicit([*range(1, 101), 5000, *range(5001, 6000)]),
+                           F(3), F(1, 3), cover_to=10 ** 4),
+     "marker count t=122 exceeds bound 7"),
+    (lambda: schedule_eta1(_explicit(list(range(1, 200))), F(3), F(1, 3), cover_to=10 ** 4),
+     "sequence too short: index 200 unavailable"),
+    (lambda: schedule_eta1(POWERS_OF_2, F(3), F(1, 3), cover_to=100), "not close to 1"),
+    (lambda: schedule_geometric(POWERS_OF_2, F(4), F(3, 2), 2, cover_to=100),
+     "declared growth exponent > 1"),
+], ids=["marker-bound", "sequence-too-short", "eta1-on-doubling", "geometric-on-explicit"])
+def test_block_loop_failures(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_block_loop_caps(monkeypatch):
+    # the real caps take seconds to reach; lowered, the same paths run at once
+    monkeypatch.setattr(construct, "MAX_ENTRIES", 3)
+    with pytest.raises(ValueError, match="schedule exceeded 3 blocks"):
+        schedule_eta1(LIN, F(3), F(1, 3), cover_to=10 ** 4)
+    monkeypatch.setattr(construct, "START_SCAN_CAP", 2)
+    with pytest.raises(ValueError, match="no valid start index below the scan cap 2"):
+        schedule_eta1(LIN, F(3), F(1, 3), cover_to=10 ** 4)  # first start index is 4
+
+
+def test_check_regime():
+    construct.check_regime(LIN, "eta1")
+    construct.check_regime(GEO2, "geometric")
+    construct.check_regime(_explicit(list(range(1, 50))), "eta1")
+    with pytest.raises(ValueError, match="needs growth exponent 1, sequence has 2"):
+        construct.check_regime(GEO2, "eta1")
+    with pytest.raises(ValueError, match="declared growth exponent > 1"):
+        construct.check_regime(LIN, "geometric")
+    with pytest.raises(ValueError, match="too short to check its growth exponent"):
+        construct.check_regime(_explicit([5]), "eta1")
+    with pytest.raises(ValueError, match="unknown regime"):
+        construct.check_regime(LIN, "eta2")
+
+
+def test_emit_conflicting_digits_is_an_invariant_error():
+    # the second block's marker at 6 lands inside the first block's zero run
+    sched = construct.CantorSchedule(
+        seq=LIN, theta=F(3), vhat=F(1, 3),
+        entries=(construct.ScheduleEntry(index=4, a=4, m=10, t=0, next_index=6, next_a=6),
+                 construct.ScheduleEntry(index=6, a=6, m=12, t=0, next_index=30, next_a=30)))
+    with pytest.raises(dimfx.InvariantError, match="conflicting digits at position 6"):
+        emit_digits(sched, 3, 20)
 
 
 def test_sandwich_and_gap_growth(eta1_sched, geo_sched):
