@@ -4,13 +4,11 @@ exponent pairs, and the closed-form dimension bounds they realize."""
 
 from .digits import (
     DigitStream,
-    RunBlock,
     check_tail_guard,
     digits_from_rational,
     digits_from_string,
     load_digit_file,
     random_digits,
-    run_blocks,
     save_digit_file,
 )
 from .sequences import DenominatorSequence, eta_estimate, make_sequence, parse_rational

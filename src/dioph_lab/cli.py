@@ -58,6 +58,12 @@ def _grid(text: str) -> list[Fraction]:
     return dimfx.rational_linspace(parse_rational(lo), parse_rational(hi), count)
 
 
+def _check_positive(flag: str, value: int) -> None:
+    """Depth flags count digit positions, so each must be at least 1."""
+    if value < 1:
+        raise ValueError(f"{flag} must be >= 1, got {value}")
+
+
 def _check_eta(eta: Fraction) -> None:
     """Every formula and schedule needs a growth exponent eta >= 1."""
     if eta < 1:
@@ -162,6 +168,10 @@ def cmd_eval_dim(args) -> int:
 # --- gen-digits ----------------------------------------------------------------
 
 def cmd_gen_digits(args) -> int:
+    if args.base > digits.MAX_BASE:
+        raise ValueError(f"--base must be <= {digits.MAX_BASE} to write a digit file, "
+                         f"got {args.base}")
+    _check_positive("--depth", args.depth)
     regime, stride = args.regime
     sched = _build_schedule(args.seq, args.theta, args.vhat, regime, stride, args.depth)
     stream = construct.emit_digits(sched, args.base, args.depth)
@@ -211,6 +221,7 @@ def cmd_estimate(args) -> int:
 # --- box-dim ----------------------------------------------------------------
 
 def cmd_box_dim(args) -> int:
+    _check_positive("--max-depth", args.max_depth)
     regime, stride = args.regime
     sched = _build_schedule(args.seq, args.theta, args.vhat, regime, stride,
                             args.max_depth)
@@ -268,8 +279,7 @@ def cmd_sweep(args) -> int:
         seq = sequences.make_sequence(args.seq)
         if args.regime is not None:
             construct.check_regime(seq, args.regime[0])
-    if args.depth < 1:
-        raise ValueError(f"depth must be >= 1, got {args.depth}")
+    _check_positive("--depth", args.depth)
     if not 0 <= args.burn_in <= 1:
         raise ValueError(f"burn-in fraction must be in [0, 1], got {args.burn_in:g}")
     roundtrip = None

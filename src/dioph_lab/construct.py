@@ -173,15 +173,10 @@ def schedule_eta1(seq: DenominatorSequence, theta: Fraction, vhat: Fraction,
     threshold = max(3 / tv, 1 / ((theta - 1) * tv), 1 / (theta - 1 - tv))
     bound = math.ceil(2 / vhat) + 1
 
-    def next_index(i: int, a: int) -> int:
-        # the first index with a_j > theta * a, comparing integers only
-        cut_num, cut_den = theta.numerator * a, theta.denominator
-        if seq.kind == "linear":
-            return max(i + 1, cut_num // cut_den + 1)
-        j = i + 1
-        while _seq_value(seq, j) * cut_den <= cut_num:
-            j += 1
-        return j
+    def next_index(_i: int, a: int) -> int:
+        # the first index with a_j > theta * a; a_j is an integer, so
+        # a_j <= theta * a exactly when a_j <= floor(theta * a)
+        return seq.index_count_upto(_floor_times(theta, a)) + 1
 
     def check_block(entry: ScheduleEntry) -> None:
         if entry.t > bound:
@@ -281,42 +276,22 @@ def _entry_base_exponents(sched: CantorSchedule, base: int) -> list[int]:
     return bases
 
 
-def _locate(sched: CantorSchedule, n: int) -> int:
-    """Index of the entry whose block contains position n, or -1 if n
-    precedes the first block."""
-    a_values = [e.a for e in sched.entries]
-    return bisect_right(a_values, n) - 1
-
-
 def mu_cylinder(sched: CantorSchedule, base: int, n: int) -> int:
     """Exponent e with mu(I_n) = b^(-e) for the uniform mass of a depth-n
-    cylinder.
+    cylinder: entry n of `mu_exponents_upto`."""
+    return int(mu_exponents_upto(sched, base, n)[n])
+
+
+def mu_exponents_upto(sched: CantorSchedule, base: int, max_n: int) -> np.ndarray:
+    """log_b(mu) for every depth 1..max_n (vectorized over blocks).
 
     On [a_{i_k}, m_k] the mass is constant; on (m_k, a_{i_k+1}) the exponent
     grows by one per position except across the spaced markers (and, for
     base 2, stays flat across the forced zeros as well).  Below the first
-    block every position is free, so the exponent is n itself.
+    block every position is free, so the exponent is the depth itself.
     """
-    if not 1 <= n <= sched.covered_to:
-        raise ValueError(f"depth {n} outside covered range [1, {sched.covered_to}]")
-    kk = _locate(sched, n)
-    if kk < 0:
-        return n
-    ent = sched.entries[kk]
-    exponent = _entry_base_exponents(sched, base)[kk]
-    if n > ent.m:
-        g = ent.gap
-        t = (n - ent.m) // g  # spaced markers at or below n
-        exponent += (n - ent.m) - t
-        if base == 2:
-            exponent -= min(ent.t, (n - ent.m + 1) // g)  # forced zeros at or below n
-    return exponent
-
-
-def mu_exponents_upto(sched: CantorSchedule, base: int, max_n: int) -> np.ndarray:
-    """log_b(mu) for every depth 1..max_n (vectorized over blocks)."""
     if not 1 <= max_n <= sched.covered_to:
-        raise ValueError(f"depth {max_n} outside covered range")
+        raise ValueError(f"depth {max_n} outside covered range [1, {sched.covered_to}]")
     out = np.empty(max_n + 1, dtype=np.int64)
     out[0] = 0
     first_a = sched.entries[0].a
@@ -348,7 +323,7 @@ def constrained_digit(sched: CantorSchedule, base: int, pos: int) -> int | None:
     """Forced digit at a position, or None when the position is free."""
     if not 1 <= pos <= sched.covered_to:
         raise ValueError(f"position {pos} outside covered range")
-    kk = _locate(sched, pos)
+    kk = bisect_right([e.a for e in sched.entries], pos) - 1  # the block holding pos
     if kk < 0:
         return None
     ent = sched.entries[kk]

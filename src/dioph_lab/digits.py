@@ -18,6 +18,7 @@ import numpy as np
 TAIL_GUARD = 64  # final window checked by the irrationality proxy
 
 _ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
+MAX_BASE = len(_ALPHABET)  # largest base with a character for every digit
 _CHAR_VALUE = {c: v for v, c in enumerate(_ALPHABET)}
 _CHAR_VALUE.update({c.upper(): v for v, c in enumerate(_ALPHABET) if c.isalpha()})
 _TRANSLATE = bytearray(b"\xff" * 256)
@@ -66,29 +67,6 @@ class DigitStream:
         return len(self.data)
 
 
-@dataclass(frozen=True)
-class RunBlock:
-    """Maximal run of a repeated digit that is 0 or b-1.
-
-    start is the 1-based position of the first digit of the block; value is
-    the repeated digit.  Maximality: the neighbours at start-1 and
-    start+length (when they exist) differ from value.
-    """
-
-    start: int
-    length: int
-    value: int
-
-    @property
-    def end(self) -> int:
-        """1-based position of the last digit in the block."""
-        return self.start + self.length - 1
-
-    @property
-    def kind(self) -> str:
-        return "zero" if self.value == 0 else "bmax"
-
-
 def check_tail_guard(stream: DigitStream) -> None:
     """Irrationality proxy on ingested data.
 
@@ -110,8 +88,8 @@ def check_tail_guard(stream: DigitStream) -> None:
 
 def digits_from_string(text: str, base: int, tail_guard: bool = True) -> DigitStream:
     """Parse digit characters (0-9 then a-z, base <= 36) into a stream."""
-    if base > len(_ALPHABET):
-        raise ValueError(f"base {base} exceeds the digit alphabet (max {len(_ALPHABET)})")
+    if base > MAX_BASE:
+        raise ValueError(f"base {base} exceeds the digit alphabet (max {MAX_BASE})")
     try:
         raw = text.encode("ascii")
     except UnicodeEncodeError as exc:
@@ -128,7 +106,7 @@ def digits_from_string(text: str, base: int, tail_guard: bool = True) -> DigitSt
 
 
 def digits_to_string(stream: DigitStream) -> str:
-    if stream.base > len(_ALPHABET):
+    if stream.base > MAX_BASE:
         raise ValueError(f"base {stream.base} has no character encoding")
     encode = (_ALPHABET.encode("ascii") + b"\x00" * (256 - len(_ALPHABET)))
     return stream.data.translate(encode).decode("ascii")
@@ -169,30 +147,9 @@ def random_digits(base: int, count: int, seed: int) -> DigitStream:
 
 
 def _boundaries(arr: np.ndarray):
-    """0-based (starts, ends, values) of all maximal constant runs."""
-    n = arr.shape[0]
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
+    """0-based (starts, ends) of all maximal constant runs."""
     change = np.flatnonzero(arr[1:] != arr[:-1])
-    starts = np.concatenate(([0], change + 1))
-    ends = np.concatenate((change, [n - 1]))
-    return starts, ends, arr[starts].astype(np.int64)
-
-
-def run_blocks(stream: DigitStream) -> list[RunBlock]:
-    """All maximal runs of repeated 0 or repeated b-1, in start order.
-
-    For base 2 every digit is 0 or b-1, so the blocks tile the whole prefix.
-    """
-    arr = stream.as_array()
-    starts, ends, vals = _boundaries(arr)
-    bmax = stream.base - 1
-    keep = (vals == 0) | (vals == bmax)
-    blocks = []
-    for s, e, v in zip(starts[keep], ends[keep], vals[keep]):
-        blocks.append(RunBlock(start=int(s) + 1, length=int(e - s) + 1, value=int(v)))
-    return blocks
+    return np.concatenate(([0], change + 1)), np.concatenate((change, [arr.shape[0] - 1]))
 
 
 def run_end_table(stream: DigitStream, positions) -> np.ndarray:
@@ -211,7 +168,7 @@ def run_end_table(stream: DigitStream, positions) -> np.ndarray:
     hit = (d == 0) | (d == stream.base - 1)
     out = np.zeros(pos.shape, dtype=np.int64)
     if hit.any():
-        starts, ends, _ = _boundaries(arr)
+        starts, ends = _boundaries(arr)
         run = np.searchsorted(starts, pos[hit] - 1, side="right") - 1
         out[hit] = ends[run] + 1
     return out
@@ -232,11 +189,18 @@ def save_digit_file(stream: DigitStream, path) -> None:
 
 def load_digit_file(path) -> DigitStream:
     """Read a digit file; no tail screening (the round-trip channel for
-    emitted schedule prefixes, which may legitimately end inside a block)."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("base="):
-            raise ValueError(f"digit file must start with 'base=<b>', got {header!r}")
-        base = int(header[len("base="):])
-        body = "".join(line.strip() for line in fh)
-    return digits_from_string(body, base, tail_guard=False)
+    emitted schedule prefixes, which may legitimately end inside a block).
+    A malformed file raises ValueError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if not header.startswith("base="):
+                raise ValueError(f"must start with 'base=<b>', got {header!r}")
+            try:
+                base = int(header[len("base="):])
+            except ValueError:
+                raise ValueError(f"header {header!r} has no integer base") from None
+            body = "".join(line.strip() for line in fh)
+        return digits_from_string(body, base, tail_guard=False)
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ValueError(f"digit file {path}: {exc}") from None

@@ -46,11 +46,12 @@ class PairView(Sequence):
 
     def __init__(self, mt: MatchingTimes, mask: np.ndarray):
         # the columns, not the table: a view cached on its table makes no cycle
-        self._columns, self._mask = (mt.n, mt.a, mt.gap), mask
+        self._columns, self._mask = (mt.a, mt.gap), mask
 
     @cached_property
     def _pairs(self) -> list[MatchingPair]:
-        ns, avals, gaps = (col[self._mask].tolist() for col in self._columns)
+        avals, gaps = (col[self._mask].tolist() for col in self._columns)
+        ns = (np.flatnonzero(self._mask) + 1).tolist()  # row r holds index n = r + 1
         return [MatchingPair(n, a, a + g) for n, a, g in zip(ns, avals, gaps)]
 
     def __len__(self) -> int:
@@ -77,50 +78,36 @@ class PairView(Sequence):
 class MatchingTimes:
     """Gap table of one (stream, sequence): one row per index n = 1..K.
 
-    Row n covers a_n, whose run start a_n + 1 lies inside the prefix.  Its
-    gap is the run length m - a_n when the digit after a_n opens a 0/(b-1)
-    run whose break digit m is observed, and 0 otherwise: runs still open at
-    the prefix end are discarded, never extrapolated.  The dominant rows are
-    greedy-maximal: the first complete row, then each later one whose gap
-    strictly exceeds every gap before it.  `pairs` and `dominant` view the
-    complete and dominant rows as MatchingPair tuples.
+    Row n - 1 (0-based) covers a_n, whose run start a_n + 1 lies inside the
+    prefix; the index itself is the row number plus one and is not stored.
+    Its gap is the run length m - a_n when the digit after a_n opens a
+    0/(b-1) run whose break digit m is observed, and 0 otherwise: runs still
+    open at the prefix end are discarded, never extrapolated.  A complete
+    gap is at least 2, so the complete rows are exactly those with gap > 0.
+    The dominant rows are greedy-maximal: the first complete row, then each
+    later one whose gap strictly exceeds every gap before it.  `pairs` and
+    `dominant` view the complete and dominant rows as MatchingPair tuples.
     """
 
-    base: int
     depth: int
     seq: DenominatorSequence
-    n: np.ndarray              # int64 indices 1..K
-    a: np.ndarray              # int64 a_n
+    a: np.ndarray              # int64 a_n, n = 1..K
     gap: np.ndarray            # int64 m - a_n on complete rows, 0 elsewhere
-    complete: np.ndarray       # bool: the run after a_n breaks inside the prefix
     dominant_mask: np.ndarray  # bool: strict record of gap
     first_truncated_index: int | None  # smallest n whose run is cut off
     longest_complete_run: int
 
     @property
     def empty(self) -> bool:
-        return not self.complete.any()
+        return not self.gap.any()
 
     @cached_property
     def pairs(self) -> PairView:
-        return PairView(self, self.complete)
+        return PairView(self, self.gap > 0)
 
     @cached_property
     def dominant(self) -> PairView:
         return PairView(self, self.dominant_mask)
-
-
-def _index_arrays(stream: DigitStream, seq: DenominatorSequence):
-    """Arrays (n, a_n) over all indices with a_n + 1 inside the prefix."""
-    limit = stream.prefix_len - 1
-    if seq.kind == "linear":
-        ns = np.arange(1, limit + 1, dtype=np.int64)
-        return ns, ns
-    ns, avals = [], []
-    for n, a in seq.iter_upto(limit):
-        ns.append(n)
-        avals.append(a)
-    return np.asarray(ns, dtype=np.int64), np.asarray(avals, dtype=np.int64)
 
 
 def matching_times(stream: DigitStream, seq: DenominatorSequence) -> MatchingTimes:
@@ -128,19 +115,18 @@ def matching_times(stream: DigitStream, seq: DenominatorSequence) -> MatchingTim
     P = stream.prefix_len
     if seq.a(1) + 2 > P:
         raise ValueError(f"prefix of {P} digits too short: a(1)+2 = {seq.a(1) + 2}")
-    ns, avals = _index_arrays(stream, seq)
+    avals = seq.values_upto(P - 1)
     run_end = run_end_table(stream, avals + 1)
     complete = (run_end > 0) & (run_end < P)  # run end == P: the break digit is unseen
     truncated = run_end >= P
     gap = np.where(complete, run_end + 1 - avals, 0)
-    first_trunc = int(ns[np.argmax(truncated)]) if truncated.any() else None
+    first_trunc = int(np.argmax(truncated)) + 1 if truncated.any() else None
     # complete gaps are >= 2 and the others 0, so the strict records of `gap`
     # are exactly the dominant rows
     dominant = gap > 0
     dominant[1:] &= gap[1:] > np.maximum.accumulate(gap)[:-1]
     return MatchingTimes(
-        base=stream.base, depth=P, seq=seq, n=ns, a=avals, gap=gap,
-        complete=complete, dominant_mask=dominant,
+        depth=P, seq=seq, a=avals, gap=gap, dominant_mask=dominant,
         first_truncated_index=first_trunc,
         longest_complete_run=int(gap.max()) if gap.size else 0)
 
@@ -195,7 +181,7 @@ def estimate_vhat_definition(mt: MatchingTimes, N_grid) -> float:
     if grid.min() < 1:
         raise ValueError("grid indices must be >= 1")
     top = int(grid.max())
-    if top > mt.n.size:
+    if top > mt.a.size:
         raise ValueError(f"grid exceeds prefix: max N {top} not materialized")
     if mt.first_truncated_index is not None and top >= mt.first_truncated_index:
         raise ValueError(
@@ -211,9 +197,9 @@ def definition_grid(mt: MatchingTimes) -> np.ndarray:
     The cap keeps all needed runs fully observed and stays inside the
     conservative bound a(N) + longest complete run <= prefix length.
     """
-    if not mt.n.size:
+    if not mt.a.size:
         raise ValueError("no usable indices in prefix")
-    cap = mt.n.size
+    cap = mt.a.size
     if mt.first_truncated_index is not None:
         cap = min(cap, mt.first_truncated_index - 1)
     # a is strictly increasing: count the a(N) that satisfy the bound

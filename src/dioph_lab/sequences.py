@@ -11,9 +11,28 @@ from __future__ import annotations
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
+
+def _integer_root(x: int, d: int) -> int:
+    """floor(x ** (1/d)) for x >= 1, by integer Newton steps from above."""
+    r = 1 << -(-x.bit_length() // d)
+    while True:
+        y = ((d - 1) * r + x // r ** (d - 1)) // d
+        if y >= r:
+            return r
+        r = y
+
 
 class DenominatorSequence:
-    """Strictly increasing sequence of positive integers with 1-based access."""
+    """Strictly increasing sequence of positive integers with 1-based access.
+
+    `a(n)` reads one term.  `index_count_upto(x)`, the number of terms
+    a_n <= x, is the one answer to "how many indices lie below a bound": a
+    closed form for linear, an exact integer root for poly, a count of the
+    terms for geometric and explicit sequences.  `values_upto(limit)` gives
+    those terms as an int64 array.
+    """
 
     def __init__(self, kind: str, *, degree: int | None = None,
                  ratio: Fraction | None = None, seed: int | None = None,
@@ -83,19 +102,25 @@ class DenominatorSequence:
             return len(self._values)
         return None
 
-    def index_count_upto(self, limit: int) -> int:
-        """Number of indices n with a(n) <= limit."""
-        count = 0
-        for _ in self.iter_upto(limit):
-            count += 1
-        return count
+    def index_count_upto(self, x: int) -> int:
+        """Number of indices n with a_n <= x, exactly (integer arithmetic only)."""
+        if x < 1:
+            return 0
+        if self.kind == "linear":
+            return x
+        if self.kind == "poly":
+            return _integer_root(x, self.degree)
+        return sum(1 for _ in self.iter_upto(x))
+
+    def values_upto(self, limit: int) -> np.ndarray:
+        """int64 array of a_1, a_2, ... up to the last a_n <= limit."""
+        if self.kind in ("linear", "poly"):
+            ns = np.arange(1, self.index_count_upto(limit) + 1, dtype=np.int64)
+            return ns if self.kind == "linear" else ns ** self.degree
+        return np.fromiter((v for _, v in self.iter_upto(limit)), dtype=np.int64)
 
     def iter_upto(self, limit: int):
         """Yield (n, a_n) for all supported n with a_n <= limit."""
-        if self.kind == "linear":
-            for n in range(1, limit + 1):
-                yield n, n
-            return
         n = 1
         while True:
             if self.kind == "explicit" and n > len(self._values):
@@ -123,6 +148,32 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(parts[0]), int(parts[1]))
 
 
+def _spec_int(spec: str, key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{key} in sequence spec {spec!r} must be an integer, "
+                         f"got {text!r}") from None
+
+
+def _read_values(path: Path) -> list[int]:
+    """The integers of a sequence file, one per non-blank line."""
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"sequence file {path} is not UTF-8 text: {exc}") from None
+    values = []
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            values.append(int(line))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {line!r} is not an integer") from None
+    return values
+
+
 def make_sequence(spec: str) -> DenominatorSequence:
     """Build a sequence from its spec string.
 
@@ -136,7 +187,7 @@ def make_sequence(spec: str) -> DenominatorSequence:
         body = spec[len("poly:"):]
         if not body.startswith("d="):
             raise ValueError(f"malformed poly spec {spec!r}")
-        d = int(body[2:])
+        d = _spec_int(spec, "d", body[2:])
         return DenominatorSequence("poly", degree=d, spec=spec)
     if spec.startswith("geometric:"):
         body = spec[len("geometric:"):]
@@ -151,15 +202,10 @@ def make_sequence(spec: str) -> DenominatorSequence:
         ratio = parse_rational(kv["eta"])
         if ratio <= 1:
             raise ValueError(f"geometric eta must exceed 1, got {ratio}")
-        return DenominatorSequence("geometric", ratio=ratio, seed=int(kv["a1"]), spec=spec)
+        return DenominatorSequence("geometric", ratio=ratio,
+                                   seed=_spec_int(spec, "a1", kv["a1"]), spec=spec)
     if spec.startswith("file:"):
-        path = Path(spec[len("file:"):])
-        values = []
-        for line in path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            values.append(int(line))
+        values = _read_values(Path(spec[len("file:"):]))
         return DenominatorSequence("explicit", values=values, spec=spec)
     raise ValueError(f"unrecognized sequence spec {spec!r}")
 

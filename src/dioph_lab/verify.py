@@ -41,27 +41,23 @@ def check_rational_digits():
 
 
 def check_run_maximality():
-    """Blocks tile without overlap and are maximal at both ends."""
+    """The run-end lookup agrees at every position with a walk that ends each
+    maximal 0/(b-1) run where its digit changes."""
     for seed in range(20):
         base = random.Random(seed).choice([2, 3, 10])
         stream = digits.random_digits(base, 2000, seed + 1000)
-        blocks = digits.run_blocks(stream)
-        prev_end = 0
-        for b in blocks:
-            if b.start <= prev_end:
-                return False, f"overlap at {b} (seed {seed})"
-            prev_end = b.end
-            vals = {stream.digit(j) for j in range(b.start, b.end + 1)}
-            if vals != {b.value}:
-                return False, f"non-constant block {b}"
-            if b.start > 1 and stream.digit(b.start - 1) == b.value:
-                return False, f"not maximal on the left: {b}"
-            if b.end < stream.prefix_len and stream.digit(b.end + 1) == b.value:
-                return False, f"not maximal on the right: {b}"
-        if base == 2:
-            covered = sum(b.length for b in blocks)
-            if covered != stream.prefix_len:
-                return False, "base-2 blocks must tile the prefix"
+        data, P = stream.data, stream.prefix_len
+        want, end = [0] * P, P
+        for j in range(P, 0, -1):  # 1-based, right to left
+            if j < P and data[j] != data[j - 1]:
+                end = j
+            if data[j - 1] in (0, base - 1):
+                want[j - 1] = end
+        got = digits.run_end_table(stream, np.arange(1, P + 1)).tolist()
+        if got != want:
+            bad = next(j for j in range(P) if got[j] != want[j]) + 1
+            return False, (f"run end {got[bad - 1]} at position {bad}, scan says "
+                           f"{want[bad - 1]} (seed {seed})")
     return True, "20 seeded streams, direct scan"
 
 

@@ -245,13 +245,22 @@ ROUNDTRIP_SWEEP = ["sweep", "--eta", "1", "--theta", "5", "--vhat-grid", "1/4:1/
      "--regime", "geo:l=2", "--csv", "unused.csv"],
     ["sweep", "--eta", "2", "--theta", "4", "--vhat-grid", "1:3/2:2",
      "--seq", "geometric:eta=2,a1=1", "--regime", "eta1", "--csv", "unused.csv"],
+    [*ROUNDTRIP_SWEEP, "--seq", "poly:d=x"],
+    ["sweep", "--eta", "2", "--theta", "4", "--vhat-grid", "1:3/2:2",
+     "--seq", "geometric:eta=2,a1=x", "--regime", "geo:l=2", "--csv", "unused.csv"],
+    [*ROUNDTRIP_SWEEP, "--seq", "file:not-an-int.txt"],
+    [*ROUNDTRIP_SWEEP, "--seq", "file:not-utf8.txt"],
 ], ids=["zero-denominator", "eta-zero", "eta-below-one", "grid-zero-denominator",
         "sweep-eta-zero", "sweep-zero-denominator", "sweep-roundtrip-without-theta",
         "grid-two-fields", "grid-count-not-int", "sweep-bad-seq", "sweep-negative-depth",
         "sweep-negative-burn-in", "box-dim-base-one", "sweep-base-one",
-        "sweep-negative-stride", "sweep-geometric-on-linear", "sweep-eta1-on-geometric"])
+        "sweep-negative-stride", "sweep-geometric-on-linear", "sweep-eta1-on-geometric",
+        "sweep-poly-degree-not-int", "sweep-geometric-a1-not-int",
+        "sweep-seq-file-line-not-int", "sweep-seq-file-not-utf8"])
 def test_bad_rationals_give_one_error_line(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "not-an-int.txt").write_text("1\n2\n3.5\n")
+    (tmp_path / "not-utf8.txt").write_bytes(b"1\n2\xff\n")
     code, err = _run(argv, capsys)
     assert code in (1, 2)
     assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
@@ -303,3 +312,38 @@ def test_invariant_error_is_reported_not_blanked(tmp_path, capsys, monkeypatch):
                       "--csv", str(tmp_path / "rt.csv")], capsys)
     assert code == 1
     assert err.splitlines() == ["error: broken invariant"]
+
+
+GEN = ["gen-digits", "--seq", "linear", "--theta", "3", "--vhat", "1/3"]
+BOX = ["box-dim", "--seq", "linear", "--theta", "3", "--vhat", "1/3", "--base", "3"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    ([*GEN, "--base", "40", "--depth", "100", "--out", "d.txt"], "--base"),
+    ([*GEN, "--base", "3", "--depth", "-5", "--out", "d.txt"], "--depth"),
+    ([*BOX, "--max-depth", "-5"], "--max-depth"),
+], ids=["gen-digits-base-40", "gen-digits-negative-depth", "box-dim-negative-max-depth"])
+def test_flags_are_checked_before_the_schedule(argv, flag, capsys, tmp_path, monkeypatch):
+    def no_schedule(*_args):
+        raise AssertionError("schedule built before the flags were checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_build_schedule", no_schedule)
+    code, err = _run(argv, capsys)
+    assert code == 1
+    errors = [ln for ln in err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and flag in errors[0], errors
+    if flag == "--base":
+        assert "36" in errors[0]
+    assert not (tmp_path / "d.txt").exists()
+
+
+@pytest.mark.parametrize("content", [b"base=3\n10\xff2\n", b"base=x\n1022\n"],
+                         ids=["digit-file-not-utf8", "digit-file-base-not-int"])
+def test_bad_digit_file_names_the_path(content, capsys, tmp_path):
+    path = tmp_path / "digits.txt"
+    path.write_bytes(content)
+    code, err = _run(["estimate", "--digits", str(path), "--seq", "linear"], capsys)
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0]

@@ -54,6 +54,25 @@ def test_eta1_rejects_degenerate_theta():
         schedule_eta1(GEO2, F(3), F(1, 3), cover_to=100)  # wrong growth regime
 
 
+@pytest.mark.parametrize("spec,theta,vhat", [
+    ("poly:d=2", F(6), F(1, 6)),
+    ("poly:d=3", F(6), F(1, 6)),
+    ("poly:d=2", F(7, 3), F(1, 2)),
+    ("explicit", F(3), F(1, 3)),
+])
+def test_eta1_next_block_is_the_first_index_past_theta_a(spec, theta, vhat, tmp_path):
+    if spec == "explicit":
+        path = tmp_path / "seq.txt"
+        path.write_text("".join(f"{math.isqrt(n ** 3) + n}\n" for n in range(1, 20001)))
+        spec = f"file:{path}"
+    seq = sequences.make_sequence(spec)
+    sched = schedule_eta1(seq, theta, vhat, cover_to=10 ** 6)
+    assert len(sched.entries) >= 4
+    for e in sched.entries:
+        assert seq.a(e.next_index - 1) <= theta * e.a < seq.a(e.next_index), e
+        assert e.next_a == seq.a(e.next_index)
+
+
 def test_geometric_worked_schedule():
     sched = schedule_geometric(GEO2, F(4), F(3, 2), 2, cover_to=1023)
     assert [(e.index, e.a, e.m, e.t) for e in sched.entries] == [

@@ -1,7 +1,4 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from dioph_lab import digits
 
 
@@ -41,40 +38,15 @@ def test_from_string():
 
 
 def test_run_blocks_examples():
-    blocks = digits.run_blocks(digits.digits_from_string("100221", 3))
-    assert [(b.start, b.length, b.kind) for b in blocks] == [
-        (2, 2, "zero"), (4, 2, "bmax")]
-    blocks = digits.run_blocks(digits.digits_from_string("1001", 2))
-    assert [(b.start, b.length, b.kind) for b in blocks] == [
-        (1, 1, "bmax"), (2, 2, "zero"), (4, 1, "bmax")]
-    blocks = digits.run_blocks(digits.digits_from_string("999", 10))
-    assert [(b.start, b.length, b.value) for b in blocks] == [(1, 3, 9)]
+    # the run end at each position: the last digit of its 0/(b-1) run, 0 off a run
+    def ends(text, base):
+        stream = digits.digits_from_string(text, base)
+        return digits.run_end_table(stream, range(1, stream.prefix_len + 1)).tolist()
 
-
-@given(st.integers(2, 10), st.lists(st.integers(0, 9), min_size=1, max_size=200))
-@settings(max_examples=150)
-def test_run_blocks_maximal_and_disjoint(base, raw):
-    data = bytes(d % base for d in raw)
-    stream = digits.DigitStream(base, data)
-    blocks = digits.run_blocks(stream)
-    prev_end = 0
-    for b in blocks:
-        assert b.start > prev_end  # no overlap, increasing starts
-        prev_end = b.end
-        assert b.value in (0, base - 1)
-        assert all(stream.digit(j) == b.value for j in range(b.start, b.end + 1))
-        if b.start > 1:
-            assert stream.digit(b.start - 1) != b.value
-        if b.end < stream.prefix_len:
-            assert stream.digit(b.end + 1) != b.value
-    if base == 2:
-        assert sum(b.length for b in blocks) == stream.prefix_len
-    # every 0/(b-1) position is covered by some block
-    covered = set()
-    for b in blocks:
-        covered.update(range(b.start, b.end + 1))
-    for j in range(1, stream.prefix_len + 1):
-        assert (stream.digit(j) in (0, base - 1)) == (j in covered)
+    assert ends("100221", 3) == [0, 3, 3, 5, 5, 0]
+    assert ends("1001", 2) == [1, 3, 3, 4]  # base 2: every digit is 0 or b-1
+    assert ends("999", 10) == [3, 3, 3]
+    assert ends("5095", 10) == [0, 2, 3, 0]  # 0 then 9: two runs, not one
 
 
 def test_digit_range_validation():

@@ -208,8 +208,7 @@ def test_estimate_exponents_bound_raises_invariant_error():
     # a_1 is divided by a(1) = 1 < a_1 and vhat = 5 overshoots the
     # finite-prefix bound eta * (v + 2/a(i_last)) = 1 * (3 + 1).
     gap = np.array([5, 0, 6])
-    mt = MatchingTimes(base=3, depth=20, seq=LIN, n=np.array([1, 2, 3]),
-                       a=np.array([10, 1, 2]), gap=gap, complete=gap > 0,
+    mt = MatchingTimes(depth=20, seq=LIN, a=np.array([10, 1, 2]), gap=gap,
                        dominant_mask=gap > 0, first_truncated_index=None,
                        longest_complete_run=6)
     with pytest.raises(InvariantError, match="finite-prefix bound"):

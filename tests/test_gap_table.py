@@ -107,7 +107,6 @@ def test_run_end_table_rejects_positions_outside_prefix():
 def test_matching_times_matches_scan(seq, stream):
     avals, gaps, pairs, first_trunc = scan_table(stream, seq)
     mt = matching_times(stream, seq)
-    assert mt.n.tolist() == list(range(1, len(avals) + 1))
     assert mt.a.tolist() == avals
     assert mt.gap.tolist() == gaps
     assert mt.pairs == pairs

@@ -1,5 +1,7 @@
+import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,11 +43,29 @@ def test_explicit_file(tmp_path):
 @pytest.mark.parametrize("bad", [
     "poly", "poly:d=1", "poly:k=2", "geometric:eta=1,a1=1",
     "geometric:eta=2", "geometric:eta=2,a1=0", "geometric:eta=0.5,a1=1",
-    "fibonacci", "geometric:eta=3/2,a1=2,x=1",
+    "fibonacci", "geometric:eta=3/2,a1=2,x=1", "poly:d=x", "geometric:eta=2,a1=x",
 ])
 def test_malformed_specs(bad):
     with pytest.raises(ValueError):
         make_sequence(bad)
+
+
+@pytest.mark.parametrize("spec", ["poly:d=x", "geometric:eta=2,a1=x"])
+def test_non_integer_spec_field_names_the_spec(spec):
+    with pytest.raises(ValueError, match=re.escape(repr(spec))):
+        make_sequence(spec)
+
+
+@pytest.mark.parametrize("content,where", [
+    (b"1\n4\n\nx9\n", ":4: 'x9' is not an integer"),
+    (b"1\n4\n\xff\n", "is not UTF-8 text"),
+], ids=["non-integer-line", "undecodable-bytes"])
+def test_bad_sequence_file_names_the_path(tmp_path, content, where):
+    path = tmp_path / "seq.txt"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as exc:
+        make_sequence(f"file:{path}")
+    assert str(path) in str(exc.value) and where in str(exc.value)
 
 
 def test_parse_rational_rejects_decimals():
@@ -104,3 +124,52 @@ def test_iter_upto():
     g = make_sequence("geometric:eta=2,a1=1")
     assert list(g.iter_upto(20)) == [(1, 1), (2, 2), (3, 4), (4, 8), (5, 16)]
     assert g.index_count_upto(20) == 5
+
+
+def _explicit_sequence(tmp_path_factory):
+    path = tmp_path_factory.mktemp("seq") / "seq.txt"
+    path.write_text("".join(f"{n * n + 3 * n}\n" for n in range(1, 300)))
+    return make_sequence(f"file:{path}")
+
+
+LOOKUP_SPECS = ["linear", "poly:d=2", "poly:d=3", "poly:d=5",
+                "geometric:eta=2,a1=1", "geometric:eta=3/2,a1=4", "explicit"]
+
+
+@pytest.fixture(scope="module")
+def lookup_seqs(tmp_path_factory):
+    return {spec: _explicit_sequence(tmp_path_factory) if spec == "explicit"
+            else make_sequence(spec) for spec in LOOKUP_SPECS}
+
+
+def _assert_lookups_match_scan(seq, limit):
+    want = [v for _, v in seq.iter_upto(limit)]  # the scan, term by term
+    assert seq.index_count_upto(limit) == len(want), limit
+    values = seq.values_upto(limit)
+    assert values.dtype == np.int64 and values.tolist() == want, limit
+
+
+@pytest.mark.parametrize("spec", LOOKUP_SPECS)
+@given(limit=st.integers(-5, 20_000))
+@settings(max_examples=60, deadline=None)
+def test_index_lookups_match_the_scan(lookup_seqs, spec, limit):
+    _assert_lookups_match_scan(lookup_seqs[spec], limit)
+
+
+@pytest.mark.parametrize("spec", LOOKUP_SPECS)
+def test_index_lookups_at_exact_powers(lookup_seqs, spec):
+    # below 1 nothing counts; around each k^d the integer root must not be off by one
+    seq = lookup_seqs[spec]
+    for limit in (-1, 0, 1, 2):
+        _assert_lookups_match_scan(seq, limit)
+    powers = [k ** d for d in (2, 3, 5) for k in (2, 3, 7, 10, 31) if k ** d <= 10 ** 5]
+    for p in powers:  # at most 1e5, so the linear scan stays short
+        for limit in (p - 1, p, p + 1):
+            _assert_lookups_match_scan(seq, limit)
+
+
+def test_integer_root_is_exact_far_beyond_floats():
+    seq = make_sequence("poly:d=3")
+    k = 10 ** 30 + 7
+    assert seq.index_count_upto(k ** 3 - 1) == k - 1
+    assert seq.index_count_upto(k ** 3) == k
