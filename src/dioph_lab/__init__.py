@@ -32,6 +32,7 @@ from .construct import (
     constrained_digit,
     emit_digits,
     eta1_local_dimension_limit,
+    forced_digits,
     geometric_local_dimension_limit,
     local_dimension,
     mu_cylinder,

@@ -1,56 +1,47 @@
 """Box-counting surrogate: exact cylinder counts for schedule sets.
 
 Counts are held as base-b exponents (raw counts overflow around depth 10^3).
-For the uniform mass the count of depth-n cylinders meeting the set is the
-reciprocal of the cylinder mass, so the count exponent must equal the mass
-exponent at every depth; the two are computed by independent routes and
-cross-checked in the test suite.
+A depth-n cylinder meets the set once its forced positions hold their
+digits, so the count exponent is n minus the number of forced positions up
+to n.  Those are read off `construct.forced_digits`, the one statement of
+the schedule's pattern, which emission reads as well.  For the uniform mass
+the count is the reciprocal of the cylinder mass, so the count exponent must
+equal the mass exponent of `construct.mu_exponents_upto` at every depth: the
+mass formula checks the emitted layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .construct import CantorSchedule
+from .construct import FREE, CantorSchedule, forced_digits
+
+MIN_POINTS = 3  # fewest points a dimension estimate is made from
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountSeries:
-    points: tuple[tuple[int, int], ...]  # (depth n, log_b of cylinder count)
+    points: np.ndarray  # int64 (N, 2) rows: depth n, log_b of cylinder count
 
     def __post_init__(self):
-        prev_n, prev_c = 0, 0
-        for n, c in self.points:
-            if n <= prev_n:
+        pts = np.asarray(self.points, dtype=np.int64).reshape(-1, 2)
+        object.__setattr__(self, "points", pts)
+        n, c = pts[:, 0], pts[:, 1]
+        bad_n = np.diff(n, prepend=0) <= 0
+        bad = bad_n | (np.diff(c, prepend=0) < 0) | (c > n)
+        if bad.any():
+            i = int(bad.argmax())
+            if bad_n[i]:
                 raise ValueError("depths must strictly increase")
-            if c < prev_c or c > n:
-                raise ValueError(f"count exponent {c} invalid at depth {n}")
-            prev_n, prev_c = n, c
+            raise ValueError(f"count exponent {c[i]} invalid at depth {n[i]}")
 
 
 def constraint_mask(sched: CantorSchedule, base: int, upto: int) -> np.ndarray:
-    """Boolean array (1-based, index 0 unused): True where the digit is forced.
-
-    Built by enumerating the pattern positions directly, independently of the
-    mass-exponent arithmetic.
-    """
-    if not 0 <= upto <= sched.covered_to:
-        raise ValueError(f"upto {upto} outside covered range")
-    mask = np.zeros(upto + 1, dtype=bool)
-    for e in sched.entries:
-        if e.a > upto:
-            break
-        hi = min(e.m, upto)
-        mask[e.a: hi + 1] = True  # marker, zero run, closing marker
-        for t in range(1, e.t + 1):
-            pos = e.m + t * e.gap
-            if pos <= upto:
-                mask[pos] = True
-            if base == 2 and pos - 1 <= upto:
-                mask[pos - 1] = True
-    return mask
+    """Boolean array (1-based, index 0 unused): True where the digit is forced."""
+    return forced_digits(sched, base, upto) != FREE
 
 
 def count_exponents_upto(sched: CantorSchedule, base: int, max_n: int) -> np.ndarray:
@@ -61,12 +52,14 @@ def count_exponents_upto(sched: CantorSchedule, base: int, max_n: int) -> np.nda
     return out
 
 
-def count_series(sched: CantorSchedule, base: int, depths: list[int]) -> CountSeries:
-    depths = sorted(set(depths))
-    if not depths:
+def count_series(sched: CantorSchedule, base: int, depths: Iterable[int]) -> CountSeries:
+    """Count exponents at the given depths, sorted and without repeats."""
+    ns = np.sort(np.fromiter(depths, dtype=np.int64))
+    if not ns.size:
         raise ValueError("no depths requested")
-    table = count_exponents_upto(sched, base, depths[-1])
-    return CountSeries(points=tuple((n, int(table[n])) for n in depths))
+    ns = ns[np.diff(ns, prepend=ns[0] - 1) > 0]
+    table = count_exponents_upto(sched, base, int(ns[-1]))
+    return CountSeries(points=np.column_stack((ns, table[ns])))
 
 
 ALL_DEPTHS = "all-depths"
@@ -84,15 +77,13 @@ def dimension_slope(series: CountSeries, mode: str) -> float:
     transients that dominate the min.
     """
     pts = series.points
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 points, got {len(pts)}")
+    if len(pts) < MIN_POINTS:
+        raise ValueError(f"need at least {MIN_POINTS} points, got {len(pts)}")
+    ns, cs = pts[:, 0].astype(float), pts[:, 1].astype(float)
     if mode == ALL_DEPTHS:
-        ns = np.array([p[0] for p in pts], dtype=float)
-        cs = np.array([p[1] for p in pts], dtype=float)
         ns -= ns.mean()
         return float(np.dot(ns, cs - cs.mean()) / np.dot(ns, ns))
     if mode == AT_BLOCK_ENDS:
-        cutoff = 0.2 * pts[-1][0]
-        tail = [(n, c) for n, c in pts if n >= cutoff]
-        return min(c / n for n, c in tail)
+        tail = ns >= 0.2 * ns[-1]
+        return float((cs[tail] / ns[tail]).min())
     raise ValueError(f"unknown mode {mode!r}")

@@ -226,15 +226,18 @@ def cmd_box_dim(args) -> int:
     sched = _build_schedule(args.seq, args.theta, args.vhat, regime, stride,
                             args.max_depth)
     if args.mode == boxdim.AT_BLOCK_ENDS:
-        depths = sched.block_ends(args.max_depth)
+        depths, what = sched.block_ends(args.max_depth), "block ends"
     else:
-        depths = list(range(1, args.max_depth + 1))
+        depths, what = range(1, args.max_depth + 1), "depths"
+    if len(depths) < boxdim.MIN_POINTS:
+        raise ValueError(f"--max-depth {args.max_depth} reaches {len(depths)} {what}, "
+                         f"and mode {args.mode} needs at least {boxdim.MIN_POINTS}")
     series = boxdim.count_series(sched, args.base, depths)
     slope = boxdim.dimension_slope(series, args.mode)
     print(f"{len(series.points)} depths, mode {args.mode}: dimension estimate "
           f"{_fmt(slope)}")
     if args.csv:
-        rows = [(n, c, _fmt(c / n)) for n, c in series.points]
+        rows = [(n, c, _fmt(c / n)) for n, c in series.points.tolist()]
         _write_csv(args.csv, ["n", "log_b_count", "ratio"], rows)
         print(f"wrote {args.csv}")
     return 0

@@ -69,10 +69,7 @@ class CantorSchedule:
         return self.theta * self.vhat
 
     def block_ends(self, max_depth: int | None = None) -> list[int]:
-        ends = [e.m for e in self.entries]
-        if max_depth is not None:
-            ends = [m for m in ends if m <= max_depth]
-        return ends
+        return [e.m for e in self.entries if max_depth is None or e.m <= max_depth]
 
 
 def _floor_times(frac: Fraction, a: int) -> int:
@@ -226,41 +223,50 @@ def schedule_geometric(seq: DenominatorSequence, theta: Fraction, vhat: Fraction
 
 
 FILL_DIGIT = 1  # unconstrained positions; never 0 or b-1, so no spurious runs
+FREE = 255      # layout cell of a position the schedule leaves free; never a digit
 
 
-def emit_digits(sched: CantorSchedule, base: int, upto: int) -> DigitStream:
-    """Materialize the first `upto` digits of the schedule's pattern.
+def forced_digits(sched: CantorSchedule, base: int, upto: int) -> np.ndarray:
+    """The schedule's digit pattern: a uint8 layout of positions 1..upto
+    (index 0 unused) holding the forced digit, or FREE where there is none.
 
-    Free positions are emitted as 1.  For base 2 the variant pattern also
-    forces a 0 immediately before each spaced marker, which caps the length
-    of the 1-runs the fill would otherwise create.
+    For base 2 the variant pattern also forces a 0 immediately before each
+    spaced marker, which caps the length of the 1-runs the fill would
+    otherwise create.  Emission fills the FREE cells; box counting counts
+    the others.
     """
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if upto < 0 or upto > sched.covered_to:
         raise ValueError(f"upto {upto} outside covered range [0, {sched.covered_to}]")
-    buf = bytearray(b"\x01") * upto
+    layout = np.full(upto + 1, FREE, dtype=np.uint8)
 
-    def put(pos: int, digit: int) -> None:
-        if pos > upto:
-            return
-        cur = buf[pos - 1]
-        if cur != FILL_DIGIT and cur != digit:
-            raise dimfx.InvariantError(f"conflicting digits at position {pos}")
-        buf[pos - 1] = digit
+    def force(lo: int, hi: int, digit: int) -> None:  # positions lo..hi, clipped to upto
+        cells = layout[lo: min(hi, upto) + 1]
+        clash = np.flatnonzero((cells != FREE) & (cells != digit))
+        if clash.size:
+            raise dimfx.InvariantError(f"conflicting digits at position {lo + int(clash[0])}")
+        cells[:] = digit
 
     for e in sched.entries:
         if e.a > upto:
             break
-        put(e.a, 1)
-        zero_hi = min(e.m - 1, upto)  # positions a+1 .. m-1
-        buf[e.a: zero_hi] = b"\x00" * max(0, zero_hi - e.a)
-        put(e.m, 1)
-        for t in range(1, e.t + 1):
-            put(e.m + t * e.gap, 1)
-            if base == 2:
-                put(e.m + t * e.gap - 1, 0)
-    return DigitStream(base, bytes(buf))
+        force(e.a, e.a, 1)
+        force(e.a + 1, e.m - 1, 0)
+        for pos in range(e.m, e.m + e.t * e.gap + 1, e.gap):  # m_k, then t_k spaced markers
+            force(pos, pos, 1)
+            if base == 2 and pos > e.m:
+                force(pos - 1, pos - 1, 0)
+    return layout
+
+
+def emit_digits(sched: CantorSchedule, base: int, upto: int) -> DigitStream:
+    """Materialize the first `upto` digits of the schedule's pattern, with
+    FILL_DIGIT at the free positions."""
+    layout = forced_digits(sched, base, upto)[1:]
+    # forced digits are 0 or 1, so an in-place min keeps them and fills FREE
+    np.minimum(layout, FILL_DIGIT, out=layout)
+    return DigitStream(base, layout.tobytes())
 
 
 def _entry_base_exponents(sched: CantorSchedule, base: int) -> list[int]:

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from fractions import Fraction as F
 
-from dioph_lab import boxdim, construct, sequences
+from dioph_lab import boxdim, construct, exponents, sequences
 from dioph_lab.boxdim import (
     ALL_DEPTHS,
     AT_BLOCK_ENDS,
     CountSeries,
+    constraint_mask,
     count_exponents_upto,
     count_series,
     dimension_slope,
 )
+from dioph_lab.digits import DigitStream
 
 LIN = sequences.make_sequence("linear")
 
@@ -78,3 +80,41 @@ def test_regression_sits_above_liminf(eta1_sched):
     block = dimension_slope(
         count_series(eta1_sched, 3, eta1_sched.block_ends(10 ** 5)), AT_BLOCK_ENDS)
     assert slope >= block - 0.05
+
+
+def test_count_series_sorts_and_drops_repeats(small_sched):
+    want = count_series(small_sched, 3, range(1, 40)).points
+    assert want.dtype == np.int64 and want.shape == (39, 2)
+    assert np.array_equal(want[:, 0], np.arange(1, 40))
+    shuffled = list(range(39, 0, -1)) + [7, 1, 39, 20, 20]
+    assert np.array_equal(count_series(small_sched, 3, shuffled).points, want)
+    assert np.array_equal(count_series(small_sched, 3, sorted(set(shuffled))).points, want)
+    with pytest.raises(ValueError, match="no depths requested"):
+        count_series(small_sched, 3, [])
+
+
+# (sequence fixture, schedule fixture, v, vhat, v tolerance, vhat tolerance):
+# the two references with the tolerances of the exponent-targeting check
+UNIFORM_MASS_CASES = {"eta1": ("lin", "eta1_sched", 1.0, 1 / 3, 0.05, 0.02),
+                      "geo:l=2": ("geo2", "geo_sched", 6.0, 1.5, 0.1, 0.05)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("base", [2, 3, 10])
+@pytest.mark.parametrize("case", UNIFORM_MASS_CASES)
+def test_uniform_mass_points_hit_the_targets(case, base, seed, request):
+    """A point drawn from the uniform mass on the set (the emitted digits at
+    the forced positions, uniform digits at the free ones) realizes the
+    schedule's exponent pair."""
+    seq_name, sched_name, v, vhat, v_tol, vhat_tol = UNIFORM_MASS_CASES[case]
+    seq, sched = request.getfixturevalue(seq_name), request.getfixturevalue(sched_name)
+    depth = 10 ** 6
+    free = ~constraint_mask(sched, base, depth)[1:]
+    point = construct.emit_digits(sched, base, depth).as_array().copy()
+    point[free] = np.random.default_rng(seed).integers(0, base, size=int(free.sum()))
+    mt = exponents.matching_times(DigitStream(base, point.tobytes()), seq)
+    est = exponents.estimate_exponents(mt)
+    assert est.v_est == pytest.approx(v, abs=v_tol)
+    assert est.vhat_est == pytest.approx(vhat, abs=vhat_tol)
+    vdef = exponents.estimate_vhat_definition(mt, exponents.definition_grid(mt))
+    assert abs(vdef - est.vhat_est) <= 0.01

@@ -96,17 +96,36 @@ def test_schedule_csv_dump(tmp_path, capsys):
     assert lines[2] == "2,13,13,26,1"
 
 
+BOX_CSV_AT_BLOCK_ENDS = """\
+n,log_b_count,ratio
+8,3,0.375
+26,6,0.230769230769
+80,18,0.225
+242,57,0.235537190083
+728,177,0.243131868132
+2186,540,0.247026532479
+6560,1632,0.248780487805
+19682,4911,0.249517325475
+59048,14751,0.249813710879
+"""
+
+
 def test_box_dim_csv(tmp_path, capsys):
     csv_path = tmp_path / "box.csv"
-    rc = main(["box-dim", "--seq", "linear", "--theta", "3", "--vhat", "1/3",
-               "--base", "3", "--regime", "eta1", "--max-depth", "100000",
-               "--mode", "block-ends", "--csv", str(csv_path)])
+    box = ["box-dim", "--seq", "linear", "--theta", "3", "--vhat", "1/3",
+           "--base", "3", "--regime", "eta1", "--max-depth", "100000"]
+    rc = main([*box, "--mode", "block-ends", "--csv", str(csv_path)])
     assert rc == 0
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "n,log_b_count,ratio"
     assert lines[1].startswith("8,3,")
+    assert csv_path.read_bytes() == BOX_CSV_AT_BLOCK_ENDS.encode()
     out = capsys.readouterr().out
     assert "dimension estimate" in out
+    assert out.splitlines()[0] == "9 depths, mode block-ends: dimension estimate 0.249517325475"
+    assert main([*box, "--mode", "all-depths"]) == 0
+    assert capsys.readouterr().out == (
+        "100000 depths, mode all-depths: dimension estimate 0.455353714706\n")
 
 
 def test_sweep_deterministic(tmp_path, capsys):
@@ -336,6 +355,24 @@ def test_flags_are_checked_before_the_schedule(argv, flag, capsys, tmp_path, mon
     if flag == "--base":
         assert "36" in errors[0]
     assert not (tmp_path / "d.txt").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([*BOX, "--max-depth", "2"], "--max-depth 2 reaches 0 block ends, and mode block-ends"),
+    ([*BOX, "--max-depth", "8"], "--max-depth 8 reaches 1 block ends, and mode block-ends"),
+    ([*BOX, "--max-depth", "30"], "--max-depth 30 reaches 2 block ends, and mode block-ends"),
+    ([*BOX, "--max-depth", "2", "--mode", "all-depths"],
+     "--max-depth 2 reaches 2 depths, and mode all-depths"),
+], ids=["box-dim-no-block-end", "box-dim-one-block-end", "box-dim-two-block-ends",
+        "box-dim-two-depths"])
+def test_box_dim_too_few_points_names_max_depth(argv, message, capsys, monkeypatch):
+    def no_series(*_args):
+        raise AssertionError("count series built before the depths were checked")
+
+    monkeypatch.setattr(cli.boxdim, "count_series", no_series)
+    code, err = _run(argv, capsys)
+    assert code == 1
+    assert err.splitlines() == [f"error: {message} needs at least 3"]
 
 
 @pytest.mark.parametrize("content", [b"base=3\n10\xff2\n", b"base=x\n1022\n"],

@@ -150,6 +150,16 @@ def test_emit_conflicting_digits_is_an_invariant_error():
         emit_digits(sched, 3, 20)
 
 
+def test_emit_zero_run_over_a_marker_is_an_invariant_error():
+    # the second block's zero run 9..11 covers the first block's spaced marker at 10
+    sched = construct.CantorSchedule(
+        seq=LIN, theta=F(3), vhat=F(1, 3),
+        entries=(construct.ScheduleEntry(index=1, a=1, m=4, t=2, next_index=8, next_a=8),
+                 construct.ScheduleEntry(index=8, a=8, m=12, t=0, next_index=20, next_a=20)))
+    with pytest.raises(dimfx.InvariantError, match="conflicting digits at position 10"):
+        emit_digits(sched, 3, 19)
+
+
 def test_sandwich_and_gap_growth(eta1_sched, geo_sched):
     for sched in (eta1_sched, geo_sched):
         prev_gap = 0
