@@ -31,7 +31,6 @@ from .construct import (
     check_regime,
     constrained_digit,
     emit_digits,
-    eta1_local_dimension_limit,
     forced_digits,
     geometric_local_dimension_limit,
     local_dimension,

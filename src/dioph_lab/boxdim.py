@@ -57,6 +57,8 @@ def count_series(sched: CantorSchedule, base: int, depths: Iterable[int]) -> Cou
     ns = np.sort(np.fromiter(depths, dtype=np.int64))
     if not ns.size:
         raise ValueError("no depths requested")
+    if ns[0] < 1:
+        raise ValueError(f"depths must be >= 1, got {int(ns[0])}")
     ns = ns[np.diff(ns, prepend=ns[0] - 1) > 0]
     table = count_exponents_upto(sched, base, int(ns[-1]))
     return CountSeries(points=np.column_stack((ns, table[ns])))

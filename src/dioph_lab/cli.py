@@ -121,11 +121,10 @@ def _formula_rows(eta: Fraction, vhat: Fraction, theta: Fraction | None,
         reports.append(dimfx.construction_lower_bound(eta, vhat))
         reports.append(dimfx.exact_dimension_window(eta, vhat))
     if theta is not None and 0 < vhat < eta:
-        reports.append(dimfx.upper_bound_pair(eta, vhat, theta))
-        if rho is not None:
-            cut = max(Fraction(1), 1 / (eta - vhat))
-            if theta >= cut:
-                reports.append(dimfx.upper_bound_strip(eta, vhat, theta, rho))
+        pair = dimfx.upper_bound_pair(eta, vhat, theta)
+        reports.append(pair)
+        if rho is not None and pair.kind != dimfx.EMPTY:
+            reports.append(dimfx.upper_bound_strip(eta, vhat, theta, rho))
     return reports
 
 
@@ -190,15 +189,13 @@ def cmd_gen_digits(args) -> int:
 # --- estimate ----------------------------------------------------------------
 
 def cmd_estimate(args) -> int:
+    if args.depth is not None:
+        _check_positive("--depth", args.depth)
     stream = digits.load_digit_file(args.digits)
     if args.depth is not None:
         stream = stream.truncated(min(args.depth, stream.prefix_len))
     seq = sequences.make_sequence(args.seq)
     mt = exponents.matching_times(stream, seq)
-    if mt.empty:
-        print("no observable matching times in this prefix (flagged empty)",
-              file=sys.stderr)
-        return 1
     est = exponents.estimate_exponents(mt, args.burn_in)
     ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, est.eta, tol=0.05)
     try:

@@ -346,16 +346,10 @@ def constrained_digit(sched: CantorSchedule, base: int, pos: int) -> int | None:
     return None
 
 
-def eta1_local_dimension_limit(theta: Fraction, vhat: Fraction) -> Fraction:
-    """Limit of log_b(mu(I_n))/n along block ends in the eta1 regime."""
-    theta, vhat = Fraction(theta), Fraction(vhat)
-    tv = theta * vhat
-    return (theta - 1 - tv) / ((theta - 1) * (1 + tv))
-
-
 def geometric_local_dimension_limit(eta: Fraction, theta: Fraction, vhat: Fraction,
                                     l: int) -> Fraction:
-    """Same limit in the fixed-stride regime with stride parameter l."""
+    """Limit of log_b(mu(I_n))/n along block ends in the fixed-stride regime
+    with stride parameter l (for the eta1 regime see `dimfx.dim_pair_eta1`)."""
     eta, theta, vhat = Fraction(eta), Fraction(theta), Fraction(vhat)
     tv = theta * vhat
     top = eta ** (l + 1) - 1

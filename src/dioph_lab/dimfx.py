@@ -1,13 +1,16 @@
 """Closed-form dimension values, bounds, thresholds, and admissibility.
 
 Every formula is evaluated in exact rational arithmetic; floats appear only
-when callers format output.  Integer thresholds that are floors of log
-ratios are computed by searching powers of eta exactly, because interval
-endpoints sit exactly at such powers and floating-point logs misround there.
+when callers format output.  Integer thresholds are floors of log ratios:
+`floor_log` guesses one from float logs, then settles it with exact powers
+of eta, because interval endpoints sit exactly at such powers and float logs
+misround there.  The guess is off by a step or so, so the search takes a
+few exact powers however large its answer is.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,8 +33,11 @@ class DimensionReport:
     value: Fraction | None
     kind: str  # exact | upper | lower | empty
     source: str
-    domain_ok: bool
     condition: str = ""
+
+    @property
+    def domain_ok(self) -> bool:  # the formula claims a value here
+        return self.value is not None
 
     def __post_init__(self):
         if self.kind == EMPTY and self.value != 0:
@@ -48,32 +54,38 @@ class Thresholds:
     lprime: int
 
 
+def _ln(q: Fraction) -> float:
+    """Natural log of a positive rational; big terms do not overflow."""
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
 def floor_log(eta: Fraction, x: Fraction) -> int:
-    """Unique integer f with eta^f <= x < eta^(f+1), by exact power search."""
+    """Unique integer f with eta^f <= x < eta^(f+1)."""
     eta, x = Fraction(eta), Fraction(x)
     if eta <= 1:
         raise ValueError(f"eta must exceed 1, got {eta}")
     if x <= 0:
         raise ValueError(f"x must be positive, got {x}")
-    f = 0
-    p = Fraction(1)
-    if x >= 1:
-        while p * eta <= x:
-            p *= eta
-            f += 1
-    else:
-        while p > x:
-            p /= eta
-            f -= 1
+    step = _ln(eta)  # rounds to 0 only when eta^f is too large to compute anyway
+    f = math.floor(_ln(x) / step) if step > 0 else 0
+    p = eta ** f  # the one large power; the steps multiply by the small eta
+    while p > x:
+        p /= eta
+        f -= 1
+    while p * eta <= x:
+        p *= eta
+        f += 1
     return f
 
 
 def smallest_power_at_least(eta: Fraction, x: Fraction) -> int:
     """Smallest integer l >= 1 with eta^l >= x."""
-    f = floor_log(eta, x)
-    if eta ** f == x:
-        return max(1, f)
-    return max(1, f + 1)
+    return max(1, -floor_log(eta, 1 / Fraction(x)))
+
+
+def _empty_below(eta: Fraction, vhat: Fraction) -> Fraction:
+    """The theta below which the (vhat, theta*vhat) pair set is empty."""
+    return max(Fraction(1), 1 / (eta - vhat))
 
 
 def l0_threshold(eta: Fraction) -> int:
@@ -105,7 +117,7 @@ def dim_eta1(vhat: Fraction) -> DimensionReport:
         raise ValueError(f"vhat must lie in [0, 1], got {vhat}")
     value = ((1 - vhat) / (1 + vhat)) ** 2
     return DimensionReport(value=value, kind=EXACT, source="eta1-exact",
-                           domain_ok=True, condition="0 <= vhat <= 1")
+                           condition="0 <= vhat <= 1")
 
 
 def dim_pair_eta1(vhat: Fraction, theta: Fraction) -> DimensionReport:
@@ -113,14 +125,14 @@ def dim_pair_eta1(vhat: Fraction, theta: Fraction) -> DimensionReport:
     vhat, theta = Fraction(vhat), Fraction(theta)
     if not 0 < vhat < 1:
         raise ValueError(f"vhat must lie in (0, 1), got {vhat}")
-    cut = 1 / (1 - vhat)
+    cut = _empty_below(Fraction(1), vhat)
     if theta < cut:
         return DimensionReport(value=Fraction(0), kind=EMPTY, source="pair-eta1",
-                               domain_ok=True, condition=f"theta < {cut}: empty")
+                               condition=f"theta < {cut}: empty")
     tv = theta * vhat
     value = (theta - 1 - tv) / ((theta - 1) * (1 + tv))
     return DimensionReport(value=value, kind=EXACT, source="pair-eta1",
-                           domain_ok=True, condition=f"theta >= {cut}")
+                           condition=f"theta >= {cut}")
 
 
 def upper_bound_pair(eta: Fraction, vhat: Fraction, theta: Fraction) -> DimensionReport:
@@ -128,14 +140,14 @@ def upper_bound_pair(eta: Fraction, vhat: Fraction, theta: Fraction) -> Dimensio
     eta, vhat, theta = Fraction(eta), Fraction(vhat), Fraction(theta)
     if not 0 < vhat < eta:
         raise ValueError(f"vhat must lie in (0, {eta}), got {vhat}")
-    cut = max(Fraction(1), 1 / (eta - vhat))
+    cut = _empty_below(eta, vhat)
     if theta < cut:
         return DimensionReport(value=Fraction(0), kind=EMPTY, source="pair-upper",
-                               domain_ok=True, condition=f"theta < {cut}: empty")
+                               condition=f"theta < {cut}: empty")
     tv = theta * vhat
     value = (eta * theta - 1 - tv) / ((eta * theta - 1) * (1 + tv))
     return DimensionReport(value=value, kind=UPPER, source="pair-upper",
-                           domain_ok=True, condition=f"theta >= {cut}")
+                           condition=f"theta >= {cut}")
 
 
 def upper_bound_strip(eta: Fraction, vhat: Fraction, theta: Fraction,
@@ -144,14 +156,14 @@ def upper_bound_strip(eta: Fraction, vhat: Fraction, theta: Fraction,
     eta, vhat, theta, rho = map(Fraction, (eta, vhat, theta, rho))
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
-    cut = max(Fraction(1), 1 / (eta - vhat))
+    cut = _empty_below(eta, vhat)
     if theta < cut:
         raise ValueError(f"theta must be >= {cut}, got {theta}")
     tv = theta * vhat
     num = vhat * (eta * theta - 1 - tv) + rho * (eta - vhat)
     den = (1 + tv) * ((eta * theta - 1) * vhat + eta * rho)
     return DimensionReport(value=num / den, kind=UPPER, source="strip-upper",
-                           domain_ok=True, condition=f"theta >= {cut}, rho >= 0")
+                           condition=f"theta >= {cut}, rho >= 0")
 
 
 def baseline_bound(eta: Fraction, vhat: Fraction) -> DimensionReport:
@@ -161,7 +173,7 @@ def baseline_bound(eta: Fraction, vhat: Fraction) -> DimensionReport:
         raise ValueError(f"vhat must lie in [0, {eta}], got {vhat}")
     value = ((eta - vhat) / (eta + vhat)) ** 2
     return DimensionReport(value=value, kind=UPPER, source="baseline",
-                           domain_ok=True, condition="0 <= vhat <= eta")
+                           condition="0 <= vhat <= eta")
 
 
 def _in_refined_window(eta: Fraction, vhat: Fraction, l1: int, l0: int) -> bool:
@@ -186,7 +198,7 @@ def refined_upper_bound(eta: Fraction, vhat: Fraction) -> DimensionReport:
             "which a finite prefix cannot certify")
     if not inside:
         return DimensionReport(value=None, kind=UPPER, source="refined-upper",
-                               domain_ok=False, condition=cond)
+                               condition=cond)
     l1 = th.l1
     p = eta ** l1
     branch_a = (eta * p - 1 - p * vhat) / ((eta * p - 1) * (1 + p * vhat))
@@ -201,7 +213,7 @@ def refined_upper_bound(eta: Fraction, vhat: Fraction) -> DimensionReport:
     if not value < base:
         raise InvariantError(f"refined bound {value} not below baseline {base}")
     return DimensionReport(value=value, kind=UPPER, source="refined-upper",
-                           domain_ok=True, condition=cond)
+                           condition=cond)
 
 
 def construction_lower_bound(eta: Fraction, vhat: Fraction) -> DimensionReport:
@@ -211,7 +223,7 @@ def construction_lower_bound(eta: Fraction, vhat: Fraction) -> DimensionReport:
     p = eta ** th.ltilde
     value = (eta * p - 1 - p * vhat) / ((eta * p - 1) * (1 + p * vhat))
     return DimensionReport(value=value, kind=LOWER, source="construction-lower",
-                           domain_ok=True, condition=f"optimal stride ltilde={th.ltilde}")
+                           condition=f"optimal stride ltilde={th.ltilde}")
 
 
 def exact_dimension_window(eta: Fraction, vhat: Fraction) -> DimensionReport:
@@ -225,7 +237,6 @@ def exact_dimension_window(eta: Fraction, vhat: Fraction) -> DimensionReport:
     if eta <= 1:
         raise ValueError(f"needs eta > 1, got {eta}")
     not_ok = DimensionReport(value=None, kind=EXACT, source="exact-window",
-                             domain_ok=False,
                              condition="vhat outside every resolvable window")
     if not 0 < vhat < eta:
         return not_ok
@@ -237,32 +248,29 @@ def exact_dimension_window(eta: Fraction, vhat: Fraction) -> DimensionReport:
     cond = f"window l={lc}: {left} < vhat <= {right}, l >= l0={l0}"
     if lc < l0 or not (left < vhat <= right):
         return DimensionReport(value=None, kind=EXACT, source="exact-window",
-                               domain_ok=False, condition=cond)
+                               condition=cond)
     lower = construction_lower_bound(eta, vhat)
     th = thresholds(eta, vhat)
     if th.ltilde != lc:
         raise InvariantError(f"window stride {lc} disagrees with ltilde {th.ltilde}")
     return DimensionReport(value=lower.value, kind=EXACT, source="exact-window",
-                           domain_ok=True, condition=cond)
+                           condition=cond)
 
 
 @dataclass(frozen=True)
 class ThetaInterval:
     lo: Fraction
-    hi: Fraction
+    hi: Fraction  # always an open end
     lo_open: bool
-    hi_open: bool = True
 
     def contains(self, theta: Fraction) -> bool:
         theta = Fraction(theta)
         above = theta > self.lo if self.lo_open else theta >= self.lo
-        below = theta < self.hi if self.hi_open else theta <= self.hi
-        return above and below
+        return above and theta < self.hi
 
     def __str__(self):
         lo_b = "(" if self.lo_open else "["
-        hi_b = ")" if self.hi_open else "]"
-        return f"{lo_b}{self.lo}, {self.hi}{hi_b}"
+        return f"{lo_b}{self.lo}, {self.hi})"
 
 
 def forbidden_theta_gaps(eta: Fraction, vhat: Fraction, l_max: int) -> list[ThetaInterval]:
@@ -277,7 +285,7 @@ def forbidden_theta_gaps(eta: Fraction, vhat: Fraction, l_max: int) -> list[Thet
         raise ValueError(f"needs eta > 1, got {eta}")
     if not 1 <= vhat < eta:
         raise ValueError(f"vhat must lie in [1, {eta}), got {vhat}")
-    raw = [ThetaInterval(Fraction(0), max(Fraction(1), 1 / (eta - vhat)), lo_open=False)]
+    raw = [ThetaInterval(Fraction(0), _empty_below(eta, vhat), lo_open=False)]
     for l in range(1, l_max + 1):
         p = eta ** l
         lo = (p - 1) / vhat
@@ -287,12 +295,8 @@ def forbidden_theta_gaps(eta: Fraction, vhat: Fraction, l_max: int) -> list[Thet
     merged = [raw[0]]
     for iv in raw[1:]:
         cur = merged[-1]
-        touches = iv.lo < cur.hi or (iv.lo == cur.hi and not (cur.hi_open and iv.lo_open))
-        if touches:
-            if iv.hi > cur.hi or (iv.hi == cur.hi and not iv.hi_open):
-                merged[-1] = ThetaInterval(cur.lo, max(cur.hi, iv.hi),
-                                           lo_open=cur.lo_open,
-                                           hi_open=iv.hi_open if iv.hi >= cur.hi else cur.hi_open)
+        if iv.lo < cur.hi:
+            merged[-1] = ThetaInterval(cur.lo, max(cur.hi, iv.hi), cur.lo_open)
         else:
             merged.append(iv)
     return merged
@@ -301,7 +305,7 @@ def forbidden_theta_gaps(eta: Fraction, vhat: Fraction, l_max: int) -> list[Thet
 def theta_is_forbidden(eta: Fraction, vhat: Fraction, theta: Fraction) -> bool:
     """Pair-or-gap emptiness test for a single theta."""
     eta, vhat, theta = Fraction(eta), Fraction(vhat), Fraction(theta)
-    if theta < max(Fraction(1), 1 / (eta - vhat)):
+    if theta < _empty_below(eta, vhat):
         return True
     if vhat < 1:
         return False

@@ -300,7 +300,7 @@ def check_count_equals_measure():
 def check_local_dimension_limits():
     sched = _eta1_schedule(10 ** 6)
     ends = [m for m in sched.block_ends(10 ** 6) if m >= 10 ** 5]
-    target = float(construct.eta1_local_dimension_limit(F(3), F(1, 3)))
+    target = float(dimfx.dim_pair_eta1(F(1, 3), F(3)).value)
     for m in ends:
         if abs(construct.local_dimension(sched, 3, m) - target) > 0.02:
             return False, f"eta1 at block end {m}"

@@ -39,6 +39,17 @@ def test_count_equals_measure_everywhere(eta1_sched, geo_sched):
             assert np.array_equal(mu[1:], ct[1:])
 
 
+@pytest.mark.parametrize("depths,bad", [([0, 5], 0), ([-3, 5], -3)],
+                         ids=["depth-zero", "depth-negative"])
+def test_count_series_rejects_depths_below_one(small_sched, depths, bad, monkeypatch):
+    def no_table(*_args):
+        raise AssertionError("count table built before the depths were checked")
+
+    monkeypatch.setattr(boxdim, "count_exponents_upto", no_table)
+    with pytest.raises(ValueError, match=f"depths must be >= 1, got {bad}$"):
+        count_series(small_sched, 3, depths)
+
+
 def test_series_invariants():
     with pytest.raises(ValueError):
         CountSeries(points=((2, 1), (1, 1)))  # depths must increase

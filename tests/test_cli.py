@@ -1,4 +1,12 @@
+import contextlib
+import io
+import os
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dioph_lab import cli, digits, dimfx, verify
 from dioph_lab.cli import main
@@ -384,3 +392,151 @@ def test_bad_digit_file_names_the_path(content, capsys, tmp_path):
     assert code == 1
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0]
+
+
+# eval-dim runs whose stdout (and CSV, where written) are pinned byte for byte
+# in eval_dim_pinned.txt: every eta regime, vhat inside and outside the
+# refined and exact windows, theta below, at and above the emptiness
+# threshold, inside and between the forbidden gaps, and with --rho.
+EVAL_DIM_PINNED = [
+    "--eta 1 --grid 1/10:9/10:9 --theta 3 --rho 1/2 --csv grid.csv",
+    "--eta 3/2 --grid 1/4:5/4:9 --theta 2 --rho 1/3 --csv grid.csv",
+    "--eta 2 --grid 1/4:7/4:13 --theta 2 --rho 1/3 --csv grid.csv",
+    "--eta 2 --grid 5/4:3/2:6 --theta 4 --csv grid.csv",
+    "--eta 3 --grid 1/2:5/2:9 --theta 4 --rho 1 --csv grid.csv",
+    "--eta 1 --vhat 1/3",
+    "--eta 1 --vhat 1/3 --theta 1",
+    "--eta 1 --vhat 1/3 --theta 3/2",
+    "--eta 1 --vhat 1/3 --theta 3",
+    "--eta 1 --vhat 1/3 --theta 3 --rho 1/2",
+    "--eta 1 --vhat 1",
+    "--eta 3/2 --vhat 1/2",
+    "--eta 3/2 --vhat 5/4",
+    "--eta 3/2 --vhat 1 --theta 2",
+    "--eta 3/2 --vhat 5/4 --theta 4 --rho 1/4",
+    "--eta 2 --vhat 7/5",
+    "--eta 2 --vhat 3/2",
+    "--eta 2 --vhat 5/4",
+    "--eta 2 --vhat 1/2",
+    "--eta 2 --vhat 1/2 --theta 2",
+    "--eta 2 --vhat 3/2 --theta 3/2",
+    "--eta 2 --vhat 3/2 --theta 2",
+    "--eta 2 --vhat 3/2 --theta 3",
+    "--eta 2 --vhat 3/2 --theta 4",
+    "--eta 2 --vhat 3/2 --theta 5",
+    "--eta 2 --vhat 3/2 --theta 4 --rho 1/4",
+    "--eta 2 --vhat 7/5 --theta 8 --rho 0",
+    "--eta 3 --vhat 2 --theta 1/2",
+    "--eta 3 --vhat 2 --theta 1",
+    "--eta 3 --vhat 2 --theta 2",
+    "--eta 3 --vhat 2 --theta 3",
+    "--eta 3 --vhat 2 --theta 9",
+    "--eta 3 --vhat 5/2",
+    "--eta 3 --vhat 1/2 --theta 3",
+]
+
+
+def eval_dim_transcript(workdir) -> str:
+    """Each pinned run as `$ argv`, its stdout, then any CSV it wrote."""
+    parts = []
+    here = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for line in EVAL_DIM_PINNED:
+            argv = ["eval-dim", *line.split()]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            parts.append(f"$ {' '.join(argv)}\n{out.getvalue()}exit {code}\n")
+            if "--csv" in argv:
+                path = argv[argv.index("--csv") + 1]
+                with open(path) as fh:
+                    parts.append(f"--- {path}\n{fh.read()}")
+    finally:
+        os.chdir(here)
+    return "".join(parts)
+
+
+def test_eval_dim_output_is_pinned(tmp_path):
+    pinned = Path(__file__).with_name("eval_dim_pinned.txt").read_text()
+    assert eval_dim_transcript(tmp_path) == pinned
+
+
+@pytest.mark.parametrize("setup,argv,message", [
+    ("1" * 1000, ["--depth", "-5"], "--depth must be >= 1, got -5"),
+    ("1" * 500, [], "no observable matching times in prefix"),
+], ids=["estimate-negative-depth-names-flag", "estimate-no-matching-times"])
+def test_estimate_error_is_one_line(setup, argv, message, tmp_path, capsys):
+    path = tmp_path / "digits.txt"
+    path.write_text(f"base=3\n{setup}\n")
+    code, err = _run(["estimate", "--digits", str(path), "--seq", "linear", *argv], capsys)
+    assert code == 1
+    assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("eta", ["1001/1000", "10001/10000"])
+def test_eval_dim_near_one_finishes(eta, capsys):
+    code, err = _run(["eval-dim", "--eta", eta, "--vhat", "1/2"], capsys)
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    assert len([ln for ln in err.splitlines() if "error:" in ln]) <= 1
+
+
+# --- CLI fuzz: any argv ends in exit 0, 1 or 2 with at most one error line --
+
+def _fuzz_run(argv, workdir):
+    err = io.StringIO()
+    here = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(here)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    assert len([ln for ln in err.getvalue().splitlines() if "error:" in ln]) <= 1, argv
+
+
+RATIONAL = st.builds(lambda sign, p, q: f"{sign}{p}" if q is None else f"{sign}{p}/{q}",
+                     st.sampled_from([""] * 9 + ["-"]), st.integers(0, 1000),
+                     st.none() | st.integers(0, 1000))
+FUZZ_GRID = st.builds(lambda lo, hi, n: f"{lo}:{hi}:{n}", RATIONAL, RATIONAL,
+                      st.integers(2, 4))
+
+
+def _optional(flag, values):
+    return st.just([]) | values.map(lambda v: [flag, v])
+
+
+@given(RATIONAL, RATIONAL, _optional("--theta", RATIONAL), _optional("--rho", RATIONAL))
+@settings(max_examples=60, deadline=None)
+def test_fuzz_eval_dim(eta, vhat, theta, rho):
+    with tempfile.TemporaryDirectory() as workdir:
+        _fuzz_run(["eval-dim", "--eta", eta, "--vhat", vhat, *theta, *rho], workdir)
+
+
+@given(RATIONAL,
+       FUZZ_GRID.map(lambda g: ["--vhat-grid", g])
+       | st.tuples(RATIONAL, FUZZ_GRID).map(lambda p: ["--vhat", p[0], "--theta-grid", p[1]]),
+       _optional("--theta", RATIONAL), _optional("--rho", RATIONAL))
+@settings(max_examples=60, deadline=None)
+def test_fuzz_formula_sweep(eta, grid, theta, rho):
+    with tempfile.TemporaryDirectory() as workdir:
+        _fuzz_run(["sweep", "--eta", eta, *grid, *theta, *rho, "--csv", "out.csv"], workdir)
+
+
+DIGIT_FILE = st.binary(max_size=2048) | st.integers(2, 10).flatmap(
+    lambda b: st.text("0123456789"[:b], max_size=2000).map(
+        lambda d: f"base={b}\n{d}\n".encode()))
+
+
+@given(DIGIT_FILE)
+@settings(max_examples=40, deadline=None)
+def test_fuzz_estimate(content):
+    with tempfile.TemporaryDirectory() as workdir:
+        Path(workdir, "digits.txt").write_bytes(content)
+        _fuzz_run(["estimate", "--digits", "digits.txt", "--seq", "linear"], workdir)

@@ -9,7 +9,6 @@ from dioph_lab import construct, dimfx, exponents, sequences
 from dioph_lab.construct import (
     constrained_digit,
     emit_digits,
-    eta1_local_dimension_limit,
     geometric_local_dimension_limit,
     local_dimension,
     mu_cylinder,
@@ -221,7 +220,7 @@ def test_mu_monotone_and_bounded(small_sched):
 
 
 def test_limit_formulas():
-    assert eta1_local_dimension_limit(F(3), F(1, 3)) == F(1, 4)
+    assert dimfx.dim_pair_eta1(F(1, 3), F(3)).value == F(1, 4)
     assert geometric_local_dimension_limit(F(2), F(4), F(3, 2), 2) == F(1, 49)
 
 

@@ -16,6 +16,7 @@ from dioph_lab.dimfx import (
     l0_threshold,
     rational_linspace,
     refined_upper_bound,
+    smallest_power_at_least,
     theta_is_forbidden,
     thresholds,
     upper_bound_pair,
@@ -32,6 +33,57 @@ def test_floor_log_exact_at_powers():
             assert floor_log(eta, x) == k
             assert floor_log(eta, x + F(1, 10 ** 9)) == k
             assert floor_log(eta, x - F(1, 10 ** 9)) == k - 1
+
+
+def linear_floor_log(eta, x):
+    """The one-power-at-a-time search floor_log replaced, kept as an oracle."""
+    f = 0
+    p = F(1)
+    if x >= 1:
+        while p * eta <= x:
+            p *= eta
+            f += 1
+    else:
+        while p > x:
+            p /= eta
+            f -= 1
+    return f
+
+
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 10 ** 6),
+       st.integers(1, 10 ** 6))
+@settings(max_examples=300)
+def test_floor_log_matches_linear_search(num, den, p, q):
+    eta, x = F(num + den, den), F(p, q)  # eta > 1, x on both sides of 1
+    assert floor_log(eta, x) == linear_floor_log(eta, x)
+
+
+@pytest.mark.parametrize("eta", [F(3, 2), F(2), F(10, 9)])
+def test_floor_log_matches_linear_search_at_powers(eta):
+    for k in range(-20, 40):
+        # a step of 1e-30 is below float resolution, so the guess can overshoot
+        for d in (0, F(1, 10 ** 12), -F(1, 10 ** 12), F(1, 10 ** 30), -F(1, 10 ** 30)):
+            x = eta ** k * (1 + d)
+            assert floor_log(eta, x) == linear_floor_log(eta, x)
+
+
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 10 ** 6),
+       st.integers(1, 10 ** 6))
+@settings(max_examples=300)
+def test_smallest_power_at_least_definition(num, den, p, q):
+    eta, x = F(num + den, den), F(p, q)
+    l = smallest_power_at_least(eta, x)
+    assert l >= 1 and eta ** l >= x
+    assert l == 1 or eta ** (l - 1) < x
+    for k in range(-3, 4):  # exact powers are reached, not passed
+        assert smallest_power_at_least(eta, eta ** k) == max(1, k)
+
+
+def test_floor_log_near_one_is_fast():
+    eta = F(10001, 10000)
+    f = floor_log(eta, F(2))
+    assert eta ** f <= 2 < eta ** (f + 1) and f == 6931
+    assert smallest_power_at_least(eta, F(2)) == f + 1
 
 
 def test_thresholds_examples():
@@ -133,6 +185,30 @@ def test_forbidden_gaps_worked():
     assert [str(g) for g in gaps] == ["[0, 1)", "(1, 2)", "(3, 4)"]
     with pytest.raises(ValueError):
         forbidden_theta_gaps(F(2), F(1, 2), 3)
+
+
+@given(st.integers(1, 20), st.integers(1, 20), st.integers(0, 20), st.integers(1, 8))
+@settings(max_examples=150)
+def test_forbidden_gaps_merge_keeps_the_union(en, ed, vn, l_max):
+    eta = 1 + F(en, ed)
+    vhat = 1 + (eta - 1) * F(vn, 21)  # vhat in [1, eta)
+    gaps = forbidden_theta_gaps(eta, vhat, l_max)
+    assert all(a.hi < b.lo or (a.hi == b.lo and b.lo_open) for a, b in zip(gaps, gaps[1:]))
+    pieces = [(F(0), max(F(1), 1 / (eta - vhat)), False)]
+    pieces += [((eta ** l - 1) / vhat, eta ** l, True) for l in range(1, l_max + 1)]
+    ends = sorted({e for lo, hi, _ in pieces for e in (lo, hi)})
+    probes = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+    for theta in probes:
+        in_piece = any((lo < theta if lo_open else lo <= theta) and theta < hi
+                       for lo, hi, lo_open in pieces)
+        assert any(g.contains(theta) for g in gaps) == in_piece
+
+
+def test_domain_ok_follows_the_value():
+    assert refined_upper_bound(F(2), F(7, 5)).domain_ok
+    assert not refined_upper_bound(F(2), F(1)).domain_ok
+    assert dimfx.DimensionReport(None, dimfx.EXACT, "test").domain_ok is False
+    assert dimfx.DimensionReport(F(0), dimfx.EMPTY, "test").domain_ok is True
 
 
 def test_theta_admissibility():

@@ -220,7 +220,7 @@ def test_invariant_checks_survive_optimize():
     code = ("from fractions import Fraction\n"
             "from dioph_lab.dimfx import DimensionReport, InvariantError\n"
             "try:\n"
-            "    DimensionReport(Fraction(2), 'upper', 'test', True)\n"
+            "    DimensionReport(Fraction(2), 'upper', 'test')\n"
             "except InvariantError:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit(1)\n")
