@@ -202,6 +202,9 @@ def schedule_geometric(seq: DenominatorSequence, theta: Fraction, vhat: Fraction
     lprime = dimfx.thresholds(eta, vhat).lprime
     if l < lprime:
         raise ValueError(f"stride l={l} below the admissible threshold {lprime}")
+    if l + 1 > dimfx.MAX_EXPONENT:
+        raise ValueError(f"stride l={l} needs the power eta^{l + 1}, past the cap "
+                         f"{dimfx.MAX_EXPONENT} on exact exponents")
     lo, hi = eta ** l, (eta ** (l + 1) - 1) / vhat
     if not lo <= theta < hi:
         raise ValueError(f"theta must lie in [{lo}, {hi}), got {theta}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,23 @@ class DigitStream:
 
     def as_array(self) -> np.ndarray:
         return np.frombuffer(self.data, dtype=np.uint8)
+
+    @cached_property
+    def zero_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """1-based (starts, ends) of the maximal 0/(b-1) runs, in order.
+
+        One pass over the digits finds them; the result is kept, so every
+        later run lookup on this stream is a search over the runs alone.
+        """
+        arr = self.as_array()
+        if not arr.size:
+            return np.zeros(0, np.int64), np.zeros(0, np.int64)
+        change = np.flatnonzero(arr[1:] != arr[:-1])
+        starts = np.concatenate(([0], change + 1))
+        ends = np.concatenate((change, [arr.shape[0] - 1]))
+        v = arr[starts]
+        hit = (v == 0) | (v == self.base - 1)
+        return starts[hit] + 1, ends[hit] + 1
 
     def __len__(self) -> int:
         return len(self.data)
@@ -146,31 +164,25 @@ def random_digits(base: int, count: int, seed: int) -> DigitStream:
     return stream
 
 
-def _boundaries(arr: np.ndarray):
-    """0-based (starts, ends) of all maximal constant runs."""
-    change = np.flatnonzero(arr[1:] != arr[:-1])
-    return np.concatenate(([0], change + 1)), np.concatenate((change, [arr.shape[0] - 1]))
-
-
 def run_end_table(stream: DigitStream, positions) -> np.ndarray:
     """Run ends of 0/(b-1) runs at the requested 1-based positions.
 
     Entry i is the 1-based position of the last digit of the maximal 0- or
     (b-1)-run containing positions[i], or 0 when the digit there is neither
-    0 nor b-1.  Each run is found by binary search over the run starts, so
-    memory grows with the number of runs and positions, not with the prefix.
+    0 nor b-1.  Each position is found by binary search over the stream's
+    `zero_runs`, so memory grows with the number of runs and positions, not
+    with the prefix.
     """
-    arr = stream.as_array()
     pos = np.asarray(positions, dtype=np.int64)
-    if pos.size and (pos.min() < 1 or pos.max() > arr.shape[0]):
-        raise IndexError(f"positions outside prefix of length {arr.shape[0]}")
-    d = arr[pos - 1]
-    hit = (d == 0) | (d == stream.base - 1)
+    if pos.size and (pos.min() < 1 or pos.max() > stream.prefix_len):
+        raise IndexError(f"positions outside prefix of length {stream.prefix_len}")
+    starts, ends = stream.zero_runs
     out = np.zeros(pos.shape, dtype=np.int64)
-    if hit.any():
-        starts, ends = _boundaries(arr)
-        run = np.searchsorted(starts, pos[hit] - 1, side="right") - 1
-        out[hit] = ends[run] + 1
+    if starts.size:
+        run = np.searchsorted(starts, pos, side="right") - 1
+        end = ends[run]  # run -1 (before the first run) is caught below
+        inside = (run >= 0) & (pos <= end)
+        out[inside] = end[inside]
     return out
 
 

@@ -5,7 +5,8 @@ when callers format output.  Integer thresholds are floors of log ratios:
 `floor_log` guesses one from float logs, then settles it with exact powers
 of eta, because interval endpoints sit exactly at such powers and float logs
 misround there.  The guess is off by a step or so, so the search takes a
-few exact powers however large its answer is.
+few exact powers however large its answer is.  No exponent past
+`MAX_EXPONENT` is raised.
 """
 
 from __future__ import annotations
@@ -13,6 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+# Largest |f| for which an exact power eta^f is raised.  As eta nears 1 the
+# thresholds grow like log(1/(eta - 1))/(eta - 1), and the formulas' terms
+# carry eta^f.  Over eta = (k+1)/k, k = 150..315, and 79 vhat each, the
+# smallest threshold among the points whose values no longer print (past
+# Python's 4300-digit int-to-str limit) was 1131, and every point up to
+# 1000 evaluates in milliseconds.  Past the cap the formulas raise ValueError.
+MAX_EXPONENT = 1000
 
 EXACT = "exact"
 UPPER = "upper"
@@ -55,19 +64,27 @@ class Thresholds:
 
 
 def _ln(q: Fraction) -> float:
-    """Natural log of a positive rational; big terms do not overflow."""
+    """Natural log of a positive rational: big terms do not overflow, and
+    near 1, where the logs of numerator and denominator cancel, log1p of
+    the exact q - 1 keeps every digit."""
+    if Fraction(1, 2) < q < 2:
+        return math.log1p(q - 1)
     return math.log(q.numerator) - math.log(q.denominator)
 
 
 def floor_log(eta: Fraction, x: Fraction) -> int:
-    """Unique integer f with eta^f <= x < eta^(f+1)."""
+    """Unique integer f with eta^f <= x < eta^(f+1); |f| at most MAX_EXPONENT."""
     eta, x = Fraction(eta), Fraction(x)
     if eta <= 1:
         raise ValueError(f"eta must exceed 1, got {eta}")
     if x <= 0:
         raise ValueError(f"x must be positive, got {x}")
-    step = _ln(eta)  # rounds to 0 only when eta^f is too large to compute anyway
-    f = math.floor(_ln(x) / step) if step > 0 else 0
+    step = _ln(eta)
+    guess = _ln(x) / step if step > 0 else math.inf  # 0 only if eta - 1 underflows
+    if not abs(guess) <= MAX_EXPONENT:
+        raise ValueError(f"eta = {eta} needs its power eta^f with f near {guess:.3g}, "
+                         f"past the cap {MAX_EXPONENT} on exact exponents")
+    f = math.floor(guess)
     p = eta ** f  # the one large power; the steps multiply by the small eta
     while p > x:
         p /= eta

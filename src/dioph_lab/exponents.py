@@ -38,24 +38,29 @@ class MatchingPair(NamedTuple):
 
 
 class PairView(Sequence):
-    """Read-only list of MatchingPair over the selected rows of a gap table.
+    """Read-only list of the MatchingPair tuples of some gap-table rows.
 
-    Its length is a count over the mask; the tuples are built on first read.
-    It compares equal to a list (or view) holding the same pairs.
+    Row r stands for the indices first[r] <= n < stop[r], which share the
+    matching time m[r].  Its length is a sum over the rows; the tuples are
+    built on first read.  It compares equal to a list (or view) holding the
+    same pairs.
     """
 
-    def __init__(self, mt: MatchingTimes, mask: np.ndarray):
+    def __init__(self, seq: DenominatorSequence, first: np.ndarray, stop: np.ndarray,
+                 m: np.ndarray):
         # the columns, not the table: a view cached on its table makes no cycle
-        self._columns, self._mask = (mt.a, mt.gap), mask
+        self._seq, self._first, self._stop, self._m = seq, first, stop, m
 
     @cached_property
     def _pairs(self) -> list[MatchingPair]:
-        avals, gaps = (col[self._mask].tolist() for col in self._columns)
-        ns = (np.flatnonzero(self._mask) + 1).tolist()  # row r holds index n = r + 1
-        return [MatchingPair(n, a, a + g) for n, a, g in zip(ns, avals, gaps)]
+        counts = self._stop - self._first
+        offsets = np.repeat(self._first - (np.cumsum(counts) - counts), counts)
+        ns = np.arange(int(counts.sum()), dtype=np.int64) + offsets
+        avals, ms = self._seq.a_at(ns).tolist(), np.repeat(self._m, counts).tolist()
+        return [MatchingPair(n, a, m) for n, a, m in zip(ns.tolist(), avals, ms)]
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self._mask))
+        return int((self._stop - self._first).sum())
 
     def __getitem__(self, i):
         return self._pairs[i]
@@ -76,58 +81,76 @@ class PairView(Sequence):
 
 @dataclass(frozen=True, eq=False)
 class MatchingTimes:
-    """Gap table of one (stream, sequence): one row per index n = 1..K.
+    """Gap table of one (stream, sequence): one row per complete 0/(b-1) run.
 
-    Row n - 1 (0-based) covers a_n, whose run start a_n + 1 lies inside the
-    prefix; the index itself is the row number plus one and is not stored.
-    Its gap is the run length m - a_n when the digit after a_n opens a
-    0/(b-1) run whose break digit m is observed, and 0 otherwise: runs still
-    open at the prefix end are discarded, never extrapolated.  A complete
-    gap is at least 2, so the complete rows are exactly those with gap > 0.
-    The dominant rows are greedy-maximal: the first complete row, then each
-    later one whose gap strictly exceeds every gap before it.  `pairs` and
-    `dominant` view the complete and dominant rows as MatchingPair tuples.
+    The indices of the table are n = 1..index_count, those whose run start
+    a_n + 1 lies inside the prefix.  Index n's gap is the run length m - a_n
+    when the digit after a_n opens a 0/(b-1) run whose break digit m is
+    observed; runs still open at the prefix end are discarded, never
+    extrapolated.  All indices whose run start falls in one run share its
+    m, and their gaps shrink as n grows, so the run is one row: its first
+    index, and a_n and the gap there.  Only a run's first index can be
+    dominant (greedy-maximal: the first complete index, then each later one
+    whose gap strictly exceeds every gap before it).  `pairs` and `dominant`
+    view the complete and dominant indices as MatchingPair tuples.
     """
 
     depth: int
     seq: DenominatorSequence
-    a: np.ndarray              # int64 a_n, n = 1..K
-    gap: np.ndarray            # int64 m - a_n on complete rows, 0 elsewhere
+    index: np.ndarray          # int64 first index n of each complete run
+    a: np.ndarray              # int64 a_n at `index`
+    gap: np.ndarray            # int64 m - a_n at `index`, at least 2
     dominant_mask: np.ndarray  # bool: strict record of gap
+    index_count: int           # number of indices n with a_n + 1 in the prefix
     first_truncated_index: int | None  # smallest n whose run is cut off
     longest_complete_run: int
 
     @property
     def empty(self) -> bool:
-        return not self.gap.any()
+        return not self.index.size
 
     @cached_property
     def pairs(self) -> PairView:
-        return PairView(self, self.gap > 0)
+        m = self.a + self.gap
+        # a run's indices end before the first n with a_n + 1 past its end m - 1
+        return PairView(self.seq, self.index, self.seq.first_index_at_least(m - 1), m)
 
     @cached_property
     def dominant(self) -> PairView:
-        return PairView(self, self.dominant_mask)
+        dom = self.dominant_mask
+        return PairView(self.seq, self.index[dom], self.index[dom] + 1,
+                        (self.a + self.gap)[dom])
 
 
 def matching_times(stream: DigitStream, seq: DenominatorSequence) -> MatchingTimes:
-    """Build the gap table of a prefix: run ends are looked up once, at a_n + 1."""
+    """Build the gap table of a prefix from its 0/(b-1) runs.
+
+    Each run's first index is the first n with a_n + 1 at or after the run
+    start; its run end is looked up once, at that a_n + 1.
+    """
     P = stream.prefix_len
     if seq.a(1) + 2 > P:
         raise ValueError(f"prefix of {P} digits too short: a(1)+2 = {seq.a(1) + 2}")
-    avals = seq.values_upto(P - 1)
-    run_end = run_end_table(stream, avals + 1)
-    complete = (run_end > 0) & (run_end < P)  # run end == P: the break digit is unseen
-    truncated = run_end >= P
-    gap = np.where(complete, run_end + 1 - avals, 0)
-    first_trunc = int(np.argmax(truncated)) + 1 if truncated.any() else None
-    # complete gaps are >= 2 and the others 0, so the strict records of `gap`
-    # are exactly the dominant rows
-    dominant = gap > 0
-    dominant[1:] &= gap[1:] > np.maximum.accumulate(gap)[:-1]
+    starts, _ = stream.zero_runs
+    lookup = seq.first_index_at_least(np.append(starts - 1, P))
+    K = int(lookup[-1]) - 1  # the indices with a_n <= P - 1
+    # a run holding no run start a_n + 1 shares its first index with a later
+    # run; the lookup is nondecreasing, so repeats are adjacent
+    first = lookup[:-1]
+    first = first[np.append(True, first[1:] != first[:-1]) & (first <= K)]
+    avals = seq.a_at(first)
+    run_end = run_end_table(stream, avals + 1)  # 0: a_n + 1 lies between runs
+    truncated = run_end == P  # the break digit is unseen
+    first_trunc = int(first[truncated][0]) if truncated.any() else None
+    keep = (run_end > 0) & ~truncated
+    index, avals, run_end = first[keep], avals[keep], run_end[keep]
+    gap = run_end + 1 - avals
+    # the first row and every later strict record of `gap` are dominant
+    dominant = np.ones(gap.shape, dtype=bool)
+    dominant[1:] = gap[1:] > np.maximum.accumulate(gap)[:-1]
     return MatchingTimes(
-        depth=P, seq=seq, a=avals, gap=gap, dominant_mask=dominant,
-        first_truncated_index=first_trunc,
+        depth=P, seq=seq, index=index, a=avals, gap=gap, dominant_mask=dominant,
+        index_count=K, first_truncated_index=first_trunc,
         longest_complete_run=int(gap.max()) if gap.size else 0)
 
 
@@ -158,12 +181,18 @@ def estimate_vhat_blocks(mt: MatchingTimes, burn_in: int) -> float:
     value one index before the next dominant index.  The last pair has no
     successor and is skipped.
     """
-    rows = np.flatnonzero(mt.dominant_mask)
-    if rows.size < burn_in + 2:
+    records, gaps = mt.index[mt.dominant_mask], mt.gap[mt.dominant_mask]
+    if records.size < burn_in + 2:
         raise ValueError(f"need more than burn_in+1 = {burn_in + 1} dominant pairs, "
-                         f"have {rows.size}")
-    # rows are 0-based, so row i_{k+1} - 2 holds a(i_{k+1} - 1)
-    return float((mt.gap[rows[burn_in:-1]] / mt.a[rows[burn_in + 1:] - 1]).min())
+                         f"have {records.size}")
+    return float((gaps[burn_in:-1] / mt.seq.a_at(records[burn_in + 1:] - 1)).min())
+
+
+def _stretch_ends(grid: range, records: np.ndarray) -> np.ndarray:
+    """The points of an ascending grid that can attain the definition min:
+    the last one before each record index inside it, and its last point."""
+    inner = records[(records > grid[0]) & (records <= grid[-1])]
+    return np.append(grid[0] + (inner - 1 - grid[0]) // grid.step * grid.step, grid[-1])
 
 
 def estimate_vhat_definition(mt: MatchingTimes, N_grid) -> float:
@@ -174,40 +203,50 @@ def estimate_vhat_definition(mt: MatchingTimes, N_grid) -> float:
     it does not fit the prefix or if any needed run is cut off by the prefix
     end (a truncated run has an unknown length; treating it as 0 would poison
     the min).
+
+    The running max changes only at dominant indices and a_N grows with N,
+    so between two records the min sits at the last grid point: a range is
+    cut down to those points before it is evaluated.
     """
-    grid = np.asarray(N_grid, dtype=np.int64)  # order and repeats leave the min alone
-    if not grid.size:
+    # order and repeats leave the min alone
+    if isinstance(N_grid, range):
+        grid = N_grid if N_grid.step > 0 else N_grid[::-1]
+    else:
+        grid = np.sort(np.asarray(N_grid, dtype=np.int64))
+    if not len(grid):
         raise ValueError("empty N grid")
-    if grid.min() < 1:
+    lo, hi = int(grid[0]), int(grid[-1])
+    if lo < 1:
         raise ValueError("grid indices must be >= 1")
-    top = int(grid.max())
-    if top > mt.a.size:
-        raise ValueError(f"grid exceeds prefix: max N {top} not materialized")
-    if mt.first_truncated_index is not None and top >= mt.first_truncated_index:
+    if hi > mt.index_count:
+        raise ValueError(f"grid exceeds prefix: max N {hi} not materialized")
+    if mt.first_truncated_index is not None and hi >= mt.first_truncated_index:
         raise ValueError(
-            f"grid reaches index {top} but the run after a_{mt.first_truncated_index} "
+            f"grid reaches index {hi} but the run after a_{mt.first_truncated_index} "
             f"is cut off by the prefix end")
-    runmax = np.maximum.accumulate(mt.gap[:top])
-    return float((runmax[grid - 1] / mt.a[grid - 1]).min())
+    records, best = mt.index[mt.dominant_mask], mt.gap[mt.dominant_mask]
+    if isinstance(grid, range):
+        grid = _stretch_ends(grid, records)
+    # the last record at or before N holds the running max, 0 before the first
+    runmax = np.append(0, best)[np.searchsorted(records, grid, side="right")]
+    return float((runmax / mt.seq.a_at(grid)).min())
 
 
-def definition_grid(mt: MatchingTimes) -> np.ndarray:
+def definition_grid(mt: MatchingTimes) -> range:
     """Default grid: every index from a burn-in point to the safe cap.
 
     The cap keeps all needed runs fully observed and stays inside the
     conservative bound a(N) + longest complete run <= prefix length.
     """
-    if not mt.a.size:
+    if not mt.index_count:
         raise ValueError("no usable indices in prefix")
-    cap = mt.a.size
+    cap = mt.index_count
     if mt.first_truncated_index is not None:
         cap = min(cap, mt.first_truncated_index - 1)
-    # a is strictly increasing: count the a(N) that satisfy the bound
-    cap = min(cap, int(np.searchsorted(mt.a, mt.depth - mt.longest_complete_run,
-                                       side="right")))
+    cap = min(cap, mt.seq.index_count_upto(mt.depth - mt.longest_complete_run))
     if cap < 2:
         raise ValueError("prefix too short for a definition-based estimate")
-    return np.arange(max(2, int(cap * GRID_START_FRACTION)), cap + 1)
+    return range(max(2, int(cap * GRID_START_FRACTION)), cap + 1)
 
 
 def check_exponent_inequality(v_est: float, vhat_est: float, eta: float,

@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -480,6 +481,29 @@ def test_eval_dim_near_one_finishes(eta, capsys):
     assert code in (0, 1)
     assert "Traceback" not in err
     assert len([ln for ln in err.splitlines() if "error:" in ln]) <= 1
+
+
+@pytest.mark.parametrize("argv,exponent", [
+    (["eval-dim", "--eta", "1000001/1000000", "--vhat", "1/2"], "1.45e+07"),
+    (["eval-dim", "--eta", "100000000000000000001/100000000000000000000", "--vhat", "1/2"],
+     "4.67e+21"),
+    (["eval-dim", "--eta", "10001/10000", "--vhat", "1/2"], "9.9e+04"),
+    (["gen-digits", "--seq", "geometric:eta=2,a1=1", "--theta", "4", "--vhat", "3/2",
+      "--base", "2", "--regime", "geo:l=100000", "--depth", "100", "--out", "unused.txt"],
+     "eta^100001"),
+], ids=["eta-1e-6-above-one", "eta-1e-20-above-one", "eta-1e-4-above-one",
+        "gen-digits-stride-1e5"])
+def test_exact_power_cap_ends_in_one_error_line(argv, exponent, capsys, tmp_path,
+                                                monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, err = _run(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and exponent in line
+    assert f"past the cap {dimfx.MAX_EXPONENT} on exact exponents" in line
+    assert not (tmp_path / "unused.txt").exists()
 
 
 # --- CLI fuzz: any argv ends in exit 0, 1 or 2 with at most one error line --

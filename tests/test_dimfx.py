@@ -80,10 +80,25 @@ def test_smallest_power_at_least_definition(num, den, p, q):
 
 
 def test_floor_log_near_one_is_fast():
-    eta = F(10001, 10000)
+    # below the exponent cap the answer is exact; past it, one ValueError
+    eta = F(1001, 1000)
     f = floor_log(eta, F(2))
-    assert eta ** f <= 2 < eta ** (f + 1) and f == 6931
+    assert eta ** f <= 2 < eta ** (f + 1) and f == 693
     assert smallest_power_at_least(eta, F(2)) == f + 1
+    with pytest.raises(ValueError, match=f"cap {dimfx.MAX_EXPONENT} "):
+        floor_log(F(10001, 10000), F(2))  # f = 6931
+
+
+def test_floor_log_guess_survives_cancelling_logs():
+    # log(10^20 + 1) - log(10^20) rounds to 0; log1p of the exact eta - 1 does not
+    eta = F(10 ** 20 + 1, 10 ** 20)
+    for k in range(-3, 4):
+        assert floor_log(eta, eta ** k) == k
+        assert floor_log(eta, eta ** k * (1 - F(1, 10 ** 30))) == k - 1
+    assert floor_log(F(2), F(10 ** 300 + 1, 10 ** 300)) == 0
+    for big in (F(2), F(1, 2), 1 + F(1, 10 ** 12)):  # f is about 6.9e19, 1e8
+        with pytest.raises(ValueError, match="past the cap"):
+            floor_log(eta, big)
 
 
 def test_thresholds_examples():

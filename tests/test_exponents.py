@@ -204,13 +204,14 @@ def test_estimate_exponents_summary_fields():
 
 
 def test_estimate_exponents_bound_raises_invariant_error():
-    # No prefix yields this table: a_n falls after n = 1, so the run after
-    # a_1 is divided by a(1) = 1 < a_1 and vhat = 5 overshoots the
-    # finite-prefix bound eta * (v + 2/a(i_last)) = 1 * (3 + 1).
-    gap = np.array([5, 0, 6])
-    mt = MatchingTimes(depth=20, seq=LIN, a=np.array([10, 1, 2]), gap=gap,
-                       dominant_mask=gap > 0, first_truncated_index=None,
-                       longest_complete_run=6)
+    # No prefix yields this table: its first row claims a_1 = 10 where the
+    # linear sequence has a_1 = 1, so v = max(10/10, 12/3) = 4 while the run
+    # after it, divided by a(2) = 2, gives vhat = 5, above the finite-prefix
+    # bound eta * (v + 2/a(i_last)) = 1 * (4 + 2/3).
+    mt = MatchingTimes(depth=20, seq=LIN, index=np.array([1, 3]),
+                       a=np.array([10, 3]), gap=np.array([10, 12]),
+                       dominant_mask=np.array([True, True]), index_count=19,
+                       first_truncated_index=None, longest_complete_run=12)
     with pytest.raises(InvariantError, match="finite-prefix bound"):
         estimate_exponents(mt, 0.0)
     assert not issubclass(InvariantError, ValueError)

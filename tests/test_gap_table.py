@@ -1,19 +1,24 @@
 """The gap table against a direct scan of the digits.
 
-The scan below walks each run digit by digit in plain Python.  It is the
-oracle for `run_end_table`, `matching_times`, `definition_grid` and
-`estimate_vhat_definition`, and it lives here only, not in the library.
+The scan below walks each run digit by digit in plain Python, one index at
+a time.  It is the oracle for `run_end_table`, `matching_times` (whose table
+keeps one row per run), `definition_grid` and `estimate_vhat_definition`,
+and it lives here only, not in the library.
 """
+
+import tracemalloc
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dioph_lab import digits, sequences
+from dioph_lab import construct, digits, sequences
 from dioph_lab.exponents import (
     MatchingPair,
     definition_grid,
+    estimate_exponents,
     estimate_vhat_definition,
     greedy_dominant,
     matching_times,
@@ -52,6 +57,12 @@ def scan_table(stream, seq):
         gaps.append(gap)
         n += 1
     return avals, gaps, pairs, first_trunc
+
+
+def scan_runs(pairs):
+    """The first pair of each run, in order: the pairs of one run are
+    consecutive and share its matching time m."""
+    return [p for i, p in enumerate(pairs) if i == 0 or pairs[i - 1].m != p.m]
 
 
 def loop_grid(avals, gaps, first_trunc, P, start_fraction=0.2):
@@ -107,14 +118,17 @@ def test_run_end_table_rejects_positions_outside_prefix():
 def test_matching_times_matches_scan(seq, stream):
     avals, gaps, pairs, first_trunc = scan_table(stream, seq)
     mt = matching_times(stream, seq)
-    assert mt.a.tolist() == avals
-    assert mt.gap.tolist() == gaps
+    assert mt.index_count == len(avals)
+    # one table row per run, at its first complete index
+    assert list(zip(mt.index.tolist(), mt.a.tolist(), mt.gap.tolist())) == [
+        (p.index, p.a, p.gap) for p in scan_runs(pairs)]
     assert mt.pairs == pairs
     assert len(mt.pairs) == len(pairs)
     dominant = greedy_dominant(pairs)
     assert mt.dominant == dominant
+    assert len(mt.dominant) == len(dominant)
     rows = {p.index for p in dominant}
-    assert mt.dominant_mask.tolist() == [n in rows for n in range(1, len(avals) + 1)]
+    assert mt.dominant_mask.tolist() == [n in rows for n in mt.index.tolist()]
     assert mt.first_truncated_index == first_trunc
     assert mt.longest_complete_run == max(gaps)
     assert mt.empty == (not pairs)
@@ -132,8 +146,15 @@ def test_definition_grid_and_estimate_match_scan(seq, stream, data):
             definition_grid(mt)
     else:
         grid = definition_grid(mt)
-        assert grid.tolist() == want  # the searchsorted cap equals the loop's
+        assert list(grid) == want  # the index-count cap equals the loop's
         assert estimate_vhat_definition(mt, grid) == scan_vhat(avals, gaps, want)
+        # any range inside it, either way round, is cut to its stretch ends
+        lo = data.draw(st.integers(1, want[-1]))
+        hi = data.draw(st.integers(lo, want[-1]))
+        step = data.draw(st.integers(1, 4))
+        part = data.draw(st.sampled_from([range(lo, hi + 1, step),
+                                          range(hi, lo - 1, -step)]))
+        assert estimate_vhat_definition(mt, part) == scan_vhat(avals, gaps, list(part))
     # any grid: refused past the table or a cut-off run, else the scanned value
     grid = data.draw(st.lists(st.integers(1, len(avals) + 2), min_size=1, max_size=20))
     if max(grid) > len(avals) or (first_trunc is not None and max(grid) >= first_trunc):
@@ -149,4 +170,27 @@ def test_open_final_run_is_truncated_not_paired():
     mt = matching_times(stream, SEQS[0])
     assert mt.first_truncated_index == 5
     assert mt.pairs == [MatchingPair(1, 1, 3), MatchingPair(2, 2, 5), MatchingPair(3, 3, 5)]
-    assert np.array_equal(mt.gap, [2, 3, 2, 0, 0, 0, 0, 0, 0])
+    # two complete runs: indices 1 and 2..3; the open run's indices 5..9 are no row
+    assert mt.index_count == 9
+    assert np.array_equal(mt.index, [1, 2]) and np.array_equal(mt.gap, [2, 3])
+
+
+def test_table_rows_grow_with_runs_not_indices():
+    # the eta = 1 reference at depth 10^6: 10^6 indices, a handful of runs
+    sched = construct.schedule_eta1(SEQS[0], F(3), F(1, 3), cover_to=10 ** 6)
+    stream = construct.emit_digits(sched, 3, 10 ** 6)
+    starts, _ = stream.zero_runs  # found once per stream, before the trace
+    tracemalloc.start()
+    try:
+        mt = matching_times(stream, SEQS[0])
+        grid = definition_grid(mt)
+        vdef = estimate_vhat_definition(mt, grid)
+        estimate_exponents(mt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mt.index_count == 10 ** 6 - 1
+    assert 0 < len(mt.index) <= len(starts)
+    assert isinstance(grid, range) and len(grid) > 10 ** 5
+    assert abs(vdef - 1 / 3) < 0.01
+    assert peak < 100_000  # one int64 column over the indices would be 8 MB

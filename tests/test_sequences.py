@@ -147,6 +147,11 @@ def _assert_lookups_match_scan(seq, limit):
     assert seq.index_count_upto(limit) == len(want), limit
     values = seq.values_upto(limit)
     assert values.dtype == np.int64 and values.tolist() == want, limit
+    # the array lookups: first index n with a_n >= x is one past the terms below x
+    xs = list(range(limit - 3, limit + 2))
+    assert seq.first_index_at_least(xs).tolist() == [
+        1 + sum(v < x for v in want) for x in xs], limit
+    assert seq.a_at(np.arange(1, len(want) + 1)).tolist() == want, limit
 
 
 @pytest.mark.parametrize("spec", LOOKUP_SPECS)
@@ -166,6 +171,13 @@ def test_index_lookups_at_exact_powers(lookup_seqs, spec):
     for p in powers:  # at most 1e5, so the linear scan stays short
         for limit in (p - 1, p, p + 1):
             _assert_lookups_match_scan(seq, limit)
+
+
+def test_poly_array_lookup_is_exact_at_float_limits():
+    # k^d just below 2**53, and 2**70 past int64 for the overflow guard
+    for d, k in ((2, 2 ** 26 - 1), (3, 208_063), (70, 1)):
+        x = [k ** d - 1, k ** d, k ** d + 1]
+        assert make_sequence(f"poly:d={d}").first_index_at_least(x).tolist() == [k, k, k + 1]
 
 
 def test_integer_root_is_exact_far_beyond_floats():
