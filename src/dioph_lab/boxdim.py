@@ -2,8 +2,8 @@
 
 Counts are held as base-b exponents (raw counts overflow around depth 10^3).
 A depth-n cylinder meets the set once its forced positions hold their
-digits, so the count exponent is n minus the number of forced positions up
-to n.  Those are read off `construct.forced_digits`, the one statement of
+digits, so the count exponent is the number of free positions up to n.
+Those are read off `construct.forced_digits`, the one statement of
 the schedule's pattern, which emission reads as well.  For the uniform mass
 the count is the reciprocal of the cylinder mass, so the count exponent must
 equal the mass exponent of `construct.mu_exponents_upto` at every depth: the
@@ -24,19 +24,30 @@ MIN_POINTS = 3  # fewest points a dimension estimate is made from
 
 @dataclass(frozen=True, eq=False)
 class CountSeries:
-    points: np.ndarray  # int64 (N, 2) rows: depth n, log_b of cylinder count
+    depths: np.ndarray     # int64, strictly increasing depths n >= 1
+    exponents: np.ndarray  # int64, log_b of the cylinder count at each depth
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.int64).reshape(-1, 2)
-        object.__setattr__(self, "points", pts)
-        n, c = pts[:, 0], pts[:, 1]
-        bad_n = np.diff(n, prepend=0) <= 0
-        bad = bad_n | (np.diff(c, prepend=0) < 0) | (c > n)
+        n = np.asarray(self.depths, dtype=np.int64)
+        c = np.asarray(self.exponents, dtype=np.int64)
+        if n.ndim != 1 or n.shape != c.shape:
+            raise ValueError(f"depths and exponents must be 1-D and of one length, "
+                             f"got shapes {n.shape} and {c.shape}")
+        object.__setattr__(self, "depths", n)
+        object.__setattr__(self, "exponents", c)
+        # neighbour comparisons, each starting from depth 0 with exponent 0
+        bad_n = np.r_[n[:1] <= 0, n[1:] <= n[:-1]]
+        bad = bad_n | np.r_[c[:1] < 0, c[1:] < c[:-1]] | (c > n)
         if bad.any():
             i = int(bad.argmax())
             if bad_n[i]:
                 raise ValueError("depths must strictly increase")
             raise ValueError(f"count exponent {c[i]} invalid at depth {n[i]}")
+
+    @property
+    def points(self) -> np.ndarray:
+        """(N, 2) rows of depth and exponent: a copy, built on each access."""
+        return np.column_stack((self.depths, self.exponents))
 
 
 def constraint_mask(sched: CantorSchedule, base: int, upto: int) -> np.ndarray:
@@ -45,23 +56,33 @@ def constraint_mask(sched: CantorSchedule, base: int, upto: int) -> np.ndarray:
 
 
 def count_exponents_upto(sched: CantorSchedule, base: int, max_n: int) -> np.ndarray:
-    """Count exponents for every depth 1..max_n (index 0 unused)."""
-    mask = constraint_mask(sched, base, max_n)
-    out = np.arange(max_n + 1, dtype=np.int64)
-    out[1:] -= np.cumsum(mask[1:])
-    return out
+    """Count exponents for every depth 1..max_n (index 0 holds 0): the number
+    of free positions up to each depth."""
+    free = constraint_mask(sched, base, max_n)
+    np.logical_not(free, out=free)
+    free[0] = False  # index 0 is not a position
+    counts = free.astype(np.int64)
+    return np.cumsum(counts, out=counts)  # in place: a cast inside cumsum copies
 
 
 def count_series(sched: CantorSchedule, base: int, depths: Iterable[int]) -> CountSeries:
-    """Count exponents at the given depths, sorted and without repeats."""
-    ns = np.sort(np.fromiter(depths, dtype=np.int64))
+    """Count exponents at the given depths, sorted and without repeats.
+
+    A range is laid out by `np.arange`; a series over every depth 1..N is a
+    view of the count table.
+    """
+    if isinstance(depths, range):
+        r = depths if depths.step > 0 else depths[::-1]
+        ns = np.arange(r.start, r.stop, r.step, dtype=np.int64)
+    else:
+        ns = np.unique(np.fromiter(depths, dtype=np.int64))
     if not ns.size:
         raise ValueError("no depths requested")
     if ns[0] < 1:
         raise ValueError(f"depths must be >= 1, got {int(ns[0])}")
-    ns = ns[np.diff(ns, prepend=ns[0] - 1) > 0]
     table = count_exponents_upto(sched, base, int(ns[-1]))
-    return CountSeries(points=np.column_stack((ns, table[ns])))
+    exps = table[1:] if ns.size == ns[-1] else table[ns]
+    return CountSeries(depths=ns, exponents=exps)
 
 
 ALL_DEPTHS = "all-depths"
@@ -78,13 +99,13 @@ def dimension_slope(series: CountSeries, mode: str) -> float:
     so dropping a fraction of the points would still keep the small-depth
     transients that dominate the min.
     """
-    pts = series.points
-    if len(pts) < MIN_POINTS:
-        raise ValueError(f"need at least {MIN_POINTS} points, got {len(pts)}")
-    ns, cs = pts[:, 0].astype(float), pts[:, 1].astype(float)
+    if len(series.depths) < MIN_POINTS:
+        raise ValueError(f"need at least {MIN_POINTS} points, got {len(series.depths)}")
+    ns, cs = series.depths.astype(float), series.exponents.astype(float)
     if mode == ALL_DEPTHS:
         ns -= ns.mean()
-        return float(np.dot(ns, cs - cs.mean()) / np.dot(ns, ns))
+        cs -= cs.mean()
+        return float(np.dot(ns, cs) / np.dot(ns, ns))
     if mode == AT_BLOCK_ENDS:
         tail = ns >= 0.2 * ns[-1]
         return float((cs[tail] / ns[tail]).min())

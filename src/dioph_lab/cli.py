@@ -231,13 +231,21 @@ def cmd_box_dim(args) -> int:
                          f"and mode {args.mode} needs at least {boxdim.MIN_POINTS}")
     series = boxdim.count_series(sched, args.base, depths)
     slope = boxdim.dimension_slope(series, args.mode)
-    print(f"{len(series.points)} depths, mode {args.mode}: dimension estimate "
+    print(f"{len(series.depths)} depths, mode {args.mode}: dimension estimate "
           f"{_fmt(slope)}")
     if args.csv:
-        rows = [(n, c, _fmt(c / n)) for n, c in series.points.tolist()]
-        _write_csv(args.csv, ["n", "log_b_count", "ratio"], rows)
+        _write_csv(args.csv, ["n", "log_b_count", "ratio"], _series_rows(series))
         print(f"wrote {args.csv}")
     return 0
+
+
+def _series_rows(series):
+    """CSV rows (n, count exponent, ratio), converted 2^16 depths at a time,
+    so no list of every row is held."""
+    for lo in range(0, len(series.depths), 1 << 16):
+        ns = series.depths[lo: lo + (1 << 16)].tolist()
+        cs = series.exponents[lo: lo + (1 << 16)].tolist()
+        yield from ((n, c, _fmt(c / n)) for n, c in zip(ns, cs))
 
 
 # --- sweep ----------------------------------------------------------------

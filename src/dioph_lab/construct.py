@@ -26,6 +26,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -70,6 +71,25 @@ class CantorSchedule:
 
     def block_ends(self, max_depth: int | None = None) -> list[int]:
         return [e.m for e in self.entries if max_depth is None or e.m <= max_depth]
+
+    @cached_property
+    def _flat_by_variant(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Mass exponent on each block's constant stretch [a_{i_k}, m_k], for
+        every base but 2 and for base 2, whose forced zeros are constrained too."""
+        e = e2 = self.entries[0].a - 1  # free positions before the first marker
+        flat, flat2 = [], []
+        for ent in self.entries:
+            flat.append(e)
+            flat2.append(e2)
+            free_between = (ent.next_a - ent.m - 1) - ent.t
+            e += free_between
+            e2 += free_between - ent.t
+        return tuple(flat), tuple(flat2)
+
+    def flat_exponents(self, base: int) -> tuple[int, ...]:
+        """Each block's constant mass exponent in this base, kept after the
+        first call."""
+        return self._flat_by_variant[base == 2]
 
 
 def _floor_times(frac: Fraction, a: int) -> int:
@@ -205,6 +225,10 @@ def schedule_geometric(seq: DenominatorSequence, theta: Fraction, vhat: Fraction
     if l + 1 > dimfx.MAX_EXPONENT:
         raise ValueError(f"stride l={l} needs the power eta^{l + 1}, past the cap "
                          f"{dimfx.MAX_EXPONENT} on exact exponents")
+    bits = (l + 1) * max(eta.numerator.bit_length(), eta.denominator.bit_length())
+    if bits > dimfx.MAX_POWER_BITS:
+        raise ValueError(f"stride l={l} needs the power eta^{l + 1}, {bits} bits, past "
+                         f"the cap {dimfx.MAX_POWER_BITS} bits on exact powers")
     lo, hi = eta ** l, (eta ** (l + 1) - 1) / vhat
     if not lo <= theta < hi:
         raise ValueError(f"theta must lie in [{lo}, {hi}), got {theta}")
@@ -272,54 +296,55 @@ def emit_digits(sched: CantorSchedule, base: int, upto: int) -> DigitStream:
     return DigitStream(base, layout.tobytes())
 
 
-def _entry_base_exponents(sched: CantorSchedule, base: int) -> list[int]:
-    """Mass exponent on the constant stretch [a_{i_k}, m_k] of each block."""
-    bases = []
-    e = sched.entries[0].a - 1  # free positions before the first marker
-    for ent in sched.entries:
-        bases.append(e)
-        free_between = (ent.next_a - ent.m - 1) - ent.t
-        if base == 2:
-            free_between -= ent.t  # the forced zeros are constrained too
-        e += free_between
-    return bases
+def _ramp_exponent(ent: ScheduleEntry, base: int, flat, off):
+    """Mass exponent `off` positions past m_k (0 <= off < next_a - m_k), where
+    `flat` is the exponent on the constant stretch [a_{i_k}, m_k]: it grows
+    by one per position except across the spaced markers (and, for base 2,
+    across the forced zeros before them as well).  `off` is an int or an
+    int64 array; at off = 0 the value is `flat`, since every gap is >= 3."""
+    e = flat + off - off // ent.gap
+    if base == 2:
+        e -= np.minimum(ent.t, (off + 1) // ent.gap)
+    return e
+
+
+def _check_depth(sched: CantorSchedule, n: int) -> None:
+    if not 1 <= n <= sched.covered_to:
+        raise ValueError(f"depth {n} outside covered range [1, {sched.covered_to}]")
 
 
 def mu_cylinder(sched: CantorSchedule, base: int, n: int) -> int:
     """Exponent e with mu(I_n) = b^(-e) for the uniform mass of a depth-n
-    cylinder: entry n of `mu_exponents_upto`."""
-    return int(mu_exponents_upto(sched, base, n)[n])
+    cylinder: entry n of `mu_exponents_upto`, from the one block holding n."""
+    _check_depth(sched, n)
+    kk = bisect_right(sched.entries, n, key=lambda e: e.a) - 1
+    if kk < 0:
+        return n  # below the first block every position is free
+    ent = sched.entries[kk]
+    return int(_ramp_exponent(ent, base, sched.flat_exponents(base)[kk], max(n - ent.m, 0)))
 
 
 def mu_exponents_upto(sched: CantorSchedule, base: int, max_n: int) -> np.ndarray:
     """log_b(mu) for every depth 1..max_n (vectorized over blocks).
 
-    On [a_{i_k}, m_k] the mass is constant; on (m_k, a_{i_k+1}) the exponent
-    grows by one per position except across the spaced markers (and, for
-    base 2, stays flat across the forced zeros as well).  Below the first
-    block every position is free, so the exponent is the depth itself.
+    On [a_{i_k}, m_k] the mass is constant; past m_k it follows
+    `_ramp_exponent`.  Below the first block every position is free, so the
+    exponent is the depth itself.
     """
-    if not 1 <= max_n <= sched.covered_to:
-        raise ValueError(f"depth {max_n} outside covered range [1, {sched.covered_to}]")
+    _check_depth(sched, max_n)
     out = np.empty(max_n + 1, dtype=np.int64)
     out[0] = 0
     first_a = sched.entries[0].a
     top = min(first_a - 1, max_n)
     out[1: top + 1] = np.arange(1, top + 1)
-    bases = _entry_base_exponents(sched, base)
-    for kk, ent in enumerate(sched.entries):
+    for ent, flat in zip(sched.entries, sched.flat_exponents(base)):
         if ent.a > max_n:
             break
         hi = min(ent.next_a - 1, max_n)
-        flat_hi = min(ent.m, hi)
-        out[ent.a: flat_hi + 1] = bases[kk]
+        out[ent.a: min(ent.m, hi) + 1] = flat
         if hi > ent.m:
-            ns = np.arange(ent.m + 1, hi + 1)
-            t = (ns - ent.m) // ent.gap
-            vals = bases[kk] + (ns - ent.m) - t
-            if base == 2:
-                vals -= np.minimum(ent.t, (ns - ent.m + 1) // ent.gap)
-            out[ent.m + 1: hi + 1] = vals
+            out[ent.m + 1: hi + 1] = _ramp_exponent(ent, base, flat,
+                                                    np.arange(1, hi - ent.m + 1))
     return out
 
 
@@ -332,7 +357,7 @@ def constrained_digit(sched: CantorSchedule, base: int, pos: int) -> int | None:
     """Forced digit at a position, or None when the position is free."""
     if not 1 <= pos <= sched.covered_to:
         raise ValueError(f"position {pos} outside covered range")
-    kk = bisect_right([e.a for e in sched.entries], pos) - 1  # the block holding pos
+    kk = bisect_right(sched.entries, pos, key=lambda e: e.a) - 1  # the block holding pos
     if kk < 0:
         return None
     ent = sched.entries[kk]

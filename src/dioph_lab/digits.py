@@ -156,9 +156,26 @@ def digits_from_rational(p: int, q: int, base: int, count: int) -> DigitStream:
 
 
 def random_digits(base: int, count: int, seed: int) -> DigitStream:
-    """Uniform random digits from a seeded generator (reproducible)."""
+    """Uniform random digits from a seeded generator (reproducible).
+
+    The digits are those of `random.Random(seed).randrange(base)` drawn
+    `count` times, taken in bulk: each such draw reads one 32-bit word of
+    the generator, keeps its top k = base.bit_length() bits, and draws again
+    when they are >= base.  `getrandbits(32 * n)` holds n words in turn,
+    little-endian, so the top bits of each sit in every fourth byte; one
+    `bytes.translate` shifts them down and deletes the rejected ones.
+    """
+    if not 2 <= base <= 255:
+        raise ValueError(f"base must lie in [2, 255] to draw byte digits, got {base}")
     rng = random.Random(seed)
-    data = bytes(rng.randrange(base) for _ in range(count))
+    shift = 8 - base.bit_length()
+    table = bytes(b >> shift for b in range(256))
+    reject = bytes(b for b in range(256) if b >> shift >= base)
+    data = b""
+    while len(data) < count:
+        need = count - len(data)
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        data += words[3::4].translate(table, reject)
     stream = DigitStream(base, data)
     check_tail_guard(stream)
     return stream

@@ -6,7 +6,7 @@ when callers format output.  Integer thresholds are floors of log ratios:
 of eta, because interval endpoints sit exactly at such powers and float logs
 misround there.  The guess is off by a step or so, so the search takes a
 few exact powers however large its answer is.  No exponent past
-`MAX_EXPONENT` is raised.
+`MAX_EXPONENT`, and no power larger than `MAX_POWER_BITS`, is raised.
 """
 
 from __future__ import annotations
@@ -22,6 +22,16 @@ from fractions import Fraction
 # Python's 4300-digit int-to-str limit) was 1131, and every point up to
 # 1000 evaluates in milliseconds.  Past the cap the formulas raise ValueError.
 MAX_EXPONENT = 1000
+
+# Largest size |f| * max(bits of p, bits of q) of a power (p/q)^f that is
+# raised: an eta with long terms overflows the digit limit at exponents
+# well below MAX_EXPONENT.  The exact-window bounds hold the square of
+# eta^f, and Python prints at most 4300 digits (14284 bits), so a size near
+# 7140 bits is where values stop printing.  Over 297 etas, (k+1)/k for
+# k = 100..317 and (10^d + 10^d // k + 1)/10^d for d = 3..18, k = 11..299,
+# with 31 vhat each, the smallest size among the points whose values no
+# longer print was 7169 bits; none at or below 7000 failed.
+MAX_POWER_BITS = 7000
 
 EXACT = "exact"
 UPPER = "upper"
@@ -84,6 +94,11 @@ def floor_log(eta: Fraction, x: Fraction) -> int:
     if not abs(guess) <= MAX_EXPONENT:
         raise ValueError(f"eta = {eta} needs its power eta^f with f near {guess:.3g}, "
                          f"past the cap {MAX_EXPONENT} on exact exponents")
+    bits = abs(guess) * max(eta.numerator.bit_length(), eta.denominator.bit_length())
+    if bits > MAX_POWER_BITS:
+        raise ValueError(f"eta = {eta} needs its power eta^f with f near {guess:.3g}, "
+                         f"about {bits:.3g} bits, past the cap {MAX_POWER_BITS} bits "
+                         "on exact powers")
     f = math.floor(guess)
     p = eta ** f  # the one large power; the steps multiply by the small eta
     while p > x:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from fractions import Fraction as F
@@ -52,18 +54,20 @@ def test_count_series_rejects_depths_below_one(small_sched, depths, bad, monkeyp
 
 def test_series_invariants():
     with pytest.raises(ValueError):
-        CountSeries(points=((2, 1), (1, 1)))  # depths must increase
+        CountSeries(depths=(2, 1), exponents=(1, 1))  # depths must increase
     with pytest.raises(ValueError):
-        CountSeries(points=((1, 1), (2, 0)))  # exponent cannot drop
+        CountSeries(depths=(1, 2), exponents=(1, 0))  # exponent cannot drop
     with pytest.raises(ValueError):
-        CountSeries(points=((1, 2),))  # exponent above depth
+        CountSeries(depths=(1,), exponents=(2,))  # exponent above depth
     with pytest.raises(ValueError):
-        dimension_slope(CountSeries(points=((1, 1), (2, 2))), ALL_DEPTHS)
+        CountSeries(depths=(1, 2), exponents=(1,))  # one exponent per depth
+    with pytest.raises(ValueError):
+        dimension_slope(CountSeries(depths=(1, 2), exponents=(1, 2)), ALL_DEPTHS)
 
 
 def test_exact_line_slope():
-    pts = tuple((n, n // 2) for n in range(2, 40, 2))
-    series = CountSeries(points=pts)
+    ns = range(2, 40, 2)
+    series = CountSeries(depths=ns, exponents=[n // 2 for n in ns])
     assert dimension_slope(series, ALL_DEPTHS) == pytest.approx(0.5)
     assert dimension_slope(series, AT_BLOCK_ENDS) == pytest.approx(0.5)
 
@@ -102,6 +106,21 @@ def test_count_series_sorts_and_drops_repeats(small_sched):
     assert np.array_equal(count_series(small_sched, 3, sorted(set(shuffled))).points, want)
     with pytest.raises(ValueError, match="no depths requested"):
         count_series(small_sched, 3, [])
+
+
+def test_full_range_series_is_a_view_of_the_count_table(eta1_sched):
+    depths = range(1, 10 ** 5 + 1)
+    tracemalloc.start()
+    try:
+        series = count_series(eta1_sched, 3, depths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(series.depths, np.arange(1, 10 ** 5 + 1))
+    assert np.array_equal(series.exponents, count_exponents_upto(eta1_sched, 3, 10 ** 5)[1:])
+    # the depths and the count table, 8 bytes per depth each, and a few
+    # bytes per depth of masks
+    assert peak <= 2_500_000
 
 
 # (sequence fixture, schedule fixture, v, vhat, v tolerance, vhat tolerance):

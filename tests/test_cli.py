@@ -483,17 +483,25 @@ def test_eval_dim_near_one_finishes(eta, capsys):
     assert len([ln for ln in err.splitlines() if "error:" in ln]) <= 1
 
 
-@pytest.mark.parametrize("argv,exponent", [
-    (["eval-dim", "--eta", "1000001/1000000", "--vhat", "1/2"], "1.45e+07"),
+EXPONENT_CAP = f"past the cap {dimfx.MAX_EXPONENT} on exact exponents"
+SIZE_CAP = f"past the cap {dimfx.MAX_POWER_BITS} bits on exact powers"
+
+
+@pytest.mark.parametrize("argv,exponent,cap", [
+    (["eval-dim", "--eta", "1000001/1000000", "--vhat", "1/2"], "1.45e+07", EXPONENT_CAP),
     (["eval-dim", "--eta", "100000000000000000001/100000000000000000000", "--vhat", "1/2"],
-     "4.67e+21"),
-    (["eval-dim", "--eta", "10001/10000", "--vhat", "1/2"], "9.9e+04"),
+     "4.67e+21", EXPONENT_CAP),
+    (["eval-dim", "--eta", "10001/10000", "--vhat", "1/2"], "9.9e+04", EXPONENT_CAP),
     (["gen-digits", "--seq", "geometric:eta=2,a1=1", "--theta", "4", "--vhat", "3/2",
       "--base", "2", "--regime", "geo:l=100000", "--depth", "100", "--out", "unused.txt"],
-     "eta^100001"),
+     "eta^100001", EXPONENT_CAP),
+    (["eval-dim", "--eta", "100700001/100000000", "--vhat", "1"], "f near 811", SIZE_CAP),
+    (["gen-digits", "--seq", "geometric:eta=1234567/1000,a1=1", "--theta", "4", "--vhat", "1",
+      "--base", "2", "--regime", "geo:l=400", "--depth", "100", "--out", "unused.txt"],
+     "eta^401", SIZE_CAP),
 ], ids=["eta-1e-6-above-one", "eta-1e-20-above-one", "eta-1e-4-above-one",
-        "gen-digits-stride-1e5"])
-def test_exact_power_cap_ends_in_one_error_line(argv, exponent, capsys, tmp_path,
+        "gen-digits-stride-1e5", "eta-long-terms", "gen-digits-long-terms-stride-400"])
+def test_exact_power_cap_ends_in_one_error_line(argv, exponent, cap, capsys, tmp_path,
                                                 monkeypatch):
     monkeypatch.chdir(tmp_path)
     start = time.perf_counter()
@@ -502,7 +510,7 @@ def test_exact_power_cap_ends_in_one_error_line(argv, exponent, capsys, tmp_path
     assert code == 1
     [line] = err.splitlines()
     assert line.startswith("error: ") and exponent in line
-    assert f"past the cap {dimfx.MAX_EXPONENT} on exact exponents" in line
+    assert cap in line
     assert not (tmp_path / "unused.txt").exists()
 
 

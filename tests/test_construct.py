@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -208,6 +209,41 @@ def test_mu_worked_values(small_sched):
     assert mu_cylinder(small_sched, 3, 8) == 3
     with pytest.raises(ValueError):
         mu_cylinder(small_sched, 3, small_sched.covered_to + 1)
+
+
+# small schedules of the eta = 1, geo:l=2 and poly:d=2 constructions; the
+# poly one has four spaced markers per block, which exercises the base-2 clamp
+ORACLE_SCHEDULES = {
+    "eta1": lambda: schedule_eta1(LIN, F(3), F(1, 3), cover_to=4000),
+    "geo:l=2": lambda: schedule_geometric(GEO2, F(4), F(3, 2), 2, cover_to=4000),
+    "poly:d=2": lambda: schedule_eta1(sequences.make_sequence("poly:d=2"), F(6), F(1, 6),
+                                      cover_to=4000),
+}
+
+
+@pytest.mark.parametrize("base", [2, 3, 10])
+@pytest.mark.parametrize("name", ORACLE_SCHEDULES)
+def test_mu_cylinder_matches_the_table_at_every_depth(name, base):
+    """The one-block lookup of `mu_cylinder` agrees with the full table,
+    kept here as the oracle, at every depth the schedule covers."""
+    sched = ORACLE_SCHEDULES[name]()
+    table = mu_exponents_upto(sched, base, sched.covered_to)
+    got = [mu_cylinder(sched, base, n) for n in range(1, sched.covered_to + 1)]
+    assert got == table[1:].tolist()
+
+
+def test_local_dimension_reads_one_block():
+    """One depth costs one block's lookup, not a table over every depth."""
+    n = 10 ** 6
+    sched = schedule_eta1(LIN, F(3), F(1, 3), cover_to=n)  # block exponents built in the trace
+    tracemalloc.start()
+    try:
+        value = local_dimension(sched, 3, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == mu_exponents_upto(sched, 3, n)[n] / n
+    assert peak < 100_000  # a table over the depths would be 8 bytes per depth
 
 
 def test_mu_monotone_and_bounded(small_sched):
