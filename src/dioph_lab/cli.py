@@ -140,8 +140,9 @@ def cmd_eval_dim(args) -> int:
     rows = []
     for vhat in grid:
         for rep in _formula_rows(eta, vhat, args.theta, args.rho):
-            rows.append((str(vhat), rep.source,
-                         str(rep.value) if rep.value is not None else "",
+            exact = ("" if rep.value is None else
+                     dimfx.exact_text(rep.value, f"the {rep.source} value at vhat = {vhat}"))
+            rows.append((str(vhat), rep.source, exact,
                          _fmt(rep.value), rep.kind, str(rep.domain_ok), rep.condition))
     if args.csv:
         _write_csv(args.csv, ["vhat", "formula", "exact", "decimal", "kind",

@@ -26,7 +26,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -71,25 +70,6 @@ class CantorSchedule:
 
     def block_ends(self, max_depth: int | None = None) -> list[int]:
         return [e.m for e in self.entries if max_depth is None or e.m <= max_depth]
-
-    @cached_property
-    def _flat_by_variant(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Mass exponent on each block's constant stretch [a_{i_k}, m_k], for
-        every base but 2 and for base 2, whose forced zeros are constrained too."""
-        e = e2 = self.entries[0].a - 1  # free positions before the first marker
-        flat, flat2 = [], []
-        for ent in self.entries:
-            flat.append(e)
-            flat2.append(e2)
-            free_between = (ent.next_a - ent.m - 1) - ent.t
-            e += free_between
-            e2 += free_between - ent.t
-        return tuple(flat), tuple(flat2)
-
-    def flat_exponents(self, base: int) -> tuple[int, ...]:
-        """Each block's constant mass exponent in this base, kept after the
-        first call."""
-        return self._flat_by_variant[base == 2]
 
 
 def _floor_times(frac: Fraction, a: int) -> int:
@@ -222,16 +202,13 @@ def schedule_geometric(seq: DenominatorSequence, theta: Fraction, vhat: Fraction
     lprime = dimfx.thresholds(eta, vhat).lprime
     if l < lprime:
         raise ValueError(f"stride l={l} below the admissible threshold {lprime}")
-    if l + 1 > dimfx.MAX_EXPONENT:
-        raise ValueError(f"stride l={l} needs the power eta^{l + 1}, past the cap "
-                         f"{dimfx.MAX_EXPONENT} on exact exponents")
-    bits = (l + 1) * max(eta.numerator.bit_length(), eta.denominator.bit_length())
-    if bits > dimfx.MAX_POWER_BITS:
-        raise ValueError(f"stride l={l} needs the power eta^{l + 1}, {bits} bits, past "
-                         f"the cap {dimfx.MAX_POWER_BITS} bits on exact powers")
+    dimfx.check_power(eta, l + 1)
     lo, hi = eta ** l, (eta ** (l + 1) - 1) / vhat
     if not lo <= theta < hi:
-        raise ValueError(f"theta must lie in [{lo}, {hi}), got {theta}")
+        end = (f"theta = {theta} lies outside [eta^{l}, (eta^{l + 1} - 1)/vhat), "
+               "and an end of that range")
+        raise ValueError(f"theta must lie in [{dimfx.exact_text(lo, end)}, "
+                         f"{dimfx.exact_text(hi, end)}), got {theta}")
 
     tv = theta * vhat
     stride = l + 1
@@ -296,6 +273,19 @@ def emit_digits(sched: CantorSchedule, base: int, upto: int) -> DigitStream:
     return DigitStream(base, layout.tobytes())
 
 
+def _entry_base_exponents(sched: CantorSchedule, base: int) -> list[int]:
+    """Mass exponent on the constant stretch [a_{i_k}, m_k] of each block."""
+    bases = []
+    e = sched.entries[0].a - 1  # free positions before the first marker
+    for ent in sched.entries:
+        bases.append(e)
+        free_between = (ent.next_a - ent.m - 1) - ent.t
+        if base == 2:
+            free_between -= ent.t  # the forced zeros are constrained too
+        e += free_between
+    return bases
+
+
 def _ramp_exponent(ent: ScheduleEntry, base: int, flat, off):
     """Mass exponent `off` positions past m_k (0 <= off < next_a - m_k), where
     `flat` is the exponent on the constant stretch [a_{i_k}, m_k]: it grows
@@ -321,7 +311,8 @@ def mu_cylinder(sched: CantorSchedule, base: int, n: int) -> int:
     if kk < 0:
         return n  # below the first block every position is free
     ent = sched.entries[kk]
-    return int(_ramp_exponent(ent, base, sched.flat_exponents(base)[kk], max(n - ent.m, 0)))
+    flat = _entry_base_exponents(sched, base)[kk]
+    return int(_ramp_exponent(ent, base, flat, max(n - ent.m, 0)))
 
 
 def mu_exponents_upto(sched: CantorSchedule, base: int, max_n: int) -> np.ndarray:
@@ -337,7 +328,7 @@ def mu_exponents_upto(sched: CantorSchedule, base: int, max_n: int) -> np.ndarra
     first_a = sched.entries[0].a
     top = min(first_a - 1, max_n)
     out[1: top + 1] = np.arange(1, top + 1)
-    for ent, flat in zip(sched.entries, sched.flat_exponents(base)):
+    for ent, flat in zip(sched.entries, _entry_base_exponents(sched, base)):
         if ent.a > max_n:
             break
         hi = min(ent.next_a - 1, max_n)

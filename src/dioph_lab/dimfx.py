@@ -6,12 +6,14 @@ when callers format output.  Integer thresholds are floors of log ratios:
 of eta, because interval endpoints sit exactly at such powers and float logs
 misround there.  The guess is off by a step or so, so the search takes a
 few exact powers however large its answer is.  No exponent past
-`MAX_EXPONENT`, and no power larger than `MAX_POWER_BITS`, is raised.
+`MAX_EXPONENT` is raised (`check_power`), and an exact value is turned into
+text by `exact_text`, which names what is too long to print.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,16 +24,6 @@ from fractions import Fraction
 # Python's 4300-digit int-to-str limit) was 1131, and every point up to
 # 1000 evaluates in milliseconds.  Past the cap the formulas raise ValueError.
 MAX_EXPONENT = 1000
-
-# Largest size |f| * max(bits of p, bits of q) of a power (p/q)^f that is
-# raised: an eta with long terms overflows the digit limit at exponents
-# well below MAX_EXPONENT.  The exact-window bounds hold the square of
-# eta^f, and Python prints at most 4300 digits (14284 bits), so a size near
-# 7140 bits is where values stop printing.  Over 297 etas, (k+1)/k for
-# k = 100..317 and (10^d + 10^d // k + 1)/10^d for d = 3..18, k = 11..299,
-# with 31 vhat each, the smallest size among the points whose values no
-# longer print was 7169 bits; none at or below 7000 failed.
-MAX_POWER_BITS = 7000
 
 EXACT = "exact"
 UPPER = "upper"
@@ -82,6 +74,27 @@ def _ln(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
+def check_power(eta: Fraction, f: int | float) -> None:
+    """Refuse the exact power eta^f when |f| is past MAX_EXPONENT; `f` is the
+    exponent, or a float estimate of it."""
+    if not abs(f) <= MAX_EXPONENT:
+        power = f"eta^{f}" if isinstance(f, int) else f"eta^f with f near {f:.3g}"
+        raise ValueError(f"eta = {eta} needs its power {power}, past the cap "
+                         f"{MAX_EXPONENT} on exact exponents")
+
+
+def exact_text(x: Fraction, what: str) -> str:
+    """`str(x)`.  An eta with long terms gives exact values with more digits
+    than Python turns into text; those raise one ValueError naming `what`,
+    its length and the limit, instead of Python's advice on raising it."""
+    try:
+        return str(x)
+    except ValueError:
+        bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+        raise ValueError(f"{what} has about {bits * math.log10(2):.3g} digits, past the "
+                         f"limit {sys.get_int_max_str_digits()} on printed integers") from None
+
+
 def floor_log(eta: Fraction, x: Fraction) -> int:
     """Unique integer f with eta^f <= x < eta^(f+1); |f| at most MAX_EXPONENT."""
     eta, x = Fraction(eta), Fraction(x)
@@ -91,14 +104,7 @@ def floor_log(eta: Fraction, x: Fraction) -> int:
         raise ValueError(f"x must be positive, got {x}")
     step = _ln(eta)
     guess = _ln(x) / step if step > 0 else math.inf  # 0 only if eta - 1 underflows
-    if not abs(guess) <= MAX_EXPONENT:
-        raise ValueError(f"eta = {eta} needs its power eta^f with f near {guess:.3g}, "
-                         f"past the cap {MAX_EXPONENT} on exact exponents")
-    bits = abs(guess) * max(eta.numerator.bit_length(), eta.denominator.bit_length())
-    if bits > MAX_POWER_BITS:
-        raise ValueError(f"eta = {eta} needs its power eta^f with f near {guess:.3g}, "
-                         f"about {bits:.3g} bits, past the cap {MAX_POWER_BITS} bits "
-                         "on exact powers")
+    check_power(eta, guess)
     f = math.floor(guess)
     p = eta ** f  # the one large power; the steps multiply by the small eta
     while p > x:
@@ -277,7 +283,9 @@ def exact_dimension_window(eta: Fraction, vhat: Fraction) -> DimensionReport:
     p = eta ** lc
     left = max(Fraction(1), eta - (p + eta * p - 1) / p ** 2)
     right = eta - 2 / p
-    cond = f"window l={lc}: {left} < vhat <= {right}, l >= l0={l0}"
+    end = f"an end of window l={lc} for eta = {eta}"
+    cond = (f"window l={lc}: {exact_text(left, end)} < vhat <= {exact_text(right, end)}, "
+            f"l >= l0={l0}")
     if lc < l0 or not (left < vhat <= right):
         return DimensionReport(value=None, kind=EXACT, source="exact-window",
                                condition=cond)

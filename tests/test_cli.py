@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -434,6 +435,7 @@ EVAL_DIM_PINNED = [
     "--eta 3 --vhat 2 --theta 9",
     "--eta 3 --vhat 5/2",
     "--eta 3 --vhat 1/2 --theta 3",
+    "--eta 100700001/100000000 --vhat 1/2",  # long terms, values of ~2000 digits
 ]
 
 
@@ -484,7 +486,7 @@ def test_eval_dim_near_one_finishes(eta, capsys):
 
 
 EXPONENT_CAP = f"past the cap {dimfx.MAX_EXPONENT} on exact exponents"
-SIZE_CAP = f"past the cap {dimfx.MAX_POWER_BITS} bits on exact powers"
+DIGIT_LIMIT = f"past the limit {sys.get_int_max_str_digits()} on printed integers"
 
 
 @pytest.mark.parametrize("argv,exponent,cap", [
@@ -495,12 +497,17 @@ SIZE_CAP = f"past the cap {dimfx.MAX_POWER_BITS} bits on exact powers"
     (["gen-digits", "--seq", "geometric:eta=2,a1=1", "--theta", "4", "--vhat", "3/2",
       "--base", "2", "--regime", "geo:l=100000", "--depth", "100", "--out", "unused.txt"],
      "eta^100001", EXPONENT_CAP),
-    (["eval-dim", "--eta", "100700001/100000000", "--vhat", "1"], "f near 811", SIZE_CAP),
+    # long terms: the powers are raised, but some exact values are too long to print
+    (["eval-dim", "--eta", "100700001/100000000", "--vhat", "1"], "window l=811",
+     DIGIT_LIMIT),
+    (["eval-dim", "--eta", "100700001/100000000", "--vhat", "9/10"],
+     "construction-lower value at vhat = 9/10", DIGIT_LIMIT),
     (["gen-digits", "--seq", "geometric:eta=1234567/1000,a1=1", "--theta", "4", "--vhat", "1",
-      "--base", "2", "--regime", "geo:l=400", "--depth", "100", "--out", "unused.txt"],
-     "eta^401", SIZE_CAP),
+      "--base", "2", "--regime", "geo:l=800", "--depth", "100", "--out", "unused.txt"],
+     "[eta^800, (eta^801 - 1)/vhat)", DIGIT_LIMIT),
 ], ids=["eta-1e-6-above-one", "eta-1e-20-above-one", "eta-1e-4-above-one",
-        "gen-digits-stride-1e5", "eta-long-terms", "gen-digits-long-terms-stride-400"])
+        "gen-digits-stride-1e5", "eta-long-terms", "eta-long-terms-value",
+        "gen-digits-long-terms-stride-800"])
 def test_exact_power_cap_ends_in_one_error_line(argv, exponent, cap, capsys, tmp_path,
                                                 monkeypatch):
     monkeypatch.chdir(tmp_path)

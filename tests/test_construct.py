@@ -235,7 +235,7 @@ def test_mu_cylinder_matches_the_table_at_every_depth(name, base):
 def test_local_dimension_reads_one_block():
     """One depth costs one block's lookup, not a table over every depth."""
     n = 10 ** 6
-    sched = schedule_eta1(LIN, F(3), F(1, 3), cover_to=n)  # block exponents built in the trace
+    sched = schedule_eta1(LIN, F(3), F(1, 3), cover_to=n)
     tracemalloc.start()
     try:
         value = local_dimension(sched, 3, n)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from dioph_lab import digits
 
@@ -100,6 +102,17 @@ def test_random_digits_reproducible():
     c = digits.random_digits(10, 500, 8)
     assert a.data == b.data
     assert a.data != c.data
+
+
+@pytest.mark.parametrize("base", [2, 3, 10, 255])
+@pytest.mark.parametrize("count", [1, 100, 2000])
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 40 + 3])
+def test_random_digits_are_the_randrange_draws(base, count, seed):
+    """The bulk draw keeps the stream of one `randrange(base)` per digit,
+    kept here as the oracle; seeded tests and `verify` read these streams."""
+    rng = random.Random(seed)
+    expected = bytes(rng.randrange(base) for _ in range(count))
+    assert digits.random_digits(base, count, seed).data == expected
 
 
 def test_truncated():
