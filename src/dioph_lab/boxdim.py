@@ -18,6 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .construct import FREE, CantorSchedule, forced_digits
+from .dimfx import ALL_DEPTHS, AT_BLOCK_ENDS
 
 MIN_POINTS = 3  # fewest points a dimension estimate is made from
 
@@ -83,10 +84,6 @@ def count_series(sched: CantorSchedule, base: int, depths: Iterable[int]) -> Cou
     table = count_exponents_upto(sched, base, int(ns[-1]))
     exps = table[1:] if ns.size == ns[-1] else table[ns]
     return CountSeries(depths=ns, exponents=exps)
-
-
-ALL_DEPTHS = "all-depths"
-AT_BLOCK_ENDS = "block-ends"
 
 
 def dimension_slope(series: CountSeries, mode: str) -> float:

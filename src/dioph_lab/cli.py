@@ -3,19 +3,18 @@
 Rationals on the command line are `p` or `p/q` strings; decimal forms are
 rejected because schedule construction requires exact arithmetic.  CSV is
 the single output format (plot-ready columns, deterministic bytes).
+Each command imports the numpy-backed layers it runs, and only those, so
+`eval-dim` and a sweep of formulas alone load no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from . import boxdim, construct, digits, dimfx, exponents, sequences
-from .sequences import parse_rational
+from . import dimfx
 
 
 def _fmt(x) -> str:
@@ -27,7 +26,7 @@ def _fmt(x) -> str:
 
 def _rational(text: str) -> Fraction:
     try:
-        return parse_rational(text)
+        return dimfx.parse_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
@@ -55,7 +54,8 @@ def _grid(text: str) -> list[Fraction]:
         count = int(count)
     except ValueError:
         raise ValueError(f"grid must be lo:hi:count, got {text!r}") from None
-    return dimfx.rational_linspace(parse_rational(lo), parse_rational(hi), count)
+    return dimfx.rational_linspace(dimfx.parse_rational(lo), dimfx.parse_rational(hi),
+                                   count)
 
 
 def _check_positive(flag: str, value: int) -> None:
@@ -88,9 +88,9 @@ def _parse_regime(text: str):
     return "geometric", stride
 
 
-def _build_schedule(seq_spec: str, theta: Fraction, vhat: Fraction, regime: str,
+def _build_schedule(seq, theta: Fraction, vhat: Fraction, regime: str,
                     stride: int | None, depth: int):
-    seq = sequences.make_sequence(seq_spec)
+    from . import construct
     if regime == "eta1":
         return construct.schedule_eta1(seq, theta, vhat, cover_to=depth)
     return construct.schedule_geometric(seq, theta, vhat, stride, cover_to=depth)
@@ -168,12 +168,14 @@ def cmd_eval_dim(args) -> int:
 # --- gen-digits ----------------------------------------------------------------
 
 def cmd_gen_digits(args) -> int:
+    from . import construct, digits, sequences
     if args.base > digits.MAX_BASE:
         raise ValueError(f"--base must be <= {digits.MAX_BASE} to write a digit file, "
                          f"got {args.base}")
     _check_positive("--depth", args.depth)
     regime, stride = args.regime
-    sched = _build_schedule(args.seq, args.theta, args.vhat, regime, stride, args.depth)
+    sched = _build_schedule(sequences.make_sequence(args.seq), args.theta, args.vhat,
+                            regime, stride, args.depth)
     stream = construct.emit_digits(sched, args.base, args.depth)
     digits.save_digit_file(stream, args.out)
     print(f"wrote {stream.prefix_len} base-{args.base} digits to {args.out} "
@@ -190,6 +192,7 @@ def cmd_gen_digits(args) -> int:
 # --- estimate ----------------------------------------------------------------
 
 def cmd_estimate(args) -> int:
+    from . import digits, exponents, sequences
     if args.depth is not None:
         _check_positive("--depth", args.depth)
     stream = digits.load_digit_file(args.digits)
@@ -219,11 +222,12 @@ def cmd_estimate(args) -> int:
 # --- box-dim ----------------------------------------------------------------
 
 def cmd_box_dim(args) -> int:
+    from . import boxdim, sequences
     _check_positive("--max-depth", args.max_depth)
     regime, stride = args.regime
-    sched = _build_schedule(args.seq, args.theta, args.vhat, regime, stride,
-                            args.max_depth)
-    if args.mode == boxdim.AT_BLOCK_ENDS:
+    sched = _build_schedule(sequences.make_sequence(args.seq), args.theta, args.vhat,
+                            regime, stride, args.max_depth)
+    if args.mode == dimfx.AT_BLOCK_ENDS:
         depths, what = sched.block_ends(args.max_depth), "block ends"
     else:
         depths, what = range(1, args.max_depth + 1), "depths"
@@ -265,26 +269,28 @@ def _sweep_point(eta, vhat, theta, rho, roundtrip):
     if roundtrip is None:
         row.extend(["", "", ""])
         return row
-    seq_spec, base, regime, stride, depth, burn_fraction = roundtrip
+    from . import construct, exponents
+    seq, base, regime, stride, depth, burn_fraction = roundtrip
     try:
-        sched = _build_schedule(seq_spec, theta, vhat, regime, stride, depth)
+        sched = _build_schedule(seq, theta, vhat, regime, stride, depth)
         stream = construct.emit_digits(sched, base, depth)
         est = exponents.estimate_exponents(exponents.matching_times(stream, sched.seq),
                                            burn_fraction)
         ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, est.eta, 0.05)
         row.extend([_fmt(est.v_est), _fmt(est.vhat_est), str(ok).lower()])
-    except ValueError:
-        row.extend(["", "", ""])  # point not constructible; formulas still stand
+    except ValueError as exc:  # point not constructible; formulas still stand
+        print(f"vhat = {vhat}, theta = {theta}: round trip left blank, "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        row.extend(["", "", ""])
     return row
 
 
 def cmd_sweep(args) -> int:
     _check_eta(args.eta)
     # Input errors stop here; only a point that cannot be built blanks its
-    # cells.  The spec is parsed only to check it and its fit to the regime:
-    # each point builds its own sequence, because a geometric sequence's term
-    # cache is not thread-safe.
+    # cells.  Every round trip reads the one sequence built here.
     if args.seq is not None:
+        from . import construct, sequences
         seq = sequences.make_sequence(args.seq)
         if args.regime is not None:
             construct.check_regime(seq, args.regime[0])
@@ -294,7 +300,7 @@ def cmd_sweep(args) -> int:
     roundtrip = None
     if args.seq is not None and args.regime is not None:
         regime, stride = args.regime
-        roundtrip = (args.seq, args.base, regime, stride, args.depth, args.burn_in)
+        roundtrip = (seq, args.base, regime, stride, args.depth, args.burn_in)
 
     if args.vhat_grid is not None:
         if roundtrip is not None and args.theta is None:
@@ -307,9 +313,7 @@ def cmd_sweep(args) -> int:
         points = [(args.eta, args.vhat, t, args.rho, roundtrip)
                   for t in _grid(args.theta_grid)]
 
-    threads = min(8, os.cpu_count() or 1, len(points))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(lambda p: _sweep_point(*p), points))
+    rows = [_sweep_point(*p) for p in points]
 
     header = ["vhat", "vhat_decimal", "theta"]
     for name in SWEEP_FORMULAS:
@@ -356,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True)
     p.add_argument("--depth", type=int)
     p.add_argument("--burn-in", dest="burn_in", type=float,
-                   default=exponents.BURN_FRACTION,
+                   default=dimfx.BURN_FRACTION,
                    help="fraction of dominant pairs to discard (default %(default)s)")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_estimate)
@@ -368,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=_base, required=True)
     p.add_argument("--regime", type=_parse_regime, default=("eta1", None))
     p.add_argument("--max-depth", dest="max_depth", type=int, required=True)
-    p.add_argument("--mode", choices=[boxdim.ALL_DEPTHS, boxdim.AT_BLOCK_ENDS],
-                   default=boxdim.AT_BLOCK_ENDS)
+    p.add_argument("--mode", choices=[dimfx.ALL_DEPTHS, dimfx.AT_BLOCK_ENDS],
+                   default=dimfx.AT_BLOCK_ENDS)
     p.add_argument("--csv")
     p.set_defaults(func=cmd_box_dim)
 
@@ -389,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", type=_parse_regime)
     p.add_argument("--depth", type=int, default=10 ** 5)
     p.add_argument("--burn-in", dest="burn_in", type=float,
-                   default=exponents.BURN_FRACTION,
+                   default=dimfx.BURN_FRACTION,
                    help="fraction of dominant pairs to discard (default %(default)s)")
     p.add_argument("--csv", required=True)
     p.set_defaults(func=cmd_sweep)

@@ -26,6 +26,7 @@ _TRANSLATE = bytearray(b"\xff" * 256)
 for _c, _v in _CHAR_VALUE.items():
     _TRANSLATE[ord(_c)] = _v
 _TRANSLATE = bytes(_TRANSLATE)
+_ENCODE = _ALPHABET.encode("ascii") + bytes(256 - MAX_BASE)  # digit value -> character
 
 
 @dataclass(frozen=True)
@@ -123,13 +124,6 @@ def digits_from_string(text: str, base: int, tail_guard: bool = True) -> DigitSt
     return stream
 
 
-def digits_to_string(stream: DigitStream) -> str:
-    if stream.base > MAX_BASE:
-        raise ValueError(f"base {stream.base} has no character encoding")
-    encode = (_ALPHABET.encode("ascii") + b"\x00" * (256 - len(_ALPHABET)))
-    return stream.data.translate(encode).decode("ascii")
-
-
 def digits_from_rational(p: int, q: int, base: int, count: int) -> DigitStream:
     """First `count` base-b digits of p/q by long division.
 
@@ -209,11 +203,14 @@ def run_end_table(stream: DigitStream, positions) -> np.ndarray:
 
 
 def save_digit_file(stream: DigitStream, path) -> None:
-    text = digits_to_string(stream)
-    with open(path, "w") as fh:
-        fh.write(f"base={stream.base}\n")
-        fh.write(text)
-        fh.write("\n")
+    """Write the header and the digit characters, translated from the digit
+    bytes in one pass, with no text copy of the digits."""
+    if stream.base > MAX_BASE:
+        raise ValueError(f"base {stream.base} has no character encoding")
+    with open(path, "wb") as fh:
+        fh.write(b"base=%d\n" % stream.base)
+        fh.write(stream.data.translate(_ENCODE))
+        fh.write(b"\n")
 
 
 def load_digit_file(path) -> DigitStream:

@@ -8,6 +8,10 @@ misround there.  The guess is off by a step or so, so the search takes a
 few exact powers however large its answer is.  No exponent past
 `MAX_EXPONENT` is raised (`check_power`), and an exact value is turned into
 text by `exact_text`, which names what is too long to print.
+
+This module needs no numpy, so it also holds what the command line reads
+before any command runs: `parse_rational` and the default names of the
+numpy-backed estimators.
 """
 
 from __future__ import annotations
@@ -24,6 +28,12 @@ from fractions import Fraction
 # Python's 4300-digit int-to-str limit) was 1131, and every point up to
 # 1000 evaluates in milliseconds.  Past the cap the formulas raise ValueError.
 MAX_EXPONENT = 1000
+
+# Defaults of the numpy-backed layers, stated here so that the argument
+# parser loads no numpy.
+BURN_FRACTION = 0.2  # exponents: share of dominant pairs discarded as transients
+ALL_DEPTHS = "all-depths"   # boxdim: least-squares slope over every depth
+AT_BLOCK_ENDS = "block-ends"  # boxdim: liminf surrogate at block ends
 
 EXACT = "exact"
 UPPER = "upper"
@@ -63,6 +73,19 @@ class Thresholds:
     l1: int
     ltilde: int
     lprime: int
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse 'p' or 'p/q'; decimal forms are rejected to keep arithmetic exact."""
+    text = text.strip()
+    parts = text.split("/")
+    if len(parts) > 2 or not all(p.lstrip("+").isdigit() for p in parts):
+        raise ValueError(f"{text!r} is not a p or p/q rational")
+    if len(parts) == 1:
+        return Fraction(int(parts[0]))
+    if int(parts[1]) == 0:
+        raise ValueError(f"{text!r} has a zero denominator")
+    return Fraction(int(parts[0]), int(parts[1]))
 
 
 def _ln(q: Fraction) -> float:

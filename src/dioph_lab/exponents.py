@@ -20,10 +20,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .digits import DigitStream, run_end_table
-from .dimfx import InvariantError
+from .dimfx import BURN_FRACTION, InvariantError
 from .sequences import DenominatorSequence, eta_estimate
 
-BURN_FRACTION = 0.2        # share of dominant pairs discarded as transients
 GRID_START_FRACTION = 0.2  # definition_grid starts at this share of its cap
 
 

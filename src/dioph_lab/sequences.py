@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .dimfx import parse_rational
+
 
 def _integer_root(x: int, d: int) -> int:
     """floor(x ** (1/d)) for x >= 1, by integer Newton steps from above."""
@@ -182,19 +184,6 @@ class DenominatorSequence:
 
     def __repr__(self):
         return f"DenominatorSequence({self.spec!r})"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p' or 'p/q'; decimal forms are rejected to keep arithmetic exact."""
-    text = text.strip()
-    parts = text.split("/")
-    if len(parts) > 2 or not all(p.lstrip("+").isdigit() for p in parts):
-        raise ValueError(f"{text!r} is not a p or p/q rational")
-    if len(parts) == 1:
-        return Fraction(int(parts[0]))
-    if int(parts[1]) == 0:
-        raise ValueError(f"{text!r} has a zero denominator")
-    return Fraction(int(parts[0]), int(parts[1]))
 
 
 def _spec_int(spec: str, key: str, text: str) -> int:

@@ -1,6 +1,8 @@
 import contextlib
+import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dioph_lab import cli, digits, dimfx, verify
+import dioph_lab
+from dioph_lab import boxdim, cli, digits, dimfx, exponents, sequences, verify
 from dioph_lab.cli import main
 
 
@@ -171,6 +174,66 @@ def test_sweep_with_roundtrip_estimates(tmp_path, capsys):
     row = lines[1].split(",")  # vhat = 1/4, targets (5/4, 1/4)
     assert float(row[i_v]) == pytest.approx(5 / 4, abs=0.1)
     assert float(row[i_vhat]) == pytest.approx(1 / 4, abs=0.05)
+
+
+GEO_SWEEP = ["sweep", "--eta", "2", "--theta", "4", "--vhat-grid", "1/2:19/10:8",
+             "--seq", "geometric:eta=2,a1=1", "--regime", "geo:l=2", "--base", "2",
+             "--depth", "200000"]
+
+
+def test_geometric_sweep_shares_one_sequence(tmp_path, capsys, monkeypatch):
+    """Seven round trips read one geometric sequence and its term cache, and
+    the CSV is the one every point built its own sequence for.  The last
+    point, vhat = 19/10, needs a stride above 2: its round-trip cells are
+    blank, and one stderr line says why without failing the run."""
+    built = []
+
+    def make_sequence(spec):
+        built.append(spec)
+        return make(spec)
+
+    make = sequences.make_sequence
+    monkeypatch.setattr(sequences, "make_sequence", make_sequence)
+    csv_path = tmp_path / "geo.csv"
+    code, err = _run([*GEO_SWEEP, "--csv", str(csv_path)], capsys)
+    assert code == 0
+    assert built == ["geometric:eta=2,a1=1"]
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+        "2ba1b2a569649804a89b8d7910f114bced21c6c2dd9481f6bb9c18784cb0a4d9")
+    rows = csv_path.read_text().splitlines()
+    assert [r.endswith(",,,") for r in rows[1:]] == [False] * 7 + [True]
+    assert err.splitlines() == [
+        "vhat = 19/10, theta = 4: round trip left blank, "
+        "ValueError: stride l=2 below the admissible threshold 4"]
+
+
+# Runs the command given on its command line (none: only the import) in a
+# fresh interpreter and prints whether numpy was loaded.
+NUMPY_PROBE = """
+import contextlib, io, sys
+import dioph_lab.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dioph_lab.cli.main(sys.argv[1:]) == 0
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv,loads_numpy", [
+    ([], False),
+    (["eval-dim", "--eta", "2", "--vhat", "7/5"], False),
+    (["sweep", "--eta", "2", "--theta", "4", "--vhat-grid", "1/2:19/10:8", "--csv", "o.csv"],
+     False),
+    (["sweep", "--eta", "1", "--theta", "3", "--vhat-grid", "1/4:1/2:2", "--seq", "linear",
+      "--regime", "eta1", "--depth", "2000", "--csv", "o.csv"], True),
+], ids=["import", "eval-dim", "formula-sweep", "roundtrip-sweep"])
+def test_commands_load_numpy_only_when_they_run_it(argv, loads_numpy, tmp_path):
+    src = str(Path(dioph_lab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], cwd=tmp_path,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{loads_numpy}\n"
 
 
 def test_sweep_theta_grid(tmp_path, capsys):
@@ -335,7 +398,7 @@ def test_invariant_error_is_reported_not_blanked(tmp_path, capsys, monkeypatch):
     def broken(*_args, **_kwargs):
         raise dimfx.InvariantError("broken invariant")
 
-    monkeypatch.setattr(cli.exponents, "estimate_exponents", broken)
+    monkeypatch.setattr(exponents, "estimate_exponents", broken)
     code, err = _run(["sweep", "--eta", "1", "--theta", "5", "--vhat-grid", "1/4:1/2:2",
                       "--seq", "linear", "--regime", "eta1", "--depth", "2000",
                       "--csv", str(tmp_path / "rt.csv")], capsys)
@@ -379,7 +442,7 @@ def test_box_dim_too_few_points_names_max_depth(argv, message, capsys, monkeypat
     def no_series(*_args):
         raise AssertionError("count series built before the depths were checked")
 
-    monkeypatch.setattr(cli.boxdim, "count_series", no_series)
+    monkeypatch.setattr(boxdim, "count_series", no_series)
     code, err = _run(argv, capsys)
     assert code == 1
     assert err.splitlines() == [f"error: {message} needs at least 3"]

@@ -260,6 +260,33 @@ def test_limit_formulas():
     assert geometric_local_dimension_limit(F(2), F(4), F(3, 2), 2) == F(1, 49)
 
 
+GRID_SEQS = {F(3, 2): "geometric:eta=3/2,a1=4", F(2): "geometric:eta=2,a1=1",
+             F(3): "geometric:eta=3,a1=1"}
+
+
+@pytest.mark.parametrize("eta", sorted(GRID_SEQS), ids=str)
+def test_construction_lower_bound_is_the_block_end_limit_over_a_grid(eta):
+    """At stride l = ltilde and theta = eta^l the construction's block-end
+    local dimension is the construction lower bound, at 30 vhat across
+    (0, eta), and every one of those schedules builds."""
+    seq = sequences.make_sequence(GRID_SEQS[eta])
+    grid = dimfx.rational_linspace(F(1, 20), eta - F(1, 20), 30)
+    for vhat in grid:
+        l = dimfx.thresholds(eta, vhat).ltilde
+        theta = eta ** l
+        assert (dimfx.construction_lower_bound(eta, vhat).value
+                == geometric_local_dimension_limit(eta, theta, vhat, l)), vhat
+        assert schedule_geometric(seq, theta, vhat, l, cover_to=10 ** 6).covered_to >= 10 ** 6
+
+
+def test_pair_formula_at_theta0_is_the_eta1_dimension():
+    """At eta = 1 the pair (theta0, vhat) with theta0 = 2/(1 - vhat) attains
+    dim_eta1, at 30 vhat across [1/20, 19/20]."""
+    for vhat in dimfx.rational_linspace(F(1, 20), F(19, 20), 30):
+        assert (dimfx.dim_pair_eta1(vhat, 2 / (1 - vhat)).value
+                == dimfx.dim_eta1(vhat).value), vhat
+
+
 def test_local_dimension_converges(eta1_sched, geo_sched):
     last = [m for m in eta1_sched.block_ends(10 ** 6) if m >= 10 ** 5][-1]
     assert local_dimension(eta1_sched, 3, last) == pytest.approx(0.25, abs=0.02)

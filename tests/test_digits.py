@@ -89,6 +89,15 @@ def test_digit_file_roundtrip(tmp_path):
         digits.load_digit_file(bad)
 
 
+def test_digit_file_bytes(tmp_path):
+    path = tmp_path / "digits.txt"
+    digits.save_digit_file(digits.DigitStream(36, bytes(range(36))), path)
+    assert path.read_bytes() == b"base=36\n0123456789abcdefghijklmnopqrstuvwxyz\n"
+    with pytest.raises(ValueError, match="base 37 has no character encoding"):
+        digits.save_digit_file(digits.DigitStream(37, bytes([36])), tmp_path / "no.txt")
+    assert not (tmp_path / "no.txt").exists()
+
+
 def test_digit_file_wrapped_lines_and_no_trailing_newline(tmp_path):
     path = tmp_path / "wrapped.txt"
     path.write_text("base=3\n1022\n0110")  # body may wrap; newline optional
