@@ -176,26 +176,22 @@ def test_sweep_with_roundtrip_estimates(tmp_path, capsys):
     assert float(row[i_vhat]) == pytest.approx(1 / 4, abs=0.05)
 
 
-GEO_SWEEP = ["sweep", "--eta", "2", "--theta", "4", "--vhat-grid", "1/2:19/10:8",
-             "--seq", "geometric:eta=2,a1=1", "--regime", "geo:l=2", "--base", "2",
-             "--depth", "200000"]
-
-
 def test_geometric_sweep_shares_one_sequence(tmp_path, capsys, monkeypatch):
     """Seven round trips read one geometric sequence and its term cache, and
-    the CSV is the one every point built its own sequence for.  The last
+    the CSV keeps the bytes written when each point built its own.  The last
     point, vhat = 19/10, needs a stride above 2: its round-trip cells are
     blank, and one stderr line says why without failing the run."""
-    built = []
+    built, make = [], sequences.make_sequence
 
     def make_sequence(spec):
         built.append(spec)
         return make(spec)
 
-    make = sequences.make_sequence
     monkeypatch.setattr(sequences, "make_sequence", make_sequence)
     csv_path = tmp_path / "geo.csv"
-    code, err = _run([*GEO_SWEEP, "--csv", str(csv_path)], capsys)
+    code, err = _run(["sweep", "--eta", "2", "--theta", "4", "--vhat-grid", "1/2:19/10:8",
+                      "--seq", "geometric:eta=2,a1=1", "--regime", "geo:l=2", "--base", "2",
+                      "--depth", "200000", "--csv", str(csv_path)], capsys)
     assert code == 0
     assert built == ["geometric:eta=2,a1=1"]
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
