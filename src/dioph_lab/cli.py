@@ -21,7 +21,11 @@ def _fmt(x) -> str:
     """Decimal rendering at 12 significant digits."""
     if x is None:
         return ""
-    return format(float(x), ".12g")
+    try:
+        return format(float(x), ".12g")
+    except OverflowError:
+        raise ValueError(f"{dimfx.exact_text(x, 'a value past the float range')} has no "
+                         "decimal form: it is past the float range") from None
 
 
 def _rational(text: str) -> Fraction:
@@ -201,7 +205,7 @@ def cmd_estimate(args) -> int:
     seq = sequences.make_sequence(args.seq)
     mt = exponents.matching_times(stream, seq)
     est = exponents.estimate_exponents(mt, args.burn_in)
-    ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, est.eta, tol=0.05)
+    ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, est.eta)
     try:
         vdef = exponents.estimate_vhat_definition(mt, exponents.definition_grid(mt))
     except ValueError:
@@ -276,7 +280,7 @@ def _sweep_point(eta, vhat, theta, rho, roundtrip):
         stream = construct.emit_digits(sched, base, depth)
         est = exponents.estimate_exponents(exponents.matching_times(stream, sched.seq),
                                            burn_fraction)
-        ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, est.eta, 0.05)
+        ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, est.eta)
         row.extend([_fmt(est.v_est), _fmt(est.vhat_est), str(ok).lower()])
     except ValueError as exc:  # point not constructible; formulas still stand
         print(f"vhat = {vhat}, theta = {theta}: round trip left blank, "
@@ -287,20 +291,19 @@ def _sweep_point(eta, vhat, theta, rho, roundtrip):
 
 def cmd_sweep(args) -> int:
     _check_eta(args.eta)
+    if (args.seq is None) != (args.regime is None):
+        return _usage("a round-trip sweep needs both --seq and --regime")
     # Input errors stop here; only a point that cannot be built blanks its
     # cells.  Every round trip reads the one sequence built here.
+    roundtrip = None
     if args.seq is not None:
         from . import construct, sequences
         seq = sequences.make_sequence(args.seq)
-        if args.regime is not None:
-            construct.check_regime(seq, args.regime[0])
+        construct.check_regime(seq, args.regime[0])
+        roundtrip = (seq, args.base, *args.regime, args.depth, args.burn_in)
     _check_positive("--depth", args.depth)
     if not 0 <= args.burn_in <= 1:
         raise ValueError(f"burn-in fraction must be in [0, 1], got {args.burn_in:g}")
-    roundtrip = None
-    if args.seq is not None and args.regime is not None:
-        regime, stride = args.regime
-        roundtrip = (seq, args.base, regime, stride, args.depth, args.burn_in)
 
     if args.vhat_grid is not None:
         if roundtrip is not None and args.theta is None:

@@ -68,8 +68,8 @@ class CantorSchedule:
     def target_v(self) -> Fraction:
         return self.theta * self.vhat
 
-    def block_ends(self, max_depth: int | None = None) -> list[int]:
-        return [e.m for e in self.entries if max_depth is None or e.m <= max_depth]
+    def block_ends(self, max_depth: int) -> list[int]:
+        return [e.m for e in self.entries if e.m <= max_depth]
 
 
 def _floor_times(frac: Fraction, a: int) -> int:

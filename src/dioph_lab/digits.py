@@ -82,9 +82,6 @@ class DigitStream:
         hit = (v == 0) | (v == self.base - 1)
         return starts[hit] + 1, ends[hit] + 1
 
-    def __len__(self) -> int:
-        return len(self.data)
-
 
 def check_tail_guard(stream: DigitStream) -> None:
     """Irrationality proxy on ingested data.

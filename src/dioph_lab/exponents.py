@@ -24,6 +24,7 @@ from .dimfx import BURN_FRACTION, InvariantError
 from .sequences import DenominatorSequence, eta_estimate
 
 GRID_START_FRACTION = 0.2  # definition_grid starts at this share of its cap
+INEQUALITY_TOL = 0.05  # slack of check_exponent_inequality on window estimates
 
 
 class MatchingPair(NamedTuple):
@@ -248,13 +249,12 @@ def definition_grid(mt: MatchingTimes) -> range:
     return range(max(2, int(cap * GRID_START_FRACTION)), cap + 1)
 
 
-def check_exponent_inequality(v_est: float, vhat_est: float, eta: float,
-                              tol: float) -> bool:
-    """Check v >= vhat/(eta - vhat) up to tol (requires vhat < eta)."""
+def check_exponent_inequality(v_est: float, vhat_est: float, eta: float) -> bool:
+    """Check v >= vhat/(eta - vhat) up to INEQUALITY_TOL (requires vhat < eta)."""
     eta = float(eta)
     if vhat_est >= eta:
         raise ValueError(f"vhat {vhat_est} must be below eta {eta}")
-    return v_est + tol >= vhat_est / (eta - vhat_est)
+    return v_est + INEQUALITY_TOL >= vhat_est / (eta - vhat_est)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Restricted denominator sequences A = (a_n) and their growth exponent.
 
 The growth exponent eta = limsup a_{n+1}/a_n governs which dimension formulas
-apply.  Linear and polynomial sequences realize eta = 1 (with a_n != n for
-the polynomial kinds); geometric sequences realize any rational eta > 1 via
-an integer rounding recurrence.
+apply.  Polynomial sequences a_n = n^d realize eta = 1 (`linear` is d = 1);
+geometric sequences realize any rational eta > 1 via an integer rounding
+recurrence.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ def _power_above(r: np.ndarray, d: int, x: np.ndarray) -> np.ndarray:
 def _integer_roots(x: np.ndarray, d: int) -> np.ndarray:
     """floor(x ** (1/d)) for each int64 0 <= x < 2**53: a float root, which is
     off by at most one, settled by exact integer powers."""
+    if d == 1:
+        return x
     r = np.floor(x.astype(np.float64) ** (1.0 / d)).astype(np.int64)
     r -= _power_above(r, d, x)
     r += ~_power_above(r + 1, d, x)
@@ -46,9 +48,9 @@ class DenominatorSequence:
     """Strictly increasing sequence of positive integers with 1-based access.
 
     `a(n)` reads one term.  `index_count_upto(x)`, the number of terms
-    a_n <= x, is the one answer to "how many indices lie below a bound": a
-    closed form for linear, an exact integer root for poly, a count of the
-    terms for geometric sequences and a bisection for explicit ones.
+    a_n <= x, is the one answer to "how many indices lie below a bound": an
+    exact integer root for poly (`linear` is degree 1), a count of the terms
+    for geometric sequences and a bisection for explicit ones.
     `values_upto(limit)` gives those terms as an int64 array.  The array
     forms `first_index_at_least(x)` and `a_at(ns)` answer many lookups at
     once without materializing the indices in between.
@@ -73,13 +75,13 @@ class DenominatorSequence:
             self._values = list(values)
         elif kind == "geometric":
             if ratio is None or ratio <= 1:
-                raise ValueError("geometric sequence needs rational ratio > 1")
+                raise ValueError(f"geometric eta must exceed 1, got {ratio}")
             if seed is None or seed < 1:
                 raise ValueError("geometric sequence needs integer seed >= 1")
             self._values = [seed]  # extended on demand
-        elif kind in ("linear", "poly"):
-            if kind == "poly" and (degree is None or degree < 2):
-                raise ValueError("polynomial sequence needs degree >= 2")
+        elif kind == "poly":
+            if degree is None or degree < 1:
+                raise ValueError("polynomial sequence needs degree >= 1")
             self._values = None
         else:
             raise ValueError(f"unknown sequence kind {kind!r}")
@@ -87,7 +89,7 @@ class DenominatorSequence:
     @property
     def eta_declared(self) -> Fraction | None:
         """Exact growth exponent when known from the construction."""
-        if self.kind in ("linear", "poly"):
+        if self.kind == "poly":
             return Fraction(1)
         if self.kind == "geometric":
             return self.ratio
@@ -105,8 +107,6 @@ class DenominatorSequence:
         """Value a_n for n >= 1."""
         if n < 1:
             raise IndexError(f"sequence index must be >= 1, got {n}")
-        if self.kind == "linear":
-            return n
         if self.kind == "poly":
             return n ** self.degree
         if self.kind == "geometric":
@@ -126,8 +126,6 @@ class DenominatorSequence:
         """Number of indices n with a_n <= x, exactly (integer arithmetic only)."""
         if x < 1:
             return 0
-        if self.kind == "linear":
-            return x
         if self.kind == "poly":
             return _integer_root(x, self.degree)
         if self.kind == "explicit":
@@ -136,9 +134,9 @@ class DenominatorSequence:
 
     def values_upto(self, limit: int) -> np.ndarray:
         """int64 array of a_1, a_2, ... up to the last a_n <= limit."""
-        if self.kind in ("linear", "poly"):
+        if self.kind == "poly":
             ns = np.arange(1, self.index_count_upto(limit) + 1, dtype=np.int64)
-            return ns if self.kind == "linear" else ns ** self.degree
+            return ns ** self.degree
         if self.kind == "explicit":
             return np.array(self._values[:self.index_count_upto(limit)], dtype=np.int64)
         return np.fromiter((v for _, v in self.iter_upto(limit)), dtype=np.int64)
@@ -149,8 +147,6 @@ class DenominatorSequence:
         its length plus one.  Geometric and explicit sequences search their
         terms below max(x)."""
         x = np.asarray(x, dtype=np.int64)
-        if self.kind == "linear":
-            return np.maximum(x, 1)
         if self.kind == "poly":  # a_n >= x exactly when n > floor((x - 1) ** (1/d))
             return _integer_roots(np.maximum(x - 1, 0), self.degree) + 1
         top = int(x.max()) - 1 if x.size else 0
@@ -161,8 +157,6 @@ class DenominatorSequence:
         ns = np.asarray(ns, dtype=np.int64)
         if ns.size and ns.min() < 1:
             raise IndexError(f"sequence index must be >= 1, got {int(ns.min())}")
-        if self.kind == "linear":
-            return ns
         if self.kind == "poly":
             return ns ** self.degree
         top = int(ns.max()) if ns.size else 0
@@ -215,17 +209,20 @@ def _read_values(path: Path) -> list[int]:
 def make_sequence(spec: str) -> DenominatorSequence:
     """Build a sequence from its spec string.
 
-    Grammar: `linear` | `poly:d=<int>=2>` | `geometric:eta=<p/q>,a1=<int>` |
-    `file:<path>` (one strictly increasing positive integer per line).
+    Grammar: `linear` (the degree-1 poly) | `poly:d=<int>=2>` |
+    `geometric:eta=<p/q>,a1=<int>` | `file:<path>` (one strictly increasing
+    positive integer per line).
     """
     spec = spec.strip()
     if spec == "linear":
-        return DenominatorSequence("linear", spec=spec)
+        return DenominatorSequence("poly", degree=1, spec=spec)
     if spec.startswith("poly:"):
         body = spec[len("poly:"):]
         if not body.startswith("d="):
             raise ValueError(f"malformed poly spec {spec!r}")
         d = _spec_int(spec, "d", body[2:])
+        if d < 2:  # d = 1 is spelled `linear`
+            raise ValueError("polynomial sequence needs degree >= 2")
         return DenominatorSequence("poly", degree=d, spec=spec)
     if spec.startswith("geometric:"):
         body = spec[len("geometric:"):]
@@ -237,10 +234,7 @@ def make_sequence(spec: str) -> DenominatorSequence:
             kv[k.strip()] = v.strip()
         if set(kv) != {"eta", "a1"}:
             raise ValueError(f"geometric spec needs eta=<p/q>,a1=<int>, got {spec!r}")
-        ratio = parse_rational(kv["eta"])
-        if ratio <= 1:
-            raise ValueError(f"geometric eta must exceed 1, got {ratio}")
-        return DenominatorSequence("geometric", ratio=ratio,
+        return DenominatorSequence("geometric", ratio=parse_rational(kv["eta"]),
                                    seed=_spec_int(spec, "a1", kv["a1"]), spec=spec)
     if spec.startswith("file:"):
         values = _read_values(Path(spec[len("file:"):]))

@@ -338,13 +338,15 @@ ROUNDTRIP_SWEEP = ["sweep", "--eta", "1", "--theta", "5", "--vhat-grid", "1/4:1/
      "--seq", "geometric:eta=2,a1=x", "--regime", "geo:l=2", "--csv", "unused.csv"],
     [*ROUNDTRIP_SWEEP, "--seq", "file:not-an-int.txt"],
     [*ROUNDTRIP_SWEEP, "--seq", "file:not-utf8.txt"],
+    ["sweep", "--eta", "1", "--vhat-grid", f"1:1{'0' * 400}:2", "--csv", "unused.csv"],
 ], ids=["zero-denominator", "eta-zero", "eta-below-one", "grid-zero-denominator",
         "sweep-eta-zero", "sweep-zero-denominator", "sweep-roundtrip-without-theta",
         "grid-two-fields", "grid-count-not-int", "sweep-bad-seq", "sweep-negative-depth",
         "sweep-negative-burn-in", "box-dim-base-one", "sweep-base-one",
         "sweep-negative-stride", "sweep-geometric-on-linear", "sweep-eta1-on-geometric",
         "sweep-poly-degree-not-int", "sweep-geometric-a1-not-int",
-        "sweep-seq-file-line-not-int", "sweep-seq-file-not-utf8"])
+        "sweep-seq-file-line-not-int", "sweep-seq-file-not-utf8",
+        "sweep-vhat-past-float-range"])
 def test_bad_rationals_give_one_error_line(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not-an-int.txt").write_text("1\n2\n3.5\n")
@@ -354,6 +356,27 @@ def test_bad_rationals_give_one_error_line(argv, capsys, tmp_path, monkeypatch):
     assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
     assert "Traceback" not in err
     assert not (tmp_path / "unused.csv").exists()
+
+
+def test_vhat_past_float_range_names_the_value(tmp_path, capsys):
+    huge = "1" + "0" * 400
+    code, err = _run(["sweep", "--eta", "1", "--vhat-grid", f"1:{huge}:2",
+                      "--csv", str(tmp_path / "s.csv")], capsys)
+    assert code == 1
+    assert err.splitlines() == [
+        f"error: {huge} has no decimal form: it is past the float range"]
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("half", [["--seq", "geometric:eta=2,a1=1"], ["--regime", "eta1"]],
+                         ids=["seq-alone", "regime-alone"])
+def test_sweep_needs_seq_and_regime_together(half, tmp_path, capsys):
+    csv_path = tmp_path / "s.csv"
+    code, err = _run(["sweep", "--eta", "2", "--theta", "4", "--vhat-grid", "1/2:3/2:4",
+                      *half, "--csv", str(csv_path)], capsys)
+    assert code == 2
+    assert err.splitlines() == ["error: a round-trip sweep needs both --seq and --regime"]
+    assert not csv_path.exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--regime", "geo:x"), ("--regime", "geo:l=0"),

@@ -262,29 +262,49 @@ def test_limit_formulas():
 
 GRID_SEQS = {F(3, 2): "geometric:eta=3/2,a1=4", F(2): "geometric:eta=2,a1=1",
              F(3): "geometric:eta=3,a1=1"}
+GRID_BASES = (2, 3, 10)
+# Block-end local dimensions past 1e5 sit within this of their limit.  Base 2
+# comes closest to it: 2.46e-3 at eta = 2, vhat = 1/20, block end 144,179,
+# about twice the worst of bases 3 and 10 (1.24e-3).
+BLOCK_END_TOL = 3e-3
+
+
+def _assert_block_ends_near(sched, target):
+    """local_dimension at every block end 1e5 <= m <= 1e6, in each grid base."""
+    for base in GRID_BASES:
+        for m in sched.block_ends(10 ** 6):
+            if m >= 10 ** 5:
+                assert local_dimension(sched, base, m) == pytest.approx(
+                    float(target), abs=BLOCK_END_TOL), (sched.vhat, base, m)
 
 
 @pytest.mark.parametrize("eta", sorted(GRID_SEQS), ids=str)
 def test_construction_lower_bound_is_the_block_end_limit_over_a_grid(eta):
     """At stride l = ltilde and theta = eta^l the construction's block-end
     local dimension is the construction lower bound, at 30 vhat across
-    (0, eta), and every one of those schedules builds."""
+    (0, eta); every one of those schedules builds, and its local dimensions
+    at the block ends past 1e5 approach that limit in bases 2, 3 and 10."""
     seq = sequences.make_sequence(GRID_SEQS[eta])
     grid = dimfx.rational_linspace(F(1, 20), eta - F(1, 20), 30)
     for vhat in grid:
         l = dimfx.thresholds(eta, vhat).ltilde
         theta = eta ** l
-        assert (dimfx.construction_lower_bound(eta, vhat).value
-                == geometric_local_dimension_limit(eta, theta, vhat, l)), vhat
-        assert schedule_geometric(seq, theta, vhat, l, cover_to=10 ** 6).covered_to >= 10 ** 6
+        limit = geometric_local_dimension_limit(eta, theta, vhat, l)
+        assert dimfx.construction_lower_bound(eta, vhat).value == limit, vhat
+        sched = schedule_geometric(seq, theta, vhat, l, cover_to=10 ** 6)
+        assert sched.covered_to >= 10 ** 6
+        _assert_block_ends_near(sched, limit)
 
 
 def test_pair_formula_at_theta0_is_the_eta1_dimension():
     """At eta = 1 the pair (theta0, vhat) with theta0 = 2/(1 - vhat) attains
-    dim_eta1, at 30 vhat across [1/20, 19/20]."""
+    dim_eta1, at 30 vhat across [1/20, 19/20], and the eta1 schedule's local
+    dimensions at the block ends past 1e5 approach it in bases 2, 3 and 10."""
     for vhat in dimfx.rational_linspace(F(1, 20), F(19, 20), 30):
-        assert (dimfx.dim_pair_eta1(vhat, 2 / (1 - vhat)).value
-                == dimfx.dim_eta1(vhat).value), vhat
+        theta0 = 2 / (1 - vhat)
+        limit = dimfx.dim_pair_eta1(vhat, theta0).value
+        assert limit == dimfx.dim_eta1(vhat).value, vhat
+        _assert_block_ends_near(schedule_eta1(LIN, theta0, vhat, cover_to=10 ** 6), limit)
 
 
 def test_local_dimension_converges(eta1_sched, geo_sched):

@@ -18,6 +18,24 @@ def test_linear_and_poly():
     assert lin.eta_declared == 1 and sq.eta_declared == 1
 
 
+def test_linear_is_the_degree_one_poly():
+    """`linear` counts exactly past int64, as the eta1 next-block rule needs
+    when theta is huge."""
+    lin = make_sequence("linear")
+    assert (lin.kind, lin.degree) == ("poly", 1)
+    assert lin.index_count_upto(10 ** 30) == 10 ** 30
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("poly:d=1", "polynomial sequence needs degree >= 2"),
+    ("geometric:eta=1,a1=1", "geometric eta must exceed 1, got 1"),
+    ("geometric:eta=2/3,a1=1", "geometric eta must exceed 1, got 2/3"),
+])
+def test_spec_errors_keep_their_messages(spec, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_sequence(spec)
+
+
 def test_geometric_recurrence():
     g = make_sequence("geometric:eta=2,a1=1")
     assert [g.a(n) for n in range(1, 6)] == [1, 2, 4, 8, 16]
