@@ -92,12 +92,21 @@ def _parse_regime(text: str):
     return "geometric", stride
 
 
-def _build_schedule(seq, theta: Fraction, vhat: Fraction, regime: str,
-                    stride: int | None, depth: int):
+def _build_schedule(seq, theta: Fraction, vhat: Fraction, regime, depth: int):
+    """`regime` is a parsed --regime: (name, stride or None)."""
     from . import construct
-    if regime == "eta1":
+    name, stride = regime
+    if name == "eta1":
         return construct.schedule_eta1(seq, theta, vhat, cover_to=depth)
     return construct.schedule_geometric(seq, theta, vhat, stride, cover_to=depth)
+
+
+def _schedule(args, flag: str, depth: int):
+    """Check the depth flag, then build the schedule the shared flags describe."""
+    from . import sequences
+    _check_positive(flag, depth)
+    return _build_schedule(sequences.make_sequence(args.seq), args.theta, args.vhat,
+                           args.regime, depth)
 
 
 def _write_csv(path, header, rows):
@@ -172,14 +181,11 @@ def cmd_eval_dim(args) -> int:
 # --- gen-digits ----------------------------------------------------------------
 
 def cmd_gen_digits(args) -> int:
-    from . import construct, digits, sequences
+    from . import construct, digits
     if args.base > digits.MAX_BASE:
         raise ValueError(f"--base must be <= {digits.MAX_BASE} to write a digit file, "
                          f"got {args.base}")
-    _check_positive("--depth", args.depth)
-    regime, stride = args.regime
-    sched = _build_schedule(sequences.make_sequence(args.seq), args.theta, args.vhat,
-                            regime, stride, args.depth)
+    sched = _schedule(args, "--depth", args.depth)
     stream = construct.emit_digits(sched, args.base, args.depth)
     digits.save_digit_file(stream, args.out)
     print(f"wrote {stream.prefix_len} base-{args.base} digits to {args.out} "
@@ -204,7 +210,7 @@ def cmd_estimate(args) -> int:
         stream = stream.truncated(min(args.depth, stream.prefix_len))
     seq = sequences.make_sequence(args.seq)
     mt = exponents.matching_times(stream, seq)
-    est = exponents.estimate_exponents(mt, args.burn_in)
+    est = exponents.estimate_exponents(mt)
     ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, est.eta)
     try:
         vdef = exponents.estimate_vhat_definition(mt, exponents.definition_grid(mt))
@@ -226,11 +232,8 @@ def cmd_estimate(args) -> int:
 # --- box-dim ----------------------------------------------------------------
 
 def cmd_box_dim(args) -> int:
-    from . import boxdim, sequences
-    _check_positive("--max-depth", args.max_depth)
-    regime, stride = args.regime
-    sched = _build_schedule(sequences.make_sequence(args.seq), args.theta, args.vhat,
-                            regime, stride, args.max_depth)
+    from . import boxdim
+    sched = _schedule(args, "--max-depth", args.max_depth)
     if args.mode == dimfx.AT_BLOCK_ENDS:
         depths, what = sched.block_ends(args.max_depth), "block ends"
     else:
@@ -274,12 +277,11 @@ def _sweep_point(eta, vhat, theta, rho, roundtrip):
         row.extend(["", "", ""])
         return row
     from . import construct, exponents
-    seq, base, regime, stride, depth, burn_fraction = roundtrip
+    seq, base, regime, depth = roundtrip
     try:
-        sched = _build_schedule(seq, theta, vhat, regime, stride, depth)
+        sched = _build_schedule(seq, theta, vhat, regime, depth)
         stream = construct.emit_digits(sched, base, depth)
-        est = exponents.estimate_exponents(exponents.matching_times(stream, sched.seq),
-                                           burn_fraction)
+        est = exponents.estimate_exponents(exponents.matching_times(stream, sched.seq))
         ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, est.eta)
         row.extend([_fmt(est.v_est), _fmt(est.vhat_est), str(ok).lower()])
     except ValueError as exc:  # point not constructible; formulas still stand
@@ -300,10 +302,8 @@ def cmd_sweep(args) -> int:
         from . import construct, sequences
         seq = sequences.make_sequence(args.seq)
         construct.check_regime(seq, args.regime[0])
-        roundtrip = (seq, args.base, *args.regime, args.depth, args.burn_in)
+        roundtrip = (seq, args.base, args.regime, args.depth)
     _check_positive("--depth", args.depth)
-    if not 0 <= args.burn_in <= 1:
-        raise ValueError(f"burn-in fraction must be in [0, 1], got {args.burn_in:g}")
 
     if args.vhat_grid is not None:
         if roundtrip is not None and args.theta is None:
@@ -338,21 +338,27 @@ def build_parser() -> argparse.ArgumentParser:
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval-dim", help="evaluate every applicable dimension formula")
-    p.add_argument("--eta", type=_rational, required=True)
-    p.add_argument("--vhat", type=_rational)
-    p.add_argument("--theta", type=_rational)
-    p.add_argument("--rho", type=_rational)
+    # the flags two commands share, each declared once
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--eta", type=_rational, required=True)
+    point.add_argument("--vhat", type=_rational)
+    point.add_argument("--theta", type=_rational)
+    point.add_argument("--rho", type=_rational)
+    schedule = argparse.ArgumentParser(add_help=False)
+    schedule.add_argument("--seq", required=True)
+    schedule.add_argument("--theta", type=_rational, required=True)
+    schedule.add_argument("--vhat", type=_rational, required=True)
+    schedule.add_argument("--base", type=_base, required=True)
+    schedule.add_argument("--regime", type=_parse_regime, default=("eta1", None))
+
+    p = sub.add_parser("eval-dim", parents=[point],
+                       help="evaluate every applicable dimension formula")
     p.add_argument("--grid", help="vhat grid lo:hi:count (rationals)")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_eval_dim)
 
-    p = sub.add_parser("gen-digits", help="emit a schedule's digit stream to a file")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--theta", type=_rational, required=True)
-    p.add_argument("--vhat", type=_rational, required=True)
-    p.add_argument("--base", type=_base, required=True)
-    p.add_argument("--regime", type=_parse_regime, default=("eta1", None))
+    p = sub.add_parser("gen-digits", parents=[schedule],
+                       help="emit a schedule's digit stream to a file")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--schedule-csv")
@@ -362,32 +368,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", required=True)
     p.add_argument("--seq", required=True)
     p.add_argument("--depth", type=int)
-    p.add_argument("--burn-in", dest="burn_in", type=float,
-                   default=dimfx.BURN_FRACTION,
-                   help="fraction of dominant pairs to discard (default %(default)s)")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("box-dim", help="box-counting estimate for a schedule set")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--theta", type=_rational, required=True)
-    p.add_argument("--vhat", type=_rational, required=True)
-    p.add_argument("--base", type=_base, required=True)
-    p.add_argument("--regime", type=_parse_regime, default=("eta1", None))
+    p = sub.add_parser("box-dim", parents=[schedule],
+                       help="box-counting estimate for a schedule set")
     p.add_argument("--max-depth", dest="max_depth", type=int, required=True)
     p.add_argument("--mode", choices=[dimfx.ALL_DEPTHS, dimfx.AT_BLOCK_ENDS],
                    default=dimfx.AT_BLOCK_ENDS)
     p.add_argument("--csv")
     p.set_defaults(func=cmd_box_dim)
 
-    p = sub.add_parser("sweep", help="grid sweep emitting one CSV row per point",
+    p = sub.add_parser("sweep", parents=[point],
+                       help="grid sweep emitting one CSV row per point",
                        fromfile_prefix_chars="@",
                        epilog="@FILE reads one argument per line, e.g. --eta=2; "
                               "flags after it override the file")
-    p.add_argument("--eta", type=_rational, required=True)
-    p.add_argument("--vhat", type=_rational)
-    p.add_argument("--theta", type=_rational)
-    p.add_argument("--rho", type=_rational)
     grid = p.add_mutually_exclusive_group(required=True)
     grid.add_argument("--vhat-grid", dest="vhat_grid", help="lo:hi:count")
     grid.add_argument("--theta-grid", dest="theta_grid", help="lo:hi:count")
@@ -395,9 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=_base, default=3)
     p.add_argument("--regime", type=_parse_regime)
     p.add_argument("--depth", type=int, default=10 ** 5)
-    p.add_argument("--burn-in", dest="burn_in", type=float,
-                   default=dimfx.BURN_FRACTION,
-                   help="fraction of dominant pairs to discard (default %(default)s)")
     p.add_argument("--csv", required=True)
     p.set_defaults(func=cmd_sweep)
 
@@ -412,6 +405,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, dimfx.InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a depth too large to allocate
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

@@ -201,12 +201,14 @@ def run_end_table(stream: DigitStream, positions) -> np.ndarray:
 
 def save_digit_file(stream: DigitStream, path) -> None:
     """Write the header and the digit characters, translated from the digit
-    bytes in one pass, with no text copy of the digits."""
+    bytes in one pass, with no text copy of the digits.  The translation
+    runs before the file is opened, so a failed allocation leaves no file."""
     if stream.base > MAX_BASE:
         raise ValueError(f"base {stream.base} has no character encoding")
+    body = stream.data.translate(_ENCODE)
     with open(path, "wb") as fh:
         fh.write(b"base=%d\n" % stream.base)
-        fh.write(stream.data.translate(_ENCODE))
+        fh.write(body)
         fh.write(b"\n")
 
 

@@ -10,8 +10,8 @@ few exact powers however large its answer is.  No exponent past
 text by `exact_text`, which names what is too long to print.
 
 This module needs no numpy, so it also holds what the command line reads
-before any command runs: `parse_rational`, and the default burn-in and the
-mode names of the numpy-backed estimators.
+before any command runs: `parse_rational`, and the mode names of the
+numpy-backed box-counting estimator.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ from fractions import Fraction
 # 1000 evaluates in milliseconds.  Past the cap the formulas raise ValueError.
 MAX_EXPONENT = 1000
 
-# Stated here, not in the numpy-backed layers that use them, so that the
+# Stated here, not in the numpy-backed layer that uses them, so that the
 # argument parser loads no numpy.
-BURN_FRACTION = 0.2           # exponents: share of dominant pairs discarded as transients
 ALL_DEPTHS = "all-depths"     # boxdim: least-squares slope over every depth
 AT_BLOCK_ENDS = "block-ends"  # boxdim: liminf surrogate at block ends
 

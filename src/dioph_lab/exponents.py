@@ -20,9 +20,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .digits import DigitStream, run_end_table
-from .dimfx import BURN_FRACTION, InvariantError
+from .dimfx import InvariantError
 from .sequences import DenominatorSequence, eta_estimate
 
+BURN_FRACTION = 0.2  # estimate_exponents discards this share of the dominant pairs
 GRID_START_FRACTION = 0.2  # definition_grid starts at this share of its cap
 INEQUALITY_TOL = 0.05  # slack of check_exponent_inequality on window estimates
 
@@ -269,21 +270,18 @@ class ExponentEstimate:
     eta: float  # eta_for_table of the gap table, used by the sanity bound
 
 
-def estimate_exponents(mt: MatchingTimes,
-                       burn_fraction: float = BURN_FRACTION) -> ExponentEstimate:
+def estimate_exponents(mt: MatchingTimes) -> ExponentEstimate:
     """Run the block estimators over a gap table.
 
-    The first `burn_fraction` of the dominant pairs is discarded, but never
+    The first BURN_FRACTION of the dominant pairs is discarded, but never
     one of the last two.  A finite-prefix sanity bound vhat <= eta * (v + 2/a(i_last))
     is checked with the table's eta; a violation (InvariantError) indicates
     corrupted inputs rather than a tight mathematical failure.
     """
-    if not 0 <= burn_fraction <= 1:  # also catches nan and inf
-        raise ValueError(f"burn-in fraction must be in [0, 1], got {burn_fraction:g}")
     if mt.empty:
         raise ValueError("no observable matching times in prefix")
     k = len(mt.dominant)
-    burn_in = min(int(k * burn_fraction), max(0, k - 2))
+    burn_in = min(int(k * BURN_FRACTION), max(0, k - 2))
     v = estimate_v(mt, burn_in)
     vhat = estimate_vhat_blocks(mt, burn_in)
     eta = eta_for_table(mt)

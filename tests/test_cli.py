@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -342,7 +344,7 @@ ROUNDTRIP_SWEEP = ["sweep", "--eta", "1", "--theta", "5", "--vhat-grid", "1/4:1/
 ], ids=["zero-denominator", "eta-zero", "eta-below-one", "grid-zero-denominator",
         "sweep-eta-zero", "sweep-zero-denominator", "sweep-roundtrip-without-theta",
         "grid-two-fields", "grid-count-not-int", "sweep-bad-seq", "sweep-negative-depth",
-        "sweep-negative-burn-in", "box-dim-base-one", "sweep-base-one",
+        "sweep-burn-in-unknown-flag", "box-dim-base-one", "sweep-base-one",
         "sweep-negative-stride", "sweep-geometric-on-linear", "sweep-eta1-on-geometric",
         "sweep-poly-degree-not-int", "sweep-geometric-a1-not-int",
         "sweep-seq-file-line-not-int", "sweep-seq-file-not-utf8",
@@ -398,9 +400,7 @@ def test_grid_error_names_the_format(capsys):
     assert err.splitlines() == ["error: grid must be lo:hi:count, got '1:2'"]
 
 
-@pytest.mark.parametrize("flag,value", [("--depth", "-3"), ("--burn-in", "-1"),
-                                        ("--burn-in", "inf")],
-                         ids=["negative-depth", "negative-burn-in", "infinite-burn-in"])
+@pytest.mark.parametrize("flag,value", [("--depth", "-3")], ids=["negative-depth"])
 def test_estimate_bad_flag_is_an_error(flag, value, tmp_path, capsys):
     dig = tmp_path / "digits.txt"
     main(["gen-digits", "--seq", "linear", "--theta", "3", "--vhat", "1/3",
@@ -411,6 +411,69 @@ def test_estimate_bad_flag_is_an_error(flag, value, tmp_path, capsys):
     errors = [ln for ln in err.splitlines() if "error:" in ln]
     assert len(errors) == 1 and value in errors[0]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--digits", "unused.txt", "--seq", "linear"],
+    ["sweep", "--eta", "1", "--theta", "3", "--vhat-grid", "1/4:1/2:2", "--seq", "linear",
+     "--regime", "eta1", "--csv", "unused.csv"],
+], ids=["estimate", "sweep"])
+def test_burn_in_is_not_a_flag(argv, capsys, tmp_path, monkeypatch):
+    """The burn-in is fixed (exponents.BURN_FRACTION), so no command takes it."""
+    monkeypatch.chdir(tmp_path)
+    code, err = _run([*argv, "--burn-in", "0.2"], capsys)
+    assert code == 2
+    errors = [ln for ln in err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and "--burn-in" in errors[0]
+    assert not (tmp_path / "unused.csv").exists()
+
+
+def _out_of_memory(*_args, **_kwargs):
+    raise MemoryError("Unable to allocate 93.1 GiB for an array with shape "
+                      "(100000000000,) and data type int8")
+
+
+class _UnencodableDigits:
+    """Digit bytes whose character copy cannot be allocated."""
+
+    def translate(self, _table):
+        _out_of_memory()
+
+
+GEN_DIGITS = ["gen-digits", "--seq", "linear", "--theta", "3", "--vhat", "1/3", "--base", "3",
+              "--depth", "1000", "--out", "out.txt", "--schedule-csv", "sched.csv"]
+BOX_DIM = ["box-dim", "--seq", "linear", "--theta", "3", "--vhat", "1/3", "--base", "3",
+           "--max-depth", "1000", "--csv", "out.txt"]
+
+
+@pytest.mark.parametrize("argv,module,layer,replacement", [
+    (GEN_DIGITS, "construct", "forced_digits", _out_of_memory),
+    (GEN_DIGITS, "construct", "emit_digits",
+     lambda *_args: SimpleNamespace(base=3, data=_UnencodableDigits())),
+    (BOX_DIM, "boxdim", "count_exponents_upto", _out_of_memory),
+    (["estimate", "--digits", "in.txt", "--seq", "linear", "--csv", "out.txt"],
+     "exponents", "run_end_table", _out_of_memory),
+    (["sweep", "--eta", "1", "--theta", "3", "--vhat-grid", "1/4:1/2:2", "--seq", "linear",
+      "--regime", "eta1", "--csv", "out.txt"], "construct", "forced_digits", _out_of_memory),
+    (["eval-dim", "--eta", "2", "--grid", "1/2:3/2:3", "--csv", "out.txt"],
+     "dimfx", "baseline_bound", _out_of_memory),
+    (["verify"], "verify", "run_all", _out_of_memory),
+], ids=["gen-digits", "gen-digits-save", "box-dim", "estimate", "sweep", "eval-dim",
+        "verify"])
+def test_out_of_memory_is_one_error_line(argv, module, layer, replacement, capsys,
+                                         tmp_path, monkeypatch):
+    """A depth too large to allocate ends in one `error:` line, exit 1 and no
+    output file.  A layer of each command raises MemoryError by hand, as
+    numpy does: a real huge depth could be granted by a host that
+    overcommits memory, and then fill it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.txt").write_text("base=3\n" + "1002" * 250 + "\n")
+    monkeypatch.setattr(importlib.import_module(f"dioph_lab.{module}"), layer, replacement)
+    code, err = _run(argv, capsys)
+    assert code == 1
+    assert err.splitlines() == ["error: out of memory: Unable to allocate 93.1 GiB for an "
+                                "array with shape (100000000000,) and data type int8"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt"]
 
 
 def test_invariant_error_is_reported_not_blanked(tmp_path, capsys, monkeypatch):

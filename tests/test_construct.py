@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -305,6 +306,40 @@ def test_pair_formula_at_theta0_is_the_eta1_dimension():
         limit = dimfx.dim_pair_eta1(vhat, theta0).value
         assert limit == dimfx.dim_eta1(vhat).value, vhat
         _assert_block_ends_near(schedule_eta1(LIN, theta0, vhat, cover_to=10 ** 6), limit)
+
+
+def estimator_grid_transcript() -> str:
+    """The estimators' residual table over the grid points above, one row per
+    (eta, vhat, base) at depth 1e6: the geometric points at stride ltilde
+    and theta = eta^ltilde, and eta = 1 at theta0 = 2/(1 - vhat)."""
+    rows = ["eta,vhat,base,k_count,burn_in,v_est,vhat_est,vhat_def,def_grid_len"]
+    depth = 10 ** 6
+    points = []
+    for eta in sorted(GRID_SEQS):
+        seq = sequences.make_sequence(GRID_SEQS[eta])
+        for vhat in dimfx.rational_linspace(F(1, 20), eta - F(1, 20), 30):
+            l = dimfx.thresholds(eta, vhat).ltilde
+            points.append((eta, vhat, schedule_geometric(seq, eta ** l, vhat, l,
+                                                         cover_to=depth)))
+    for vhat in dimfx.rational_linspace(F(1, 20), F(19, 20), 30):
+        points.append((F(1), vhat, schedule_eta1(LIN, 2 / (1 - vhat), vhat, cover_to=depth)))
+    for eta, vhat, sched in points:
+        for base in GRID_BASES:
+            mt = exponents.matching_times(emit_digits(sched, base, depth), sched.seq)
+            est = exponents.estimate_exponents(mt)
+            grid = exponents.definition_grid(mt)
+            vdef = exponents.estimate_vhat_definition(mt, grid)
+            rows.append(f"{eta},{vhat},{base},{est.k_count},{est.burn_in},{est.v_est:.12g},"
+                        f"{est.vhat_est:.12g},{vdef:.12g},{len(grid)}")
+    return "\n".join(rows) + "\n"
+
+
+def test_estimator_grid_is_pinned():
+    """The estimates, dominant-pair count, burn-in and definition-grid size
+    at every grid point keep the values in estimator_grid_pinned.txt, misses
+    included (CHANGES.md records them)."""
+    pinned = Path(__file__).with_name("estimator_grid_pinned.txt").read_text()
+    assert estimator_grid_transcript() == pinned
 
 
 def test_local_dimension_converges(eta1_sched, geo_sched):

@@ -195,7 +195,7 @@ def test_greedy_resyncs_after_deleting_a_dominant_pair(stream):
 
 def test_estimate_exponents_summary_fields():
     mt = matching_times(power_sum_stream(2 ** 14), LIN)
-    est = estimate_exponents(mt, 0.2)
+    est = estimate_exponents(mt)
     assert est.depth == 2 ** 14
     assert est.burn_in == 2
     assert est.k_count == len(mt.dominant)
@@ -213,7 +213,7 @@ def test_estimate_exponents_bound_raises_invariant_error():
                        dominant_mask=np.array([True, True]), index_count=19,
                        first_truncated_index=None, longest_complete_run=12)
     with pytest.raises(InvariantError, match="finite-prefix bound"):
-        estimate_exponents(mt, 0.0)
+        estimate_exponents(mt)
     assert not issubclass(InvariantError, ValueError)
 
 
