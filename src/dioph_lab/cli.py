@@ -213,7 +213,7 @@ def cmd_estimate(args) -> int:
     est = exponents.estimate_exponents(mt)
     ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, est.eta)
     try:
-        vdef = exponents.estimate_vhat_definition(mt, exponents.definition_grid(mt))
+        vdef = exponents.estimate_vhat_definition(mt)
     except ValueError:
         vdef = None
     print(f"depth {est.depth}: {est.k_count} dominant pairs (burn-in {est.burn_in})")
@@ -293,6 +293,10 @@ def _sweep_point(eta, vhat, theta, rho, roundtrip):
 
 def cmd_sweep(args) -> int:
     _check_eta(args.eta)
+    for flag, fixed, grid in (("--vhat", args.vhat, args.vhat_grid),
+                              ("--theta", args.theta, args.theta_grid)):
+        if fixed is not None and grid is not None:
+            return _usage(f"{flag} and {flag}-grid cannot both be given")
     if (args.seq is None) != (args.regime is None):
         return _usage("a round-trip sweep needs both --seq and --regime")
     # Input errors stop here; only a point that cannot be built blanks its

@@ -7,7 +7,9 @@ matching time), then ||b^{a_n} xi|| is within a factor b of b^{-(m - a_n)}.
 The asymptotic exponent is a limsup of (m - a_n)/a_n and the uniform exponent
 a liminf of (m_k - a_{i_k})/a_{i_{k+1}-1} along the dominant subsequence of
 strictly increasing run lengths.  All estimators below are window statistics
-over a finite prefix, not limits.
+over a finite prefix, not limits, and each is a function of the gap table
+alone: the burn-in (`MatchingTimes.burn_in`) and the definition estimator's
+grid (`definition_grid`) are derived from the table, never passed in.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .digits import DigitStream, run_end_table
 from .dimfx import InvariantError
 from .sequences import DenominatorSequence, eta_estimate
 
-BURN_FRACTION = 0.2  # estimate_exponents discards this share of the dominant pairs
+BURN_FRACTION = 0.2  # MatchingTimes.burn_in: this share of the dominant pairs
 GRID_START_FRACTION = 0.2  # definition_grid starts at this share of its cap
 INEQUALITY_TOL = 0.05  # slack of check_exponent_inequality on window estimates
 
@@ -106,9 +108,12 @@ class MatchingTimes:
     first_truncated_index: int | None  # smallest n whose run is cut off
     longest_complete_run: int
 
-    @property
-    def empty(self) -> bool:
-        return not self.index.size
+    @cached_property
+    def burn_in(self) -> int:
+        """Dominant pairs the block estimators skip: the first BURN_FRACTION
+        of them, but never one of the last two."""
+        k = int(np.count_nonzero(self.dominant_mask))
+        return min(int(k * BURN_FRACTION), max(0, k - 2))
 
     @cached_property
     def pairs(self) -> PairView:
@@ -166,16 +171,16 @@ def greedy_dominant(pairs: list[MatchingPair]) -> list[MatchingPair]:
     return out
 
 
-def estimate_v(mt: MatchingTimes, burn_in: int) -> float:
+def estimate_v(mt: MatchingTimes) -> float:
     """Asymptotic exponent surrogate: max of gap/a over dominant pairs past burn-in."""
     dom = mt.dominant_mask
-    tail = (mt.gap[dom] / mt.a[dom])[burn_in:]
+    tail = (mt.gap[dom] / mt.a[dom])[mt.burn_in:]
     if not tail.size:
-        raise ValueError(f"too few dominant pairs ({len(mt.dominant)}) for burn_in {burn_in}")
+        raise ValueError("no observable matching times in prefix")
     return float(tail.max())
 
 
-def estimate_vhat_blocks(mt: MatchingTimes, burn_in: int) -> float:
+def estimate_vhat_blocks(mt: MatchingTimes) -> float:
     """Uniform exponent surrogate along the dominant subsequence.
 
     Each term divides the run length of pair k by a(i_{k+1} - 1), the sequence
@@ -183,61 +188,19 @@ def estimate_vhat_blocks(mt: MatchingTimes, burn_in: int) -> float:
     successor and is skipped.
     """
     records, gaps = mt.index[mt.dominant_mask], mt.gap[mt.dominant_mask]
-    if records.size < burn_in + 2:
-        raise ValueError(f"need more than burn_in+1 = {burn_in + 1} dominant pairs, "
-                         f"have {records.size}")
-    return float((gaps[burn_in:-1] / mt.seq.a_at(records[burn_in + 1:] - 1)).min())
-
-
-def _stretch_ends(grid: range, records: np.ndarray) -> np.ndarray:
-    """The points of an ascending grid that can attain the definition min:
-    the last one before each record index inside it, and its last point."""
-    inner = records[(records > grid[0]) & (records <= grid[-1])]
-    return np.append(grid[0] + (inner - 1 - grid[0]) // grid.step * grid.step, grid[-1])
-
-
-def estimate_vhat_definition(mt: MatchingTimes, N_grid) -> float:
-    """Uniform exponent surrogate straight from the definition.
-
-    For each N in the grid, form max over n <= N of the run length after a_n
-    divided by a_N, then take the min over the grid.  The grid is rejected if
-    it does not fit the prefix or if any needed run is cut off by the prefix
-    end (a truncated run has an unknown length; treating it as 0 would poison
-    the min).
-
-    The running max changes only at dominant indices and a_N grows with N,
-    so between two records the min sits at the last grid point: a range is
-    cut down to those points before it is evaluated.
-    """
-    # order and repeats leave the min alone
-    if isinstance(N_grid, range):
-        grid = N_grid if N_grid.step > 0 else N_grid[::-1]
-    else:
-        grid = np.sort(np.asarray(N_grid, dtype=np.int64))
-    if not len(grid):
-        raise ValueError("empty N grid")
-    lo, hi = int(grid[0]), int(grid[-1])
-    if lo < 1:
-        raise ValueError("grid indices must be >= 1")
-    if hi > mt.index_count:
-        raise ValueError(f"grid exceeds prefix: max N {hi} not materialized")
-    if mt.first_truncated_index is not None and hi >= mt.first_truncated_index:
-        raise ValueError(
-            f"grid reaches index {hi} but the run after a_{mt.first_truncated_index} "
-            f"is cut off by the prefix end")
-    records, best = mt.index[mt.dominant_mask], mt.gap[mt.dominant_mask]
-    if isinstance(grid, range):
-        grid = _stretch_ends(grid, records)
-    # the last record at or before N holds the running max, 0 before the first
-    runmax = np.append(0, best)[np.searchsorted(records, grid, side="right")]
-    return float((runmax / mt.seq.a_at(grid)).min())
+    if records.size < 2:
+        raise ValueError(f"need at least 2 dominant pairs, have {records.size}")
+    b = mt.burn_in  # at most k - 2, so one term is left
+    return float((gaps[b:-1] / mt.seq.a_at(records[b + 1:] - 1)).min())
 
 
 def definition_grid(mt: MatchingTimes) -> range:
-    """Default grid: every index from a burn-in point to the safe cap.
+    """The definition estimator's grid: every index from a burn-in point to
+    the safe cap.
 
-    The cap keeps all needed runs fully observed and stays inside the
-    conservative bound a(N) + longest complete run <= prefix length.
+    The cap stops before the first cut-off run and keeps within the
+    conservative bound a(N) + longest complete run <= prefix length, so
+    every run the estimator needs is fully observed.
     """
     if not mt.index_count:
         raise ValueError("no usable indices in prefix")
@@ -248,6 +211,25 @@ def definition_grid(mt: MatchingTimes) -> range:
     if cap < 2:
         raise ValueError("prefix too short for a definition-based estimate")
     return range(max(2, int(cap * GRID_START_FRACTION)), cap + 1)
+
+
+def estimate_vhat_definition(mt: MatchingTimes) -> float:
+    """Uniform exponent surrogate straight from the definition.
+
+    For each N of `definition_grid(mt)`, form max over n <= N of the run
+    length after a_n divided by a_N, then take the min over the grid.  The
+    running max changes only at dominant indices and a_N grows with N, so
+    between two records the min sits at the last grid point: only the index
+    before each record inside the grid, and the grid's last index, are
+    evaluated.
+    """
+    grid = definition_grid(mt)
+    records, best = mt.index[mt.dominant_mask], mt.gap[mt.dominant_mask]
+    inner = records[(records > grid.start) & (records <= grid[-1])]
+    ns = np.append(inner - 1, grid[-1])
+    # the last record at or before N holds the running max, 0 before the first
+    runmax = np.append(0, best)[np.searchsorted(records, ns, side="right")]
+    return float((runmax / mt.seq.a_at(ns)).min())
 
 
 def check_exponent_inequality(v_est: float, vhat_est: float, eta: float) -> bool:
@@ -271,25 +253,20 @@ class ExponentEstimate:
 
 
 def estimate_exponents(mt: MatchingTimes) -> ExponentEstimate:
-    """Run the block estimators over a gap table.
+    """Run the block estimators over a gap table, past its burn-in.
 
-    The first BURN_FRACTION of the dominant pairs is discarded, but never
-    one of the last two.  A finite-prefix sanity bound vhat <= eta * (v + 2/a(i_last))
+    A finite-prefix sanity bound vhat <= eta * (v + 2/a(i_last))
     is checked with the table's eta; a violation (InvariantError) indicates
     corrupted inputs rather than a tight mathematical failure.
     """
-    if mt.empty:
-        raise ValueError("no observable matching times in prefix")
-    k = len(mt.dominant)
-    burn_in = min(int(k * BURN_FRACTION), max(0, k - 2))
-    v = estimate_v(mt, burn_in)
-    vhat = estimate_vhat_blocks(mt, burn_in)
+    v = estimate_v(mt)
+    vhat = estimate_vhat_blocks(mt)
     eta = eta_for_table(mt)
     bound = eta * (v + 2.0 / float(mt.a[mt.dominant_mask][-1]))
     if not vhat <= bound + 1e-12:
         raise InvariantError(f"vhat {vhat} exceeds finite-prefix bound {bound}")
     return ExponentEstimate(v_est=v, vhat_est=vhat, depth=mt.depth,
-                            k_count=k, burn_in=burn_in, eta=eta)
+                            k_count=len(mt.dominant), burn_in=mt.burn_in, eta=eta)
 
 
 def eta_for_table(mt: MatchingTimes) -> float:

@@ -189,7 +189,8 @@ def _spec_int(spec: str, key: str, text: str) -> int:
 
 
 def _read_values(path: Path) -> list[int]:
-    """The integers of a sequence file, one per non-blank line."""
+    """The terms of a sequence file: one integer per non-blank line, each
+    positive and above the one before."""
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -200,9 +201,17 @@ def _read_values(path: Path) -> list[int]:
         if not line:
             continue
         try:
-            values.append(int(line))
+            v = int(line)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: {line!r} is not an integer") from None
+        if v < 1:
+            raise ValueError(f"{path}:{lineno}: term {v} is not positive")
+        if values and v <= values[-1]:
+            raise ValueError(f"{path}:{lineno}: term {v} is not above the term "
+                             f"{values[-1]} before it")
+        values.append(v)
+    if not values:
+        raise ValueError(f"sequence file {path} has no terms")
     return values
 
 
@@ -242,18 +251,16 @@ def make_sequence(spec: str) -> DenominatorSequence:
     raise ValueError(f"unrecognized sequence spec {spec!r}")
 
 
-def eta_estimate(seq: DenominatorSequence, n_max: int, window: int | None = None) -> Fraction:
-    """Finite limsup surrogate: max of a(n+1)/a(n) over the last `window` ratios.
+def eta_estimate(seq: DenominatorSequence, n_max: int) -> Fraction:
+    """Finite limsup surrogate: max of a(n+1)/a(n) over the last 10% of the
+    ratios up to n_max (at least one).
 
-    The window covers n = n_max - window .. n_max - 1; it defaults to the
-    last 10% of indices.  This is a tail-window maximum, not a limit.
+    The window covers n = n_max - w .. n_max - 1 with w = max(1, n_max // 10).
+    This is a tail-window maximum, not a limit.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2 to form a ratio")
-    if window is None:
-        window = max(1, n_max // 10)
-    if window > n_max - 1:
-        raise ValueError(f"window {window} exceeds the {n_max - 1} available ratios")
+    window = max(1, n_max // 10)
     sup = seq.max_index()
     if sup is not None and n_max > sup:
         raise ValueError(f"n_max {n_max} exceeds sequence length {sup}")

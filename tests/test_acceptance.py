@@ -33,5 +33,5 @@ def test_criterion_04_roundtrip_eta1(tmp_path):
         v_est, vhat_est = float(row[2]), float(row[3])
         assert abs(vhat_est - 1 / 3) <= 0.02 and abs(v_est - 1.0) <= 0.05, (base, row)
         mt = exponents.matching_times(digits.load_digit_file(dig), lin)
-        vdef = exponents.estimate_vhat_definition(mt, exponents.definition_grid(mt))
+        vdef = exponents.estimate_vhat_definition(mt)
         assert abs(vhat_est - vdef) <= 0.01, (base, vhat_est, vdef)

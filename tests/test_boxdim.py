@@ -146,5 +146,5 @@ def test_uniform_mass_points_hit_the_targets(case, base, seed, request):
     est = exponents.estimate_exponents(mt)
     assert est.v_est == pytest.approx(v, abs=v_tol)
     assert est.vhat_est == pytest.approx(vhat, abs=vhat_tol)
-    vdef = exponents.estimate_vhat_definition(mt, exponents.definition_grid(mt))
+    vdef = exponents.estimate_vhat_definition(mt)
     assert abs(vdef - est.vhat_est) <= 0.01

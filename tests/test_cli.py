@@ -381,6 +381,18 @@ def test_sweep_needs_seq_and_regime_together(half, tmp_path, capsys):
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("argv", [["--vhat", "1/2", "--vhat-grid", "1/4:3/4:3"],
+                                  ["--vhat", "1", "--theta", "9", "--theta-grid", "2:4:3"]],
+                         ids=["vhat-beside-vhat-grid", "theta-beside-theta-grid"])
+def test_sweep_fixed_flag_beside_its_grid_is_a_usage_error(argv, tmp_path, capsys):
+    csv_path = tmp_path / "s.csv"
+    code, err = _run(["sweep", "--eta", "2", *argv, "--csv", str(csv_path)], capsys)
+    flag = argv[-2].removesuffix("-grid")
+    assert code == 2
+    assert err.splitlines() == [f"error: {flag} and {flag}-grid cannot both be given"]
+    assert not csv_path.exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--regime", "geo:x"), ("--regime", "geo:l=0"),
                                         ("--base", "x")],
                          ids=["regime-not-int", "regime-zero-stride", "base-not-int"])
@@ -613,7 +625,9 @@ def test_eval_dim_output_is_pinned(tmp_path):
 @pytest.mark.parametrize("setup,argv,message", [
     ("1" * 1000, ["--depth", "-5"], "--depth must be >= 1, got -5"),
     ("1" * 500, [], "no observable matching times in prefix"),
-], ids=["estimate-negative-depth-names-flag", "estimate-no-matching-times"])
+    ("1001" * 16, [], "need at least 2 dominant pairs, have 1"),
+], ids=["estimate-negative-depth-names-flag", "estimate-no-matching-times",
+        "estimate-one-dominant-pair"])
 def test_estimate_error_is_one_line(setup, argv, message, tmp_path, capsys):
     path = tmp_path / "digits.txt"
     path.write_text(f"base=3\n{setup}\n")

@@ -327,10 +327,9 @@ def estimator_grid_transcript() -> str:
         for base in GRID_BASES:
             mt = exponents.matching_times(emit_digits(sched, base, depth), sched.seq)
             est = exponents.estimate_exponents(mt)
-            grid = exponents.definition_grid(mt)
-            vdef = exponents.estimate_vhat_definition(mt, grid)
+            vdef = exponents.estimate_vhat_definition(mt)
             rows.append(f"{eta},{vhat},{base},{est.k_count},{est.burn_in},{est.v_est:.12g},"
-                        f"{est.vhat_est:.12g},{vdef:.12g},{len(grid)}")
+                        f"{est.vhat_est:.12g},{vdef:.12g},{len(exponents.definition_grid(mt))}")
     return "\n".join(rows) + "\n"
 
 
@@ -509,5 +508,5 @@ def test_eta1_regime_with_square_sequence():
     est = exponents.estimate_exponents(mt)
     assert est.v_est == pytest.approx(1.0, abs=0.05)
     assert est.vhat_est == pytest.approx(1 / 3, abs=0.02)
-    vdef = exponents.estimate_vhat_definition(mt, exponents.definition_grid(mt))
+    vdef = exponents.estimate_vhat_definition(mt)
     assert abs(est.vhat_est - vdef) <= 0.01

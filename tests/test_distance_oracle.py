@@ -68,8 +68,9 @@ def test_definition_estimator_matches_exact_distances():
 
     sched = construct.schedule_eta1(LIN, F(3), F(1, 3), cover_to=1500)
     stream = construct.emit_digits(sched, 3, 1500)
-    grid = list(range(30, 360, 7))
-    run_based = exponents.estimate_vhat_definition(exponents.matching_times(stream, LIN), grid)
+    mt = exponents.matching_times(stream, LIN)
+    grid = exponents.definition_grid(mt)
+    run_based = exponents.estimate_vhat_definition(mt)
     log_b = math.log(stream.base)
     neglog = [0.0]
     for n in range(1, grid[-1] + 1):

@@ -52,11 +52,9 @@ def test_power_sum_matching_times():
 
 def test_power_sum_estimates():
     mt = matching_times(power_sum_stream(2 ** 16), LIN)
-    assert estimate_v(mt, 2) == pytest.approx(1.0, abs=0.05)
-    assert estimate_vhat_blocks(mt, 2) == pytest.approx(0.5, abs=0.05)
-    grid = [2 ** k - 1 for k in range(8, 16)]
-    vd = estimate_vhat_definition(mt, grid)
-    assert vd == pytest.approx(0.5, abs=0.05)
+    assert (len(mt.dominant), mt.burn_in) == (15, 3)
+    assert estimate_v(mt) == pytest.approx(1.0, abs=0.05)
+    assert estimate_vhat_blocks(mt) == pytest.approx(0.5, abs=0.05)
 
 
 def test_equal_gaps_collapse_to_one_dominant_pair():
@@ -71,7 +69,7 @@ def test_equal_gaps_collapse_to_one_dominant_pair():
 def test_empty_j_is_flagged():
     stream = digits.digits_from_string("1" * 80, 3)
     mt = matching_times(stream, LIN)
-    assert mt.empty
+    assert not mt.index.size
     assert mt.pairs == [] and mt.dominant == []
 
 
@@ -92,20 +90,21 @@ def test_prefix_too_short():
 def test_random_stream_exponents_near_zero():
     stream = digits.random_digits(10, 10 ** 5, 42)
     mt = matching_times(stream, LIN)
-    # past a two-pair burn-in every surviving ratio is tiny
-    assert estimate_v(mt, 2) < 0.2
-    assert estimate_vhat_blocks(mt, 2) < 0.1
     est = estimate_exponents(mt)
-    assert est.vhat_est < 0.1
-    assert est.v_est < 0.3  # the default burn-in keeps one early small-index pair
+    assert (est.k_count, est.burn_in, mt.burn_in) == (5, 1, 1)
+    assert estimate_vhat_blocks(mt) == est.vhat_est < 0.1
+    # a one-pair burn-in keeps one early small-index pair
+    assert estimate_v(mt) == est.v_est < 0.3
 
 
 def test_too_few_pairs_errors():
-    mt = matching_times(power_sum_stream(64), LIN)
-    with pytest.raises(ValueError):
-        estimate_v(mt, len(mt.dominant))
-    with pytest.raises(ValueError):
-        estimate_vhat_blocks(mt, len(mt.dominant) - 1)
+    one = matching_times(digits.digits_from_string("1001" * 16, 3), LIN)
+    assert (len(one.dominant), one.burn_in) == (1, 0)
+    with pytest.raises(ValueError, match="at least 2 dominant pairs, have 1"):
+        estimate_vhat_blocks(one)
+    empty = matching_times(digits.digits_from_string("1" * 80, 3), LIN)
+    with pytest.raises(ValueError, match="no observable matching times"):
+        estimate_v(empty)
 
 
 def test_check_exponent_inequality():
@@ -118,14 +117,18 @@ def test_check_exponent_inequality():
 
 
 def test_definition_estimator_refuses_truncated_grid():
+    # the grid ends before the first cut-off run: here the longest-run cap binds
     stream = digits.digits_from_string("0" * 900 + "1" * 100, 2, tail_guard=False)
     mt = matching_times(stream, LIN)
-    with pytest.raises(ValueError, match="cut off"):
-        estimate_vhat_definition(mt, [950])
-    with pytest.raises(ValueError, match="exceeds prefix"):
-        estimate_vhat_definition(mt, [5000])
-    with pytest.raises(ValueError):
-        estimate_vhat_definition(mt, [])
+    assert mt.first_truncated_index == 900
+    assert definition_grid(mt) == range(20, 101)
+    assert estimate_vhat_definition(mt) == 900 / 100
+    # and here the cut-off run binds: the grid stops one index before it
+    stream = digits.digits_from_string("100" * 300 + "0" * 100, 3, tail_guard=False)
+    mt = matching_times(stream, LIN)
+    assert mt.first_truncated_index == 898
+    assert definition_grid(mt) == range(179, 898)
+    assert estimate_vhat_definition(mt) == 3 / 897
 
 
 def test_definition_grid_respects_conservative_cap():
@@ -134,7 +137,7 @@ def test_definition_grid_respects_conservative_cap():
     grid = definition_grid(mt)
     longest = max(p.gap for p in mt.pairs)
     assert grid[-1] + longest <= stream.prefix_len
-    vd = estimate_vhat_definition(mt, grid)
+    vd = estimate_vhat_definition(mt)
     assert vd == pytest.approx(0.5, abs=0.05)
 
 

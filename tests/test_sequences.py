@@ -77,7 +77,11 @@ def test_non_integer_spec_field_names_the_spec(spec):
 @pytest.mark.parametrize("content,where", [
     (b"1\n4\n\nx9\n", ":4: 'x9' is not an integer"),
     (b"1\n4\n\xff\n", "is not UTF-8 text"),
-], ids=["non-integer-line", "undecodable-bytes"])
+    (b"1\n3\n2\n", ":3: term 2 is not above the term 3 before it"),
+    (b"-4\n1\n", ":1: term -4 is not positive"),
+    (b"\n  \n", "has no terms"),
+], ids=["non-integer-line", "undecodable-bytes", "term-not-increasing", "term-not-positive",
+        "no-terms"])
 def test_bad_sequence_file_names_the_path(tmp_path, content, where):
     path = tmp_path / "seq.txt"
     path.write_bytes(content)
@@ -96,19 +100,18 @@ def test_parse_rational_rejects_decimals():
 
 def test_eta_estimate_values():
     # decreasing ratios: the window max sits at its smallest index
-    assert eta_estimate(make_sequence("linear"), 1000, 100) == F(901, 900)
-    assert eta_estimate(make_sequence("poly:d=2"), 10 ** 4, 100) == F(9901, 9900) ** 2
-    assert eta_estimate(make_sequence("geometric:eta=2,a1=1"), 20, 5) == 2
+    assert eta_estimate(make_sequence("linear"), 1000) == F(901, 900)
+    assert eta_estimate(make_sequence("poly:d=2"), 10 ** 4) == F(9001, 9000) ** 2
+    assert eta_estimate(make_sequence("geometric:eta=2,a1=1"), 20) == 2
 
 
 def test_eta_estimate_window_default_and_errors():
     lin = make_sequence("linear")
-    # default window is the last 10% of indices
-    assert eta_estimate(lin, 1000) == F(901, 900)
+    # the window is the last 10% of the ratios, and at least the last one
+    assert eta_estimate(lin, 20) == F(19, 18)
+    assert eta_estimate(lin, 5) == F(5, 4)
     with pytest.raises(ValueError):
         eta_estimate(lin, 1)
-    with pytest.raises(ValueError):
-        eta_estimate(lin, 10, window=10)
 
 
 def test_eta_estimate_limits():
@@ -124,9 +127,8 @@ def test_geometric_eta_estimate_close_to_ratio(num, den, seed):
     if ratio <= 1:
         ratio = 1 + ratio
     seq = make_sequence(f"geometric:eta={ratio.numerator}/{ratio.denominator},a1={seed}")
-    n_max, window = 40, 5
-    est = eta_estimate(seq, n_max, window)
-    assert abs(est - ratio) <= F(1, seq.a(n_max - window))
+    est = eta_estimate(seq, 40)
+    assert abs(est - ratio) <= F(1, seq.a(36))  # the window starts at 40 - 40 // 10
 
 
 @given(st.sampled_from(["linear", "poly:d=2", "geometric:eta=2,a1=1",
