@@ -52,8 +52,9 @@ class CountSeries:
 
 
 def constraint_mask(sched: CantorSchedule, base: int, upto: int) -> np.ndarray:
-    """Boolean array (1-based, index 0 unused): True where the digit is forced."""
-    return forced_digits(sched, base, upto) != FREE
+    """Boolean array (1-based, index 0 unused): True where the digit is forced.
+    It is read off a copy-free uint8 view of the `forced_digits` layout."""
+    return np.frombuffer(forced_digits(sched, base, upto), dtype=np.uint8) != FREE
 
 
 def count_exponents_upto(sched: CantorSchedule, base: int, max_n: int) -> np.ndarray:

@@ -3,8 +3,9 @@
 Rationals on the command line are `p` or `p/q` strings; decimal forms are
 rejected because schedule construction requires exact arithmetic.  CSV is
 the single output format (plot-ready columns, deterministic bytes).
-Each command imports the numpy-backed layers it runs, and only those, so
-`eval-dim` and a sweep of formulas alone load no numpy.
+Each command imports the layers it runs, and only those; numpy loads only
+with the functions that build arrays, so `eval-dim`, `gen-digits` and a
+sweep of formulas alone load no numpy.
 """
 
 from __future__ import annotations
@@ -109,6 +110,20 @@ def _schedule(args, flag: str, depth: int):
                            args.regime, depth)
 
 
+def _inequality(est) -> bool | None:
+    """`check_exponent_inequality` on an estimate, or None where the
+    inequality does not apply: it needs vhat_est < eta."""
+    from . import exponents
+    if est.vhat_est >= est.eta:
+        return None
+    return exponents.check_exponent_inequality(est.v_est, est.vhat_est, est.eta)
+
+
+def _flag(ok: bool | None) -> str:
+    """A CSV cell for `_inequality`: true, false, or empty where it does not apply."""
+    return "" if ok is None else str(ok).lower()
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -211,7 +226,7 @@ def cmd_estimate(args) -> int:
     seq = sequences.make_sequence(args.seq)
     mt = exponents.matching_times(stream, seq)
     est = exponents.estimate_exponents(mt)
-    ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, est.eta)
+    ok = _inequality(est)
     try:
         vdef = exponents.estimate_vhat_definition(mt)
     except ValueError:
@@ -219,12 +234,13 @@ def cmd_estimate(args) -> int:
     print(f"depth {est.depth}: {est.k_count} dominant pairs (burn-in {est.burn_in})")
     print(f"v_est = {_fmt(est.v_est)}   vhat_est = {_fmt(est.vhat_est)}"
           + (f"   vhat_def = {_fmt(vdef)}" if vdef is not None else ""))
-    print(f"eta = {_fmt(est.eta)}   inequality v >= vhat/(eta - vhat): "
-          f"{'ok' if ok else 'VIOLATED'}")
+    verdict = ("not applicable (vhat_est >= eta)" if ok is None
+               else "ok" if ok else "VIOLATED")
+    print(f"eta = {_fmt(est.eta)}   inequality v >= vhat/(eta - vhat): {verdict}")
     if args.csv:
         _write_csv(args.csv, ["depth", "k_count", "v_est", "vhat_est", "lemma21_ok"],
                    [(est.depth, est.k_count, _fmt(est.v_est), _fmt(est.vhat_est),
-                     str(ok).lower())])
+                     _flag(ok))])
         print(f"wrote {args.csv}")
     return 0
 
@@ -282,8 +298,7 @@ def _sweep_point(eta, vhat, theta, rho, roundtrip):
         sched = _build_schedule(seq, theta, vhat, regime, depth)
         stream = construct.emit_digits(sched, base, depth)
         est = exponents.estimate_exponents(exponents.matching_times(stream, sched.seq))
-        ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, est.eta)
-        row.extend([_fmt(est.v_est), _fmt(est.vhat_est), str(ok).lower()])
+        row.extend([_fmt(est.v_est), _fmt(est.vhat_est), _flag(_inequality(est))])
     except ValueError as exc:  # point not constructible; formulas still stand
         print(f"vhat = {vhat}, theta = {theta}: round trip left blank, "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)

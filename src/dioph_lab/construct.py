@@ -26,13 +26,14 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .digits import DigitStream
 from .sequences import DenominatorSequence, eta_estimate
 from . import dimfx
+
+if TYPE_CHECKING:
+    import numpy as np
 
 START_SCAN_CAP = 10 ** 6  # max indices scanned for a valid first block
 MAX_ENTRIES = 10_000
@@ -228,11 +229,12 @@ def schedule_geometric(seq: DenominatorSequence, theta: Fraction, vhat: Fraction
 
 FILL_DIGIT = 1  # unconstrained positions; never 0 or b-1, so no spurious runs
 FREE = 255      # layout cell of a position the schedule leaves free; never a digit
+_FILL = bytes(FILL_DIGIT if b == FREE else b for b in range(256))  # translates FREE only
 
 
-def forced_digits(sched: CantorSchedule, base: int, upto: int) -> np.ndarray:
-    """The schedule's digit pattern: a uint8 layout of positions 1..upto
-    (index 0 unused) holding the forced digit, or FREE where there is none.
+def forced_digits(sched: CantorSchedule, base: int, upto: int) -> bytearray:
+    """The schedule's digit pattern: a bytearray layout of positions 1..upto
+    (cell 0 unused) holding the forced digit, or FREE where there is none.
 
     For base 2 the variant pattern also forces a 0 immediately before each
     spaced marker, which caps the length of the 1-runs the fill would
@@ -243,14 +245,15 @@ def forced_digits(sched: CantorSchedule, base: int, upto: int) -> np.ndarray:
         raise ValueError(f"base must be >= 2, got {base}")
     if upto < 0 or upto > sched.covered_to:
         raise ValueError(f"upto {upto} outside covered range [0, {sched.covered_to}]")
-    layout = np.full(upto + 1, FREE, dtype=np.uint8)
+    layout = bytearray([FREE]) * (upto + 1)
 
     def force(lo: int, hi: int, digit: int) -> None:  # positions lo..hi, clipped to upto
-        cells = layout[lo: min(hi, upto) + 1]
-        clash = np.flatnonzero((cells != FREE) & (cells != digit))
-        if clash.size:
-            raise dimfx.InvariantError(f"conflicting digits at position {lo + int(clash[0])}")
-        cells[:] = digit
+        end = min(hi, upto) + 1
+        clash = layout[lo:end].translate(None, bytes((FREE, digit)))
+        if clash:  # the first clashing cell holds the first byte left over
+            raise dimfx.InvariantError(
+                f"conflicting digits at position {layout.index(clash[0], lo, end)}")
+        layout[lo:end] = bytes((digit,)) * (end - lo)
 
     for e in sched.entries:
         if e.a > upto:
@@ -267,10 +270,9 @@ def forced_digits(sched: CantorSchedule, base: int, upto: int) -> np.ndarray:
 def emit_digits(sched: CantorSchedule, base: int, upto: int) -> DigitStream:
     """Materialize the first `upto` digits of the schedule's pattern, with
     FILL_DIGIT at the free positions."""
-    layout = forced_digits(sched, base, upto)[1:]
-    # forced digits are 0 or 1, so an in-place min keeps them and fills FREE
-    np.minimum(layout, FILL_DIGIT, out=layout)
-    return DigitStream(base, layout.tobytes())
+    cells = forced_digits(sched, base, upto).translate(_FILL)
+    del cells[0]  # cell 0 is not a position
+    return DigitStream(base, bytes(cells))
 
 
 def _entry_base_exponents(sched: CantorSchedule, base: int) -> list[int]:
@@ -292,6 +294,7 @@ def _ramp_exponent(ent: ScheduleEntry, base: int, flat, off):
     by one per position except across the spaced markers (and, for base 2,
     across the forced zeros before them as well).  `off` is an int or an
     int64 array; at off = 0 the value is `flat`, since every gap is >= 3."""
+    import numpy as np
     e = flat + off - off // ent.gap
     if base == 2:
         e -= np.minimum(ent.t, (off + 1) // ent.gap)
@@ -322,6 +325,7 @@ def mu_exponents_upto(sched: CantorSchedule, base: int, max_n: int) -> np.ndarra
     `_ramp_exponent`.  Below the first block every position is free, so the
     exponent is the depth itself.
     """
+    import numpy as np
     _check_depth(sched, max_n)
     out = np.empty(max_n + 1, dtype=np.int64)
     out[0] = 0

@@ -11,8 +11,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Positions are 1-based everywhere: digit j of xi is x_j, j >= 1.
 
@@ -29,6 +31,11 @@ _TRANSLATE = bytes(_TRANSLATE)
 _ENCODE = _ALPHABET.encode("ascii") + bytes(256 - MAX_BASE)  # digit value -> character
 
 
+def _out_of_range(data: bytes, base: int) -> bytes:
+    """The bytes of `data` that are not base-b digits, in order."""
+    return data.translate(None, bytes(range(min(base, 256))))
+
+
 @dataclass(frozen=True)
 class DigitStream:
     """Immutable prefix of a base-b fractional digit sequence."""
@@ -39,10 +46,9 @@ class DigitStream:
     def __post_init__(self):
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {self.base}")
-        if self.data:
-            bad = int(np.frombuffer(self.data, dtype=np.uint8).max())
-            if bad >= self.base:
-                raise ValueError(f"digit {bad} out of range for base {self.base}")
+        bad = _out_of_range(self.data, self.base)
+        if bad:
+            raise ValueError(f"digit {max(bad)} out of range for base {self.base}")
 
     @property
     def prefix_len(self) -> int:
@@ -63,6 +69,7 @@ class DigitStream:
         return DigitStream(self.base, self.data[:count])
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
         return np.frombuffer(self.data, dtype=np.uint8)
 
     @cached_property
@@ -72,6 +79,7 @@ class DigitStream:
         One pass over the digits finds them; the result is kept, so every
         later run lookup on this stream is a search over the runs alone.
         """
+        import numpy as np
         arr = self.as_array()
         if not arr.size:
             return np.zeros(0, np.int64), np.zeros(0, np.int64)
@@ -111,11 +119,15 @@ def digits_from_string(text: str, base: int, tail_guard: bool = True) -> DigitSt
     except UnicodeEncodeError as exc:
         raise ValueError(f"non-ascii character in digit text: {exc}") from None
     vals = raw.translate(_TRANSLATE)
-    arr = np.frombuffer(vals, dtype=np.uint8)
-    if arr.size and arr.max() >= base:
-        bad = int(np.argmax(arr >= base))
-        raise ValueError(f"character {text[bad]!r} is not a base-{base} digit")
-    stream = DigitStream(base, vals)
+    try:  # the stream's own range check is the one pass over valid digits
+        stream = DigitStream(base, vals)
+    except ValueError:
+        bad = _out_of_range(vals, base)
+        if not bad:
+            raise
+        # the first bad character holds the first byte left over
+        raise ValueError(f"character {text[vals.index(bad[0])]!r} is not a base-{base} "
+                         "digit") from None
     if tail_guard:
         check_tail_guard(stream)
     return stream
@@ -181,6 +193,7 @@ def run_end_table(stream: DigitStream, positions) -> np.ndarray:
     `zero_runs`, so memory grows with the number of runs and positions, not
     with the prefix.
     """
+    import numpy as np
     pos = np.asarray(positions, dtype=np.int64)
     if pos.size and (pos.min() < 1 or pos.max() > stream.prefix_len):
         raise IndexError(f"positions outside prefix of length {stream.prefix_len}")

@@ -11,10 +11,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dimfx import parse_rational
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _integer_root(x: int, d: int) -> int:
@@ -29,6 +31,7 @@ def _integer_root(x: int, d: int) -> int:
 
 def _power_above(r: np.ndarray, d: int, x: np.ndarray) -> np.ndarray:
     """r ** d > x elementwise, exactly, for int64 x below 2**53."""
+    import numpy as np
     big = r.astype(np.float64) ** d > 2.0 ** 62  # no int64 overflow past here
     return big | (np.where(big, 0, r) ** d > x)
 
@@ -36,6 +39,7 @@ def _power_above(r: np.ndarray, d: int, x: np.ndarray) -> np.ndarray:
 def _integer_roots(x: np.ndarray, d: int) -> np.ndarray:
     """floor(x ** (1/d)) for each int64 0 <= x < 2**53: a float root, which is
     off by at most one, settled by exact integer powers."""
+    import numpy as np
     if d == 1:
         return x
     r = np.floor(x.astype(np.float64) ** (1.0 / d)).astype(np.int64)
@@ -134,6 +138,7 @@ class DenominatorSequence:
 
     def values_upto(self, limit: int) -> np.ndarray:
         """int64 array of a_1, a_2, ... up to the last a_n <= limit."""
+        import numpy as np
         if self.kind == "poly":
             ns = np.arange(1, self.index_count_upto(limit) + 1, dtype=np.int64)
             return ns ** self.degree
@@ -146,6 +151,7 @@ class DenominatorSequence:
         (below 2**53).  Past an explicit sequence's last term the answer is
         its length plus one.  Geometric and explicit sequences search their
         terms below max(x)."""
+        import numpy as np
         x = np.asarray(x, dtype=np.int64)
         if self.kind == "poly":  # a_n >= x exactly when n > floor((x - 1) ** (1/d))
             return _integer_roots(np.maximum(x - 1, 0), self.degree) + 1
@@ -154,6 +160,7 @@ class DenominatorSequence:
 
     def a_at(self, ns) -> np.ndarray:
         """int64 array of a_n for each index n >= 1 of the int array ns."""
+        import numpy as np
         ns = np.asarray(ns, dtype=np.int64)
         if ns.size and ns.min() < 1:
             raise IndexError(f"sequence index must be >= 1, got {int(ns.min())}")

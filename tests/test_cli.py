@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -217,6 +218,14 @@ print("numpy" in sys.modules)
 """
 
 
+# the schedule flags of the three CI round trips
+SCHED_ETA1 = ["--seq", "linear", "--theta", "3", "--vhat", "1/3", "--base", "3",
+              "--regime", "eta1"]
+SCHED_GEO = ["--seq", "geometric:eta=2,a1=1", "--theta", "4", "--vhat", "3/2", "--base", "2",
+             "--regime", "geo:l=2"]
+SCHED_POLY = ["--seq", "poly:d=2", "--theta", "6", "--vhat", "1/6", "--base", "2"]
+
+
 @pytest.mark.parametrize("argv,loads_numpy", [
     ([], False),
     (["eval-dim", "--eta", "2", "--vhat", "7/5"], False),
@@ -224,8 +233,18 @@ print("numpy" in sys.modules)
      False),
     (["sweep", "--eta", "1", "--theta", "3", "--vhat-grid", "1/4:1/2:2", "--seq", "linear",
       "--regime", "eta1", "--depth", "2000", "--csv", "o.csv"], True),
-], ids=["import", "eval-dim", "formula-sweep", "roundtrip-sweep"])
+    (["gen-digits", *SCHED_ETA1, "--depth", "20000", "--out", "o.txt"], False),
+    (["gen-digits", *SCHED_GEO, "--depth", "20000", "--out", "o.txt"], False),
+    (["gen-digits", *SCHED_POLY, "--depth", "20000", "--out", "o.txt"], False),
+    (["estimate", "--digits", "eta1.txt", "--seq", "linear"], True),
+    (["box-dim", *SCHED_GEO, "--max-depth", "20000"], True),
+], ids=["import", "eval-dim", "formula-sweep", "roundtrip-sweep", "gen-digits-eta1",
+        "gen-digits-geo", "gen-digits-poly", "estimate", "box-dim"])
 def test_commands_load_numpy_only_when_they_run_it(argv, loads_numpy, tmp_path):
+    if argv[:1] == ["estimate"]:  # the digits it reads
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["gen-digits", *SCHED_ETA1, "--depth", "20000",
+                         "--out", str(tmp_path / "eta1.txt")]) == 0
     src = str(Path(dioph_lab.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], cwd=tmp_path,
                           capture_output=True, text=True,
@@ -634,6 +653,39 @@ def test_estimate_error_is_one_line(setup, argv, message, tmp_path, capsys):
     code, err = _run(["estimate", "--digits", str(path), "--seq", "linear", *argv], capsys)
     assert code == 1
     assert err.splitlines() == [f"error: {message}"]
+
+
+def test_estimate_reports_estimates_past_eta(tmp_path, capsys):
+    # pairs (1, 4) and (3, 15) give vhat_est = 1.5 >= eta = 1, where the
+    # inequality v >= vhat/(eta - vhat) has no meaning
+    path = tmp_path / "digits.txt"
+    path.write_text("base=3\n22200000000000222222\n")
+    csv_path = tmp_path / "est.csv"
+    assert main(["estimate", "--digits", str(path), "--seq", "linear",
+                 "--csv", str(csv_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[:3] == [
+        "depth 20: 2 dominant pairs (burn-in 0)",
+        "v_est = 4   vhat_est = 1.5   vhat_def = 1.5",
+        "eta = 1   inequality v >= vhat/(eta - vhat): not applicable (vhat_est >= eta)"]
+    assert csv_path.read_text() == "depth,k_count,v_est,vhat_est,lemma21_ok\n20,2,4,1.5,\n"
+
+
+def test_sweep_fills_estimates_past_eta(tmp_path, capsys, monkeypatch):
+    real = exponents.estimate_exponents
+
+    def past_eta(mt):
+        return dataclasses.replace(real(mt), vhat_est=1.5)
+
+    monkeypatch.setattr(exponents, "estimate_exponents", past_eta)
+    csv_path = tmp_path / "rt.csv"
+    code, err = _run(["sweep", "--eta", "1", "--theta", "5", "--vhat-grid", "1/4:1/2:2",
+                      "--seq", "linear", "--regime", "eta1", "--depth", "2000",
+                      "--csv", str(csv_path)], capsys)
+    assert (code, err) == (0, "")
+    assert [r.split(",")[-2:] for r in csv_path.read_text().splitlines()[1:]] == [
+        ["1.5", ""], ["1.5", ""]]
 
 
 @pytest.mark.parametrize("eta", ["1001/1000", "10001/10000"])

@@ -56,6 +56,19 @@ def test_digit_range_validation():
         digits.DigitStream(3, bytes([0, 3]))
     with pytest.raises(ValueError):
         digits.DigitStream(1, b"\x00")
+    digits.DigitStream(3, b"")
+
+
+def test_range_errors_name_the_bad_digit():
+    # the largest digit out of range, and the first character that is no digit
+    with pytest.raises(ValueError, match=r"^digit 5 out of range for base 3$"):
+        digits.DigitStream(3, bytes([0, 5, 3]))
+    with pytest.raises(ValueError, match=r"^digit 7 out of range for base 3$"):
+        digits.DigitStream(3, bytes([4, 7, 3]))
+    with pytest.raises(ValueError, match=r"^character 'x' is not a base-3 digit$"):
+        digits.digits_from_string("10x2y", 3)
+    with pytest.raises(ValueError, match=r"^character '3' is not a base-3 digit$"):
+        digits.digits_from_string("1023", 3)
 
 
 def test_tail_guard_on_ingestion():
