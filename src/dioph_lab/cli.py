@@ -110,17 +110,8 @@ def _schedule(args, flag: str, depth: int):
                            args.regime, depth)
 
 
-def _inequality(est) -> bool | None:
-    """`check_exponent_inequality` on an estimate, or None where the
-    inequality does not apply: it needs vhat_est < eta."""
-    from . import exponents
-    if est.vhat_est >= est.eta:
-        return None
-    return exponents.check_exponent_inequality(est.v_est, est.vhat_est, est.eta)
-
-
 def _flag(ok: bool | None) -> str:
-    """A CSV cell for `_inequality`: true, false, or empty where it does not apply."""
+    """A CSV cell for `check_exponent_inequality`: true, false, or empty."""
     return "" if ok is None else str(ok).lower()
 
 
@@ -226,7 +217,7 @@ def cmd_estimate(args) -> int:
     seq = sequences.make_sequence(args.seq)
     mt = exponents.matching_times(stream, seq)
     est = exponents.estimate_exponents(mt)
-    ok = _inequality(est)
+    ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, est.eta)
     try:
         vdef = exponents.estimate_vhat_definition(mt)
     except ValueError:
@@ -298,7 +289,8 @@ def _sweep_point(eta, vhat, theta, rho, roundtrip):
         sched = _build_schedule(seq, theta, vhat, regime, depth)
         stream = construct.emit_digits(sched, base, depth)
         est = exponents.estimate_exponents(exponents.matching_times(stream, sched.seq))
-        row.extend([_fmt(est.v_est), _fmt(est.vhat_est), _flag(_inequality(est))])
+        ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, est.eta)
+        row.extend([_fmt(est.v_est), _fmt(est.vhat_est), _flag(ok)])
     except ValueError as exc:  # point not constructible; formulas still stand
         print(f"vhat = {vhat}, theta = {theta}: round trip left blank, "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)

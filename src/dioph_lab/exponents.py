@@ -180,18 +180,25 @@ def estimate_v(mt: MatchingTimes) -> float:
     return float(tail.max())
 
 
-def estimate_vhat_blocks(mt: MatchingTimes) -> float:
-    """Uniform exponent surrogate along the dominant subsequence.
+def _uniform_min(mt: MatchingTimes, ns: np.ndarray) -> float:
+    """The uniform exponent's reduction at the indices `ns`: min over N of
+    max over n <= N of the run length after a_n, divided by a_N.  The last
+    record at or before N holds the running max, 0 before the first."""
+    records, best = mt.index[mt.dominant_mask], mt.gap[mt.dominant_mask]
+    runmax = np.append(0, best)[np.searchsorted(records, ns, side="right")]
+    return float((runmax / mt.seq.a_at(ns)).min())
 
-    Each term divides the run length of pair k by a(i_{k+1} - 1), the sequence
-    value one index before the next dominant index.  The last pair has no
-    successor and is skipped.
-    """
-    records, gaps = mt.index[mt.dominant_mask], mt.gap[mt.dominant_mask]
+
+def estimate_vhat_blocks(mt: MatchingTimes) -> float:
+    """Uniform exponent surrogate along the dominant subsequence: the
+    reduction one index before each dominant index past the burn-in, where
+    the previous record holds the running max, so pair k's term is its run
+    length over a(i_{k+1} - 1).  The last pair has no successor; the burn-in
+    (at most k - 2) leaves at least one term."""
+    records = mt.index[mt.dominant_mask]
     if records.size < 2:
         raise ValueError(f"need at least 2 dominant pairs, have {records.size}")
-    b = mt.burn_in  # at most k - 2, so one term is left
-    return float((gaps[b:-1] / mt.seq.a_at(records[b + 1:] - 1)).min())
+    return _uniform_min(mt, records[mt.burn_in + 1:] - 1)
 
 
 def definition_grid(mt: MatchingTimes) -> range:
@@ -214,29 +221,26 @@ def definition_grid(mt: MatchingTimes) -> range:
 
 
 def estimate_vhat_definition(mt: MatchingTimes) -> float:
-    """Uniform exponent surrogate straight from the definition.
+    """Uniform exponent surrogate straight from the definition: the
+    reduction's min over every N of `definition_grid(mt)`.
 
-    For each N of `definition_grid(mt)`, form max over n <= N of the run
-    length after a_n divided by a_N, then take the min over the grid.  The
-    running max changes only at dominant indices and a_N grows with N, so
-    between two records the min sits at the last grid point: only the index
-    before each record inside the grid, and the grid's last index, are
-    evaluated.
+    The running max changes only at records and a_N grows with N, so only
+    the index before each record inside the grid, and the grid's last index,
+    are evaluated.  The index before the first record has running max 0, so
+    the estimate is 0 when that index lies inside the grid.
     """
     grid = definition_grid(mt)
-    records, best = mt.index[mt.dominant_mask], mt.gap[mt.dominant_mask]
+    records = mt.index[mt.dominant_mask]
     inner = records[(records > grid.start) & (records <= grid[-1])]
-    ns = np.append(inner - 1, grid[-1])
-    # the last record at or before N holds the running max, 0 before the first
-    runmax = np.append(0, best)[np.searchsorted(records, ns, side="right")]
-    return float((runmax / mt.seq.a_at(ns)).min())
+    return _uniform_min(mt, np.append(inner - 1, grid[-1]))
 
 
-def check_exponent_inequality(v_est: float, vhat_est: float, eta: float) -> bool:
-    """Check v >= vhat/(eta - vhat) up to INEQUALITY_TOL (requires vhat < eta)."""
+def check_exponent_inequality(v_est: float, vhat_est: float, eta: float) -> bool | None:
+    """Check v >= vhat/(eta - vhat) up to INEQUALITY_TOL; None where it does
+    not apply, at vhat >= eta."""
     eta = float(eta)
     if vhat_est >= eta:
-        raise ValueError(f"vhat {vhat_est} must be below eta {eta}")
+        return None
     return v_est + INEQUALITY_TOL >= vhat_est / (eta - vhat_est)
 
 

@@ -141,6 +141,8 @@ def check_exponent_targeting():
 
 
 def check_estimator_agreement():
+    """Compare two windows of one reduction: the block and definition
+    estimators evaluate the same uniform-exponent min at different indices."""
     for name, sched, seq in (("eta1", _eta1_schedule(10 ** 5), LIN),
                              ("geo", _geo_schedule(10 ** 5), GEO2)):
         for base in (3, 2):

@@ -1,20 +1,27 @@
-"""Acceptance suite: every invariant in `verify.CHECKS` as one test, plus
-the end-to-end CLI round trip.
+"""Acceptance suite: every invariant in `verify.CHECKS` as one test, its
+line pinned in verify_pinned.txt, plus the end-to-end CLI round trip.
 
 The invariants are stated once, in `dioph_lab.verify`; `dioph-lab verify`
 runs the same checks without pytest.  The round trip stays here because it
 goes through files and the CLI at depth 1e6, which `verify` does not.
 """
 
+from pathlib import Path
+
 import pytest
 
 from dioph_lab import cli, digits, exponents, sequences, verify
+
+# the line `dioph-lab verify` prints for each check, keyed by its name
+PINNED = {line.split(":", 1)[0].removeprefix("PASS  "): line
+          for line in Path(__file__).with_name("verify_pinned.txt").read_text().splitlines()}
 
 
 @pytest.mark.parametrize("name, fn", verify.CHECKS, ids=[name for name, _ in verify.CHECKS])
 def test_invariant(name, fn):
     ok, detail = fn()
     assert ok, f"{name}: {detail}"
+    assert f"PASS  {name}: {detail}" == PINNED[name]
 
 
 def test_criterion_04_roundtrip_eta1(tmp_path):

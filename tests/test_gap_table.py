@@ -2,8 +2,8 @@
 
 The scan below walks each run digit by digit in plain Python, one index at
 a time.  It is the oracle for `run_end_table`, `matching_times` (whose table
-keeps one row per run), `definition_grid` and `estimate_vhat_definition`,
-and it lives here only, not in the library.
+keeps one row per run), the block estimators, `definition_grid` and
+`estimate_vhat_definition`, and it lives here only, not in the library.
 """
 
 import tracemalloc
@@ -19,6 +19,8 @@ from dioph_lab.exponents import (
     MatchingPair,
     definition_grid,
     estimate_exponents,
+    estimate_v,
+    estimate_vhat_blocks,
     estimate_vhat_definition,
     greedy_dominant,
     matching_times,
@@ -149,6 +151,29 @@ def test_definition_grid_and_estimate_match_scan(seq, stream):
         assert list(definition_grid(mt)) == want  # the index-count cap equals the loop's
         # evaluated at the stretch ends only, the min over every grid index
         assert estimate_vhat_definition(mt) == scan_vhat(avals, gaps, want)
+
+
+@pytest.mark.parametrize("seq", SEQS, ids=lambda s: s.spec)
+@given(stream=run_streams())
+@settings(max_examples=100, deadline=None)
+def test_block_estimators_match_scan(seq, stream):
+    # the paper's block form over the scanned dominant pairs i_1 < i_2 < ...
+    _, _, pairs, _ = scan_table(stream, seq)
+    mt = matching_times(stream, seq)
+    dom = greedy_dominant(pairs)
+    k = len(dom)
+    burn = min(int(0.2 * k), max(0, k - 2))
+    if not pairs:
+        with pytest.raises(ValueError):
+            estimate_v(mt)
+    else:
+        assert estimate_v(mt) == max(p.gap / p.a for p in dom[burn:])
+    if k < 2:
+        with pytest.raises(ValueError):
+            estimate_vhat_blocks(mt)
+    else:
+        assert estimate_vhat_blocks(mt) == min(
+            p.gap / seq.a(q.index - 1) for p, q in zip(dom[burn:], dom[burn + 1:]))
 
 
 def test_open_final_run_is_truncated_not_paired():
