@@ -110,8 +110,9 @@ def check_tail_guard(stream: DigitStream) -> None:
         raise ValueError("stream ends in an all-(b-1) tail window (looks rational)")
 
 
-def digits_from_string(text: str, base: int, tail_guard: bool = True) -> DigitStream:
-    """Parse digit characters (0-9 then a-z, base <= 36) into a stream."""
+def digits_from_string(text: str, base: int) -> DigitStream:
+    """Parse digit characters (0-9 then a-z, base <= 36) into a stream, with
+    no tail screening (digit text carries emitted schedule prefixes)."""
     if base > MAX_BASE:
         raise ValueError(f"base {base} exceeds the digit alphabet (max {MAX_BASE})")
     try:
@@ -123,13 +124,11 @@ def digits_from_string(text: str, base: int, tail_guard: bool = True) -> DigitSt
         stream = DigitStream(base, vals)
     except ValueError:
         bad = _out_of_range(vals, base)
-        if not bad:
+        if base < 2 or not bad:  # a bad base is the stream's own error
             raise
         # the first bad character holds the first byte left over
         raise ValueError(f"character {text[vals.index(bad[0])]!r} is not a base-{base} "
                          "digit") from None
-    if tail_guard:
-        check_tail_guard(stream)
     return stream
 
 
@@ -239,6 +238,6 @@ def load_digit_file(path) -> DigitStream:
             except ValueError:
                 raise ValueError(f"header {header!r} has no integer base") from None
             body = "".join(line.strip() for line in fh)
-        return digits_from_string(body, base, tail_guard=False)
+        return digits_from_string(body, base)
     except ValueError as exc:  # UnicodeDecodeError included
         raise ValueError(f"digit file {path}: {exc}") from None

@@ -319,60 +319,22 @@ def exact_dimension_window(eta: Fraction, vhat: Fraction) -> DimensionReport:
                            condition=cond)
 
 
-@dataclass(frozen=True)
-class ThetaInterval:
-    lo: Fraction
-    hi: Fraction  # always an open end
-    lo_open: bool
-
-    def contains(self, theta: Fraction) -> bool:
-        theta = Fraction(theta)
-        above = theta > self.lo if self.lo_open else theta >= self.lo
-        return above and theta < self.hi
-
-    def __str__(self):
-        lo_b = "(" if self.lo_open else "["
-        return f"{lo_b}{self.lo}, {self.hi})"
-
-
-def forbidden_theta_gaps(eta: Fraction, vhat: Fraction, l_max: int) -> list[ThetaInterval]:
-    """Open theta ranges where the (vhat, theta*vhat) pair set is empty.
-
-    Valid for vhat in [1, eta).  The initial interval [0, max(1, 1/(eta-vhat)))
-    is closed at 0; the power gaps ((eta^l - 1)/vhat, eta^l) are open, so the
-    powers eta^l themselves stay admissible.  Overlapping pieces are merged.
-    """
-    eta, vhat = Fraction(eta), Fraction(vhat)
-    if eta <= 1:
-        raise ValueError(f"needs eta > 1, got {eta}")
-    if not 1 <= vhat < eta:
-        raise ValueError(f"vhat must lie in [1, {eta}), got {vhat}")
-    raw = [ThetaInterval(Fraction(0), _empty_below(eta, vhat), lo_open=False)]
-    for l in range(1, l_max + 1):
-        p = eta ** l
-        lo = (p - 1) / vhat
-        if lo < p:
-            raw.append(ThetaInterval(lo, p, lo_open=True))
-    raw.sort(key=lambda iv: (iv.lo, iv.lo_open))
-    merged = [raw[0]]
-    for iv in raw[1:]:
-        cur = merged[-1]
-        if iv.lo < cur.hi:
-            merged[-1] = ThetaInterval(cur.lo, max(cur.hi, iv.hi), cur.lo_open)
-        else:
-            merged.append(iv)
-    return merged
-
-
 def theta_is_forbidden(eta: Fraction, vhat: Fraction, theta: Fraction) -> bool:
-    """Pair-or-gap emptiness test for a single theta."""
+    """Whether the (vhat, theta*vhat) pair set is empty at this theta.
+
+    It is empty below max(1, 1/(eta - vhat)) and, for vhat in [1, eta),
+    inside each power gap ((eta^l - 1)/vhat, eta^l), l >= 1.  The gaps are
+    open at both ends, so the powers eta^l themselves stay admissible.
+    """
     eta, vhat, theta = Fraction(eta), Fraction(vhat), Fraction(theta)
     if theta < _empty_below(eta, vhat):
         return True
     if vhat < 1:
         return False
     l_max = max(1, floor_log(eta, max(theta, Fraction(2))) + 2)
-    return any(iv.contains(theta) for iv in forbidden_theta_gaps(eta, vhat, l_max))
+    if vhat >= eta:
+        raise ValueError(f"vhat must lie in [1, {eta}), got {vhat}")
+    return any((eta ** l - 1) / vhat < theta < eta ** l for l in range(1, l_max + 1))
 
 
 def rational_linspace(lo: Fraction, hi: Fraction, count: int) -> list[Fraction]:

@@ -561,15 +561,24 @@ def test_box_dim_too_few_points_names_max_depth(argv, message, capsys, monkeypat
     assert err.splitlines() == [f"error: {message} needs at least 3"]
 
 
-@pytest.mark.parametrize("content", [b"base=3\n10\xff2\n", b"base=x\n1022\n"],
-                         ids=["digit-file-not-utf8", "digit-file-base-not-int"])
-def test_bad_digit_file_names_the_path(content, capsys, tmp_path):
+@pytest.mark.parametrize("content, message", [
+    (b"base=3\n10\xff2\n", None),
+    (b"base=x\n1022\n", None),
+    # a base below 2 is named as such, not as a bad digit character
+    (b"base=1\n0120\n", "base must be >= 2, got 1"),
+    (b"base=0\n0120\n", "base must be >= 2, got 0"),
+    (b"base=-3\n0120\n", "base must be >= 2, got -3"),
+], ids=["digit-file-not-utf8", "digit-file-base-not-int", "digit-file-base-1",
+        "digit-file-base-0", "digit-file-base-negative"])
+def test_bad_digit_file_names_the_path(content, message, capsys, tmp_path):
     path = tmp_path / "digits.txt"
     path.write_bytes(content)
     code, err = _run(["estimate", "--digits", str(path), "--seq", "linear"], capsys)
     assert code == 1
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0]
+    if message is not None:
+        assert lines == [f"error: digit file {path}: {message}"]
 
 
 # eval-dim runs whose stdout (and CSV, where written) are pinned byte for byte

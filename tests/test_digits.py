@@ -78,11 +78,11 @@ def test_tail_guard_on_ingestion():
     # exactly 64 digits: the leading 1 sits inside the window
     digits.digits_from_rational(1, 2, 2, 64)
     with pytest.raises(ValueError):
-        digits.digits_from_string("1" + "0" * 64, 3)
+        digits.check_tail_guard(digits.digits_from_string("1" + "0" * 64, 3))
     with pytest.raises(ValueError):
-        digits.digits_from_string("0" + "9" * 64, 10)
+        digits.check_tail_guard(digits.digits_from_string("0" + "9" * 64, 10))
     # short streams are exempt (too short to judge the tail)
-    digits.digits_from_string("000", 2)
+    digits.check_tail_guard(digits.digits_from_string("000", 2))
     # the guard is ingestion-side only; raw construction is unconstrained
     digits.DigitStream(3, bytes(100))
 

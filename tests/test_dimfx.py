@@ -12,7 +12,6 @@ from dioph_lab.dimfx import (
     dim_pair_eta1,
     exact_dimension_window,
     floor_log,
-    forbidden_theta_gaps,
     l0_threshold,
     rational_linspace,
     refined_upper_bound,
@@ -194,29 +193,44 @@ def test_exact_dimension_window():
 
 
 def test_forbidden_gaps_worked():
-    gaps = forbidden_theta_gaps(F(2), F(3, 2), 3)
-    assert [str(g) for g in gaps] == ["[0, 2)", "(2, 4)", "(14/3, 8)"]
-    gaps = forbidden_theta_gaps(F(2), F(1), 2)
-    assert [str(g) for g in gaps] == ["[0, 1)", "(1, 2)", "(3, 4)"]
-    with pytest.raises(ValueError):
-        forbidden_theta_gaps(F(2), F(1, 2), 3)
+    # vhat = 3/2: empty below 2, then the gaps (2, 4), (14/3, 8), (10, 16)
+    for theta in (F(0), F(1), F(3), F(19, 4), F(5), F(7)):
+        assert theta_is_forbidden(F(2), F(3, 2), theta)
+    for theta in (F(2), F(4), F(9, 2), F(14, 3), F(8), F(9)):
+        assert not theta_is_forbidden(F(2), F(3, 2), theta)
+    # vhat = 1: empty below 1, then the gaps (1, 2), (3, 4), (7, 8)
+    for theta in (F(0), F(1, 2), F(3, 2), F(7, 2)):
+        assert theta_is_forbidden(F(2), F(1), theta)
+    for theta in (F(1), F(2), F(3), F(4), F(5)):
+        assert not theta_is_forbidden(F(2), F(1), theta)
+    # vhat < 1: only the first interval applies
+    assert theta_is_forbidden(F(2), F(1, 2), F(1, 2))
+    for theta in (F(1), F(3, 2), F(3), F(7, 2)):
+        assert not theta_is_forbidden(F(2), F(1, 2), theta)
+    with pytest.raises(ValueError, match=r"^vhat must lie in \[1, 2\), got 5/2$"):
+        theta_is_forbidden(F(2), F(5, 2), F(3))
 
 
 @given(st.integers(1, 20), st.integers(1, 20), st.integers(0, 20), st.integers(1, 8))
 @settings(max_examples=150)
-def test_forbidden_gaps_merge_keeps_the_union(en, ed, vn, l_max):
+def test_forbidden_gaps_match_the_raw_pieces(en, ed, vn, l_top):
     eta = 1 + F(en, ed)
     vhat = 1 + (eta - 1) * F(vn, 21)  # vhat in [1, eta)
-    gaps = forbidden_theta_gaps(eta, vhat, l_max)
-    assert all(a.hi < b.lo or (a.hi == b.lo and b.lo_open) for a, b in zip(gaps, gaps[1:]))
-    pieces = [(F(0), max(F(1), 1 / (eta - vhat)), False)]
-    pieces += [((eta ** l - 1) / vhat, eta ** l, True) for l in range(1, l_max + 1)]
-    ends = sorted({e for lo, hi, _ in pieces for e in (lo, hi)})
+
+    def pieces(l_max):
+        yield F(0), max(F(1), 1 / (eta - vhat)), False
+        for l in range(1, l_max + 1):
+            yield (eta ** l - 1) / vhat, eta ** l, True
+
+    ends = sorted({e for lo, hi, _ in pieces(l_top) for e in (lo, hi)})
     probes = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
     for theta in probes:
+        # a gap l > l_top can hold the probe (eta = 5/4, vhat = 1, theta = 4
+        # lies in the gap at l = 7), so the pieces reach past the probe
+        reach = max(l_top, floor_log(eta, max(theta, F(2))) + 2)
         in_piece = any((lo < theta if lo_open else lo <= theta) and theta < hi
-                       for lo, hi, lo_open in pieces)
-        assert any(g.contains(theta) for g in gaps) == in_piece
+                       for lo, hi, lo_open in pieces(reach))
+        assert theta_is_forbidden(eta, vhat, theta) == in_piece
 
 
 def test_domain_ok_follows_the_value():

@@ -117,13 +117,13 @@ def test_check_exponent_inequality():
 
 def test_definition_estimator_refuses_truncated_grid():
     # the grid ends before the first cut-off run: here the longest-run cap binds
-    stream = digits.digits_from_string("0" * 900 + "1" * 100, 2, tail_guard=False)
+    stream = digits.digits_from_string("0" * 900 + "1" * 100, 2)
     mt = matching_times(stream, LIN)
     assert mt.first_truncated_index == 900
     assert definition_grid(mt) == range(20, 101)
     assert estimate_vhat_definition(mt) == 900 / 100
     # and here the cut-off run binds: the grid stops one index before it
-    stream = digits.digits_from_string("100" * 300 + "0" * 100, 3, tail_guard=False)
+    stream = digits.digits_from_string("100" * 300 + "0" * 100, 3)
     mt = matching_times(stream, LIN)
     assert mt.first_truncated_index == 898
     assert definition_grid(mt) == range(179, 898)

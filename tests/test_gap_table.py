@@ -178,7 +178,7 @@ def test_block_estimators_match_scan(seq, stream):
 
 def test_open_final_run_is_truncated_not_paired():
     # base 3, a_n = n: the 0-run opened at position 6 is still open at the end
-    stream = digits.digits_from_string("1200100000", 3, tail_guard=False)
+    stream = digits.digits_from_string("1200100000", 3)
     mt = matching_times(stream, SEQS[0])
     assert mt.first_truncated_index == 5
     assert mt.pairs == [MatchingPair(1, 1, 3), MatchingPair(2, 2, 5), MatchingPair(3, 3, 5)]
