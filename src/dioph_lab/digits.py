@@ -18,8 +18,6 @@ if TYPE_CHECKING:
 
 # Positions are 1-based everywhere: digit j of xi is x_j, j >= 1.
 
-TAIL_GUARD = 64  # final window checked by the irrationality proxy
-
 _ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 MAX_BASE = len(_ALPHABET)  # largest base with a character for every digit
 _CHAR_VALUE = {c: v for v, c in enumerate(_ALPHABET)}
@@ -91,28 +89,8 @@ class DigitStream:
         return starts[hit] + 1, ends[hit] + 1
 
 
-def check_tail_guard(stream: DigitStream) -> None:
-    """Irrationality proxy on ingested data.
-
-    A prefix long enough to judge must not end in a constant-0 or
-    constant-(b-1) window of TAIL_GUARD digits (an eventually constant tail
-    is a rational's signature).  Shorter prefixes are exempt, and emitted
-    schedule prefixes are not screened: cutting one inside a zero block is
-    normal, the truncated run is simply discarded downstream.
-    """
-    data = stream.data
-    if len(data) < TAIL_GUARD:
-        return
-    tail = data[-TAIL_GUARD:]
-    if all(d == 0 for d in tail):
-        raise ValueError("stream ends in an all-zero tail window (looks rational)")
-    if all(d == stream.base - 1 for d in tail):
-        raise ValueError("stream ends in an all-(b-1) tail window (looks rational)")
-
-
 def digits_from_string(text: str, base: int) -> DigitStream:
-    """Parse digit characters (0-9 then a-z, base <= 36) into a stream, with
-    no tail screening (digit text carries emitted schedule prefixes)."""
+    """Parse digit characters (0-9 then a-z, base <= 36) into a stream."""
     if base > MAX_BASE:
         raise ValueError(f"base {base} exceeds the digit alphabet (max {MAX_BASE})")
     try:
@@ -152,9 +130,7 @@ def digits_from_rational(p: int, q: int, base: int, count: int) -> DigitStream:
         r *= base
         out.append(r // q)
         r %= q
-    stream = DigitStream(base, bytes(out))
-    check_tail_guard(stream)
-    return stream
+    return DigitStream(base, bytes(out))
 
 
 def random_digits(base: int, count: int, seed: int) -> DigitStream:
@@ -178,9 +154,7 @@ def random_digits(base: int, count: int, seed: int) -> DigitStream:
         need = count - len(data)
         words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
         data += words[3::4].translate(table, reject)
-    stream = DigitStream(base, data)
-    check_tail_guard(stream)
-    return stream
+    return DigitStream(base, data)
 
 
 def run_end_table(stream: DigitStream, positions) -> np.ndarray:
@@ -225,9 +199,7 @@ def save_digit_file(stream: DigitStream, path) -> None:
 
 
 def load_digit_file(path) -> DigitStream:
-    """Read a digit file; no tail screening (the round-trip channel for
-    emitted schedule prefixes, which may legitimately end inside a block).
-    A malformed file raises ValueError naming the path."""
+    """Read a digit file; a malformed file raises ValueError naming the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip()

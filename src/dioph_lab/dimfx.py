@@ -78,7 +78,7 @@ def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q'; decimal forms are rejected to keep arithmetic exact."""
     text = text.strip()
     parts = text.split("/")
-    if len(parts) > 2 or not all(p.lstrip("+").isdigit() for p in parts):
+    if len(parts) > 2 or not all(p.lstrip("+").isdecimal() for p in parts):
         raise ValueError(f"{text!r} is not a p or p/q rational")
     if len(parts) == 1:
         return Fraction(int(parts[0]))
@@ -327,13 +327,15 @@ def theta_is_forbidden(eta: Fraction, vhat: Fraction, theta: Fraction) -> bool:
     open at both ends, so the powers eta^l themselves stay admissible.
     """
     eta, vhat, theta = Fraction(eta), Fraction(vhat), Fraction(theta)
+    if eta <= 1:
+        raise ValueError(f"eta must exceed 1, got {eta}")
+    if vhat >= eta:
+        raise ValueError(f"vhat must lie in [1, {eta}), got {vhat}")
     if theta < _empty_below(eta, vhat):
         return True
     if vhat < 1:
         return False
     l_max = max(1, floor_log(eta, max(theta, Fraction(2))) + 2)
-    if vhat >= eta:
-        raise ValueError(f"vhat must lie in [1, {eta}), got {vhat}")
     return any((eta ** l - 1) / vhat < theta < eta ** l for l in range(1, l_max + 1))
 
 

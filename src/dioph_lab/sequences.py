@@ -225,7 +225,7 @@ def _read_values(path: Path) -> list[int]:
 def make_sequence(spec: str) -> DenominatorSequence:
     """Build a sequence from its spec string.
 
-    Grammar: `linear` (the degree-1 poly) | `poly:d=<int>=2>` |
+    Grammar: `linear` (the degree-1 poly) | `poly:d=<int >= 2>` |
     `geometric:eta=<p/q>,a1=<int>` | `file:<path>` (one strictly increasing
     positive integer per line).
     """

@@ -389,6 +389,20 @@ def test_vhat_past_float_range_names_the_value(tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_unicode_digits_are_no_rational(tmp_path, capsys):
+    # '²' passes str.isdigit but not int(); the parser's own message is kept
+    code, err = _run(["eval-dim", "--eta", "2", "--vhat", "²"], capsys)
+    assert code == 2
+    assert err.splitlines()[-1] == (
+        "dioph-lab eval-dim: error: argument --vhat: '²' is not a p or p/q rational")
+    code, err = _run(["sweep", "--eta", "2", "--theta", "4", "--vhat-grid", "1:3/2:2",
+                      "--seq", "geometric:eta=²,a1=1", "--regime", "geo:l=2",
+                      "--csv", str(tmp_path / "s.csv")], capsys)
+    assert code == 1
+    assert err.splitlines() == ["error: '²' is not a p or p/q rational"]
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize("half", [["--seq", "geometric:eta=2,a1=1"], ["--regime", "eta1"]],
                          ids=["seq-alone", "regime-alone"])
 def test_sweep_needs_seq_and_regime_together(half, tmp_path, capsys):

@@ -71,19 +71,11 @@ def test_range_errors_name_the_bad_digit():
         digits.digits_from_string("1023", 3)
 
 
-def test_tail_guard_on_ingestion():
-    # a terminating rational deeper than the guard window ends in zeros
-    with pytest.raises(ValueError):
-        digits.digits_from_rational(1, 2, 2, 100)
-    # exactly 64 digits: the leading 1 sits inside the window
-    digits.digits_from_rational(1, 2, 2, 64)
-    with pytest.raises(ValueError):
-        digits.check_tail_guard(digits.digits_from_string("1" + "0" * 64, 3))
-    with pytest.raises(ValueError):
-        digits.check_tail_guard(digits.digits_from_string("0" + "9" * 64, 10))
-    # short streams are exempt (too short to judge the tail)
-    digits.check_tail_guard(digits.digits_from_string("000", 2))
-    # the guard is ingestion-side only; raw construction is unconstrained
+def test_terminating_expansions_come_back_whole():
+    # no constant tail is screened: a terminating expansion keeps its zeros
+    assert digits.digits_from_rational(1, 2, 2, 100).data == b"\x01" + bytes(99)
+    assert digits.digits_from_rational(1, 4, 10, 80).data == bytes([2, 5]) + bytes(78)
+    assert digits.digits_from_rational(0, 1, 10, 70).data == bytes(70)
     digits.DigitStream(3, bytes(100))
 
 

@@ -209,6 +209,13 @@ def test_forbidden_gaps_worked():
         assert not theta_is_forbidden(F(2), F(1, 2), theta)
     with pytest.raises(ValueError, match=r"^vhat must lie in \[1, 2\), got 5/2$"):
         theta_is_forbidden(F(2), F(5, 2), F(3))
+    # the domain is checked before the empty-below verdict
+    with pytest.raises(ValueError, match=r"^eta must exceed 1, got 1/2$"):
+        theta_is_forbidden(F(1, 2), F(1), F(0))
+    with pytest.raises(ValueError, match=r"^vhat must lie in \[1, 2\), got 5/2$"):
+        theta_is_forbidden(F(2), F(5, 2), F(1, 2))
+    with pytest.raises(ValueError, match=r"^vhat must lie in \[1, 2\), got 2$"):
+        theta_is_forbidden(F(2), F(2), F(3))
 
 
 @given(st.integers(1, 20), st.integers(1, 20), st.integers(0, 20), st.integers(1, 8))

@@ -96,6 +96,11 @@ def test_parse_rational_rejects_decimals():
     for bad in ("1.5", "3/2/5", "a/b", ""):
         with pytest.raises(ValueError):
             parse_rational(bad)
+    # str.isdigit accepts these, int() does not
+    for bad in ("²", "1/²", "①"):
+        with pytest.raises(ValueError, match=f"^'{bad}' is not a p or p/q rational$"):
+            parse_rational(bad)
+    assert parse_rational("٣/4") == F(3, 4)  # a decimal digit int() reads
 
 
 def test_eta_estimate_values():
