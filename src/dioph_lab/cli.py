@@ -150,6 +150,8 @@ def _formula_rows(eta: Fraction, vhat: Fraction, theta: Fraction | None,
 def cmd_eval_dim(args) -> int:
     eta = args.eta
     _check_eta(eta)
+    if args.vhat is not None and args.grid is not None:
+        return _usage("--vhat and --grid cannot both be given")
     if args.grid is not None:
         grid = _grid(args.grid)
     elif args.vhat is not None:

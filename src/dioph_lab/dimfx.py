@@ -78,13 +78,17 @@ def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q'; decimal forms are rejected to keep arithmetic exact."""
     text = text.strip()
     parts = text.split("/")
-    if len(parts) > 2 or not all(p.lstrip("+").isdecimal() for p in parts):
+    if len(parts) > 2 or not all(p.removeprefix("+").isdecimal() for p in parts):
         raise ValueError(f"{text!r} is not a p or p/q rational")
-    if len(parts) == 1:
-        return Fraction(int(parts[0]))
-    if int(parts[1]) == 0:
+    try:
+        terms = [int(p) for p in parts]
+    except ValueError:  # a term past the interpreter's int-from-text limit
+        longest = max(len(p.removeprefix("+")) for p in parts)
+        raise ValueError(f"a {longest}-digit integer is past the limit "
+                         f"{sys.get_int_max_str_digits()} on integers read from text") from None
+    if len(terms) == 2 and terms[1] == 0:
         raise ValueError(f"{text!r} has a zero denominator")
-    return Fraction(int(parts[0]), int(parts[1]))
+    return Fraction(*terms)
 
 
 def _ln(q: Fraction) -> float:

@@ -3,8 +3,10 @@
 Each check re-derives its expectation independently (brute-force scans,
 alternative formulas, exact rational identities) and returns pass/fail with
 a short detail string.  `dioph-lab verify` prints one line per check and
-exits nonzero if any fails; `tests/test_acceptance.py` runs each check in
-`CHECKS` as one test.
+exits nonzero if any fails.  Each invariant lives only in `CHECKS`: Tier-1
+runs it as `tests/test_acceptance.py::test_invariant[<name>]`, and unit
+tests do not restate a check.  Run one with
+`pytest tests/test_acceptance.py -k <name>`.
 """
 
 from __future__ import annotations
@@ -190,8 +192,11 @@ def check_optimizer_identity():
         theta0 = 2 / (1 - vhat)
         if abs(best_th - theta0) > F(1, 100):
             return False, f"argmax {best_th} far from {theta0} (vhat={vhat})"
-        if dimfx.dim_pair_eta1(vhat, theta0).value != dimfx.dim_eta1(vhat).value:
+        exact = dimfx.dim_eta1(vhat).value
+        if dimfx.dim_pair_eta1(vhat, theta0).value != exact:
             return False, f"peak value mismatch at vhat={vhat}"
+        if best_val > exact:
+            return False, f"grid max {best_val} above the exact value {exact} (vhat={vhat})"
     return True, "grid max sits at theta0 = 2/(1-vhat) and equals the exact value"
 
 

@@ -20,6 +20,12 @@ def geo2():
 
 
 @pytest.fixture(scope="session")
+def small_sched(lin):
+    """The worked example's three blocks for (3, 1/3) over a_n = n."""
+    return construct.schedule_eta1(lin, F(3), F(1, 3), cover_to=120)
+
+
+@pytest.fixture(scope="session")
 def eta1_sched(lin):
     """Blocks for (theta, vhat) = (3, 1/3) over a_n = n, covering 1e6."""
     return construct.schedule_eta1(lin, F(3), F(1, 3), cover_to=DEPTH)

@@ -2,9 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from fractions import Fraction as F
 
-from dioph_lab import boxdim, construct, exponents, sequences
+from dioph_lab import boxdim, construct, exponents
 from dioph_lab.boxdim import (
     ALL_DEPTHS,
     AT_BLOCK_ENDS,
@@ -16,13 +15,6 @@ from dioph_lab.boxdim import (
 )
 from dioph_lab.digits import DigitStream
 
-LIN = sequences.make_sequence("linear")
-
-
-@pytest.fixture(scope="module")
-def small_sched():
-    return construct.schedule_eta1(LIN, F(3), F(1, 3), cover_to=120)
-
 
 def test_count_worked_values(small_sched):
     counts = count_exponents_upto(small_sched, 3, 13)
@@ -31,14 +23,6 @@ def test_count_worked_values(small_sched):
     assert counts[1] == 1
     with pytest.raises(ValueError):
         count_exponents_upto(small_sched, 3, small_sched.covered_to + 1)
-
-
-def test_count_equals_measure_everywhere(eta1_sched, geo_sched):
-    for sched in (eta1_sched, geo_sched):
-        for base in (3, 2):
-            mu = construct.mu_exponents_upto(sched, base, 10 ** 5)
-            ct = count_exponents_upto(sched, base, 10 ** 5)
-            assert np.array_equal(mu[1:], ct[1:])
 
 
 @pytest.mark.parametrize("depths,bad", [([0, 5], 0), ([-3, 5], -3)],
@@ -87,14 +71,6 @@ def test_block_end_slope_stabilizes(eta1_sched):
         if prev is not None:
             assert val <= prev + 0.01
         prev = val
-
-
-def test_regression_sits_above_liminf(eta1_sched):
-    series = count_series(eta1_sched, 3, list(range(1, 10 ** 5 + 1)))
-    slope = dimension_slope(series, ALL_DEPTHS)
-    block = dimension_slope(
-        count_series(eta1_sched, 3, eta1_sched.block_ends(10 ** 5)), AT_BLOCK_ENDS)
-    assert slope >= block - 0.05
 
 
 def test_count_series_sorts_and_drops_repeats(small_sched):

@@ -395,6 +395,10 @@ def test_unicode_digits_are_no_rational(tmp_path, capsys):
     assert code == 2
     assert err.splitlines()[-1] == (
         "dioph-lab eval-dim: error: argument --vhat: '²' is not a p or p/q rational")
+    code, err = _run(["eval-dim", "--eta", "++2", "--vhat", "1/2"], capsys)
+    assert code == 2
+    assert err.splitlines()[-1] == (
+        "dioph-lab eval-dim: error: argument --eta: '++2' is not a p or p/q rational")
     code, err = _run(["sweep", "--eta", "2", "--theta", "4", "--vhat-grid", "1:3/2:2",
                       "--seq", "geometric:eta=²,a1=1", "--regime", "geo:l=2",
                       "--csv", str(tmp_path / "s.csv")], capsys)
@@ -423,6 +427,16 @@ def test_sweep_fixed_flag_beside_its_grid_is_a_usage_error(argv, tmp_path, capsy
     flag = argv[-2].removesuffix("-grid")
     assert code == 2
     assert err.splitlines() == [f"error: {flag} and {flag}-grid cannot both be given"]
+    assert not csv_path.exists()
+
+
+def test_eval_dim_vhat_beside_grid_is_a_usage_error(tmp_path, capsys):
+    csv_path = tmp_path / "e.csv"
+    code = main(["eval-dim", "--eta", "2", "--vhat", "7/5", "--grid", "1/2:1:2",
+                 "--csv", str(csv_path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert (out, err.splitlines()) == ("", ["error: --vhat and --grid cannot both be given"])
     assert not csv_path.exists()
 
 

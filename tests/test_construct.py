@@ -23,11 +23,6 @@ LIN = sequences.make_sequence("linear")
 GEO2 = sequences.make_sequence("geometric:eta=2,a1=1")
 
 
-@pytest.fixture(scope="module")
-def small_sched():
-    return schedule_eta1(LIN, F(3), F(1, 3), cover_to=120)
-
-
 def test_eta1_worked_schedule(small_sched):
     assert len(small_sched.entries) == 3
     e1, e2 = small_sched.entries[0], small_sched.entries[1]
@@ -341,22 +336,6 @@ def test_estimator_grid_is_pinned():
     assert estimator_grid_transcript() == pinned
 
 
-def test_local_dimension_converges(eta1_sched, geo_sched):
-    last = [m for m in eta1_sched.block_ends(10 ** 6) if m >= 10 ** 5][-1]
-    assert local_dimension(eta1_sched, 3, last) == pytest.approx(0.25, abs=0.02)
-    glast = [m for m in geo_sched.block_ends(10 ** 6) if m >= 10 ** 5][-1]
-    assert local_dimension(geo_sched, 3, glast) == pytest.approx(1 / 49, abs=0.01)
-
-
-def test_measure_additivity_small_depths(small_sched):
-    for base in (3, 2):
-        for n in range(1, 31):
-            parent = mu_cylinder(small_sched, base, n)
-            child = mu_cylinder(small_sched, base, n + 1)
-            children = 1 if constrained_digit(small_sched, base, n + 1) is not None else base
-            assert children * F(1, base ** child) == F(1, base ** parent), (base, n)
-
-
 def test_constrained_digit_matches_emission(small_sched):
     for base in (3, 2):
         stream = emit_digits(small_sched, base, small_sched.covered_to)
@@ -378,16 +357,6 @@ def test_roundtrip_recovers_schedule_pairs(eta1_sched, geo_sched, eta1_streams,
         got2 = [(p.a, p.m) for p in exponents.matching_times(streams[2], seq).dominant]
         tail = got2[got2.index(want[1]):]
         assert tail == want[1:]
-
-
-def test_exponent_targets(eta1_streams, geo_streams):
-    for base in (3, 2):
-        est = exponents.estimate_exponents(exponents.matching_times(eta1_streams[base], LIN))
-        assert est.v_est == pytest.approx(1.0, abs=0.05)
-        assert est.vhat_est == pytest.approx(1 / 3, abs=0.02)
-        gest = exponents.estimate_exponents(exponents.matching_times(geo_streams[base], GEO2))
-        assert gest.v_est == pytest.approx(6.0, abs=0.1)
-        assert gest.vhat_est == pytest.approx(1.5, abs=0.05)
 
 
 def _count_exponents(sched, base, max_n):

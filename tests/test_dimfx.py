@@ -247,75 +247,12 @@ def test_domain_ok_follows_the_value():
     assert dimfx.DimensionReport(F(0), dimfx.EMPTY, "test").domain_ok is True
 
 
-def test_theta_admissibility():
-    assert not theta_is_forbidden(F(2), F(3, 2), F(4))
-    assert not theta_is_forbidden(F(2), F(3, 2), F(2))
-    assert not theta_is_forbidden(F(2), F(3, 2), F(9, 2))
-    assert theta_is_forbidden(F(2), F(3, 2), F(3))
-    assert theta_is_forbidden(F(2), F(3, 2), F(1, 2))
-
-
 @given(st.integers(1, 9), st.integers(0, 400))
 @settings(max_examples=200)
 def test_eta1_pair_consistency(vn, k):
     vhat = F(vn, 10)
     theta = 1 / (1 - vhat) + F(k, 100)
     assert upper_bound_pair(F(1), vhat, theta).value == dim_pair_eta1(vhat, theta).value
-
-
-@pytest.mark.parametrize("vhat", [F(1, 3), F(1, 2), F(3, 5)])
-def test_optimizer_identity(vhat):
-    lo = 1 / (1 - vhat)
-    grid = [lo + F(k, 100) for k in range(401)]
-    best_val, best_theta = max((dim_pair_eta1(vhat, th).value, th) for th in grid)
-    theta0 = 2 / (1 - vhat)
-    assert abs(best_theta - theta0) <= F(1, 100)
-    assert dim_pair_eta1(vhat, theta0).value == dim_eta1(vhat).value
-    assert best_val <= dim_eta1(vhat).value
-
-
-def _window_samples(eta, per_window=17, windows=4):
-    l0 = l0_threshold(eta)
-    for l in range(l0, l0 + windows):
-        p = eta ** l
-        left = max(F(1), eta - 2 * eta / (p + 1))
-        right = eta - 2 / p
-        yield from rational_linspace(left, right, per_window + 2)[1:-1]
-
-
-def test_sandwich_on_windows():
-    for eta in ETAS:
-        for vhat in _window_samples(eta):
-            up = refined_upper_bound(eta, vhat)
-            low = construction_lower_bound(eta, vhat)
-            base = baseline_bound(eta, vhat)
-            assert up.domain_ok
-            assert low.value <= up.value < base.value
-            ex = exact_dimension_window(eta, vhat)
-            if ex.domain_ok:
-                assert ex.value == low.value
-
-
-def test_remark_equality_at_window_endpoints():
-    for eta in ETAS:
-        l0 = l0_threshold(eta)
-        for l in range(l0, l0 + 4):
-            vhat = eta - 2 / eta ** l
-            assert construction_lower_bound(eta, vhat).value == \
-                baseline_bound(eta, vhat).value
-            ex = exact_dimension_window(eta, vhat)
-            assert ex.domain_ok and ex.value == baseline_bound(eta, vhat).value
-
-
-def test_branch_crossing_quadratic_roots():
-    for eta in ETAS:
-        for l in range(1, 5):
-            p = eta ** l
-            c2, c1, c0 = (p ** 3,
-                          -p * (p - 1) * (eta * p + p - 1),
-                          (p - 1) ** 2 * (eta * p - 1))
-            for t in ((p - 1) / p, eta - (p + eta * p - 1) / p ** 2):
-                assert c2 * t * t + c1 * t + c0 == 0
 
 
 def test_rational_linspace():

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dioph_lab
-from dioph_lab import digits, exponents, sequences
+from dioph_lab import digits, sequences
 from dioph_lab.digits import DigitStream
 from dioph_lab.dimfx import InvariantError
 from dioph_lab.exponents import (
@@ -146,29 +145,6 @@ def digit_streams(draw):
     n = draw(st.integers(40, 400))
     seed = draw(st.integers(0, 10 ** 6))
     return digits.random_digits(base, n, seed)
-
-
-@given(digit_streams())
-@settings(max_examples=60, deadline=None)
-def test_pair_semantics_against_direct_scan(stream):
-    mt = matching_times(stream, LIN)
-    top = stream.base - 1
-    for p in mt.pairs[:50]:
-        assert p.m >= p.a + 2
-        run_value = stream.digit(p.a + 1)
-        assert run_value in (0, top)
-        assert all(stream.digit(j) == run_value for j in range(p.a + 1, p.m))
-        assert stream.digit(p.m) != run_value
-
-
-@given(digit_streams())
-@settings(max_examples=60, deadline=None)
-def test_dominant_gaps_strictly_increase(stream):
-    mt = matching_times(stream, LIN)
-    gaps = [p.gap for p in mt.dominant]
-    assert all(b > a for a, b in zip(gaps, gaps[1:]))
-    assert set(mt.dominant) <= set(mt.pairs)
-    assert mt.dominant == greedy_dominant(mt.pairs)
 
 
 @given(digit_streams(), st.integers(20, 390))

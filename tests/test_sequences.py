@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dioph_lab import sequences
 from dioph_lab.sequences import eta_estimate, make_sequence, parse_rational
 
 
@@ -96,11 +96,16 @@ def test_parse_rational_rejects_decimals():
     for bad in ("1.5", "3/2/5", "a/b", ""):
         with pytest.raises(ValueError):
             parse_rational(bad)
-    # str.isdigit accepts these, int() does not
-    for bad in ("²", "1/²", "①"):
-        with pytest.raises(ValueError, match=f"^'{bad}' is not a p or p/q rational$"):
+    # str.isdigit accepts the first three and int() none; a term takes one '+'
+    for bad in ("²", "1/²", "①", "++2", "1/++2"):
+        with pytest.raises(ValueError, match=f"^'{re.escape(bad)}' is not a p or p/q rational$"):
             parse_rational(bad)
+    assert parse_rational("+3/+4") == F(3, 4)
     assert parse_rational("٣/4") == F(3, 4)  # a decimal digit int() reads
+    # past int()'s digit limit the term's length is named, not its text
+    with pytest.raises(ValueError, match=r"^a 5000-digit integer is past the limit "
+                       rf"{sys.get_int_max_str_digits()} on integers read from text$"):
+        parse_rational("1/" + "7" * 5000)
 
 
 def test_eta_estimate_values():
