@@ -255,18 +255,16 @@ def cmd_box_dim(args) -> int:
     print(f"{len(series.depths)} depths, mode {args.mode}: dimension estimate "
           f"{_fmt(slope)}")
     if args.csv:
-        _write_csv(args.csv, ["n", "log_b_count", "ratio"], _series_rows(series))
+        # rows (n, count exponent, ratio), 2^16 depths per write, so no
+        # list of every row is held
+        with open(args.csv, "w", newline="") as fh:
+            fh.write("n,log_b_count,ratio\n")
+            for lo in range(0, len(series.depths), 1 << 16):
+                ns = series.depths[lo: lo + (1 << 16)].tolist()
+                cs = series.exponents[lo: lo + (1 << 16)].tolist()
+                fh.write("".join(f"{n},{c},{c / n:.12g}\n" for n, c in zip(ns, cs)))
         print(f"wrote {args.csv}")
     return 0
-
-
-def _series_rows(series):
-    """CSV rows (n, count exponent, ratio), converted 2^16 depths at a time,
-    so no list of every row is held."""
-    for lo in range(0, len(series.depths), 1 << 16):
-        ns = series.depths[lo: lo + (1 << 16)].tolist()
-        cs = series.exponents[lo: lo + (1 << 16)].tolist()
-        yield from ((n, c, _fmt(c / n)) for n, c in zip(ns, cs))
 
 
 # --- sweep ----------------------------------------------------------------

@@ -14,6 +14,7 @@ grid (`definition_grid`) are derived from the table, never passed in.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -76,8 +77,6 @@ class PairView(Sequence):
             other = other._pairs
         return self._pairs == other
 
-    __hash__ = None
-
     def __repr__(self) -> str:
         return repr(self._pairs)
 
@@ -92,40 +91,38 @@ class MatchingTimes:
     observed; runs still open at the prefix end are discarded, never
     extrapolated.  All indices whose run start falls in one run share its
     m, and their gaps shrink as n grows, so the run is one row: its first
-    index, and a_n and the gap there.  Only a run's first index can be
-    dominant (greedy-maximal: the first complete index, then each later one
-    whose gap strictly exceeds every gap before it).  `pairs` and `dominant`
-    view the complete and dominant indices as MatchingPair tuples.
+    index and m.  Only a run's first index can be dominant (greedy-maximal:
+    the first complete index, then each later one whose gap strictly exceeds
+    every gap before it).  `dominant` lists those records as MatchingPair
+    tuples, built with the table; the estimators read only it and the
+    scalars.  `pairs` views every complete index, built on first read.
     """
 
     depth: int
     seq: DenominatorSequence
     index: np.ndarray          # int64 first index n of each complete run
-    a: np.ndarray              # int64 a_n at `index`
-    gap: np.ndarray            # int64 m - a_n at `index`, at least 2
-    dominant_mask: np.ndarray  # bool: strict record of gap
+    m: np.ndarray              # int64 matching time of each complete run
+    dominant: list[MatchingPair]  # the rows whose gap is a strict record
     index_count: int           # number of indices n with a_n + 1 in the prefix
     first_truncated_index: int | None  # smallest n whose run is cut off
-    longest_complete_run: int
 
-    @cached_property
+    @property
+    def longest_complete_run(self) -> int:
+        """The largest gap: the last record's, 0 without complete runs."""
+        return self.dominant[-1].gap if self.dominant else 0
+
+    @property
     def burn_in(self) -> int:
         """Dominant pairs the block estimators skip: the first BURN_FRACTION
         of them, but never one of the last two."""
-        k = int(np.count_nonzero(self.dominant_mask))
+        k = len(self.dominant)
         return min(int(k * BURN_FRACTION), max(0, k - 2))
 
     @cached_property
     def pairs(self) -> PairView:
-        m = self.a + self.gap
         # a run's indices end before the first n with a_n + 1 past its end m - 1
-        return PairView(self.seq, self.index, self.seq.first_index_at_least(m - 1), m)
-
-    @cached_property
-    def dominant(self) -> PairView:
-        dom = self.dominant_mask
-        return PairView(self.seq, self.index[dom], self.index[dom] + 1,
-                        (self.a + self.gap)[dom])
+        return PairView(self.seq, self.index, self.seq.first_index_at_least(self.m - 1),
+                        self.m)
 
 
 def matching_times(stream: DigitStream, seq: DenominatorSequence) -> MatchingTimes:
@@ -149,15 +146,15 @@ def matching_times(stream: DigitStream, seq: DenominatorSequence) -> MatchingTim
     truncated = run_end == P  # the break digit is unseen
     first_trunc = int(first[truncated][0]) if truncated.any() else None
     keep = (run_end > 0) & ~truncated
-    index, avals, run_end = first[keep], avals[keep], run_end[keep]
-    gap = run_end + 1 - avals
+    index, avals, m = first[keep], avals[keep], run_end[keep] + 1
+    gap = m - avals
     # the first row and every later strict record of `gap` are dominant
-    dominant = np.ones(gap.shape, dtype=bool)
-    dominant[1:] = gap[1:] > np.maximum.accumulate(gap)[:-1]
-    return MatchingTimes(
-        depth=P, seq=seq, index=index, a=avals, gap=gap, dominant_mask=dominant,
-        index_count=K, first_truncated_index=first_trunc,
-        longest_complete_run=int(gap.max()) if gap.size else 0)
+    dom = np.ones(gap.shape, dtype=bool)
+    dom[1:] = gap[1:] > np.maximum.accumulate(gap)[:-1]
+    dominant = [MatchingPair(*row) for row in
+                zip(index[dom].tolist(), avals[dom].tolist(), m[dom].tolist())]
+    return MatchingTimes(depth=P, seq=seq, index=index, m=m, dominant=dominant,
+                         index_count=K, first_truncated_index=first_trunc)
 
 
 def greedy_dominant(pairs: list[MatchingPair]) -> list[MatchingPair]:
@@ -173,20 +170,19 @@ def greedy_dominant(pairs: list[MatchingPair]) -> list[MatchingPair]:
 
 def estimate_v(mt: MatchingTimes) -> float:
     """Asymptotic exponent surrogate: max of gap/a over dominant pairs past burn-in."""
-    dom = mt.dominant_mask
-    tail = (mt.gap[dom] / mt.a[dom])[mt.burn_in:]
-    if not tail.size:
+    tail = mt.dominant[mt.burn_in:]
+    if not tail:
         raise ValueError("no observable matching times in prefix")
-    return float(tail.max())
+    return max(p.gap / p.a for p in tail)
 
 
-def _uniform_min(mt: MatchingTimes, ns: np.ndarray) -> float:
+def _uniform_min(mt: MatchingTimes, ns: list[int]) -> float:
     """The uniform exponent's reduction at the indices `ns`: min over N of
     max over n <= N of the run length after a_n, divided by a_N.  The last
     record at or before N holds the running max, 0 before the first."""
-    records, best = mt.index[mt.dominant_mask], mt.gap[mt.dominant_mask]
-    runmax = np.append(0, best)[np.searchsorted(records, ns, side="right")]
-    return float((runmax / mt.seq.a_at(ns)).min())
+    records = [p.index for p in mt.dominant]
+    runmax = [0] + [p.gap for p in mt.dominant]
+    return min(runmax[bisect_right(records, N)] / mt.seq.a(N) for N in ns)
 
 
 def estimate_vhat_blocks(mt: MatchingTimes) -> float:
@@ -195,10 +191,9 @@ def estimate_vhat_blocks(mt: MatchingTimes) -> float:
     the previous record holds the running max, so pair k's term is its run
     length over a(i_{k+1} - 1).  The last pair has no successor; the burn-in
     (at most k - 2) leaves at least one term."""
-    records = mt.index[mt.dominant_mask]
-    if records.size < 2:
-        raise ValueError(f"need at least 2 dominant pairs, have {records.size}")
-    return _uniform_min(mt, records[mt.burn_in + 1:] - 1)
+    if len(mt.dominant) < 2:
+        raise ValueError(f"need at least 2 dominant pairs, have {len(mt.dominant)}")
+    return _uniform_min(mt, [p.index - 1 for p in mt.dominant[mt.burn_in + 1:]])
 
 
 def definition_grid(mt: MatchingTimes) -> range:
@@ -230,9 +225,8 @@ def estimate_vhat_definition(mt: MatchingTimes) -> float:
     the estimate is 0 when that index lies inside the grid.
     """
     grid = definition_grid(mt)
-    records = mt.index[mt.dominant_mask]
-    inner = records[(records > grid.start) & (records <= grid[-1])]
-    return _uniform_min(mt, np.append(inner - 1, grid[-1]))
+    inner = [p.index - 1 for p in mt.dominant if grid.start < p.index <= grid[-1]]
+    return _uniform_min(mt, inner + [grid[-1]])
 
 
 def check_exponent_inequality(v_est: float, vhat_est: float, eta: float) -> bool | None:
@@ -266,7 +260,7 @@ def estimate_exponents(mt: MatchingTimes) -> ExponentEstimate:
     v = estimate_v(mt)
     vhat = estimate_vhat_blocks(mt)
     eta = eta_for_table(mt)
-    bound = eta * (v + 2.0 / float(mt.a[mt.dominant_mask][-1]))
+    bound = eta * (v + 2.0 / mt.dominant[-1].a)
     if not vhat <= bound + 1e-12:
         raise InvariantError(f"vhat {vhat} exceeds finite-prefix bound {bound}")
     return ExponentEstimate(v_est=v, vhat_est=vhat, depth=mt.depth,

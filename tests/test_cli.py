@@ -139,9 +139,14 @@ def test_box_dim_csv(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "dimension estimate" in out
     assert out.splitlines()[0] == "9 depths, mode block-ends: dimension estimate 0.249517325475"
-    assert main([*box, "--mode", "all-depths"]) == 0
+    all_path = tmp_path / "all.csv"
+    assert main([*box, "--mode", "all-depths", "--csv", str(all_path)]) == 0
     assert capsys.readouterr().out == (
-        "100000 depths, mode all-depths: dimension estimate 0.455353714706\n")
+        "100000 depths, mode all-depths: dimension estimate 0.455353714706\n"
+        f"wrote {all_path}\n")
+    # 100000 rows: two 2^16-depth chunks
+    assert hashlib.sha256(all_path.read_bytes()).hexdigest() == (
+        "4c9a0538d78ecbb45f6ed2c12fee33dcbf227f8711458300cc1290de4c7090c9")
 
 
 def test_sweep_deterministic(tmp_path, capsys):
@@ -821,9 +826,14 @@ DIGIT_FILE = st.binary(max_size=2048) | st.integers(2, 10).flatmap(
         lambda d: f"base={b}\n{d}\n".encode()))
 
 
-@given(DIGIT_FILE)
+FUZZ_SEQS = ["linear", "poly:d=2", "geometric:eta=3/2,a1=1", "geometric:eta=2,a1=1",
+             "file:terms.txt"]
+
+
+@given(DIGIT_FILE, st.sampled_from(FUZZ_SEQS))
 @settings(max_examples=40, deadline=None)
-def test_fuzz_estimate(content):
+def test_fuzz_estimate(content, seq):
     with tempfile.TemporaryDirectory() as workdir:
         Path(workdir, "digits.txt").write_bytes(content)
-        _fuzz_run(["estimate", "--digits", "digits.txt", "--seq", "linear"], workdir)
+        Path(workdir, "terms.txt").write_text("".join(f"{n * n + 1}\n" for n in range(1, 31)))
+        _fuzz_run(["estimate", "--digits", "digits.txt", "--seq", seq], workdir)

@@ -13,6 +13,7 @@ from dioph_lab import digits, sequences
 from dioph_lab.digits import DigitStream
 from dioph_lab.dimfx import InvariantError
 from dioph_lab.exponents import (
+    MatchingPair,
     MatchingTimes,
     check_exponent_inequality,
     definition_grid,
@@ -182,14 +183,15 @@ def test_estimate_exponents_summary_fields():
 
 
 def test_estimate_exponents_bound_raises_invariant_error():
-    # No prefix yields this table: its first row claims a_1 = 10 where the
+    # No prefix yields this table: its first record claims a_1 = 10 where the
     # linear sequence has a_1 = 1, so v = max(10/10, 12/3) = 4 while the run
     # after it, divided by a(2) = 2, gives vhat = 5, above the finite-prefix
-    # bound eta * (v + 2/a(i_last)) = 1 * (4 + 2/3).
-    mt = MatchingTimes(depth=20, seq=LIN, index=np.array([1, 3]),
-                       a=np.array([10, 3]), gap=np.array([10, 12]),
-                       dominant_mask=np.array([True, True]), index_count=19,
-                       first_truncated_index=None, longest_complete_run=12)
+    # bound eta * (v + 2/a(i_last)) = 1 * (4 + 2/3).  The per-run columns are
+    # empty: the estimators read only the records.
+    empty = np.array([], dtype=np.int64)
+    mt = MatchingTimes(depth=20, seq=LIN, index=empty, m=empty,
+                       dominant=[MatchingPair(1, 10, 20), MatchingPair(3, 3, 15)],
+                       index_count=19, first_truncated_index=None)
     with pytest.raises(InvariantError, match="finite-prefix bound"):
         estimate_exponents(mt)
     assert not issubclass(InvariantError, ValueError)

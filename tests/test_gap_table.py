@@ -122,15 +122,13 @@ def test_matching_times_matches_scan(seq, stream):
     mt = matching_times(stream, seq)
     assert mt.index_count == len(avals)
     # one table row per run, at its first complete index
-    assert list(zip(mt.index.tolist(), mt.a.tolist(), mt.gap.tolist())) == [
-        (p.index, p.a, p.gap) for p in scan_runs(pairs)]
+    assert list(zip(mt.index.tolist(), mt.m.tolist())) == [
+        (p.index, p.m) for p in scan_runs(pairs)]
     assert mt.pairs == pairs
     assert len(mt.pairs) == len(pairs)
     dominant = greedy_dominant(pairs)
     assert mt.dominant == dominant
     assert len(mt.dominant) == len(dominant)
-    rows = {p.index for p in dominant}
-    assert mt.dominant_mask.tolist() == [n in rows for n in mt.index.tolist()]
     assert mt.first_truncated_index == first_trunc
     assert mt.longest_complete_run == max(gaps)
 
@@ -184,7 +182,7 @@ def test_open_final_run_is_truncated_not_paired():
     assert mt.pairs == [MatchingPair(1, 1, 3), MatchingPair(2, 2, 5), MatchingPair(3, 3, 5)]
     # two complete runs: indices 1 and 2..3; the open run's indices 5..9 are no row
     assert mt.index_count == 9
-    assert np.array_equal(mt.index, [1, 2]) and np.array_equal(mt.gap, [2, 3])
+    assert np.array_equal(mt.index, [1, 2]) and np.array_equal(mt.m, [3, 5])
 
 
 def test_table_rows_grow_with_runs_not_indices():
