@@ -4,8 +4,8 @@ Rationals on the command line are `p` or `p/q` strings; decimal forms are
 rejected because schedule construction requires exact arithmetic.  CSV is
 the single output format (plot-ready columns, deterministic bytes).
 Each command imports the layers it runs, and only those; numpy loads only
-with the functions that build arrays, so `eval-dim`, `gen-digits` and a
-sweep of formulas alone load no numpy.
+with the functions that build arrays, so `eval-dim`, `gen-digits`,
+`estimate` and every `sweep`, round trips included, load no numpy.
 """
 
 from __future__ import annotations

@@ -75,7 +75,8 @@ class DigitStream:
         """1-based (starts, ends) of the maximal 0/(b-1) runs, in order.
 
         One pass over the digits finds them; the result is kept, so every
-        later run lookup on this stream is a search over the runs alone.
+        later `run_end_table` lookup on this stream is a search over the
+        runs alone.
         """
         import numpy as np
         arr = self.as_array()
@@ -164,7 +165,9 @@ def run_end_table(stream: DigitStream, positions) -> np.ndarray:
     (b-1)-run containing positions[i], or 0 when the digit there is neither
     0 nor b-1.  Each position is found by binary search over the stream's
     `zero_runs`, so memory grows with the number of runs and positions, not
-    with the prefix.
+    with the prefix.  The estimators do not call it: `matching_times` finds
+    run ends by its own search.  Its callers are `MatchingTimes.pairs` and
+    `verify`'s run-block-maximality check.
     """
     import numpy as np
     pos = np.asarray(positions, dtype=np.int64)

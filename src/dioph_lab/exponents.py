@@ -9,26 +9,31 @@ a liminf of (m_k - a_{i_k})/a_{i_{k+1}-1} along the dominant subsequence of
 strictly increasing run lengths.  All estimators below are window statistics
 over a finite prefix, not limits, and each is a function of the gap table
 alone: the burn-in (`MatchingTimes.burn_in`) and the definition estimator's
-grid (`definition_grid`) are derived from the table, never passed in.
+grid (`definition_grid`) are derived from the table, never passed in.  The
+table is found by a byte search over the digits; numpy loads only when
+`MatchingTimes.pairs` lists every complete index.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .digits import DigitStream, run_end_table
 from .dimfx import InvariantError
 from .sequences import DenominatorSequence, eta_estimate
 
+if TYPE_CHECKING:
+    import numpy as np
+
 BURN_FRACTION = 0.2  # MatchingTimes.burn_in: this share of the dominant pairs
 GRID_START_FRACTION = 0.2  # definition_grid starts at this share of its cap
 INEQUALITY_TOL = 0.05  # slack of check_exponent_inequality on window estimates
+NEEDLE_CAP = 64  # longest run needle; the end search confirms longer runs
 
 
 class MatchingPair(NamedTuple):
@@ -57,6 +62,7 @@ class PairView(Sequence):
 
     @cached_property
     def _pairs(self) -> list[MatchingPair]:
+        import numpy as np
         counts = self._stop - self._first
         offsets = np.repeat(self._first - (np.cumsum(counts) - counts), counts)
         ns = np.arange(int(counts.sum()), dtype=np.int64) + offsets
@@ -83,26 +89,25 @@ class PairView(Sequence):
 
 @dataclass(frozen=True, eq=False)
 class MatchingTimes:
-    """Gap table of one (stream, sequence): one row per complete 0/(b-1) run.
+    """Gap table of one (stream, sequence): its dominant records and counts.
 
     The indices of the table are n = 1..index_count, those whose run start
     a_n + 1 lies inside the prefix.  Index n's gap is the run length m - a_n
     when the digit after a_n opens a 0/(b-1) run whose break digit m is
     observed; runs still open at the prefix end are discarded, never
     extrapolated.  All indices whose run start falls in one run share its
-    m, and their gaps shrink as n grows, so the run is one row: its first
-    index and m.  Only a run's first index can be dominant (greedy-maximal:
-    the first complete index, then each later one whose gap strictly exceeds
-    every gap before it).  `dominant` lists those records as MatchingPair
-    tuples, built with the table; the estimators read only it and the
-    scalars.  `pairs` views every complete index, built on first read.
+    m, and their gaps shrink as n grows, so only a run's first index can be
+    dominant (greedy-maximal: the first complete index, then each later one
+    whose gap strictly exceeds every gap before it).  `dominant` lists those
+    records as MatchingPair tuples, found by `matching_times`; the
+    estimators read only it and the scalars.  `pairs` lists every complete
+    index, built from the stream on first read.
     """
 
     depth: int
     seq: DenominatorSequence
-    index: np.ndarray          # int64 first index n of each complete run
-    m: np.ndarray              # int64 matching time of each complete run
-    dominant: list[MatchingPair]  # the rows whose gap is a strict record
+    stream: DigitStream
+    dominant: list[MatchingPair]  # the complete indices whose gap is a strict record
     index_count: int           # number of indices n with a_n + 1 in the prefix
     first_truncated_index: int | None  # smallest n whose run is cut off
 
@@ -120,40 +125,92 @@ class MatchingTimes:
 
     @cached_property
     def pairs(self) -> PairView:
-        # a run's indices end before the first n with a_n + 1 past its end m - 1
-        return PairView(self.seq, self.index, self.seq.first_index_at_least(self.m - 1),
-                        self.m)
+        """Every complete index's pair, one row per run (numpy).
+
+        Each run's first index is the first n with a_n + 1 at or after the
+        run start; its run end is looked up once, at that a_n + 1, and the
+        run's indices end before the first n with a_n + 1 past its end m - 1.
+        """
+        import numpy as np
+        stream, seq, P = self.stream, self.seq, self.depth
+        starts, _ = stream.zero_runs
+        first = seq.first_index_at_least(starts - 1)
+        # a run holding no run start a_n + 1 shares its first index with a
+        # later run; the lookup is nondecreasing, so repeats are adjacent
+        first = first[np.append(True, first[1:] != first[:-1]) & (first <= self.index_count)]
+        run_end = run_end_table(stream, seq.a_at(first) + 1)  # 0: between runs
+        keep = (run_end > 0) & (run_end < P)  # P: the break digit is unseen
+        m = run_end[keep] + 1
+        return PairView(seq, first[keep], seq.first_index_at_least(m - 1), m)
+
+
+def _final_run_start(data: bytes, base: int) -> int:
+    """0-based start of the run that ends `data`: one past the last other
+    digit, found by `rfind` in windows that double back from the end, so
+    the search reads about twice the run per digit value."""
+    others = [v for v in range(min(base, 256)) if v != data[-1]]
+    width = NEEDLE_CAP
+    while True:
+        lo = max(0, len(data) - width)
+        last = max(data.rfind(v, lo) for v in others)
+        if last >= 0 or not lo:
+            return last + 1
+        width *= 2
 
 
 def matching_times(stream: DigitStream, seq: DenominatorSequence) -> MatchingTimes:
-    """Build the gap table of a prefix from its 0/(b-1) runs.
+    """Find the gap table's dominant records by searching the digits.
 
-    Each run's first index is the first n with a_n + 1 at or after the run
-    start; its run end is looked up once, at that a_n + 1.
+    An index's gap is at most its run's length plus one, since a_n + 1 lies
+    in the run, so a record above the best gap B so far lies in a run of at
+    least B digits (any run while B is 0).  `bytes.find` of a needle of
+    min(max(B, 1), NEEDLE_CAP) zeros, and one of b - 1s, finds the next such
+    run; an anchored match of the run digit finds its end, which settles
+    the run's length.  A needle resumes at its last hit and is dropped at
+    its first miss, since B only grows, so the search reads each digit
+    about once.  The first n with a_n at or after the hit is the run's first
+    index; when a_n lies past the run, no index starts in between, and the
+    search resumes at a_n.  The final run, the only one the prefix can cut
+    off, is checked on its own: it may be shorter than B.
     """
-    P = stream.prefix_len
+    data, P = stream.data, stream.prefix_len
     if seq.a(1) + 2 > P:
         raise ValueError(f"prefix of {P} digits too short: a(1)+2 = {seq.a(1) + 2}")
-    starts, _ = stream.zero_runs
-    lookup = seq.first_index_at_least(np.append(starts - 1, P))
-    K = int(lookup[-1]) - 1  # the indices with a_n <= P - 1
-    # a run holding no run start a_n + 1 shares its first index with a later
-    # run; the lookup is nondecreasing, so repeats are adjacent
-    first = lookup[:-1]
-    first = first[np.append(True, first[1:] != first[:-1]) & (first <= K)]
-    avals = seq.a_at(first)
-    run_end = run_end_table(stream, avals + 1)  # 0: a_n + 1 lies between runs
-    truncated = run_end == P  # the break digit is unseen
-    first_trunc = int(first[truncated][0]) if truncated.any() else None
-    keep = (run_end > 0) & ~truncated
-    index, avals, m = first[keep], avals[keep], run_end[keep] + 1
-    gap = m - avals
-    # the first row and every later strict record of `gap` are dominant
-    dom = np.ones(gap.shape, dtype=bool)
-    dom[1:] = gap[1:] > np.maximum.accumulate(gap)[:-1]
-    dominant = [MatchingPair(*row) for row in
-                zip(index[dom].tolist(), avals[dom].tolist(), m[dom].tolist())]
-    return MatchingTimes(depth=P, seq=seq, index=index, m=m, dominant=dominant,
+    K = seq.index_count_upto(P - 1)  # the indices with a_n + 1 in the prefix
+    run_digits = [d for d in (0, stream.base - 1) if d < 256]  # b - 1 is a byte
+    run_at = {d: re.compile(re.escape(bytes([d])) + b"*") for d in run_digits}
+    needles = {d: bytes([d]) for d in run_digits}
+    hits = dict.fromkeys(run_digits, 0)
+    dominant: list[MatchingPair] = []
+    best = pos = 0  # offsets are 0-based: data[a_n] is the digit at a_n + 1
+    while True:
+        for d in list(hits):
+            hits[d] = data.find(needles[d], max(pos, hits[d]))
+            if hits[d] < 0:
+                del hits[d]
+        if not hits:
+            break
+        h = min(hits.values())
+        e = run_at[data[h]].match(data, h).end()  # the break digit's offset
+        if e == P:  # the final run, checked below
+            break
+        n = seq.index_count_upto(h - 1) + 1  # the first n with a_n >= h
+        if n > K:
+            break
+        a = seq.a(n)
+        if a >= e:
+            pos = a
+            continue
+        if e + 1 - a > best:
+            best = e + 1 - a
+            dominant.append(MatchingPair(n, a, e + 1))
+            needles = {d: bytes([d]) * min(best, NEEDLE_CAP) for d in hits}
+        pos = e
+    first_trunc = None
+    if data[-1] in run_digits:
+        n = seq.index_count_upto(_final_run_start(data, stream.base) - 1) + 1
+        first_trunc = n if n <= K else None
+    return MatchingTimes(depth=P, seq=seq, stream=stream, dominant=dominant,
                          index_count=K, first_truncated_index=first_trunc)
 
 

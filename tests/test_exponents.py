@@ -3,7 +3,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,7 +68,7 @@ def test_equal_gaps_collapse_to_one_dominant_pair():
 def test_empty_j_is_flagged():
     stream = digits.digits_from_string("1" * 80, 3)
     mt = matching_times(stream, LIN)
-    assert not mt.index.size
+    assert not len(mt.pairs)
     assert mt.pairs == [] and mt.dominant == []
 
 
@@ -186,10 +185,9 @@ def test_estimate_exponents_bound_raises_invariant_error():
     # No prefix yields this table: its first record claims a_1 = 10 where the
     # linear sequence has a_1 = 1, so v = max(10/10, 12/3) = 4 while the run
     # after it, divided by a(2) = 2, gives vhat = 5, above the finite-prefix
-    # bound eta * (v + 2/a(i_last)) = 1 * (4 + 2/3).  The per-run columns are
-    # empty: the estimators read only the records.
-    empty = np.array([], dtype=np.int64)
-    mt = MatchingTimes(depth=20, seq=LIN, index=empty, m=empty,
+    # bound eta * (v + 2/a(i_last)) = 1 * (4 + 2/3).  The stream is all 1s,
+    # with no run at all: the estimators read only the records.
+    mt = MatchingTimes(depth=20, seq=LIN, stream=DigitStream(3, b"\x01" * 20),
                        dominant=[MatchingPair(1, 10, 20), MatchingPair(3, 3, 15)],
                        index_count=19, first_truncated_index=None)
     with pytest.raises(InvariantError, match="finite-prefix bound"):

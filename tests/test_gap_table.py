@@ -1,21 +1,21 @@
 """The gap table against a direct scan of the digits.
 
 The scan below walks each run digit by digit in plain Python, one index at
-a time.  It is the oracle for `run_end_table`, `matching_times` (whose table
-keeps one row per run), the block estimators, `definition_grid` and
+a time.  It is the oracle for `run_end_table`, `matching_times` (its record
+search and its `pairs` listing), the block estimators, `definition_grid` and
 `estimate_vhat_definition`, and it lives here only, not in the library.
 """
 
 import tracemalloc
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dioph_lab import construct, digits, sequences
 from dioph_lab.exponents import (
+    NEEDLE_CAP,
     MatchingPair,
     definition_grid,
     estimate_exponents,
@@ -45,8 +45,8 @@ def scan_table(stream, seq):
     index whose run the prefix cuts off."""
     P = stream.prefix_len
     avals, gaps, pairs, first_trunc = [], [], [], None
-    n = 1
-    while seq.a(n) <= P - 1:
+    n, top = 1, seq.max_index()  # top: the last term of an explicit sequence
+    while (top is None or n <= top) and seq.a(n) <= P - 1:
         a = seq.a(n)
         end = scan_run_end(stream.data, stream.base, a + 1)
         gap = 0
@@ -114,16 +114,13 @@ def test_run_end_table_rejects_positions_outside_prefix():
     assert digits.run_end_table(stream, []).size == 0
 
 
-@pytest.mark.parametrize("seq", SEQS, ids=lambda s: s.spec)
-@given(stream=run_streams())
-@settings(max_examples=100, deadline=None)
-def test_matching_times_matches_scan(seq, stream):
+def check_against_scan(stream, seq):
+    """The table of `stream` under `seq` holds what the scan finds; returns it."""
     avals, gaps, pairs, first_trunc = scan_table(stream, seq)
     mt = matching_times(stream, seq)
     assert mt.index_count == len(avals)
-    # one table row per run, at its first complete index
-    assert list(zip(mt.index.tolist(), mt.m.tolist())) == [
-        (p.index, p.m) for p in scan_runs(pairs)]
+    # one listing row per run, at its first complete index
+    assert scan_runs(mt.pairs) == scan_runs(pairs)
     assert mt.pairs == pairs
     assert len(mt.pairs) == len(pairs)
     dominant = greedy_dominant(pairs)
@@ -131,6 +128,73 @@ def test_matching_times_matches_scan(seq, stream):
     assert len(mt.dominant) == len(dominant)
     assert mt.first_truncated_index == first_trunc
     assert mt.longest_complete_run == max(gaps)
+    return mt
+
+
+@pytest.mark.parametrize("seq", SEQS, ids=lambda s: s.spec)
+@given(stream=run_streams())
+@settings(max_examples=100, deadline=None)
+def test_matching_times_matches_scan(seq, stream):
+    check_against_scan(stream, seq)
+
+
+def test_final_run_shorter_than_the_record_is_cut_off():
+    stream = digits.digits_from_string("1" + "0" * 12 + "1" + "2" * 5, 3)
+    for seq in SEQS:
+        check_against_scan(stream, seq)
+    mt = matching_times(stream, SEQS[0])
+    assert mt.dominant == [MatchingPair(1, 1, 14)]
+    assert mt.first_truncated_index == 14  # a_14 + 1 = 15 opens the final 2-run
+
+
+@pytest.mark.parametrize("base", [2, 3])
+def test_zero_run_directly_followed_by_top_run(base):
+    top = str(base - 1)
+    stream = digits.digits_from_string("1" * 2 + "0" * 3 + top * 6 + "01", base)
+    for seq in SEQS:
+        check_against_scan(stream, seq)
+    # the 0-run breaks at the first top digit, which opens the longer run
+    got = matching_times(stream, SEQS[0]).dominant
+    assert got[-2:] == [MatchingPair(2, 2, 6), MatchingPair(5, 5, 12)]
+
+
+def test_run_past_the_needle_cap_but_below_the_record():
+    runs = ("1", "0" * (3 * NEEDLE_CAP), "1", "2" * (2 * NEEDLE_CAP), "1",
+            "0" * (4 * NEEDLE_CAP), "1" * 3)
+    stream = digits.digits_from_string("".join(runs), 3)
+    for seq in SEQS:
+        check_against_scan(stream, seq)
+    gaps = [p.gap for p in matching_times(stream, SEQS[0]).dominant]
+    assert gaps == [3 * NEEDLE_CAP + 1, 4 * NEEDLE_CAP + 1]  # the 2-run is no record
+
+
+def test_index_start_mid_run():
+    # a_n = n^2: the 2-run at positions 6..7 holds no a_n + 1, so the search
+    # resumes at a_3 + 1 = 10, inside the 0-run at 9..13
+    stream = digits.digits_from_string("1" * 5 + "22" + "1" + "0" * 5 + "1" * 7, 3)
+    for seq in SEQS:
+        check_against_scan(stream, seq)
+    assert matching_times(stream, SEQS[1]).dominant == [MatchingPair(3, 9, 14)]
+
+
+def test_no_zero_or_top_digit():
+    # random base-8 digits 0..7 moved up to 1..8 in base 10
+    stream = digits.DigitStream(10, digits.random_digits(8, 500, 0).data.translate(
+        bytes(range(1, 9)) + bytes(248)))
+    for seq in SEQS:
+        mt = check_against_scan(stream, seq)
+        assert mt.dominant == [] and mt.first_truncated_index is None
+
+
+def test_file_sequence_ending_inside_the_prefix(tmp_path):
+    path = tmp_path / "terms.txt"
+    path.write_text("2\n5\n7\n")
+    seq = sequences.make_sequence(f"file:{path}")
+    # runs after the last term a_3 = 7 hold no index
+    stream = digits.digits_from_string("11" + "000" + "1" * 4 + "2" * 20 + "1", 3)
+    mt = check_against_scan(stream, seq)
+    assert mt.index_count == 3
+    assert mt.dominant == [MatchingPair(1, 2, 6)]
 
 
 @pytest.mark.parametrize("seq", SEQS, ids=lambda s: s.spec)
@@ -182,14 +246,13 @@ def test_open_final_run_is_truncated_not_paired():
     assert mt.pairs == [MatchingPair(1, 1, 3), MatchingPair(2, 2, 5), MatchingPair(3, 3, 5)]
     # two complete runs: indices 1 and 2..3; the open run's indices 5..9 are no row
     assert mt.index_count == 9
-    assert np.array_equal(mt.index, [1, 2]) and np.array_equal(mt.m, [3, 5])
+    assert scan_runs(mt.pairs) == [MatchingPair(1, 1, 3), MatchingPair(2, 2, 5)]
 
 
 def test_table_rows_grow_with_runs_not_indices():
     # the eta = 1 reference at depth 10^6: 10^6 indices, a handful of runs
     sched = construct.schedule_eta1(SEQS[0], F(3), F(1, 3), cover_to=10 ** 6)
     stream = construct.emit_digits(sched, 3, 10 ** 6)
-    starts, _ = stream.zero_runs  # found once per stream, before the trace
     tracemalloc.start()
     try:
         mt = matching_times(stream, SEQS[0])
@@ -200,7 +263,17 @@ def test_table_rows_grow_with_runs_not_indices():
     finally:
         tracemalloc.stop()
     assert mt.index_count == 10 ** 6 - 1
-    assert 0 < len(mt.index) <= len(starts)
     assert isinstance(grid, range) and len(grid) > 10 ** 5
     assert abs(vdef - 1 / 3) < 0.01
     assert peak < 100_000  # one int64 column over the indices would be 8 MB
+    # random digits: about 4.4 * 10^5 runs, of which a dozen or so are records
+    stream = digits.random_digits(3, 10 ** 6, 0)
+    tracemalloc.start()
+    try:
+        mt = matching_times(stream, SEQS[0])
+        estimate_exponents(mt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mt.index_count == 10 ** 6 - 1 and len(mt.dominant) >= 2
+    assert peak < 100_000
