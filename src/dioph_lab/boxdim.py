@@ -2,95 +2,139 @@
 
 Counts are held as base-b exponents (raw counts overflow around depth 10^3).
 A depth-n cylinder meets the set once its forced positions hold their
-digits, so the count exponent is the number of free positions up to n.
-Those are read off `construct.forced_digits`, the one statement of
-the schedule's pattern, which emission reads as well.  For the uniform mass
-the count is the reciprocal of the cylinder mass, so the count exponent must
-equal the mass exponent of `construct.mu_exponents_upto` at every depth: the
+digits, so the count exponent c(n) is the number of free positions up to n.
+Those are read off `construct.forced_digits`, the one statement of the
+schedule's pattern, which emission reads as well, as its maximal stretches
+of FREE cells.  A schedule leaves few of them (6 for the eta = 2 reference
+up to depth 2e5), so no count is held per depth: c(n) is a bisection over
+the stretches, a run of consecutive counts is filled stretch by stretch,
+and the least-squares slope over every depth comes from closed-form sums
+over the stretches, in exact arithmetic.  For the uniform mass the count
+is the reciprocal of the cylinder mass, so the count exponent must equal
+the mass exponent of `construct.mu_exponents_upto` at every depth: the
 mass formula checks the emitted layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from array import array
+from bisect import bisect_right
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
+from math import comb
+from operator import attrgetter
 from typing import Iterable
-
-import numpy as np
 
 from .construct import FREE, CantorSchedule, forced_digits
 from .dimfx import ALL_DEPTHS, AT_BLOCK_ENDS
 
 MIN_POINTS = 3  # fewest points a dimension estimate is made from
 
+_FREE_CELLS = re.compile(re.escape(bytes((FREE,))) + b"+")
+_START, _STOP = attrgetter("start"), attrgetter("stop")
+
 
 @dataclass(frozen=True, eq=False)
 class CountSeries:
-    depths: np.ndarray     # int64, strictly increasing depths n >= 1
-    exponents: np.ndarray  # int64, log_b of the cylinder count at each depth
+    """Count exponents at `depths`, held as the free stretches they count.
 
-    def __post_init__(self):
-        n = np.asarray(self.depths, dtype=np.int64)
-        c = np.asarray(self.exponents, dtype=np.int64)
-        if n.ndim != 1 or n.shape != c.shape:
-            raise ValueError(f"depths and exponents must be 1-D and of one length, "
-                             f"got shapes {n.shape} and {c.shape}")
-        object.__setattr__(self, "depths", n)
-        object.__setattr__(self, "exponents", c)
-        # neighbour comparisons, each starting from depth 0 with exponent 0
-        bad_n = np.r_[n[:1] <= 0, n[1:] <= n[:-1]]
-        bad = bad_n | np.r_[c[:1] < 0, c[1:] < c[:-1]] | (c > n)
-        if bad.any():
-            i = int(bad.argmax())
-            if bad_n[i]:
-                raise ValueError("depths must strictly increase")
-            raise ValueError(f"count exponent {c[i]} invalid at depth {n[i]}")
+    depths: strictly increasing depths >= 1; `range(1, N + 1)` for every
+        depth up to N.
+    free: the maximal stretches of free positions in 1..depths[-1], in order.
+    """
+
+    depths: range | list[int]
+    free: list[range]
+
+    @cached_property
+    def _totals(self) -> list[int]:
+        """Free positions up to the end of each stretch."""
+        return list(accumulate(map(len, self.free)))
+
+    def count(self, n: int) -> int:
+        """The count exponent c(n): free positions in 1..n."""
+        i = bisect_right(self.free, n, key=_START)
+        return self._totals[i - 1] - max(0, self.free[i - 1].stop - 1 - n) if i else 0
+
+    def exponents(self, lo: int = 0, hi: int | None = None) -> array:
+        """array('q') of the count exponents at depths[lo:hi].  A run of
+        consecutive depths is filled a stretch at a time, other depths are
+        looked up one by one."""
+        ns = self.depths[lo:hi]
+        if not (isinstance(ns, range) and ns.step == 1):
+            return array("q", map(self.count, ns))
+        out, n, c = array("q"), ns.start, self.count(ns.start - 1)
+        i = bisect_right(self.free, n, key=_STOP)  # the first stretch ending past n
+        while n < ns.stop:
+            if i < len(self.free) and self.free[i].start <= n:  # free from n on
+                end = min(self.free[i].stop, ns.stop)
+                out.extend(range(c + 1, c + 1 + end - n))
+                c += end - n
+                i += 1
+            else:  # forced up to the next stretch
+                end = min(self.free[i].start, ns.stop) if i < len(self.free) else ns.stop
+                out.extend(array("q", (c,)) * (end - n))
+            n = end
+        return out
 
     @property
-    def points(self) -> np.ndarray:
-        """(N, 2) rows of depth and exponent: a copy, built on each access."""
-        return np.column_stack((self.depths, self.exponents))
+    def points(self) -> list[tuple[int, int]]:
+        """(depth, exponent) rows: a list built on each access."""
+        return list(zip(self.depths, self.exponents()))
+
+    def count_sums(self) -> tuple[int, int]:
+        """(sum of c(n), sum of n * c(n)) over n = 1..N, for a series over
+        every depth 1..N; a position j <= N is counted at depths j..N."""
+        N = len(self.depths)
+        if self.depths != range(1, N + 1):
+            raise ValueError(f"mode {ALL_DEPTHS} needs every depth 1..N")
+        sum_c = sum_nc = 0
+        for r in self.free:
+            k = len(r)
+            sum_c += k * (N + 1) - k * (r.start + r.stop - 1) // 2
+            # sum over j in r of N(N+1)/2 - j(j-1)/2, by the hockey-stick identity
+            sum_nc += k * (N * (N + 1) // 2) - (comb(r.stop, 3) - comb(r.start, 3))
+        return sum_c, sum_nc
 
 
-def constraint_mask(sched: CantorSchedule, base: int, upto: int) -> np.ndarray:
-    """Boolean array (1-based, index 0 unused): True where the digit is forced.
-    It is read off a copy-free uint8 view of the `forced_digits` layout."""
-    return np.frombuffer(forced_digits(sched, base, upto), dtype=np.uint8) != FREE
+def constraint_mask(sched: CantorSchedule, base: int, upto: int) -> list[range]:
+    """The maximal stretches of free positions in 1..upto, in order: the
+    runs of FREE cells of the `forced_digits` layout.  Every other position
+    is forced."""
+    layout = forced_digits(sched, base, upto)
+    return [range(*m.span()) for m in _FREE_CELLS.finditer(layout, 1)]
 
 
-def count_exponents_upto(sched: CantorSchedule, base: int, max_n: int) -> np.ndarray:
-    """Count exponents for every depth 1..max_n (index 0 holds 0): the number
-    of free positions up to each depth."""
-    free = constraint_mask(sched, base, max_n)
-    np.logical_not(free, out=free)
-    free[0] = False  # index 0 is not a position
-    counts = free.astype(np.int64)
-    return np.cumsum(counts, out=counts)  # in place: a cast inside cumsum copies
+def count_exponents_upto(sched: CantorSchedule, base: int, max_n: int) -> CountSeries:
+    """The count exponents at every depth 1..max_n: a `CountSeries` over
+    `range(1, max_n + 1)`, held as the free stretches."""
+    return CountSeries(depths=range(1, max_n + 1), free=constraint_mask(sched, base, max_n))
 
 
 def count_series(sched: CantorSchedule, base: int, depths: Iterable[int]) -> CountSeries:
-    """Count exponents at the given depths, sorted and without repeats.
-
-    A range is laid out by `np.arange`; a series over every depth 1..N is a
-    view of the count table.
-    """
+    """The count exponents at the given depths, sorted and without repeats:
+    a `CountSeries` over them, held as the free stretches up to the last.
+    A range stays a range."""
     if isinstance(depths, range):
-        r = depths if depths.step > 0 else depths[::-1]
-        ns = np.arange(r.start, r.stop, r.step, dtype=np.int64)
+        ns = depths if depths.step > 0 else depths[::-1]
     else:
-        ns = np.unique(np.fromiter(depths, dtype=np.int64))
-    if not ns.size:
+        ns = sorted(set(depths))
+    if not ns:
         raise ValueError("no depths requested")
     if ns[0] < 1:
-        raise ValueError(f"depths must be >= 1, got {int(ns[0])}")
-    table = count_exponents_upto(sched, base, int(ns[-1]))
-    exps = table[1:] if ns.size == ns[-1] else table[ns]
-    return CountSeries(depths=ns, exponents=exps)
+        raise ValueError(f"depths must be >= 1, got {ns[0]}")
+    return replace(count_exponents_upto(sched, base, ns[-1]), depths=ns)
 
 
 def dimension_slope(series: CountSeries, mode: str) -> float:
-    """Dimension estimate from a count series.
+    """Dimension estimate from a count series, as a float.
 
-    all-depths: least-squares slope of count exponent against depth.
+    all-depths: least-squares slope of count exponent against depth over
+    every depth 1..N (any other series is a ValueError), computed exactly
+    from `CountSeries.count_sums` and rounded once.
     block-ends: min of exponent/depth over the supplied depths past a 20%
     burn-in (a liminf surrogate; callers supply block-end depths).  The
     burn-in drops depths below 20% of the horizon: block ends are sparse,
@@ -99,12 +143,12 @@ def dimension_slope(series: CountSeries, mode: str) -> float:
     """
     if len(series.depths) < MIN_POINTS:
         raise ValueError(f"need at least {MIN_POINTS} points, got {len(series.depths)}")
-    ns, cs = series.depths.astype(float), series.exponents.astype(float)
     if mode == ALL_DEPTHS:
-        ns -= ns.mean()
-        cs -= cs.mean()
-        return float(np.dot(ns, cs) / np.dot(ns, ns))
+        N = len(series.depths)
+        sum_c, sum_nc = series.count_sums()
+        sum_n, sum_nn = N * (N + 1) // 2, N * (N + 1) * (2 * N + 1) // 6
+        return float(Fraction(N * sum_nc - sum_n * sum_c, N * sum_nn - sum_n * sum_n))
     if mode == AT_BLOCK_ENDS:
-        tail = ns >= 0.2 * ns[-1]
-        return float((cs[tail] / ns[tail]).min())
+        floor = 0.2 * series.depths[-1]
+        return min(c / n for n, c in zip(series.depths, series.exponents()) if n >= floor)
     raise ValueError(f"unknown mode {mode!r}")

@@ -5,7 +5,8 @@ rejected because schedule construction requires exact arithmetic.  CSV is
 the single output format (plot-ready columns, deterministic bytes).
 Each command imports the layers it runs, and only those; numpy loads only
 with the functions that build arrays, so `eval-dim`, `gen-digits`,
-`estimate` and every `sweep`, round trips included, load no numpy.
+`estimate`, `box-dim` and every `sweep`, round trips included, load no
+numpy.
 """
 
 from __future__ import annotations
@@ -260,8 +261,8 @@ def cmd_box_dim(args) -> int:
         with open(args.csv, "w", newline="") as fh:
             fh.write("n,log_b_count,ratio\n")
             for lo in range(0, len(series.depths), 1 << 16):
-                ns = series.depths[lo: lo + (1 << 16)].tolist()
-                cs = series.exponents[lo: lo + (1 << 16)].tolist()
+                ns = series.depths[lo: lo + (1 << 16)]
+                cs = series.exponents(lo, lo + (1 << 16))
                 fh.write("".join(f"{n},{c},{c / n:.12g}\n" for n, c in zip(ns, cs)))
         print(f"wrote {args.csv}")
     return 0

@@ -230,6 +230,7 @@ def schedule_geometric(seq: DenominatorSequence, theta: Fraction, vhat: Fraction
 FILL_DIGIT = 1  # unconstrained positions; never 0 or b-1, so no spurious runs
 FREE = 255      # layout cell of a position the schedule leaves free; never a digit
 _FILL = bytes(FILL_DIGIT if b == FREE else b for b in range(256))  # translates FREE only
+_FILL_CHUNK = 1 << 16  # most cells `forced_digits` checks and writes at once
 
 
 def forced_digits(sched: CantorSchedule, base: int, upto: int) -> bytearray:
@@ -249,11 +250,14 @@ def forced_digits(sched: CantorSchedule, base: int, upto: int) -> bytearray:
 
     def force(lo: int, hi: int, digit: int) -> None:  # positions lo..hi, clipped to upto
         end = min(hi, upto) + 1
-        clash = layout[lo:end].translate(None, bytes((FREE, digit)))
-        if clash:  # the first clashing cell holds the first byte left over
-            raise dimfx.InvariantError(
-                f"conflicting digits at position {layout.index(clash[0], lo, end)}")
-        layout[lo:end] = bytes((digit,)) * (end - lo)
+        keep, run = bytes((FREE, digit)), bytes((digit,)) * min(end - lo, _FILL_CHUNK)
+        for i in range(lo, end, _FILL_CHUNK):  # a chunk at a time: no copy of a long stretch
+            j = min(i + _FILL_CHUNK, end)
+            clash = layout[i:j].translate(None, keep)
+            if clash:  # the first clashing cell holds the first byte left over
+                raise dimfx.InvariantError(
+                    f"conflicting digits at position {layout.index(clash[0], i, j)}")
+            layout[i:j] = run[:j - i]
 
     for e in sched.entries:
         if e.a > upto:

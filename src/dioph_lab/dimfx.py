@@ -11,7 +11,7 @@ text by `exact_text`, which names what is too long to print.
 
 This module needs no numpy, so it also holds what the command line reads
 before any command runs: `parse_rational`, and the mode names of the
-numpy-backed box-counting estimator.
+box-counting estimator.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from fractions import Fraction
 # 1000 evaluates in milliseconds.  Past the cap the formulas raise ValueError.
 MAX_EXPONENT = 1000
 
-# Stated here, not in the numpy-backed layer that uses them, so that the
-# argument parser loads no numpy.
+# Stated here, not in the layer that uses them, so that the argument parser
+# loads only this module.
 ALL_DEPTHS = "all-depths"     # boxdim: least-squares slope over every depth
 AT_BLOCK_ENDS = "block-ends"  # boxdim: liminf surrogate at block ends
 

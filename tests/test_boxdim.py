@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,14 +14,17 @@ from dioph_lab.boxdim import (
     count_series,
     dimension_slope,
 )
+from dioph_lab.construct import FREE
 from dioph_lab.digits import DigitStream
 
 
 def test_count_worked_values(small_sched):
     counts = count_exponents_upto(small_sched, 3, 13)
-    assert counts[13] == 6  # free: 1-3 and 9-11
-    assert counts[8] == 3
-    assert counts[1] == 1
+    assert counts.free == [range(1, 4), range(9, 12)]  # free: 1-3 and 9-11
+    assert counts.count(13) == 6
+    assert counts.count(8) == 3
+    assert counts.count(1) == 1
+    assert list(counts.exponents()) == [1, 2, 3, 3, 3, 3, 3, 3, 4, 5, 6, 6, 6]
     with pytest.raises(ValueError):
         count_exponents_upto(small_sched, 3, small_sched.covered_to + 1)
 
@@ -37,23 +41,30 @@ def test_count_series_rejects_depths_below_one(small_sched, depths, bad, monkeyp
 
 
 def test_series_invariants():
-    with pytest.raises(ValueError):
-        CountSeries(depths=(2, 1), exponents=(1, 1))  # depths must increase
-    with pytest.raises(ValueError):
-        CountSeries(depths=(1, 2), exponents=(1, 0))  # exponent cannot drop
-    with pytest.raises(ValueError):
-        CountSeries(depths=(1,), exponents=(2,))  # exponent above depth
-    with pytest.raises(ValueError):
-        CountSeries(depths=(1, 2), exponents=(1,))  # one exponent per depth
-    with pytest.raises(ValueError):
-        dimension_slope(CountSeries(depths=(1, 2), exponents=(1, 2)), ALL_DEPTHS)
+    # too few points, in either mode
+    with pytest.raises(ValueError, match="need at least 3 points, got 2"):
+        dimension_slope(CountSeries(depths=range(1, 3), free=[range(1, 3)]), ALL_DEPTHS)
+    with pytest.raises(ValueError, match="need at least 3 points, got 2"):
+        dimension_slope(CountSeries(depths=[1, 2], free=[range(1, 3)]), AT_BLOCK_ENDS)
+    # all-depths is a fit over every depth 1..N, and nothing else
+    for depths in (range(2, 5), [1, 2, 3], range(1, 7, 2)):
+        with pytest.raises(ValueError, match="needs every depth 1..N"):
+            dimension_slope(CountSeries(depths=depths, free=[range(1, 5)]), ALL_DEPTHS)
+    with pytest.raises(ValueError, match="unknown mode"):
+        dimension_slope(CountSeries(depths=range(1, 4), free=[]), "middle")
 
 
 def test_exact_line_slope():
+    # every other position free: c(n) = n // 2, on the line n / 2 at even n
     ns = range(2, 40, 2)
-    series = CountSeries(depths=ns, exponents=[n // 2 for n in ns])
-    assert dimension_slope(series, ALL_DEPTHS) == pytest.approx(0.5)
+    series = CountSeries(depths=ns, free=[range(j, j + 1) for j in ns])
+    assert list(series.exponents()) == [n // 2 for n in ns]
     assert dimension_slope(series, AT_BLOCK_ENDS) == pytest.approx(0.5)
+    # every position free (c(n) = n) and none free (c(n) = 0): exact lines
+    every = CountSeries(depths=range(1, 40), free=[range(1, 40)])
+    assert dimension_slope(every, ALL_DEPTHS) == 1.0
+    assert dimension_slope(every, AT_BLOCK_ENDS) == 1.0
+    assert dimension_slope(CountSeries(depths=range(1, 40), free=[]), ALL_DEPTHS) == 0.0
 
 
 def test_block_end_slopes_hit_targets(eta1_sched, geo_sched):
@@ -75,28 +86,68 @@ def test_block_end_slope_stabilizes(eta1_sched):
 
 def test_count_series_sorts_and_drops_repeats(small_sched):
     want = count_series(small_sched, 3, range(1, 40)).points
-    assert want.dtype == np.int64 and want.shape == (39, 2)
-    assert np.array_equal(want[:, 0], np.arange(1, 40))
+    assert len(want) == 39 and all(type(c) is int for _, c in want)
+    assert [n for n, _ in want] == list(range(1, 40))
     shuffled = list(range(39, 0, -1)) + [7, 1, 39, 20, 20]
-    assert np.array_equal(count_series(small_sched, 3, shuffled).points, want)
-    assert np.array_equal(count_series(small_sched, 3, sorted(set(shuffled))).points, want)
+    assert count_series(small_sched, 3, shuffled).points == want
+    assert count_series(small_sched, 3, sorted(set(shuffled))).points == want
+    assert count_series(small_sched, 3, range(39, 0, -1)).points == want
     with pytest.raises(ValueError, match="no depths requested"):
         count_series(small_sched, 3, [])
 
 
-def test_full_range_series_is_a_view_of_the_count_table(eta1_sched):
-    depths = range(1, 10 ** 5 + 1)
+def test_series_memory_does_not_grow_with_depth(eta1_sched):
+    depth = 10 ** 6
     tracemalloc.start()
     try:
-        series = count_series(eta1_sched, 3, depths)
+        series = count_series(eta1_sched, 3, range(1, depth + 1))
+        slope = dimension_slope(series, ALL_DEPTHS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(series.depths, np.arange(1, 10 ** 5 + 1))
-    assert np.array_equal(series.exponents, count_exponents_upto(eta1_sched, 3, 10 ** 5)[1:])
-    # the depths and the count table, 8 bytes per depth each, and a few
-    # bytes per depth of masks
-    assert peak <= 2_500_000
+    assert series.depths == range(1, depth + 1)
+    assert slope == pytest.approx(0.451124613994, abs=1e-12)
+    # the layout, one byte per depth, and a few objects per free stretch
+    assert peak <= 1_500_000
+
+
+def _brute_counts(sched, base, upto):
+    """c(n) for n = 0..upto, one position at a time."""
+    layout = construct.forced_digits(sched, base, upto)
+    out = [0]
+    for n in range(1, upto + 1):
+        out.append(out[-1] + (layout[n] == FREE))
+    return out
+
+
+@pytest.mark.parametrize("base", [2, 3, 10])
+@pytest.mark.parametrize("sched_name", ["eta1_sched", "geo_sched"])
+def test_counts_and_slope_match_brute_force(sched_name, base, request):
+    """The closed-form sums, the slope, the block-end counts and the chunk
+    fills against sums over `forced_digits`, one position at a time."""
+    sched = request.getfixturevalue(sched_name)
+    top = 6000
+    c = _brute_counts(sched, base, top)
+    free = count_exponents_upto(sched, base, top).free
+    edges = {r.start for r in free} | {r.stop - 1 for r in free}
+    tops = sorted({e + d for e in edges for d in (-1, 0, 1) if 3 <= e + d <= top} | {top})
+    assert len(tops) >= 12
+    for N in tops:
+        series = count_exponents_upto(sched, base, N)
+        ns = range(1, N + 1)
+        assert series.count_sums() == (sum(c[1:N + 1]), sum(n * c[n] for n in ns))
+        mean_n, mean_c = Fraction(N + 1, 2), Fraction(sum(c[1:N + 1]), N)
+        exact = (sum((n - mean_n) * (c[n] - mean_c) for n in ns)
+                 / sum((n - mean_n) ** 2 for n in ns))
+        assert dimension_slope(series, ALL_DEPTHS) == float(exact)
+    series = count_exponents_upto(sched, base, top)
+    for lo, hi in [(0, top), (0, 1), (5, 6)] + [(max(e - 2, 0), e + 3) for e in sorted(edges)]:
+        assert list(series.exponents(lo, hi)) == c[lo + 1:hi + 1], (lo, hi)
+    depth = 10 ** 6
+    layout = construct.forced_digits(sched, base, depth)
+    ends = sched.block_ends(depth)
+    assert list(count_series(sched, base, ends).exponents()) == [
+        layout.count(FREE, 1, n + 1) for n in ends]
 
 
 # (sequence fixture, schedule fixture, v, vhat, v tolerance, vhat tolerance):
@@ -115,7 +166,9 @@ def test_uniform_mass_points_hit_the_targets(case, base, seed, request):
     seq_name, sched_name, v, vhat, v_tol, vhat_tol = UNIFORM_MASS_CASES[case]
     seq, sched = request.getfixturevalue(seq_name), request.getfixturevalue(sched_name)
     depth = 10 ** 6
-    free = ~constraint_mask(sched, base, depth)[1:]
+    free = np.zeros(depth, dtype=bool)
+    for r in constraint_mask(sched, base, depth):
+        free[r.start - 1: r.stop - 1] = True
     point = construct.emit_digits(sched, base, depth).as_array().copy()
     point[free] = np.random.default_rng(seed).integers(0, base, size=int(free.sum()))
     mt = exponents.matching_times(DigitStream(base, point.tobytes()), seq)

@@ -242,9 +242,11 @@ SCHED_POLY = ["--seq", "poly:d=2", "--theta", "6", "--vhat", "1/6", "--base", "2
     (["gen-digits", *SCHED_GEO, "--depth", "20000", "--out", "o.txt"], False),
     (["gen-digits", *SCHED_POLY, "--depth", "20000", "--out", "o.txt"], False),
     (["estimate", "--digits", "eta1.txt", "--seq", "linear"], False),
-    (["box-dim", *SCHED_GEO, "--max-depth", "20000"], True),
+    (["box-dim", *SCHED_GEO, "--max-depth", "20000"], False),
+    (["box-dim", *SCHED_GEO, "--max-depth", "20000", "--mode", "all-depths", "--csv", "o.csv"],
+     False),
 ], ids=["import", "eval-dim", "formula-sweep", "roundtrip-sweep", "gen-digits-eta1",
-        "gen-digits-geo", "gen-digits-poly", "estimate", "box-dim"])
+        "gen-digits-geo", "gen-digits-poly", "estimate", "box-dim", "box-dim-all-depths-csv"])
 def test_commands_load_numpy_only_when_they_run_it(argv, loads_numpy, tmp_path):
     if argv[:1] == ["estimate"]:  # the digits it reads
         with contextlib.redirect_stdout(io.StringIO()):
