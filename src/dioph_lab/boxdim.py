@@ -20,13 +20,12 @@ from __future__ import annotations
 import re
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import comb
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .construct import FREE, CantorSchedule, forced_digits
 from .dimfx import ALL_DEPTHS, AT_BLOCK_ENDS
@@ -37,17 +36,19 @@ _FREE_CELLS = re.compile(re.escape(bytes((FREE,))) + b"+")
 _START, _STOP = attrgetter("start"), attrgetter("stop")
 
 
-@dataclass(frozen=True, eq=False)
-class CountSeries:
+class _SeriesFields(NamedTuple):
+    depths: range | list[int]
+    free: list[range]
+
+
+class CountSeries(_SeriesFields):
     """Count exponents at `depths`, held as the free stretches they count.
 
     depths: strictly increasing depths >= 1; `range(1, N + 1)` for every
         depth up to N.
     free: the maximal stretches of free positions in 1..depths[-1], in order.
+    No `__slots__`: the instance dict holds the cached `_totals`.
     """
-
-    depths: range | list[int]
-    free: list[range]
 
     @cached_property
     def _totals(self) -> list[int]:
@@ -126,7 +127,7 @@ def count_series(sched: CantorSchedule, base: int, depths: Iterable[int]) -> Cou
         raise ValueError("no depths requested")
     if ns[0] < 1:
         raise ValueError(f"depths must be >= 1, got {ns[0]}")
-    return replace(count_exponents_upto(sched, base, ns[-1]), depths=ns)
+    return count_exponents_upto(sched, base, ns[-1])._replace(depths=ns)
 
 
 def dimension_slope(series: CountSeries, mode: str) -> float:

@@ -6,7 +6,8 @@ the single output format (plot-ready columns, deterministic bytes).
 Each command imports the layers it runs, and only those; numpy loads only
 with the functions that build arrays, so `eval-dim`, `gen-digits`,
 `estimate`, `box-dim` and every `sweep`, round trips included, load no
-numpy.
+numpy.  The library's records are NamedTuples, so no command but `verify`
+(whose numpy is outside the library's control) loads `dataclasses` either.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -52,8 +51,7 @@ class ScheduleEntry(NamedTuple):
         return self.m - self.a
 
 
-@dataclass(frozen=True)
-class CantorSchedule:
+class CantorSchedule(NamedTuple):
     seq: DenominatorSequence
     theta: Fraction
     vhat: Fraction

@@ -8,10 +8,8 @@ prefix length.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -34,19 +32,24 @@ def _out_of_range(data: bytes, base: int) -> bytes:
     return data.translate(None, bytes(range(min(base, 256))))
 
 
-@dataclass(frozen=True)
-class DigitStream:
-    """Immutable prefix of a base-b fractional digit sequence."""
-
+class _StreamFields(NamedTuple):
     base: int
     data: bytes  # digit values, one byte per digit
 
-    def __post_init__(self):
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
-        bad = _out_of_range(self.data, self.base)
+
+class DigitStream(_StreamFields):
+    """Immutable prefix of a base-b fractional digit sequence.
+
+    No `__slots__`: the instance dict holds the cached `zero_runs`.
+    """
+
+    def __new__(cls, base: int, data: bytes):
+        if base < 2:
+            raise ValueError(f"base must be >= 2, got {base}")
+        bad = _out_of_range(data, base)
         if bad:
-            raise ValueError(f"digit {max(bad)} out of range for base {self.base}")
+            raise ValueError(f"digit {max(bad)} out of range for base {base}")
+        return super().__new__(cls, base, data)
 
     @property
     def prefix_len(self) -> int:
@@ -144,6 +147,7 @@ def random_digits(base: int, count: int, seed: int) -> DigitStream:
     little-endian, so the top bits of each sit in every fourth byte; one
     `bytes.translate` shifts them down and deletes the rejected ones.
     """
+    import random
     if not 2 <= base <= 255:
         raise ValueError(f"base must lie in [2, 255] to draw byte digits, got {base}")
     rng = random.Random(seed)

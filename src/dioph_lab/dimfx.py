@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 # Largest |f| for which an exact power eta^f is raised.  As eta nears 1 the
 # thresholds grow like log(1/(eta - 1))/(eta - 1), and the formulas' terms
@@ -48,26 +48,31 @@ class InvariantError(Exception):
     """
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class _ReportFields(NamedTuple):
     value: Fraction | None
     kind: str  # exact | upper | lower | empty
     source: str
     condition: str = ""
 
+
+class DimensionReport(_ReportFields):
+    """One formula's dimension value, checked to lie in [0, 1] (0 when empty)."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: Fraction | None, kind: str, source: str, condition: str = ""):
+        if kind == EMPTY and value != 0:
+            raise InvariantError(f"empty set reported with dimension {value}")
+        if value is not None and not 0 <= value <= 1:
+            raise InvariantError(f"dimension {value} outside [0, 1]")
+        return super().__new__(cls, value, kind, source, condition)
+
     @property
     def domain_ok(self) -> bool:  # the formula claims a value here
         return self.value is not None
 
-    def __post_init__(self):
-        if self.kind == EMPTY and self.value != 0:
-            raise InvariantError(f"empty set reported with dimension {self.value}")
-        if self.value is not None and not 0 <= self.value <= 1:
-            raise InvariantError(f"dimension {self.value} outside [0, 1]")
 
-
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     l0: int
     l1: int
     ltilde: int

@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -87,8 +86,16 @@ class PairView(Sequence):
         return repr(self._pairs)
 
 
-@dataclass(frozen=True, eq=False)
-class MatchingTimes:
+class _TableFields(NamedTuple):
+    depth: int
+    seq: DenominatorSequence
+    stream: DigitStream
+    dominant: list[MatchingPair]  # the complete indices whose gap is a strict record
+    index_count: int           # number of indices n with a_n + 1 in the prefix
+    first_truncated_index: int | None  # smallest n whose run is cut off
+
+
+class MatchingTimes(_TableFields):
     """Gap table of one (stream, sequence): its dominant records and counts.
 
     The indices of the table are n = 1..index_count, those whose run start
@@ -101,15 +108,9 @@ class MatchingTimes:
     whose gap strictly exceeds every gap before it).  `dominant` lists those
     records as MatchingPair tuples, found by `matching_times`; the
     estimators read only it and the scalars.  `pairs` lists every complete
-    index, built from the stream on first read.
+    index, built from the stream on first read.  No `__slots__`: the
+    instance dict holds the cached `pairs`.
     """
-
-    depth: int
-    seq: DenominatorSequence
-    stream: DigitStream
-    dominant: list[MatchingPair]  # the complete indices whose gap is a strict record
-    index_count: int           # number of indices n with a_n + 1 in the prefix
-    first_truncated_index: int | None  # smallest n whose run is cut off
 
     @property
     def longest_complete_run(self) -> int:
@@ -295,8 +296,7 @@ def check_exponent_inequality(v_est: float, vhat_est: float, eta: float) -> bool
     return v_est + INEQUALITY_TOL >= vhat_est / (eta - vhat_est)
 
 
-@dataclass(frozen=True)
-class ExponentEstimate:
+class ExponentEstimate(NamedTuple):
     """Summary of one estimation run over a digit prefix."""
 
     v_est: float

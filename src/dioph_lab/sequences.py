@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .dimfx import parse_rational
 
 if TYPE_CHECKING:
+    from pathlib import Path
+
     import numpy as np
 
 
@@ -253,6 +254,7 @@ def make_sequence(spec: str) -> DenominatorSequence:
         return DenominatorSequence("geometric", ratio=parse_rational(kv["eta"]),
                                    seed=_spec_int(spec, "a1", kv["a1"]), spec=spec)
     if spec.startswith("file:"):
+        from pathlib import Path
         values = _read_values(Path(spec[len("file:"):]))
         return DenominatorSequence("explicit", values=values, spec=spec)
     raise ValueError(f"unrecognized sequence spec {spec!r}")

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import importlib
 import io
@@ -212,14 +211,14 @@ def test_geometric_sweep_shares_one_sequence(tmp_path, capsys, monkeypatch):
 
 
 # Runs the command given on its command line (none: only the import) in a
-# fresh interpreter and prints whether numpy was loaded.
+# fresh interpreter and prints whether numpy, then dataclasses, was loaded.
 NUMPY_PROBE = """
 import contextlib, io, sys
 import dioph_lab.cli
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert dioph_lab.cli.main(sys.argv[1:]) == 0
-print("numpy" in sys.modules)
+print("numpy" in sys.modules, "dataclasses" in sys.modules)
 """
 
 
@@ -257,7 +256,7 @@ def test_commands_load_numpy_only_when_they_run_it(argv, loads_numpy, tmp_path):
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{loads_numpy}\n"
+    assert proc.stdout == f"{loads_numpy} False\n"  # no command but verify loads dataclasses
 
 
 def test_sweep_theta_grid(tmp_path, capsys):
@@ -720,7 +719,7 @@ def test_sweep_fills_estimates_past_eta(tmp_path, capsys, monkeypatch):
     real = exponents.estimate_exponents
 
     def past_eta(mt):
-        return dataclasses.replace(real(mt), vhat_est=1.5)
+        return real(mt)._replace(vhat_est=1.5)
 
     monkeypatch.setattr(exponents, "estimate_exponents", past_eta)
     csv_path = tmp_path / "rt.csv"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dioph_lab import construct, dimfx, exponents, sequences
+from dioph_lab import boxdim, construct, dimfx, exponents, sequences
 from dioph_lab.construct import (
     constrained_digit,
     emit_digits,
@@ -30,6 +30,18 @@ def test_eta1_worked_schedule(small_sched):
     assert (e1.a, e1.m, e1.t) == (4, 8, 1)
     assert (e2.a, e2.m, e2.t) == (13, 26, 1)
     assert small_sched.target_v == 1 and small_sched.vhat == F(1, 3)
+
+
+def test_records_refuse_field_assignment(small_sched):
+    stream = emit_digits(small_sched, 3, 120)
+    mt = exponents.matching_times(stream, LIN)
+    fields = [(small_sched, "entries"), (stream, "data"), (mt, "dominant"),
+              (exponents.estimate_exponents(mt), "vhat_est"),
+              (boxdim.count_series(small_sched, 3, range(1, 100)), "free"),
+              (dimfx.dim_eta1(F(1, 3)), "value"), (dimfx.thresholds(F(2), F(3, 2)), "l0")]
+    for record, field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
 
 
 def test_eta1_theta0_matches_worked_example():

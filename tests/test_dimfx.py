@@ -260,3 +260,13 @@ def test_rational_linspace():
     assert pts == [F(1, 2), F(3, 4), F(1), F(5, 4), F(3, 2)]
     with pytest.raises(ValueError):
         rational_linspace(F(0), F(1), 1)
+
+
+def test_dimension_report_checks_its_value():
+    for value in (F(-1, 2), F(3, 2)):
+        with pytest.raises(dimfx.InvariantError, match=r"outside \[0, 1\]"):
+            dimfx.DimensionReport(value, dimfx.UPPER, "test")
+    for value in (F(1, 2), None):
+        with pytest.raises(dimfx.InvariantError, match="empty set reported with dimension"):
+            dimfx.DimensionReport(value=value, kind=dimfx.EMPTY, source="test")
+    assert dimfx.DimensionReport(F(1), dimfx.EXACT, "test").condition == ""
