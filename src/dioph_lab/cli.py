@@ -3,11 +3,9 @@
 Rationals on the command line are `p` or `p/q` strings; decimal forms are
 rejected because schedule construction requires exact arithmetic.  CSV is
 the single output format (plot-ready columns, deterministic bytes).
-Each command imports the layers it runs, and only those; numpy loads only
-with the functions that build arrays, so `eval-dim`, `gen-digits`,
-`estimate`, `box-dim` and every `sweep`, round trips included, load no
-numpy.  The library's records are NamedTuples, so no command but `verify`
-(whose numpy is outside the library's control) loads `dataclasses` either.
+Each command imports the layers it runs, and only those.  The library is
+plain Python and its records are NamedTuples, so no command loads numpy or
+`dataclasses`.
 """
 
 from __future__ import annotations

@@ -23,16 +23,15 @@ anywhere in construction.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from itertools import repeat
+from typing import Callable, NamedTuple
 
 from .digits import DigitStream
 from .sequences import DenominatorSequence, eta_estimate
 from . import dimfx
-
-if TYPE_CHECKING:
-    import numpy as np
 
 START_SCAN_CAP = 10 ** 6  # max indices scanned for a valid first block
 MAX_ENTRIES = 10_000
@@ -290,16 +289,15 @@ def _entry_base_exponents(sched: CantorSchedule, base: int) -> list[int]:
     return bases
 
 
-def _ramp_exponent(ent: ScheduleEntry, base: int, flat, off):
+def _ramp_exponent(ent: ScheduleEntry, base: int, flat: int, off: int) -> int:
     """Mass exponent `off` positions past m_k (0 <= off < next_a - m_k), where
     `flat` is the exponent on the constant stretch [a_{i_k}, m_k]: it grows
     by one per position except across the spaced markers (and, for base 2,
-    across the forced zeros before them as well).  `off` is an int or an
-    int64 array; at off = 0 the value is `flat`, since every gap is >= 3."""
-    import numpy as np
+    across the forced zeros before them as well).  At off = 0 the value is
+    `flat`, since every gap is >= 3."""
     e = flat + off - off // ent.gap
     if base == 2:
-        e -= np.minimum(ent.t, (off + 1) // ent.gap)
+        e -= min(ent.t, (off + 1) // ent.gap)
     return e
 
 
@@ -317,31 +315,24 @@ def mu_cylinder(sched: CantorSchedule, base: int, n: int) -> int:
         return n  # below the first block every position is free
     ent = sched.entries[kk]
     flat = _entry_base_exponents(sched, base)[kk]
-    return int(_ramp_exponent(ent, base, flat, max(n - ent.m, 0)))
+    return _ramp_exponent(ent, base, flat, max(n - ent.m, 0))
 
 
-def mu_exponents_upto(sched: CantorSchedule, base: int, max_n: int) -> np.ndarray:
-    """log_b(mu) for every depth 1..max_n (vectorized over blocks).
+def mu_exponents_upto(sched: CantorSchedule, base: int, max_n: int) -> array:
+    """array('q') of log_b(mu) at every depth 0..max_n, a block at a time.
 
     On [a_{i_k}, m_k] the mass is constant; past m_k it follows
     `_ramp_exponent`.  Below the first block every position is free, so the
     exponent is the depth itself.
     """
-    import numpy as np
     _check_depth(sched, max_n)
-    out = np.empty(max_n + 1, dtype=np.int64)
-    out[0] = 0
-    first_a = sched.entries[0].a
-    top = min(first_a - 1, max_n)
-    out[1: top + 1] = np.arange(1, top + 1)
+    out = array("q", range(min(sched.entries[0].a - 1, max_n) + 1))
     for ent, flat in zip(sched.entries, _entry_base_exponents(sched, base)):
         if ent.a > max_n:
             break
         hi = min(ent.next_a - 1, max_n)
-        out[ent.a: min(ent.m, hi) + 1] = flat
-        if hi > ent.m:
-            out[ent.m + 1: hi + 1] = _ramp_exponent(ent, base, flat,
-                                                    np.arange(1, hi - ent.m + 1))
+        out.extend(repeat(flat, min(ent.m, hi) - ent.a + 1))
+        out.extend(_ramp_exponent(ent, base, flat, off) for off in range(1, hi - ent.m + 1))
     return out
 
 

@@ -8,11 +8,10 @@ prefix length.
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:
-    import numpy as np
+import re
+from array import array
+from functools import cache
+from typing import NamedTuple
 
 # Positions are 1-based everywhere: digit j of xi is x_j, j >= 1.
 
@@ -38,10 +37,9 @@ class _StreamFields(NamedTuple):
 
 
 class DigitStream(_StreamFields):
-    """Immutable prefix of a base-b fractional digit sequence.
+    """Immutable prefix of a base-b fractional digit sequence."""
 
-    No `__slots__`: the instance dict holds the cached `zero_runs`.
-    """
+    __slots__ = ()
 
     def __new__(cls, base: int, data: bytes):
         if base < 2:
@@ -68,29 +66,6 @@ class DigitStream(_StreamFields):
         if count > len(self.data):
             raise ValueError(f"cannot truncate to {count}: only {len(self.data)} digits")
         return DigitStream(self.base, self.data[:count])
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-        return np.frombuffer(self.data, dtype=np.uint8)
-
-    @cached_property
-    def zero_runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """1-based (starts, ends) of the maximal 0/(b-1) runs, in order.
-
-        One pass over the digits finds them; the result is kept, so every
-        later `run_end_table` lookup on this stream is a search over the
-        runs alone.
-        """
-        import numpy as np
-        arr = self.as_array()
-        if not arr.size:
-            return np.zeros(0, np.int64), np.zeros(0, np.int64)
-        change = np.flatnonzero(arr[1:] != arr[:-1])
-        starts = np.concatenate(([0], change + 1))
-        ends = np.concatenate((change, [arr.shape[0] - 1]))
-        v = arr[starts]
-        hit = (v == 0) | (v == self.base - 1)
-        return starts[hit] + 1, ends[hit] + 1
 
 
 def digits_from_string(text: str, base: int) -> DigitStream:
@@ -162,29 +137,38 @@ def random_digits(base: int, count: int, seed: int) -> DigitStream:
     return DigitStream(base, data)
 
 
-def run_end_table(stream: DigitStream, positions) -> np.ndarray:
+@cache
+def _run_pattern(d: int) -> re.Pattern[bytes]:
+    """The anchored match of a run of the digit d, compiled once per digit."""
+    return re.compile(re.escape(bytes([d])) + b"*")
+
+
+def _run_stop(data: bytes, i: int) -> int:
+    """0-based offset one past the run of equal digits through data[i]."""
+    return _run_pattern(data[i]).match(data, i).end()
+
+
+def run_end_table(stream: DigitStream, positions) -> memoryview:
     """Run ends of 0/(b-1) runs at the requested 1-based positions.
 
     Entry i is the 1-based position of the last digit of the maximal 0- or
     (b-1)-run containing positions[i], or 0 when the digit there is neither
-    0 nor b-1.  Each position is found by binary search over the stream's
-    `zero_runs`, so memory grows with the number of runs and positions, not
-    with the prefix.  The estimators do not call it: `matching_times` finds
-    run ends by its own search.  Its callers are `MatchingTimes.pairs` and
-    `verify`'s run-block-maximality check.
+    0 nor b-1.  An anchored match reads each run end; a position inside the
+    run last read reuses its end, so ascending positions read each digit
+    about once.  The entries are int64s.  The estimators do not call it:
+    `matching_times` finds run ends by its own search.  Its callers are
+    `MatchingTimes.pairs` and `verify`'s run-block-maximality check.
     """
-    import numpy as np
-    pos = np.asarray(positions, dtype=np.int64)
-    if pos.size and (pos.min() < 1 or pos.max() > stream.prefix_len):
-        raise IndexError(f"positions outside prefix of length {stream.prefix_len}")
-    starts, ends = stream.zero_runs
-    out = np.zeros(pos.shape, dtype=np.int64)
-    if starts.size:
-        run = np.searchsorted(starts, pos, side="right") - 1
-        end = ends[run]  # run -1 (before the first run) is caught below
-        inside = (run >= 0) & (pos <= end)
-        out[inside] = end[inside]
-    return out
+    data, P, top = stream.data, stream.prefix_len, stream.base - 1
+    out = array("q")
+    start = end = 0  # positions start..end lie in one run, which ends at end
+    for p in positions:
+        if not 1 <= p <= P:
+            raise IndexError(f"positions outside prefix of length {P}")
+        if not start <= p <= end and data[p - 1] in (0, top):
+            start, end = p, _run_stop(data, p - 1)
+        out.append(end if start <= p <= end else 0)
+    return memoryview(out)
 
 
 # --- digit file format -------------------------------------------------------

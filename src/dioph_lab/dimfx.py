@@ -9,8 +9,8 @@ few exact powers however large its answer is.  No exponent past
 `MAX_EXPONENT` is raised (`check_power`), and an exact value is turned into
 text by `exact_text`, which names what is too long to print.
 
-This module needs no numpy, so it also holds what the command line reads
-before any command runs: `parse_rational`, and the mode names of the
+This module imports no other layer, so it also holds what the command line
+reads before any command runs: `parse_rational`, and the mode names of the
 box-counting estimator.
 """
 

@@ -10,24 +10,18 @@ strictly increasing run lengths.  All estimators below are window statistics
 over a finite prefix, not limits, and each is a function of the gap table
 alone: the burn-in (`MatchingTimes.burn_in`) and the definition estimator's
 grid (`definition_grid`) are derived from the table, never passed in.  The
-table is found by a byte search over the digits; numpy loads only when
-`MatchingTimes.pairs` lists every complete index.
+table is found by a byte search over the digits.
 """
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_right
-from collections.abc import Sequence
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .digits import DigitStream, run_end_table
+from .digits import DigitStream, _run_stop, run_end_table
 from .dimfx import InvariantError
 from .sequences import DenominatorSequence, eta_estimate
-
-if TYPE_CHECKING:
-    import numpy as np
 
 BURN_FRACTION = 0.2  # MatchingTimes.burn_in: this share of the dominant pairs
 GRID_START_FRACTION = 0.2  # definition_grid starts at this share of its cap
@@ -43,47 +37,6 @@ class MatchingPair(NamedTuple):
     @property
     def gap(self) -> int:
         return self.m - self.a
-
-
-class PairView(Sequence):
-    """Read-only list of the MatchingPair tuples of some gap-table rows.
-
-    Row r stands for the indices first[r] <= n < stop[r], which share the
-    matching time m[r].  Its length is a sum over the rows; the tuples are
-    built on first read.  It compares equal to a list (or view) holding the
-    same pairs.
-    """
-
-    def __init__(self, seq: DenominatorSequence, first: np.ndarray, stop: np.ndarray,
-                 m: np.ndarray):
-        # the columns, not the table: a view cached on its table makes no cycle
-        self._seq, self._first, self._stop, self._m = seq, first, stop, m
-
-    @cached_property
-    def _pairs(self) -> list[MatchingPair]:
-        import numpy as np
-        counts = self._stop - self._first
-        offsets = np.repeat(self._first - (np.cumsum(counts) - counts), counts)
-        ns = np.arange(int(counts.sum()), dtype=np.int64) + offsets
-        avals, ms = self._seq.a_at(ns).tolist(), np.repeat(self._m, counts).tolist()
-        return [MatchingPair(n, a, m) for n, a, m in zip(ns.tolist(), avals, ms)]
-
-    def __len__(self) -> int:
-        return int((self._stop - self._first).sum())
-
-    def __getitem__(self, i):
-        return self._pairs[i]
-
-    def __iter__(self):
-        return iter(self._pairs)
-
-    def __eq__(self, other):
-        if isinstance(other, PairView):
-            other = other._pairs
-        return self._pairs == other
-
-    def __repr__(self) -> str:
-        return repr(self._pairs)
 
 
 class _TableFields(NamedTuple):
@@ -125,24 +78,40 @@ class MatchingTimes(_TableFields):
         return min(int(k * BURN_FRACTION), max(0, k - 2))
 
     @cached_property
-    def pairs(self) -> PairView:
-        """Every complete index's pair, one row per run (numpy).
+    def pairs(self) -> list[MatchingPair]:
+        """Every complete index's pair, in index order.
 
-        Each run's first index is the first n with a_n + 1 at or after the
-        run start; its run end is looked up once, at that a_n + 1, and the
-        run's indices end before the first n with a_n + 1 past its end m - 1.
+        Each index n whose digit after a_n is 0 or b - 1 starts in a run and
+        is kept.  From any other index the search jumps to the first n with
+        a_n at or after the next such digit, found by `bytes.find`, each
+        needle resuming at its last hit.  One `run_end_table` call then
+        reads the run ends of the kept indices, in ascending order, so each
+        run is read once.
         """
-        import numpy as np
-        stream, seq, P = self.stream, self.seq, self.depth
-        starts, _ = stream.zero_runs
-        first = seq.first_index_at_least(starts - 1)
-        # a run holding no run start a_n + 1 shares its first index with a
-        # later run; the lookup is nondecreasing, so repeats are adjacent
-        first = first[np.append(True, first[1:] != first[:-1]) & (first <= self.index_count)]
-        run_end = run_end_table(stream, seq.a_at(first) + 1)  # 0: between runs
-        keep = (run_end > 0) & (run_end < P)  # P: the break digit is unseen
-        m = run_end[keep] + 1
-        return PairView(seq, first[keep], seq.first_index_at_least(m - 1), m)
+        data, a_of = self.stream.data, self.seq.a
+        run_digits = [d for d in (0, self.stream.base - 1) if d < 256]
+        hits = dict.fromkeys(run_digits, 0)
+        ns: list[int] = []
+        avals: list[int] = []
+        n = 1
+        while n <= self.index_count:
+            a = a_of(n)
+            if data[a] in run_digits:
+                ns.append(n)
+                avals.append(a)
+                n += 1
+                continue
+            for d in list(hits):
+                if hits[d] < a:
+                    hits[d] = data.find(d, a)
+                    if hits[d] < 0:
+                        del hits[d]
+            if not hits:
+                break
+            n = self.seq.index_count_upto(min(hits.values()) - 1) + 1  # a_n at or past it
+        ends = run_end_table(self.stream, [a + 1 for a in avals])
+        return [MatchingPair(n, a, e + 1) for n, a, e in zip(ns, avals, ends)
+                if e < self.depth]  # a run ending at the prefix end is cut off
 
 
 def _final_run_start(data: bytes, base: int) -> int:
@@ -179,7 +148,6 @@ def matching_times(stream: DigitStream, seq: DenominatorSequence) -> MatchingTim
         raise ValueError(f"prefix of {P} digits too short: a(1)+2 = {seq.a(1) + 2}")
     K = seq.index_count_upto(P - 1)  # the indices with a_n + 1 in the prefix
     run_digits = [d for d in (0, stream.base - 1) if d < 256]  # b - 1 is a byte
-    run_at = {d: re.compile(re.escape(bytes([d])) + b"*") for d in run_digits}
     needles = {d: bytes([d]) for d in run_digits}
     hits = dict.fromkeys(run_digits, 0)
     dominant: list[MatchingPair] = []
@@ -192,7 +160,7 @@ def matching_times(stream: DigitStream, seq: DenominatorSequence) -> MatchingTim
         if not hits:
             break
         h = min(hits.values())
-        e = run_at[data[h]].match(data, h).end()  # the break digit's offset
+        e = _run_stop(data, h)  # the break digit's offset
         if e == P:  # the final run, checked below
             break
         n = seq.index_count_upto(h - 1) + 1  # the first n with a_n >= h

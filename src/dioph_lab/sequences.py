@@ -17,8 +17,6 @@ from .dimfx import parse_rational
 if TYPE_CHECKING:
     from pathlib import Path
 
-    import numpy as np
-
 
 def _integer_root(x: int, d: int) -> int:
     """floor(x ** (1/d)) for x >= 1, by integer Newton steps from above."""
@@ -30,25 +28,6 @@ def _integer_root(x: int, d: int) -> int:
         r = y
 
 
-def _power_above(r: np.ndarray, d: int, x: np.ndarray) -> np.ndarray:
-    """r ** d > x elementwise, exactly, for int64 x below 2**53."""
-    import numpy as np
-    big = r.astype(np.float64) ** d > 2.0 ** 62  # no int64 overflow past here
-    return big | (np.where(big, 0, r) ** d > x)
-
-
-def _integer_roots(x: np.ndarray, d: int) -> np.ndarray:
-    """floor(x ** (1/d)) for each int64 0 <= x < 2**53: a float root, which is
-    off by at most one, settled by exact integer powers."""
-    import numpy as np
-    if d == 1:
-        return x
-    r = np.floor(x.astype(np.float64) ** (1.0 / d)).astype(np.int64)
-    r -= _power_above(r, d, x)
-    r += ~_power_above(r + 1, d, x)
-    return r
-
-
 class DenominatorSequence:
     """Strictly increasing sequence of positive integers with 1-based access.
 
@@ -56,9 +35,7 @@ class DenominatorSequence:
     a_n <= x, is the one answer to "how many indices lie below a bound": an
     exact integer root for poly (`linear` is degree 1), a count of the terms
     for geometric sequences and a bisection for explicit ones.
-    `values_upto(limit)` gives those terms as an int64 array.  The array
-    forms `first_index_at_least(x)` and `a_at(ns)` answer many lookups at
-    once without materializing the indices in between.
+    `iter_upto(limit)` yields those terms with their indices.
     """
 
     def __init__(self, kind: str, *, degree: int | None = None,
@@ -136,41 +113,6 @@ class DenominatorSequence:
         if self.kind == "explicit":
             return bisect_right(self._values, x)
         return sum(1 for _ in self.iter_upto(x))
-
-    def values_upto(self, limit: int) -> np.ndarray:
-        """int64 array of a_1, a_2, ... up to the last a_n <= limit."""
-        import numpy as np
-        if self.kind == "poly":
-            ns = np.arange(1, self.index_count_upto(limit) + 1, dtype=np.int64)
-            return ns ** self.degree
-        if self.kind == "explicit":
-            return np.array(self._values[:self.index_count_upto(limit)], dtype=np.int64)
-        return np.fromiter((v for _, v in self.iter_upto(limit)), dtype=np.int64)
-
-    def first_index_at_least(self, x) -> np.ndarray:
-        """Smallest index n with a_n >= x, for each entry of the int array x
-        (below 2**53).  Past an explicit sequence's last term the answer is
-        its length plus one.  Geometric and explicit sequences search their
-        terms below max(x)."""
-        import numpy as np
-        x = np.asarray(x, dtype=np.int64)
-        if self.kind == "poly":  # a_n >= x exactly when n > floor((x - 1) ** (1/d))
-            return _integer_roots(np.maximum(x - 1, 0), self.degree) + 1
-        top = int(x.max()) - 1 if x.size else 0
-        return np.searchsorted(self.values_upto(top), x) + 1
-
-    def a_at(self, ns) -> np.ndarray:
-        """int64 array of a_n for each index n >= 1 of the int array ns."""
-        import numpy as np
-        ns = np.asarray(ns, dtype=np.int64)
-        if ns.size and ns.min() < 1:
-            raise IndexError(f"sequence index must be >= 1, got {int(ns.min())}")
-        if self.kind == "poly":
-            return ns ** self.degree
-        top = int(ns.max()) if ns.size else 0
-        if top:
-            self.a(top)  # extends a geometric sequence; checks an explicit one's length
-        return np.array(self._values[:top], dtype=np.int64)[ns - 1]
 
     def iter_upto(self, limit: int):
         """Yield (n, a_n) for all supported n with a_n <= limit."""

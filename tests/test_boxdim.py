@@ -166,12 +166,14 @@ def test_uniform_mass_points_hit_the_targets(case, base, seed, request):
     seq_name, sched_name, v, vhat, v_tol, vhat_tol = UNIFORM_MASS_CASES[case]
     seq, sched = request.getfixturevalue(seq_name), request.getfixturevalue(sched_name)
     depth = 10 ** 6
-    free = np.zeros(depth, dtype=bool)
-    for r in constraint_mask(sched, base, depth):
-        free[r.start - 1: r.stop - 1] = True
-    point = construct.emit_digits(sched, base, depth).as_array().copy()
-    point[free] = np.random.default_rng(seed).integers(0, base, size=int(free.sum()))
-    mt = exponents.matching_times(DigitStream(base, point.tobytes()), seq)
+    free = constraint_mask(sched, base, depth)
+    rng = np.random.default_rng(seed)
+    fill = rng.integers(0, base, size=sum(map(len, free))).astype(np.uint8).tobytes()
+    point, i = bytearray(construct.emit_digits(sched, base, depth).data), 0
+    for r in free:  # the stretches in order, each taking the next draws
+        point[r.start - 1: r.stop - 1] = fill[i: i + len(r)]
+        i += len(r)
+    mt = exponents.matching_times(DigitStream(base, bytes(point)), seq)
     est = exponents.estimate_exponents(mt)
     assert est.v_est == pytest.approx(v, abs=v_tol)
     assert est.vhat_est == pytest.approx(vhat, abs=vhat_tol)

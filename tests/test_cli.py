@@ -230,23 +230,23 @@ SCHED_GEO = ["--seq", "geometric:eta=2,a1=1", "--theta", "4", "--vhat", "3/2", "
 SCHED_POLY = ["--seq", "poly:d=2", "--theta", "6", "--vhat", "1/6", "--base", "2"]
 
 
-@pytest.mark.parametrize("argv,loads_numpy", [
-    ([], False),
-    (["eval-dim", "--eta", "2", "--vhat", "7/5"], False),
-    (["sweep", "--eta", "2", "--theta", "4", "--vhat-grid", "1/2:19/10:8", "--csv", "o.csv"],
-     False),
-    (["sweep", "--eta", "1", "--theta", "3", "--vhat-grid", "1/4:1/2:2", "--seq", "linear",
-      "--regime", "eta1", "--depth", "2000", "--csv", "o.csv"], False),
-    (["gen-digits", *SCHED_ETA1, "--depth", "20000", "--out", "o.txt"], False),
-    (["gen-digits", *SCHED_GEO, "--depth", "20000", "--out", "o.txt"], False),
-    (["gen-digits", *SCHED_POLY, "--depth", "20000", "--out", "o.txt"], False),
-    (["estimate", "--digits", "eta1.txt", "--seq", "linear"], False),
-    (["box-dim", *SCHED_GEO, "--max-depth", "20000"], False),
-    (["box-dim", *SCHED_GEO, "--max-depth", "20000", "--mode", "all-depths", "--csv", "o.csv"],
-     False),
+@pytest.mark.parametrize("argv", [
+    [],
+    ["eval-dim", "--eta", "2", "--vhat", "7/5"],
+    ["sweep", "--eta", "2", "--theta", "4", "--vhat-grid", "1/2:19/10:8", "--csv", "o.csv"],
+    ["sweep", "--eta", "1", "--theta", "3", "--vhat-grid", "1/4:1/2:2", "--seq", "linear",
+     "--regime", "eta1", "--depth", "2000", "--csv", "o.csv"],
+    ["gen-digits", *SCHED_ETA1, "--depth", "20000", "--out", "o.txt"],
+    ["gen-digits", *SCHED_GEO, "--depth", "20000", "--out", "o.txt"],
+    ["gen-digits", *SCHED_POLY, "--depth", "20000", "--out", "o.txt"],
+    ["estimate", "--digits", "eta1.txt", "--seq", "linear"],
+    ["box-dim", *SCHED_GEO, "--max-depth", "20000"],
+    ["box-dim", *SCHED_GEO, "--max-depth", "20000", "--mode", "all-depths", "--csv", "o.csv"],
+    ["verify"],
 ], ids=["import", "eval-dim", "formula-sweep", "roundtrip-sweep", "gen-digits-eta1",
-        "gen-digits-geo", "gen-digits-poly", "estimate", "box-dim", "box-dim-all-depths-csv"])
-def test_commands_load_numpy_only_when_they_run_it(argv, loads_numpy, tmp_path):
+        "gen-digits-geo", "gen-digits-poly", "estimate", "box-dim", "box-dim-all-depths-csv",
+        "verify"])
+def test_commands_load_numpy_only_when_they_run_it(argv, tmp_path):
     if argv[:1] == ["estimate"]:  # the digits it reads
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["gen-digits", *SCHED_ETA1, "--depth", "20000",
@@ -256,7 +256,7 @@ def test_commands_load_numpy_only_when_they_run_it(argv, loads_numpy, tmp_path):
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{loads_numpy} False\n"  # no command but verify loads dataclasses
+    assert proc.stdout == "False False\n"  # no command runs numpy or loads dataclasses
 
 
 def test_sweep_theta_grid(tmp_path, capsys):

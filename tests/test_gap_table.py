@@ -111,7 +111,7 @@ def test_run_end_table_rejects_positions_outside_prefix():
     for bad in ([0], [5], [1, 5]):
         with pytest.raises(IndexError):
             digits.run_end_table(stream, bad)
-    assert digits.run_end_table(stream, []).size == 0
+    assert len(digits.run_end_table(stream, [])) == 0
 
 
 def check_against_scan(stream, seq):

@@ -2,7 +2,6 @@ import re
 import sys
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,13 +174,10 @@ def lookup_seqs(tmp_path_factory):
 def _assert_lookups_match_scan(seq, limit):
     want = [v for _, v in seq.iter_upto(limit)]  # the scan, term by term
     assert seq.index_count_upto(limit) == len(want), limit
-    values = seq.values_upto(limit)
-    assert values.dtype == np.int64 and values.tolist() == want, limit
-    # the array lookups: first index n with a_n >= x is one past the terms below x
+    # the terms below x, just under the limit
     xs = list(range(limit - 3, limit + 2))
-    assert seq.first_index_at_least(xs).tolist() == [
-        1 + sum(v < x for v in want) for x in xs], limit
-    assert seq.a_at(np.arange(1, len(want) + 1)).tolist() == want, limit
+    assert [seq.index_count_upto(x - 1) for x in xs] == [
+        sum(v < x for v in want) for x in xs], limit
 
 
 @pytest.mark.parametrize("spec", LOOKUP_SPECS)
@@ -203,11 +199,12 @@ def test_index_lookups_at_exact_powers(lookup_seqs, spec):
             _assert_lookups_match_scan(seq, limit)
 
 
-def test_poly_array_lookup_is_exact_at_float_limits():
-    # k^d just below 2**53, and 2**70 past int64 for the overflow guard
+def test_poly_index_count_is_exact_at_float_limits():
+    # k^d just below 2**53, where a float root is off by one, and 2**70 past int64
     for d, k in ((2, 2 ** 26 - 1), (3, 208_063), (70, 1)):
-        x = [k ** d - 1, k ** d, k ** d + 1]
-        assert make_sequence(f"poly:d={d}").first_index_at_least(x).tolist() == [k, k, k + 1]
+        seq = make_sequence(f"poly:d={d}")
+        assert [seq.index_count_upto(x) for x in (k ** d - 1, k ** d, k ** d + 1)] == [
+            k - 1, k, k]
 
 
 def test_integer_root_is_exact_far_beyond_floats():
