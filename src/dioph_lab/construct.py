@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Callable, NamedTuple
 
-from .digits import DigitStream
+from .digits import CODE, DigitStream
 from .sequences import DenominatorSequence, eta_estimate
 from . import dimfx
 
@@ -226,7 +226,8 @@ def schedule_geometric(seq: DenominatorSequence, theta: Fraction, vhat: Fraction
 
 FILL_DIGIT = 1  # unconstrained positions; never 0 or b-1, so no spurious runs
 FREE = 255      # layout cell of a position the schedule leaves free; never a digit
-_FILL = bytes(FILL_DIGIT if b == FREE else b for b in range(256))  # translates FREE only
+# layout cell -> stream byte: the digit's CODE byte, and FREE's is FILL_DIGIT's
+_EMIT = bytes(CODE[FILL_DIGIT if c == FREE else c] for c in range(256))
 _FILL_CHUNK = 1 << 16  # most cells `forced_digits` checks and writes at once
 
 
@@ -271,7 +272,7 @@ def forced_digits(sched: CantorSchedule, base: int, upto: int) -> bytearray:
 def emit_digits(sched: CantorSchedule, base: int, upto: int) -> DigitStream:
     """Materialize the first `upto` digits of the schedule's pattern, with
     FILL_DIGIT at the free positions."""
-    cells = forced_digits(sched, base, upto).translate(_FILL)
+    cells = forced_digits(sched, base, upto).translate(_EMIT)
     del cells[0]  # cell 0 is not a position
     return DigitStream(base, bytes(cells))
 

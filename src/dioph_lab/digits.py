@@ -15,25 +15,23 @@ from typing import NamedTuple
 
 # Positions are 1-based everywhere: digit j of xi is x_j, j >= 1.
 
-_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
+_ALPHABET = b"0123456789abcdefghijklmnopqrstuvwxyz"
 MAX_BASE = len(_ALPHABET)  # largest base with a character for every digit
-_CHAR_VALUE = {c: v for v, c in enumerate(_ALPHABET)}
-_CHAR_VALUE.update({c.upper(): v for v, c in enumerate(_ALPHABET) if c.isalpha()})
-_TRANSLATE = bytearray(b"\xff" * 256)
-for _c, _v in _CHAR_VALUE.items():
-    _TRANSLATE[ord(_c)] = _v
-_TRANSLATE = bytes(_TRANSLATE)
-_ENCODE = _ALPHABET.encode("ascii") + bytes(256 - MAX_BASE)  # digit value -> character
+# CODE[v] is the byte that holds digit v: its character for v < MAX_BASE, so a
+# stream holds its digit file's characters; then the other bytes in order.
+CODE = _ALPHABET + bytes(b for b in range(256) if b not in _ALPHABET)
 
 
-def _out_of_range(data: bytes, base: int) -> bytes:
-    """The bytes of `data` that are not base-b digits, in order."""
-    return data.translate(None, bytes(range(min(base, 256))))
+def _check_digits(data: bytes, valid: bytes, base: int) -> None:
+    """Raise naming the first byte of `data` that is not in `valid`."""
+    bad = data.translate(None, valid)
+    if bad:
+        raise ValueError(f"character {chr(bad[0])!r} is not a base-{base} digit")
 
 
 class _StreamFields(NamedTuple):
     base: int
-    data: bytes  # digit values, one byte per digit
+    data: bytes  # CODE[v] for each digit v: the digit file's characters
 
 
 class DigitStream(_StreamFields):
@@ -44,9 +42,7 @@ class DigitStream(_StreamFields):
     def __new__(cls, base: int, data: bytes):
         if base < 2:
             raise ValueError(f"base must be >= 2, got {base}")
-        bad = _out_of_range(data, base)
-        if bad:
-            raise ValueError(f"digit {max(bad)} out of range for base {base}")
+        _check_digits(data, CODE[:base], base)
         return super().__new__(cls, base, data)
 
     @property
@@ -57,7 +53,13 @@ class DigitStream(_StreamFields):
         """Digit x_j at 1-based position j."""
         if not 1 <= j <= len(self.data):
             raise IndexError(f"position {j} outside prefix of length {len(self.data)}")
-        return self.data[j - 1]
+        return CODE.index(self.data[j - 1])
+
+    @property
+    def run_bytes(self) -> bytes:
+        """The bytes of the run digits 0 and b - 1 (just 0 when b - 1 has no
+        byte, for b > 256)."""
+        return CODE[:1] + CODE[self.base - 1:self.base]
 
     def truncated(self, count: int) -> "DigitStream":
         """Stream holding only the first `count` digits."""
@@ -69,24 +71,18 @@ class DigitStream(_StreamFields):
 
 
 def digits_from_string(text: str, base: int) -> DigitStream:
-    """Parse digit characters (0-9 then a-z, base <= 36) into a stream."""
+    """Parse digit characters (0-9 then a-z, base <= 36; uppercase letters
+    read as lowercase) into a stream."""
     if base > MAX_BASE:
         raise ValueError(f"base {base} exceeds the digit alphabet (max {MAX_BASE})")
     try:
         raw = text.encode("ascii")
     except UnicodeEncodeError as exc:
         raise ValueError(f"non-ascii character in digit text: {exc}") from None
-    vals = raw.translate(_TRANSLATE)
-    try:  # the stream's own range check is the one pass over valid digits
-        stream = DigitStream(base, vals)
-    except ValueError:
-        bad = _out_of_range(vals, base)
-        if base < 2 or not bad:  # a bad base is the stream's own error
-            raise
-        # the first bad character holds the first byte left over
-        raise ValueError(f"character {text[vals.index(bad[0])]!r} is not a base-{base} "
-                         "digit") from None
-    return stream
+    if base > 10:  # checked as written, so an error names an uppercase letter
+        _check_digits(raw, CODE[:base] + CODE[10:base].upper(), base)
+        raw = raw.lower()
+    return DigitStream(base, raw)
 
 
 def digits_from_rational(p: int, q: int, base: int, count: int) -> DigitStream:
@@ -103,11 +99,13 @@ def digits_from_rational(p: int, q: int, base: int, count: int) -> DigitStream:
         raise ValueError(f"{p}/{q} is not in [0, 1)")
     if count < 1:
         raise ValueError("count must be >= 1")
+    if base > len(CODE):
+        raise ValueError(f"base {base} has no byte per digit (max {len(CODE)})")
     out = bytearray()
     r = p
     for _ in range(count):
         r *= base
-        out.append(r // q)
+        out.append(CODE[r // q])
         r %= q
     return DigitStream(base, bytes(out))
 
@@ -120,14 +118,15 @@ def random_digits(base: int, count: int, seed: int) -> DigitStream:
     the generator, keeps its top k = base.bit_length() bits, and draws again
     when they are >= base.  `getrandbits(32 * n)` holds n words in turn,
     little-endian, so the top bits of each sit in every fourth byte; one
-    `bytes.translate` shifts them down and deletes the rejected ones.
+    `bytes.translate` deletes the rejected ones and maps the others to the
+    CODE bytes of their top bits.
     """
     import random
     if not 2 <= base <= 255:
         raise ValueError(f"base must lie in [2, 255] to draw byte digits, got {base}")
     rng = random.Random(seed)
     shift = 8 - base.bit_length()
-    table = bytes(b >> shift for b in range(256))
+    table = bytes(CODE[b >> shift] for b in range(256))
     reject = bytes(b for b in range(256) if b >> shift >= base)
     data = b""
     while len(data) < count:
@@ -159,13 +158,13 @@ def run_end_table(stream: DigitStream, positions) -> memoryview:
     `matching_times` finds run ends by its own search.  Its callers are
     `MatchingTimes.pairs` and `verify`'s run-block-maximality check.
     """
-    data, P, top = stream.data, stream.prefix_len, stream.base - 1
+    data, P, runs = stream.data, stream.prefix_len, stream.run_bytes
     out = array("q")
     start = end = 0  # positions start..end lie in one run, which ends at end
     for p in positions:
         if not 1 <= p <= P:
             raise IndexError(f"positions outside prefix of length {P}")
-        if not start <= p <= end and data[p - 1] in (0, top):
+        if not start <= p <= end and data[p - 1] in runs:
             start, end = p, _run_stop(data, p - 1)
         out.append(end if start <= p <= end else 0)
     return memoryview(out)
@@ -177,15 +176,13 @@ def run_end_table(stream: DigitStream, positions) -> memoryview:
 
 
 def save_digit_file(stream: DigitStream, path) -> None:
-    """Write the header and the digit characters, translated from the digit
-    bytes in one pass, with no text copy of the digits.  The translation
-    runs before the file is opened, so a failed allocation leaves no file."""
+    """Write the header and the stream's bytes, which are the digit
+    characters."""
     if stream.base > MAX_BASE:
         raise ValueError(f"base {stream.base} has no character encoding")
-    body = stream.data.translate(_ENCODE)
     with open(path, "wb") as fh:
         fh.write(b"base=%d\n" % stream.base)
-        fh.write(body)
+        fh.write(stream.data)
         fh.write(b"\n")
 
 

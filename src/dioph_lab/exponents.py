@@ -19,7 +19,7 @@ from bisect import bisect_right
 from functools import cached_property
 from typing import NamedTuple
 
-from .digits import DigitStream, _run_stop, run_end_table
+from .digits import CODE, DigitStream, _run_stop, run_end_table
 from .dimfx import InvariantError
 from .sequences import DenominatorSequence, eta_estimate
 
@@ -89,7 +89,7 @@ class MatchingTimes(_TableFields):
         run is read once.
         """
         data, a_of = self.stream.data, self.seq.a
-        run_digits = [d for d in (0, self.stream.base - 1) if d < 256]
+        run_digits = self.stream.run_bytes
         hits = dict.fromkeys(run_digits, 0)
         ns: list[int] = []
         avals: list[int] = []
@@ -118,7 +118,7 @@ def _final_run_start(data: bytes, base: int) -> int:
     """0-based start of the run that ends `data`: one past the last other
     digit, found by `rfind` in windows that double back from the end, so
     the search reads about twice the run per digit value."""
-    others = [v for v in range(min(base, 256)) if v != data[-1]]
+    others = CODE[:base].replace(data[-1:], b"")
     width = NEEDLE_CAP
     while True:
         lo = max(0, len(data) - width)
@@ -147,7 +147,7 @@ def matching_times(stream: DigitStream, seq: DenominatorSequence) -> MatchingTim
     if seq.a(1) + 2 > P:
         raise ValueError(f"prefix of {P} digits too short: a(1)+2 = {seq.a(1) + 2}")
     K = seq.index_count_upto(P - 1)  # the indices with a_n + 1 in the prefix
-    run_digits = [d for d in (0, stream.base - 1) if d < 256]  # b - 1 is a byte
+    run_digits = stream.run_bytes
     needles = {d: bytes([d]) for d in run_digits}
     hits = dict.fromkeys(run_digits, 0)
     dominant: list[MatchingPair] = []

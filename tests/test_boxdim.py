@@ -15,7 +15,7 @@ from dioph_lab.boxdim import (
     dimension_slope,
 )
 from dioph_lab.construct import FREE
-from dioph_lab.digits import DigitStream
+from dioph_lab.digits import CODE, DigitStream
 
 
 def test_count_worked_values(small_sched):
@@ -168,7 +168,8 @@ def test_uniform_mass_points_hit_the_targets(case, base, seed, request):
     depth = 10 ** 6
     free = constraint_mask(sched, base, depth)
     rng = np.random.default_rng(seed)
-    fill = rng.integers(0, base, size=sum(map(len, free))).astype(np.uint8).tobytes()
+    draws = rng.integers(0, base, size=sum(map(len, free))).astype(np.uint8).tobytes()
+    fill = draws.translate(CODE)  # each drawn digit as the stream holds it
     point, i = bytearray(construct.emit_digits(sched, base, depth).data), 0
     for r in free:  # the stretches in order, each taking the next draws
         point[r.start - 1: r.stop - 1] = fill[i: i + len(r)]

@@ -8,7 +8,6 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -49,10 +48,54 @@ def test_gen_digits_worked_prefix(tmp_path, capsys):
     assert rc == 0
     stream = digits.load_digit_file(out)
     assert stream.prefix_len == 100 and stream.base == 3
-    want = [1] * 13
-    for p in (5, 6, 7):
-        want[p - 1] = 0
-    assert list(stream.data[:13]) == want
+    assert stream.data[:13] == b"1111000111111"
+
+
+SCHEDULE_ETA1 = ["--seq", "linear", "--regime", "eta1", "--theta", "3", "--vhat", "1/3"]
+SCHEDULE_GEO = ["--seq", "geometric:eta=2,a1=1", "--regime", "geo:l=2", "--theta", "4",
+                "--vhat", "3/2"]
+
+
+@pytest.mark.parametrize("argv,sha256", [
+    (["gen-digits", *SCHEDULE_ETA1, "--base", "3", "--depth", "500000", "--out", "out"],
+     "1b57322ba97d2edab6b7307249e8cc4a4e0c6350cf70ebea36ab4e08e85fb93d"),
+    (["gen-digits", *SCHEDULE_GEO, "--base", "2", "--depth", "2000000", "--out", "out"],
+     "c59fda60f310b1dff0a107cb100d81749370fdfde4a40016acb2a3d3fdcb534e"),
+    (None, "417379aa631737a6066525d18632e595403c5f1f15c16b15491237bad29f01b6"),
+    # the layout forces only 0s and 1s, so above base 2 the base moves no byte:
+    # this is the base-3 sweep's CSV
+    (["sweep", "--eta", "1", "--theta", "3", "--vhat-grid", "1/20:3/5:16", "--seq", "linear",
+      "--regime", "eta1", "--base", "40", "--csv", "out"],
+     "dd29094b48e2439418b0a11d5d3c1a5f08a0851033c2ed0d6bd0e3721bcd4e36"),
+], ids=["eta1-base3-5e5", "geo-base2-2e6", "random-base2-2e5", "sweep-base40"])
+def test_pinned_digit_bytes(argv, sha256, tmp_path, monkeypatch, capsys):
+    """The bytes of the digit files and the round-trip sweep that the
+    benchmark and CI pin, made in process."""
+    monkeypatch.chdir(tmp_path)
+    if argv is None:  # the seeded random file is written by the library
+        digits.save_digit_file(digits.random_digits(2, 200_000, 0), "out")
+    else:
+        assert main(argv) == 0
+    out = tmp_path / "out"
+    if argv and argv[0] == "sweep":  # every round trip was built and estimated
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert len(rows) == 16 and all(all(row[-3:]) for row in rows)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("seq,lines", [
+    ("linear", ["depth 200000: 5 dominant pairs (burn-in 1)",
+                "v_est = 2.33333333333   vhat_est = 0.000264533798083   "
+                "vhat_def = 0.000100010001"]),
+    ("poly:d=2", ["depth 200000: 4 dominant pairs (burn-in 0)",
+                  "v_est = 2   vhat_est = 0.00222222222222   vhat_def = 4.50430160804e-05"]),
+])
+def test_seeded_random_estimate_lines(seq, lines, tmp_path, capsys):
+    path = tmp_path / "random.txt"
+    digits.save_digit_file(digits.random_digits(2, 200_000, 0), path)
+    assert main(["estimate", "--digits", str(path), "--seq", seq]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        *lines, "eta = 1   inequality v >= vhat/(eta - vhat): ok"]
 
 
 def test_gen_digits_geometric_regime(tmp_path, capsys):
@@ -498,13 +541,6 @@ def _out_of_memory(*_args, **_kwargs):
                       "(100000000000,) and data type int8")
 
 
-class _UnencodableDigits:
-    """Digit bytes whose character copy cannot be allocated."""
-
-    def translate(self, _table):
-        _out_of_memory()
-
-
 GEN_DIGITS = ["gen-digits", "--seq", "linear", "--theta", "3", "--vhat", "1/3", "--base", "3",
               "--depth", "1000", "--out", "out.txt", "--schedule-csv", "sched.csv"]
 BOX_DIM = ["box-dim", "--seq", "linear", "--theta", "3", "--vhat", "1/3", "--base", "3",
@@ -513,8 +549,7 @@ BOX_DIM = ["box-dim", "--seq", "linear", "--theta", "3", "--vhat", "1/3", "--bas
 
 @pytest.mark.parametrize("argv,module,layer,replacement", [
     (GEN_DIGITS, "construct", "forced_digits", _out_of_memory),
-    (GEN_DIGITS, "construct", "emit_digits",
-     lambda *_args: SimpleNamespace(base=3, data=_UnencodableDigits())),
+    (GEN_DIGITS, "construct", "emit_digits", _out_of_memory),
     (BOX_DIM, "boxdim", "count_exponents_upto", _out_of_memory),
     (["estimate", "--digits", "in.txt", "--seq", "linear", "--csv", "out.txt"],
      "exponents", "matching_times", _out_of_memory),
@@ -523,7 +558,7 @@ BOX_DIM = ["box-dim", "--seq", "linear", "--theta", "3", "--vhat", "1/3", "--bas
     (["eval-dim", "--eta", "2", "--grid", "1/2:3/2:3", "--csv", "out.txt"],
      "dimfx", "baseline_bound", _out_of_memory),
     (["verify"], "verify", "run_all", _out_of_memory),
-], ids=["gen-digits", "gen-digits-save", "box-dim", "estimate", "sweep", "eval-dim",
+], ids=["gen-digits", "gen-digits-emit", "box-dim", "estimate", "sweep", "eval-dim",
         "verify"])
 def test_out_of_memory_is_one_error_line(argv, module, layer, replacement, capsys,
                                          tmp_path, monkeypatch):

@@ -20,8 +20,8 @@ def exact_distance(stream: digits.DigitStream, a: int) -> F:
     """||b^a * xi|| for the truncated rational xi = sum x_j b^-j."""
     b, P = stream.base, stream.prefix_len
     X = 0
-    for d in stream.data:
-        X = X * b + d
+    for c in stream.data:
+        X = X * b + int(chr(c), b)
     scale = b ** (P - a)
     frac = F(X % scale, scale)
     return min(frac, 1 - frac)
@@ -30,10 +30,10 @@ def exact_distance(stream: digits.DigitStream, a: int) -> F:
 def _streams():
     yield digits.random_digits(3, 1200, 5)
     yield digits.random_digits(10, 1200, 6)
-    data = bytearray(1024)
+    data = bytearray(b"0" * 1024)
     k = 1
     while k <= 1024:
-        data[k - 1] = 1
+        data[k - 1] = ord("1")
         k *= 2
     yield digits.DigitStream(2, bytes(data))
     sched = construct.schedule_eta1(LIN, F(3), F(1, 3), cover_to=1200)

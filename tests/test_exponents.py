@@ -29,10 +29,10 @@ LIN = sequences.make_sequence("linear")
 
 def power_sum_stream(depth: int) -> DigitStream:
     """Base-2 digits with a 1 at every power-of-two position, 0 elsewhere."""
-    data = bytearray(depth)
+    data = bytearray(b"0" * depth)
     k = 1
     while k <= depth:
-        data[k - 1] = 1
+        data[k - 1] = ord("1")
         k *= 2
     return DigitStream(2, bytes(data))
 
@@ -187,7 +187,7 @@ def test_estimate_exponents_bound_raises_invariant_error():
     # after it, divided by a(2) = 2, gives vhat = 5, above the finite-prefix
     # bound eta * (v + 2/a(i_last)) = 1 * (4 + 2/3).  The stream is all 1s,
     # with no run at all: the estimators read only the records.
-    mt = MatchingTimes(depth=20, seq=LIN, stream=DigitStream(3, b"\x01" * 20),
+    mt = MatchingTimes(depth=20, seq=LIN, stream=DigitStream(3, b"1" * 20),
                        dominant=[MatchingPair(1, 10, 20), MatchingPair(3, 3, 15)],
                        index_count=19, first_truncated_index=None)
     with pytest.raises(InvariantError, match="finite-prefix bound"):
