@@ -155,8 +155,8 @@ def run_end_table(stream: DigitStream, positions) -> memoryview:
     0 nor b-1.  An anchored match reads each run end; a position inside the
     run last read reuses its end, so ascending positions read each digit
     about once.  The entries are int64s.  The estimators do not call it:
-    `matching_times` finds run ends by its own search.  Its callers are
-    `MatchingTimes.pairs` and `verify`'s run-block-maximality check.
+    `matching_times` finds run ends with `_run_stop`.  Its one remaining
+    caller is `MatchingTimes.pairs`.
     """
     data, P, runs = stream.data, stream.prefix_len, stream.run_bytes
     out = array("q")

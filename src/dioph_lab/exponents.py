@@ -183,17 +183,6 @@ def matching_times(stream: DigitStream, seq: DenominatorSequence) -> MatchingTim
                          index_count=K, first_truncated_index=first_trunc)
 
 
-def greedy_dominant(pairs: list[MatchingPair]) -> list[MatchingPair]:
-    """Reference greedy rule on an explicit pair list (used by property checks)."""
-    out: list[MatchingPair] = []
-    best = None
-    for p in pairs:
-        if best is None or p.gap > best:
-            out.append(p)
-            best = p.gap
-    return out
-
-
 def estimate_v(mt: MatchingTimes) -> float:
     """Asymptotic exponent surrogate: max of gap/a over dominant pairs past burn-in."""
     tail = mt.dominant[mt.burn_in:]

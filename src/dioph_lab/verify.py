@@ -41,24 +41,55 @@ def check_rational_digits():
     return True, "all p/q with q <= 50, bases 2/3/10, 64 digits"
 
 
+def _run_ends(data: bytes) -> list[int]:
+    """The 1-based end of the run of equal digits through each position, by
+    a walk from the right that ends a run where its digit changes."""
+    P = len(data)
+    ends, end = [0] * P, P
+    for j in range(P, 0, -1):  # 1-based, right to left
+        if j < P and data[j] != data[j - 1]:
+            end = j
+        ends[j - 1] = end
+    return ends
+
+
+def _scan_pairs(mt: exponents.MatchingTimes) -> list[exponents.MatchingPair]:
+    """Every complete index's pair, from the walk: index n is kept when the
+    digit after a_n is 0 or b - 1 and its run ends inside the prefix."""
+    data, runs = mt.stream.data, mt.stream.run_bytes
+    ends = _run_ends(data)
+    pairs = []
+    for n in range(1, mt.index_count + 1):
+        a = mt.seq.a(n)
+        if data[a] in runs and ends[a] < mt.depth:
+            pairs.append(exponents.MatchingPair(n, a, ends[a] + 1))
+    return pairs
+
+
+def greedy_dominant(pairs: list[exponents.MatchingPair]) -> list[exponents.MatchingPair]:
+    """The greedy rule on an explicit pair list: the first pair, then each
+    later one whose gap strictly exceeds every gap before it."""
+    out: list[exponents.MatchingPair] = []
+    best = None
+    for p in pairs:
+        if best is None or p.gap > best:
+            out.append(p)
+            best = p.gap
+    return out
+
+
 def check_run_maximality():
-    """The run-end lookup agrees at every position with a walk that ends each
-    maximal 0/(b-1) run where its digit changes."""
+    """The run end the record search reads (`digits._run_stop`) agrees at
+    every position with the walk from the right."""
     for seed in range(20):
         base = random.Random(seed).choice([2, 3, 10])
-        stream = digits.random_digits(base, 2000, seed + 1000)
-        data, P, runs = stream.data, stream.prefix_len, stream.run_bytes
-        want, end = [0] * P, P
-        for j in range(P, 0, -1):  # 1-based, right to left
-            if j < P and data[j] != data[j - 1]:
-                end = j
-            if data[j - 1] in runs:
-                want[j - 1] = end
-        got = digits.run_end_table(stream, range(1, P + 1)).tolist()
-        if got != want:
-            bad = next(j for j in range(P) if got[j] != want[j]) + 1
-            return False, (f"run end {got[bad - 1]} at position {bad}, scan says "
-                           f"{want[bad - 1]} (seed {seed})")
+        data = digits.random_digits(base, 2000, seed + 1000).data
+        want = _run_ends(data)
+        for i, end in enumerate(want):
+            got = digits._run_stop(data, i)
+            if got != end:
+                return False, (f"run end {got} at position {i + 1}, scan says {end} "
+                               f"(seed {seed})")
     return True, "20 seeded streams, direct scan"
 
 
@@ -85,9 +116,9 @@ def check_greedy_properties():
         dom = mt.dominant
         if len(dom) < 3:
             continue
+        pairs = _scan_pairs(mt)
         for drop in range(1, len(dom)):
-            pairs = [p for p in mt.pairs if p != dom[drop]]
-            redone = exponents.greedy_dominant(pairs)
+            redone = greedy_dominant([p for p in pairs if p != dom[drop]])
             if drop + 1 < len(dom):
                 sync = dom[drop + 1]
                 if sync not in redone:
@@ -294,8 +325,8 @@ def check_count_equals_measure():
     for name, sched in (("eta1", _eta1_schedule(10 ** 5)), ("geo", _geo_schedule(10 ** 5))):
         for base in (3, 2):
             mu = construct.mu_exponents_upto(sched, base, 10 ** 5)[1:]
-            # the count table, filled a free stretch at a time
-            ct = boxdim.count_exponents_upto(sched, base, 10 ** 5).exponents()
+            # the count table, filled a free stretch at a time, as box-dim builds it
+            ct = boxdim.count_series(sched, base, range(1, 10 ** 5 + 1)).exponents()
             if mu != ct:
                 bad = next(n for n, (x, y) in enumerate(zip(mu, ct), 1) if x != y)
                 return False, f"{name}/b{base}: first mismatch at depth {bad}"

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cli_transcript as transcript
 import dioph_lab
 from dioph_lab import boxdim, cli, digits, dimfx, exponents, sequences, verify
 from dioph_lab.cli import main
@@ -51,51 +52,32 @@ def test_gen_digits_worked_prefix(tmp_path, capsys):
     assert stream.data[:13] == b"1111000111111"
 
 
-SCHEDULE_ETA1 = ["--seq", "linear", "--regime", "eta1", "--theta", "3", "--vhat", "1/3"]
-SCHEDULE_GEO = ["--seq", "geometric:eta=2,a1=1", "--regime", "geo:l=2", "--theta", "4",
-                "--vhat", "3/2"]
+PINNED = transcript.read_cases(Path(__file__).with_name("cli_pinned.txt"))
 
 
-@pytest.mark.parametrize("argv,sha256", [
-    (["gen-digits", *SCHEDULE_ETA1, "--base", "3", "--depth", "500000", "--out", "out"],
-     "1b57322ba97d2edab6b7307249e8cc4a4e0c6350cf70ebea36ab4e08e85fb93d"),
-    (["gen-digits", *SCHEDULE_GEO, "--base", "2", "--depth", "2000000", "--out", "out"],
-     "c59fda60f310b1dff0a107cb100d81749370fdfde4a40016acb2a3d3fdcb534e"),
-    (None, "417379aa631737a6066525d18632e595403c5f1f15c16b15491237bad29f01b6"),
-    # the layout forces only 0s and 1s, so above base 2 the base moves no byte:
-    # this is the base-3 sweep's CSV
-    (["sweep", "--eta", "1", "--theta", "3", "--vhat-grid", "1/20:3/5:16", "--seq", "linear",
-      "--regime", "eta1", "--base", "40", "--csv", "out"],
-     "dd29094b48e2439418b0a11d5d3c1a5f08a0851033c2ed0d6bd0e3721bcd4e36"),
-], ids=["eta1-base3-5e5", "geo-base2-2e6", "random-base2-2e5", "sweep-base40"])
-def test_pinned_digit_bytes(argv, sha256, tmp_path, monkeypatch, capsys):
-    """The bytes of the digit files and the round-trip sweep that the
-    benchmark and CI pin, made in process."""
-    monkeypatch.chdir(tmp_path)
-    if argv is None:  # the seeded random file is written by the library
-        digits.save_digit_file(digits.random_digits(2, 200_000, 0), "out")
-    else:
-        assert main(argv) == 0
-    out = tmp_path / "out"
-    if argv and argv[0] == "sweep":  # every round trip was built and estimated
-        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
-        assert len(rows) == 16 and all(all(row[-3:]) for row in rows)
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+@pytest.mark.parametrize("case", PINNED, ids=[case.name for case in PINNED])
+def test_pinned_cli_output(case, tmp_path):
+    failure = transcript.check(case, tmp_path)
+    assert failure is None, failure
 
 
-@pytest.mark.parametrize("seq,lines", [
-    ("linear", ["depth 200000: 5 dominant pairs (burn-in 1)",
-                "v_est = 2.33333333333   vhat_est = 0.000264533798083   "
-                "vhat_def = 0.000100010001"]),
-    ("poly:d=2", ["depth 200000: 4 dominant pairs (burn-in 0)",
-                  "v_est = 2   vhat_est = 0.00222222222222   vhat_def = 4.50430160804e-05"]),
-])
-def test_seeded_random_estimate_lines(seq, lines, tmp_path, capsys):
-    path = tmp_path / "random.txt"
-    digits.save_digit_file(digits.random_digits(2, 200_000, 0), path)
-    assert main(["estimate", "--digits", str(path), "--seq", seq]) == 0
-    assert capsys.readouterr().out.splitlines()[:3] == [
-        *lines, "eta = 1   inequality v >= vhat/(eta - vhat): ok"]
+def test_runner_names_the_case_and_its_first_differing_line(tmp_path):
+    [good] = [case for case in PINNED if case.name == "eval-dim --eta 1 --vhat 1"]
+    path = tmp_path / "one.txt"
+    path.write_text("# one wrong byte\n" + good.text.replace("eta1-exact", "eta1-exacT"))
+    [case] = transcript.read_cases(path)
+    (tmp_path / "work").mkdir()
+    failure = transcript.check(case, tmp_path / "work")
+    assert failure.startswith(f"{path}:6: case 'eval-dim --eta 1 --vhat 1'\n")
+    assert "eta1-exacT" in failure.splitlines()[1] and "eta1-exact " in failure.splitlines()[2]
+    transcript.rewrite(path)  # rebuilt from what ran: the comment stays, the byte is mended
+    assert path.read_text() == "# one wrong byte\n" + good.text
+
+
+def test_runner_records_an_argparse_exit(tmp_path):
+    got = transcript.run_case(["eval-dim --eta 2 --vhat 1.4"], tmp_path)
+    assert got.startswith("$ eval-dim --eta 2 --vhat 1.4\n--- stderr\nusage: dioph-lab eval-dim")
+    assert got.endswith("argument --vhat: '1.4' is not a p or p/q rational\nexit 2\n")
 
 
 def test_gen_digits_geometric_regime(tmp_path, capsys):
@@ -152,43 +134,6 @@ def test_schedule_csv_dump(tmp_path, capsys):
     assert lines[0] == "k,i_k,a_ik,m_k,t_k"
     assert lines[1] == "1,4,4,8,1"
     assert lines[2] == "2,13,13,26,1"
-
-
-BOX_CSV_AT_BLOCK_ENDS = """\
-n,log_b_count,ratio
-8,3,0.375
-26,6,0.230769230769
-80,18,0.225
-242,57,0.235537190083
-728,177,0.243131868132
-2186,540,0.247026532479
-6560,1632,0.248780487805
-19682,4911,0.249517325475
-59048,14751,0.249813710879
-"""
-
-
-def test_box_dim_csv(tmp_path, capsys):
-    csv_path = tmp_path / "box.csv"
-    box = ["box-dim", "--seq", "linear", "--theta", "3", "--vhat", "1/3",
-           "--base", "3", "--regime", "eta1", "--max-depth", "100000"]
-    rc = main([*box, "--mode", "block-ends", "--csv", str(csv_path)])
-    assert rc == 0
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "n,log_b_count,ratio"
-    assert lines[1].startswith("8,3,")
-    assert csv_path.read_bytes() == BOX_CSV_AT_BLOCK_ENDS.encode()
-    out = capsys.readouterr().out
-    assert "dimension estimate" in out
-    assert out.splitlines()[0] == "9 depths, mode block-ends: dimension estimate 0.249517325475"
-    all_path = tmp_path / "all.csv"
-    assert main([*box, "--mode", "all-depths", "--csv", str(all_path)]) == 0
-    assert capsys.readouterr().out == (
-        "100000 depths, mode all-depths: dimension estimate 0.455353714706\n"
-        f"wrote {all_path}\n")
-    # 100000 rows: two 2^16-depth chunks
-    assert hashlib.sha256(all_path.read_bytes()).hexdigest() == (
-        "4c9a0538d78ecbb45f6ed2c12fee33dcbf227f8711458300cc1290de4c7090c9")
 
 
 def test_sweep_deterministic(tmp_path, capsys):
@@ -265,7 +210,7 @@ print("numpy" in sys.modules, "dataclasses" in sys.modules)
 """
 
 
-# the schedule flags of the three CI round trips
+# the schedule flags of the three reference round trips
 SCHED_ETA1 = ["--seq", "linear", "--theta", "3", "--vhat", "1/3", "--base", "3",
               "--regime", "eta1"]
 SCHED_GEO = ["--seq", "geometric:eta=2,a1=1", "--theta", "4", "--vhat", "3/2", "--base", "2",
@@ -289,7 +234,7 @@ SCHED_POLY = ["--seq", "poly:d=2", "--theta", "6", "--vhat", "1/6", "--base", "2
 ], ids=["import", "eval-dim", "formula-sweep", "roundtrip-sweep", "gen-digits-eta1",
         "gen-digits-geo", "gen-digits-poly", "estimate", "box-dim", "box-dim-all-depths-csv",
         "verify"])
-def test_commands_load_numpy_only_when_they_run_it(argv, tmp_path):
+def test_no_command_loads_numpy_or_dataclasses(argv, tmp_path):
     if argv[:1] == ["estimate"]:  # the digits it reads
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["gen-digits", *SCHED_ETA1, "--depth", "20000",
@@ -648,75 +593,6 @@ def test_bad_digit_file_names_the_path(content, message, capsys, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0]
     if message is not None:
         assert lines == [f"error: digit file {path}: {message}"]
-
-
-# eval-dim runs whose stdout (and CSV, where written) are pinned byte for byte
-# in eval_dim_pinned.txt: every eta regime, vhat inside and outside the
-# refined and exact windows, theta below, at and above the emptiness
-# threshold, inside and between the forbidden gaps, and with --rho.
-EVAL_DIM_PINNED = [
-    "--eta 1 --grid 1/10:9/10:9 --theta 3 --rho 1/2 --csv grid.csv",
-    "--eta 3/2 --grid 1/4:5/4:9 --theta 2 --rho 1/3 --csv grid.csv",
-    "--eta 2 --grid 1/4:7/4:13 --theta 2 --rho 1/3 --csv grid.csv",
-    "--eta 2 --grid 5/4:3/2:6 --theta 4 --csv grid.csv",
-    "--eta 3 --grid 1/2:5/2:9 --theta 4 --rho 1 --csv grid.csv",
-    "--eta 1 --vhat 1/3",
-    "--eta 1 --vhat 1/3 --theta 1",
-    "--eta 1 --vhat 1/3 --theta 3/2",
-    "--eta 1 --vhat 1/3 --theta 3",
-    "--eta 1 --vhat 1/3 --theta 3 --rho 1/2",
-    "--eta 1 --vhat 1",
-    "--eta 3/2 --vhat 1/2",
-    "--eta 3/2 --vhat 5/4",
-    "--eta 3/2 --vhat 1 --theta 2",
-    "--eta 3/2 --vhat 5/4 --theta 4 --rho 1/4",
-    "--eta 2 --vhat 7/5",
-    "--eta 2 --vhat 3/2",
-    "--eta 2 --vhat 5/4",
-    "--eta 2 --vhat 1/2",
-    "--eta 2 --vhat 1/2 --theta 2",
-    "--eta 2 --vhat 3/2 --theta 3/2",
-    "--eta 2 --vhat 3/2 --theta 2",
-    "--eta 2 --vhat 3/2 --theta 3",
-    "--eta 2 --vhat 3/2 --theta 4",
-    "--eta 2 --vhat 3/2 --theta 5",
-    "--eta 2 --vhat 3/2 --theta 4 --rho 1/4",
-    "--eta 2 --vhat 7/5 --theta 8 --rho 0",
-    "--eta 3 --vhat 2 --theta 1/2",
-    "--eta 3 --vhat 2 --theta 1",
-    "--eta 3 --vhat 2 --theta 2",
-    "--eta 3 --vhat 2 --theta 3",
-    "--eta 3 --vhat 2 --theta 9",
-    "--eta 3 --vhat 5/2",
-    "--eta 3 --vhat 1/2 --theta 3",
-    "--eta 100700001/100000000 --vhat 1/2",  # long terms, values of ~2000 digits
-]
-
-
-def eval_dim_transcript(workdir) -> str:
-    """Each pinned run as `$ argv`, its stdout, then any CSV it wrote."""
-    parts = []
-    here = os.getcwd()
-    os.chdir(workdir)
-    try:
-        for line in EVAL_DIM_PINNED:
-            argv = ["eval-dim", *line.split()]
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main(argv)
-            parts.append(f"$ {' '.join(argv)}\n{out.getvalue()}exit {code}\n")
-            if "--csv" in argv:
-                path = argv[argv.index("--csv") + 1]
-                with open(path) as fh:
-                    parts.append(f"--- {path}\n{fh.read()}")
-    finally:
-        os.chdir(here)
-    return "".join(parts)
-
-
-def test_eval_dim_output_is_pinned(tmp_path):
-    pinned = Path(__file__).with_name("eval_dim_pinned.txt").read_text()
-    assert eval_dim_transcript(tmp_path) == pinned
 
 
 @pytest.mark.parametrize("setup,argv,message", [

@@ -20,9 +20,9 @@ from dioph_lab.exponents import (
     estimate_v,
     estimate_vhat_blocks,
     estimate_vhat_definition,
-    greedy_dominant,
     matching_times,
 )
+from dioph_lab.verify import greedy_dominant
 
 LIN = sequences.make_sequence("linear")
 

@@ -22,9 +22,9 @@ from dioph_lab.exponents import (
     estimate_v,
     estimate_vhat_blocks,
     estimate_vhat_definition,
-    greedy_dominant,
     matching_times,
 )
+from dioph_lab.verify import greedy_dominant
 
 SEQS = [sequences.make_sequence(s) for s in ("linear", "poly:d=2", "geometric:eta=2,a1=1")]
 
