@@ -80,6 +80,31 @@ def test_runner_records_an_argparse_exit(tmp_path):
     assert got.endswith("argument --vhat: '1.4' is not a p or p/q rational\nexit 2\n")
 
 
+@pytest.mark.parametrize("sha256", ["417379aa631737a6066525d18632e595403c5f1f15c16b15491237bad29f01b6"],
+                         ids=["random-base2-2e5"])
+def test_pinned_digit_bytes(sha256, tmp_path):
+    """The seeded random digit file the benchmark pins, written by the library
+    in process (the transcript's random2.txt input line checks the same bytes)."""
+    out = tmp_path / "out"
+    digits.save_digit_file(digits.random_digits(2, 200_000, 0), out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("seq,lines", [
+    ("linear", ["depth 200000: 5 dominant pairs (burn-in 1)",
+                "v_est = 2.33333333333   vhat_est = 0.000264533798083   "
+                "vhat_def = 0.000100010001"]),
+    ("poly:d=2", ["depth 200000: 4 dominant pairs (burn-in 0)",
+                  "v_est = 2   vhat_est = 0.00222222222222   vhat_def = 4.50430160804e-05"]),
+])
+def test_seeded_random_estimate_lines(seq, lines, tmp_path, capsys):
+    path = tmp_path / "random.txt"
+    digits.save_digit_file(digits.random_digits(2, 200_000, 0), path)
+    assert main(["estimate", "--digits", str(path), "--seq", seq]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        *lines, "eta = 1   inequality v >= vhat/(eta - vhat): ok"]
+
+
 def test_gen_digits_geometric_regime(tmp_path, capsys):
     dig = tmp_path / "geo.txt"
     csv_path = tmp_path / "geo_est.csv"
