@@ -14,6 +14,9 @@ first `$` line names it); the rest is what running it prints:
     ...                   INLINE_LIMIT bytes,
     --- PATH sha256 HEX   by SHA-256 above (every pinned digit file)
 
+An output line that is empty or holds only dots is written with one more
+dot, so no output line is blank.
+
 The commands of a case run in order in one fresh directory.  `check`
 rebuilds the case's transcript from what they did and compares it byte for
 byte with the pinned one.  Tier-1 runs every case of `cli_pinned.txt`; CI
@@ -30,6 +33,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import sys
 import tempfile
 from itertools import zip_longest
@@ -110,17 +114,26 @@ def _files(workdir) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(Path(workdir).iterdir()) if p.is_file()}
 
 
+def _dotted(text: str) -> str:
+    """`text` with one more dot on each line that is empty or all dots."""
+    return re.sub(r"^\.*$(?=\n)", r".\g<0>", text, flags=re.M)
+
+
 def _shown(name: str, data: bytes) -> str:
     if len(data) > INLINE_LIMIT:
         return f"--- {name} sha256 {_sha256(data)}\n"
-    return f"--- {name}\n{data.decode()}"
+    return f"--- {name}\n{_dotted(data.decode())}"
 
 
 def run_case(commands: list[str], workdir) -> str:
-    """Run the commands in `workdir` and return the transcript they make."""
+    """Run the commands in `workdir` and return the transcript they make.
+
+    argparse wraps help and usage lines at $COLUMNS - 2, so COLUMNS is 80
+    while they run."""
     parts = []
-    here = os.getcwd()
+    here, columns = os.getcwd(), os.environ.get("COLUMNS")
     os.chdir(workdir)
+    os.environ["COLUMNS"] = "80"
     try:
         for name, write in INPUTS.items():
             if any(name in command for command in commands):
@@ -134,14 +147,18 @@ def run_case(commands: list[str], workdir) -> str:
                     code = cli.main(command.split())
                 except SystemExit as exc:
                     code = exc.code
-            parts.append(f"$ {command}\n{out.getvalue()}")
+            parts.append(f"$ {command}\n{_dotted(out.getvalue())}")
             if err.getvalue():
-                parts.append(f"--- stderr\n{err.getvalue()}")
+                parts.append(f"--- stderr\n{_dotted(err.getvalue())}")
             parts.append(f"exit {code}\n")
             parts.extend(_shown(name, data) for name, data in _files(".").items()
                          if before.get(name) != data)
     finally:
         os.chdir(here)
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     return "".join(parts)
 
 
