@@ -5,15 +5,18 @@ rejected because schedule construction requires exact arithmetic.  CSV is
 the single output format (plot-ready columns, deterministic bytes).
 Each command imports the layers it runs, and only those.  The library is
 plain Python and its records are NamedTuples, so no command loads numpy or
-`dataclasses`.
+`dataclasses`.  Every flag is declared once, in COMMANDS.  `main` reads a
+command followed by exact `--flag value` pairs straight from that table;
+argparse loads only for `--help` and for usage errors, and for any other
+command line it is given (`--flag=value`, `@FILE`, a repeated flag, ...).
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import dimfx
 
@@ -29,20 +32,13 @@ def _fmt(x) -> str:
                          "decimal form: it is past the float range") from None
 
 
-def _rational(text: str) -> Fraction:
-    try:
-        return dimfx.parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
 def _base(text: str) -> int:
     try:
         base = int(text)
     except ValueError:
         base = 0
     if base < 2:
-        raise argparse.ArgumentTypeError(f"base must be an integer >= 2, got {text!r}")
+        raise ValueError(f"base must be an integer >= 2, got {text!r}")
     return base
 
 
@@ -88,8 +84,7 @@ def _parse_regime(text: str):
     except ValueError:
         stride = 0
     if stride < 1:
-        raise argparse.ArgumentTypeError(
-            f"regime must be eta1 or geo:l=<int >= 1>, got {text!r}")
+        raise ValueError(f"regime must be eta1 or geo:l=<int >= 1>, got {text!r}")
     return "geometric", stride
 
 
@@ -116,6 +111,7 @@ def _flag(ok: bool | None) -> str:
 
 
 def _write_csv(path, header, rows):
+    import csv
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
@@ -344,74 +340,151 @@ def cmd_verify(_args) -> int:
     return 0 if verify.run_all() else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="dioph-lab",
-                                 description=__doc__.splitlines()[0])
+# --- the command line ----------------------------------------------------------
+
+class Flag(NamedTuple):
+    """`--flag VALUE` sets the attribute named after the flag (`--max-depth`:
+    `max_depth`) to `convert(VALUE)`, or to VALUE itself when `convert` is
+    None; a flag not given sets it to `default`.  `convert` raises
+    ValueError on a bad value."""
+    flag: str
+    convert: Callable[[str], object] | None = None
+    required: bool = False
+    default: object = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+class Command(NamedTuple):
+    func: Callable[..., int]
+    help: str
+    flags: tuple[Flag, ...]
+    one_of: tuple[str, ...] = ()  # flags of which exactly one must be given
+    epilog: str | None = None
+    fromfile_prefix_chars: str | None = None
+
+
+# the flags two commands share, each declared once
+POINT = (Flag("--eta", dimfx.parse_rational, required=True),
+         Flag("--vhat", dimfx.parse_rational),
+         Flag("--theta", dimfx.parse_rational),
+         Flag("--rho", dimfx.parse_rational))
+SCHEDULE = (Flag("--seq", required=True),
+            Flag("--theta", dimfx.parse_rational, required=True),
+            Flag("--vhat", dimfx.parse_rational, required=True),
+            Flag("--base", _base, required=True),
+            Flag("--regime", _parse_regime, default=("eta1", None)))
+
+COMMANDS = {
+    "eval-dim": Command(cmd_eval_dim, "evaluate every applicable dimension formula", (
+        *POINT,
+        Flag("--grid", help="vhat grid lo:hi:count (rationals)"),
+        Flag("--csv"))),
+    "gen-digits": Command(cmd_gen_digits, "emit a schedule's digit stream to a file", (
+        *SCHEDULE,
+        Flag("--depth", int, required=True),
+        Flag("--out", required=True),
+        Flag("--schedule-csv"))),
+    "estimate": Command(cmd_estimate, "estimate exponents from a digit file", (
+        Flag("--digits", required=True),
+        Flag("--seq", required=True),
+        Flag("--depth", int),
+        Flag("--csv"))),
+    "box-dim": Command(cmd_box_dim, "box-counting estimate for a schedule set", (
+        *SCHEDULE,
+        Flag("--max-depth", int, required=True),
+        Flag("--mode", default=dimfx.AT_BLOCK_ENDS,
+             choices=(dimfx.ALL_DEPTHS, dimfx.AT_BLOCK_ENDS)),
+        Flag("--csv"))),
+    "sweep": Command(cmd_sweep, "grid sweep emitting one CSV row per point", (
+        *POINT,
+        Flag("--vhat-grid", help="lo:hi:count"),
+        Flag("--theta-grid", help="lo:hi:count"),
+        Flag("--seq", help="with --regime, run the round trip at each point"),
+        Flag("--base", _base, default=3),
+        Flag("--regime", _parse_regime),
+        Flag("--depth", int, default=10 ** 5),
+        Flag("--csv", required=True)),
+        one_of=("--vhat-grid", "--theta-grid"),
+        epilog="@FILE reads one argument per line, e.g. --eta=2; flags after it override "
+               "the file",
+        fromfile_prefix_chars="@"),
+    "verify": Command(cmd_verify, "run the full invariant suite", ()),
+}
+
+
+def read_args(argv) -> dict | None:
+    """The attributes argparse returns for `<command>` followed by exact
+    `--flag value` pairs of COMMANDS, or None for any other argv: a missing,
+    unknown, abbreviated or repeated flag, `--flag=value`, a value that
+    starts with `-` or `@` or that its flag rejects, and so on."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None or len(argv) % 2 == 0:
+        return None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) != len(argv) // 2 or any(v[:1] in ("-", "@") for v in given.values()):
+        return None
+    if command.one_of and sum(flag in given for flag in command.one_of) != 1:
+        return None
+    values = {"command": argv[0], "func": command.func}
+    for f in command.flags:
+        text = given.pop(f.flag, None)
+        if text is None:
+            if f.required:
+                return None
+            values[f.dest] = f.default
+            continue
+        try:
+            values[f.dest] = text if f.convert is None else f.convert(text)
+        except ValueError:
+            return None
+        if f.choices is not None and values[f.dest] not in f.choices:
+            return None
+    return None if given else values
+
+
+def build_parser():
+    """The argparse parser of COMMANDS, for the command lines `read_args`
+    leaves to it: it prints help and usage errors."""
+    import argparse
+
+    def typed(convert):
+        """`convert` with its ValueError shown as argparse shows its own
+        errors; `int` stays bare, so argparse names it."""
+        if convert is None or convert is int:
+            return convert
+
+        def checked(text):
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return checked
+
+    ap = argparse.ArgumentParser(prog="dioph-lab", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
-
-    # the flags two commands share, each declared once
-    point = argparse.ArgumentParser(add_help=False)
-    point.add_argument("--eta", type=_rational, required=True)
-    point.add_argument("--vhat", type=_rational)
-    point.add_argument("--theta", type=_rational)
-    point.add_argument("--rho", type=_rational)
-    schedule = argparse.ArgumentParser(add_help=False)
-    schedule.add_argument("--seq", required=True)
-    schedule.add_argument("--theta", type=_rational, required=True)
-    schedule.add_argument("--vhat", type=_rational, required=True)
-    schedule.add_argument("--base", type=_base, required=True)
-    schedule.add_argument("--regime", type=_parse_regime, default=("eta1", None))
-
-    p = sub.add_parser("eval-dim", parents=[point],
-                       help="evaluate every applicable dimension formula")
-    p.add_argument("--grid", help="vhat grid lo:hi:count (rationals)")
-    p.add_argument("--csv")
-    p.set_defaults(func=cmd_eval_dim)
-
-    p = sub.add_parser("gen-digits", parents=[schedule],
-                       help="emit a schedule's digit stream to a file")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--schedule-csv")
-    p.set_defaults(func=cmd_gen_digits)
-
-    p = sub.add_parser("estimate", help="estimate exponents from a digit file")
-    p.add_argument("--digits", required=True)
-    p.add_argument("--seq", required=True)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--csv")
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("box-dim", parents=[schedule],
-                       help="box-counting estimate for a schedule set")
-    p.add_argument("--max-depth", dest="max_depth", type=int, required=True)
-    p.add_argument("--mode", choices=[dimfx.ALL_DEPTHS, dimfx.AT_BLOCK_ENDS],
-                   default=dimfx.AT_BLOCK_ENDS)
-    p.add_argument("--csv")
-    p.set_defaults(func=cmd_box_dim)
-
-    p = sub.add_parser("sweep", parents=[point],
-                       help="grid sweep emitting one CSV row per point",
-                       fromfile_prefix_chars="@",
-                       epilog="@FILE reads one argument per line, e.g. --eta=2; "
-                              "flags after it override the file")
-    grid = p.add_mutually_exclusive_group(required=True)
-    grid.add_argument("--vhat-grid", dest="vhat_grid", help="lo:hi:count")
-    grid.add_argument("--theta-grid", dest="theta_grid", help="lo:hi:count")
-    p.add_argument("--seq", help="with --regime, run the round trip at each point")
-    p.add_argument("--base", type=_base, default=3)
-    p.add_argument("--regime", type=_parse_regime)
-    p.add_argument("--depth", type=int, default=10 ** 5)
-    p.add_argument("--csv", required=True)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("verify", help="run the full invariant suite")
-    p.set_defaults(func=cmd_verify)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, epilog=command.epilog,
+                           fromfile_prefix_chars=command.fromfile_prefix_chars)
+        one_of = p.add_mutually_exclusive_group(required=True) if command.one_of else None
+        for f in command.flags:
+            (one_of if f.flag in command.one_of else p).add_argument(
+                f.flag, type=typed(f.convert), required=f.required, default=f.default,
+                help=f.help, choices=f.choices)
+        p.set_defaults(func=command.func)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    values = read_args(argv)
+    args = (build_parser().parse_args(argv) if values is None
+            else SimpleNamespace(**values))
     try:
         return args.func(args)
     except (ValueError, OSError, dimfx.InvariantError) as exc:

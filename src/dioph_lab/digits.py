@@ -8,6 +8,7 @@ prefix length.
 
 from __future__ import annotations
 
+import os
 import re
 from array import array
 from functools import cache
@@ -177,13 +178,20 @@ def run_end_table(stream: DigitStream, positions) -> memoryview:
 
 def save_digit_file(stream: DigitStream, path) -> None:
     """Write the header and the stream's bytes, which are the digit
-    characters."""
+    characters.  A write that fails leaves no file behind: a truncated one
+    would still load, as a shorter stream."""
     if stream.base > MAX_BASE:
         raise ValueError(f"base {stream.base} has no character encoding")
-    with open(path, "wb") as fh:
-        fh.write(b"base=%d\n" % stream.base)
-        fh.write(stream.data)
-        fh.write(b"\n")
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(b"base=%d\n" % stream.base)
+            fh.write(stream.data)
+            fh.write(b"\n")
+    except OSError:
+        if os.path.isfile(path):  # never a device such as /dev/full
+            os.remove(path)
+        raise
 
 
 def load_digit_file(path) -> DigitStream:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import importlib
 import io
@@ -224,14 +225,17 @@ def test_geometric_sweep_shares_one_sequence(tmp_path, capsys, monkeypatch):
 
 
 # Runs the command given on its command line (none: only the import) in a
-# fresh interpreter and prints whether numpy, then dataclasses, was loaded.
+# fresh interpreter and prints which of the modules no command should need
+# it loaded: numpy, dataclasses, argparse with gettext and locale, and csv
+# unless the command writes a CSV through the csv module.
 NUMPY_PROBE = """
 import contextlib, io, sys
 import dioph_lab.cli
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert dioph_lab.cli.main(sys.argv[1:]) == 0
-print("numpy" in sys.modules, "dataclasses" in sys.modules)
+print(*[m for m in ("numpy", "dataclasses", "argparse", "gettext", "locale", "csv")
+        if m in sys.modules])
 """
 
 
@@ -269,7 +273,142 @@ def test_no_command_loads_numpy_or_dataclasses(argv, tmp_path):
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False False\n"  # no command runs numpy or loads dataclasses
+    writes_csv = argv[:1] == ["sweep"]  # box-dim writes its CSV rows by hand
+    assert proc.stdout == ("csv\n" if writes_csv else "\n")
+
+
+# --- the flag table's reader against argparse --------------------------------
+
+# Values for each converter of cli.COMMANDS: (some it takes, some it rejects).
+FLAG_VALUES = {
+    dimfx.parse_rational: (["2", "1/3", "3/2", " 7 ", "+3/+4", "٣/4"], ["1.5", "1/0", "x", "²", ""]),
+    cli._base: (["2", "3", "40", " 5"], ["1", "x"]),
+    cli._parse_regime: (["eta1", "geo:l=2"], ["geo:x", "geo:l=0"]),
+    int: (["5", "20000", " 12 ", "1_000", "٣"], ["x", "1.5"]),
+    None: (["linear", "o.csv", "a b", "x=y", "--", ""], []),
+}
+
+
+def _values(flag):
+    return (flag.choices, ["bogus", "all", "Block-ends"]) if flag.choices \
+        else FLAG_VALUES[flag.convert]
+
+
+def _deferred(argv):
+    """Changes to `<command>` and `--flag value` pairs that make an argv the
+    table's reader leaves to argparse."""
+    (flag, value), rest = argv[1:3] or ["--eta", "1"], argv[3:]
+    return {
+        "no-command": argv[1:],
+        "unknown-flag": [*argv, "--frobnicate", "1"],
+        "prefix": [argv[0], flag[:-1], value, *rest],
+        "repeat": [argv[0], flag, "x", flag, value, *rest],
+        "joined": [argv[0], f"{flag}={value}", *rest],
+        "dash-value": [argv[0], flag, "-5", *rest],
+        "at-value": [argv[0], flag, "@no-such.args", *rest],
+        "help": [argv[0], "-h", *argv[1:]],
+        "help-first": ["--help", *argv],
+    }
+
+
+def _argparse_vars(argv):
+    """vars() of the namespace build_parser() returns, or None when it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@pytest.mark.parametrize("name", [*cli.COMMANDS, "no-such-command"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_read_args_is_argparse_or_defers(name, data):
+    """read_args returns exactly argparse's attributes, or None.  It reads
+    every argv of exact, unrepeated `--flag value` pairs, no value starting
+    with - or @, that argparse accepts; it leaves every other argv to
+    argparse."""
+    flags = cli.COMMANDS[name].flags if name in cli.COMMANDS else cli.POINT
+    pairs = [[f, data.draw(st.sampled_from(_values(f)[0]))]
+             for f in data.draw(st.permutations(flags))
+             if f.required or data.draw(st.booleans())]
+    change = data.draw(st.sampled_from(["none", "bad-value", "no-required", "deferred"]))
+    if change == "bad-value" and any(_values(f)[1] for f, _ in pairs):
+        pair = data.draw(st.sampled_from([p for p in pairs if _values(p[0])[1]]))
+        pair[1] = data.draw(st.sampled_from(_values(pair[0])[1]))
+    if change == "no-required" and any(f.required for f, _ in pairs):
+        pairs.remove(data.draw(st.sampled_from([p for p in pairs if p[0].required])))
+    argv = [name, *(text for f, value in pairs for text in (f.flag, value))]
+    if change == "deferred":
+        argv = data.draw(st.sampled_from(list(_deferred(argv).values())))
+    got, want = cli.read_args(argv), _argparse_vars(argv)
+    if got is not None:
+        assert change != "deferred" and got == want, argv
+    elif change != "deferred" and name in cli.COMMANDS:
+        assert want is None, argv  # argparse takes it, so the table must
+
+
+def _pinned_exit_zero_argv():
+    """Each command of cli_pinned.txt that exits 0, but for help and @FILE."""
+    for case in PINNED:
+        command = None
+        for line in case.text.splitlines():
+            if line.startswith("$ "):
+                command = line[2:]
+            elif line == "exit 0" and "--help" not in command and "@" not in command:
+                yield command.split()
+
+
+def test_read_args_reads_every_benchmark_and_pinned_command(tmp_path, monkeypatch):
+    """No command the benchmark times or the transcripts pin as a success
+    builds the argparse parser."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    run = importlib.import_module("run")
+    argvs = [c.args for workload in run.WORKLOADS.values() for c in workload(tmp_path, 0)]
+    argvs += list(_pinned_exit_zero_argv())
+    assert len(argvs) > 40
+    for argv in argvs:
+        got = cli.read_args(argv)
+        assert got is not None, argv
+        assert got == _argparse_vars(argv), argv
+
+
+def test_failed_digit_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    """A write that fails after the file is opened (here a full disk after
+    the header) removes the file: a truncated one would load as a shorter
+    stream.  gen-digits then ends in one `error:` line."""
+    real_open = open
+
+    class FullDisk:
+        def __init__(self, path, mode):
+            self.fh = real_open(path, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            if self.fh.tell():
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            self.fh.write(data)
+            self.fh.flush()
+
+    monkeypatch.setattr(digits, "open", FullDisk, raising=False)
+    out = tmp_path / "d.txt"
+    code, err = _run([*GEN, "--base", "3", "--depth", "1000", "--out", str(out)], capsys)
+    assert code == 1
+    assert err.splitlines() == ["error: [Errno 28] No space left on device"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_failed_digit_write_keeps_a_device(capsys):
+    code, err = _run([*GEN, "--base", "3", "--depth", "1000", "--out", "/dev/full"], capsys)
+    assert code == 1
+    assert err.splitlines() == ["error: [Errno 28] No space left on device"]
+    assert os.path.exists("/dev/full")
 
 
 def test_sweep_theta_grid(tmp_path, capsys):
