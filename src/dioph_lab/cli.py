@@ -5,10 +5,11 @@ rejected because schedule construction requires exact arithmetic.  CSV is
 the single output format (plot-ready columns, deterministic bytes).
 Each command imports the layers it runs, and only those.  The library is
 plain Python and its records are NamedTuples, so no command loads numpy or
-`dataclasses`.  Every flag is declared once, in COMMANDS.  `main` reads a
-command followed by exact `--flag value` pairs straight from that table;
-argparse loads only for `--help` and for usage errors, and for any other
-command line it is given (`--flag=value`, `@FILE`, a repeated flag, ...).
+`dataclasses`.  Every flag is declared once, in COMMANDS, and `main` reads
+a command followed by exact `--flag value` pairs straight from that table.
+argparse loads only for `--help`, for usage errors and for the forms only
+it reads (`--flag=value`, `@FILE`, abbreviated or repeated flags, values
+that start with `-`).
 """
 
 from __future__ import annotations

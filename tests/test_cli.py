@@ -281,17 +281,20 @@ def test_no_command_loads_numpy_or_dataclasses(argv, tmp_path):
 
 # Values for each converter of cli.COMMANDS: (some it takes, some it rejects).
 FLAG_VALUES = {
-    dimfx.parse_rational: (["2", "1/3", "3/2", " 7 ", "+3/+4", "٣/4"], ["1.5", "1/0", "x", "²", ""]),
+    dimfx.parse_rational: (["2", "1/3", "3/2", " 7 ", "+3/+4", "٣/4"],
+                           ["1.5", "1/0", "x", "²", ""]),
     cli._base: (["2", "3", "40", " 5"], ["1", "x"]),
     cli._parse_regime: (["eta1", "geo:l=2"], ["geo:x", "geo:l=0"]),
     int: (["5", "20000", " 12 ", "1_000", "٣"], ["x", "1.5"]),
-    None: (["linear", "o.csv", "a b", "x=y", "--", ""], []),
+    None: (["linear", "o.csv", "a b", "x=y", ""], []),
 }
 
 
 def _values(flag):
-    return (flag.choices, ["bogus", "all", "Block-ends"]) if flag.choices \
-        else FLAG_VALUES[flag.convert]
+    """(values the flag takes, values it rejects)."""
+    if flag.choices:
+        return flag.choices, ["bogus", "all", "Block-ends"]
+    return FLAG_VALUES[flag.convert]
 
 
 def _deferred(argv):
