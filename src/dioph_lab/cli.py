@@ -361,6 +361,8 @@ class Flag(NamedTuple):
 
 
 class Command(NamedTuple):
+    """A subcommand: the function it runs, its help line, and its flags in
+    the order its usage and help list them."""
     func: Callable[..., int]
     help: str
     flags: tuple[Flag, ...]
