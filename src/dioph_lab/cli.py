@@ -9,11 +9,13 @@ plain Python and its records are NamedTuples, so no command loads numpy or
 a command followed by exact `--flag value` pairs straight from that table.
 argparse loads only for `--help`, for usage errors and for the forms only
 it reads (`--flag=value`, `@FILE`, abbreviated or repeated flags, values
-that start with `-`).
+that start with `-`).  `run`, the program's entry point, ends the process
+without the interpreter's teardown.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -111,12 +113,28 @@ def _flag(ok: bool | None) -> str:
     return "" if ok is None else str(ok).lower()
 
 
+def _write_file(path, write) -> None:
+    """Open `path` for text and pass it to `write`.  A write that fails
+    leaves no file behind, as `digits.save_digit_file` does: a partial CSV
+    would still read."""
+    fh = open(path, "w", newline="")
+    try:
+        with fh:
+            write(fh)
+    except OSError:
+        if os.path.isfile(path):  # never a device such as /dev/full
+            os.remove(path)
+        raise
+
+
 def _write_csv(path, header, rows):
     import csv
-    with open(path, "w", newline="") as fh:
+
+    def write(fh):
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
+    _write_file(path, write)
 
 
 # --- eval-dim ----------------------------------------------------------------
@@ -252,14 +270,15 @@ def cmd_box_dim(args) -> int:
     print(f"{len(series.depths)} depths, mode {args.mode}: dimension estimate "
           f"{_fmt(slope)}")
     if args.csv:
-        # rows (n, count exponent, ratio), 2^16 depths per write, so no
-        # list of every row is held
-        with open(args.csv, "w", newline="") as fh:
+        def write(fh):
+            # rows (n, count exponent, ratio), 2^16 depths per write, so no
+            # list of every row is held
             fh.write("n,log_b_count,ratio\n")
             for lo in range(0, len(series.depths), 1 << 16):
                 ns = series.depths[lo: lo + (1 << 16)]
                 cs = series.exponents(lo, lo + (1 << 16))
                 fh.write("".join(f"{n},{c},{c / n:.12g}\n" for n, c in zip(ns, cs)))
+        _write_file(args.csv, write)
         print(f"wrote {args.csv}")
     return 0
 
@@ -498,5 +517,46 @@ def main(argv=None) -> int:
         return 1
 
 
+def _watched() -> bool:
+    """Whether a tracer or profiler watches this process: through
+    sys.settrace or sys.setprofile, or (from Python 3.12, where cProfile
+    uses it) as a sys.monitoring tool, whose ids are 0-5."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (sys.gettrace() is not None or sys.getprofile() is not None
+            or monitoring is not None and any(monitoring.get_tool(i) for i in range(6)))
+
+
+def run() -> None:
+    """The program as a process: `main`'s return value is the exit status.
+
+    Once `main` returns, the exit hooks registered with atexit run (a `.pth`
+    file's, coverage's), the output is flushed, and the process ends with
+    `os._exit`, in the order the interpreter's own shutdown uses.  That
+    skips the teardown that clears every module and collects garbage, which
+    takes longer than most commands' work.  It is safe only while no
+    command starts a thread that outlives `main` and every file the program
+    writes is closed by its `with` block before `main` returns: keep both
+    true.  Under a tracer or profiler (cProfile, coverage) the process exits
+    the usual way, so they can write their reports.
+    """
+    code = main()
+    if _watched():
+        sys.exit(code)
+    import atexit
+    atexit._run_exitfuncs()
+    try:
+        try:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except OSError as exc:  # e.g. a full disk under redirected output
+            code = 1
+            print(f"error: {exc}", file=sys.stderr)
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:  # no working stderr: let the interpreter report it
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -5,7 +5,8 @@ with `#` comment lines, the first of them `## NAME` to name it (else its
 first `$` line names it); the rest is what running it prints:
 
     < NAME sha256 HEX     each input from INPUTS that a command names
-    $ ARGV                a command, run in process through `cli.main`
+    $ ARGV                a command, run in process through `cli.main` (or,
+                          with `child`, as a `python -m dioph_lab.cli` child)
     ...                   its stdout
     --- stderr            its stderr, when not empty
     ...
@@ -34,6 +35,7 @@ import hashlib
 import io
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from itertools import zip_longest
@@ -125,8 +127,19 @@ def _shown(name: str, data: bytes) -> str:
     return f"--- {name}\n{_dotted(data.decode())}"
 
 
-def run_case(commands: list[str], workdir) -> str:
-    """Run the commands in `workdir` and return the transcript they make.
+def _run_child(command: str) -> tuple[int, str, str]:
+    """(exit status, stdout, stderr) of `python -m dioph_lab.cli ARGV`, with
+    this package on its path and its output buffered as in a user's shell."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-m", "dioph_lab.cli", *command.split()],
+                          env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_case(commands: list[str], workdir, child: bool = False) -> str:
+    """Run the commands in `workdir` and return the transcript they make,
+    in process or, with `child`, each as a `python -m dioph_lab.cli` child.
 
     argparse wraps help and usage lines at $COLUMNS - 2, so COLUMNS is 80
     while they run."""
@@ -141,15 +154,19 @@ def run_case(commands: list[str], workdir) -> str:
                 parts.append(f"< {name} sha256 {_sha256(Path(name).read_bytes())}\n")
         for command in commands:
             before = _files(".")
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = cli.main(command.split())
-                except SystemExit as exc:
-                    code = exc.code
-            parts.append(f"$ {command}\n{_dotted(out.getvalue())}")
-            if err.getvalue():
-                parts.append(f"--- stderr\n{_dotted(err.getvalue())}")
+            if child:
+                code, out, err = _run_child(command)
+            else:
+                out_io, err_io = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out_io), contextlib.redirect_stderr(err_io):
+                    try:
+                        code = cli.main(command.split())
+                    except SystemExit as exc:
+                        code = exc.code
+                out, err = out_io.getvalue(), err_io.getvalue()
+            parts.append(f"$ {command}\n{_dotted(out)}")
+            if err:
+                parts.append(f"--- stderr\n{_dotted(err)}")
             parts.append(f"exit {code}\n")
             parts.extend(_shown(name, data) for name, data in _files(".").items()
                          if before.get(name) != data)
@@ -162,10 +179,10 @@ def run_case(commands: list[str], workdir) -> str:
     return "".join(parts)
 
 
-def check(case: Case, workdir) -> str | None:
+def check(case: Case, workdir, child: bool = False) -> str | None:
     """None when the case prints its pinned transcript, else a message that
     names the case and the first line that differs."""
-    got = run_case(case.commands, workdir)
+    got = run_case(case.commands, workdir, child)
     if got == case.text:
         return None
     pairs = zip_longest(case.text.splitlines(keepends=True), got.splitlines(keepends=True))

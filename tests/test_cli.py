@@ -1,3 +1,4 @@
+import atexit
 import contextlib
 import errno
 import hashlib
@@ -376,28 +377,33 @@ def test_read_args_reads_every_benchmark_and_pinned_command(tmp_path, monkeypatc
         assert got == _argparse_vars(argv), argv
 
 
+GEN = ["gen-digits", "--seq", "linear", "--theta", "3", "--vhat", "1/3"]
+BOX = ["box-dim", "--seq", "linear", "--theta", "3", "--vhat", "1/3", "--base", "3"]
+
+
+class FullDisk:
+    """An `open` for writing whose disk fills up after the first write."""
+
+    def __init__(self, path, mode, **kwargs):
+        self.fh = open(path, mode, **kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        if self.fh.tell():
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.fh.write(data)
+        self.fh.flush()
+
+
 def test_failed_digit_write_leaves_no_file(tmp_path, capsys, monkeypatch):
     """A write that fails after the file is opened (here a full disk after
     the header) removes the file: a truncated one would load as a shorter
     stream.  gen-digits then ends in one `error:` line."""
-    real_open = open
-
-    class FullDisk:
-        def __init__(self, path, mode):
-            self.fh = real_open(path, mode)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, data):
-            if self.fh.tell():
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            self.fh.write(data)
-            self.fh.flush()
-
     monkeypatch.setattr(digits, "open", FullDisk, raising=False)
     out = tmp_path / "d.txt"
     code, err = _run([*GEN, "--base", "3", "--depth", "1000", "--out", str(out)], capsys)
@@ -412,6 +418,163 @@ def test_failed_digit_write_keeps_a_device(capsys):
     assert code == 1
     assert err.splitlines() == ["error: [Errno 28] No space left on device"]
     assert os.path.exists("/dev/full")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-dim", "--eta", "1", "--grid", "1/10:9/10:9"],
+    [*BOX, "--max-depth", "1000"],
+], ids=["eval-dim", "box-dim"])
+def test_failed_csv_write_leaves_no_file(argv, tmp_path, capsys, monkeypatch):
+    """A CSV write that fails after the header removes the file, as a digit
+    write does: a partial CSV would still read."""
+    monkeypatch.setattr(cli, "open", FullDisk, raising=False)
+    code, err = _run([*argv, "--csv", str(tmp_path / "out.csv")], capsys)
+    assert code == 1
+    assert err.splitlines() == ["error: [Errno 28] No space left on device"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_failed_csv_write_keeps_a_device(capsys):
+    code, err = _run([*BOX, "--max-depth", "1000", "--csv", "/dev/full"], capsys)
+    assert code == 1
+    assert err.splitlines() == ["error: [Errno 28] No space left on device"]
+    assert os.path.exists("/dev/full")
+
+
+# --- cli.run, the entry point that ends the process ---------------------------
+
+class Exited(Exception):
+    """Raised by the patched `os._exit` in place of ending the process."""
+
+
+@pytest.fixture
+def exits(monkeypatch):
+    """What `run` does after `main`, in order: "hooks" when it runs the exit
+    hooks, ("exit", code) when it calls `os._exit`, which raises Exited.
+    The stand-in for the exit hooks keeps this process's own hooks for its
+    real exit; `test_run_runs_registered_exit_hooks` runs real ones."""
+    events = []
+
+    def exit_(code):
+        events.append(("exit", code))
+        raise Exited
+
+    monkeypatch.setattr(os, "_exit", exit_)
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: events.append("hooks"))
+    monkeypatch.setattr(sys, "gettrace", lambda: None)  # also under coverage
+    return events
+
+
+def _run_as(argv, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["dioph-lab", *argv])
+    cli.run()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["eval-dim", "--eta", "2", "--vhat", "7/5"], 0),
+    (["estimate", "--digits", "nope.txt", "--seq", "linear"], 1),
+], ids=["exit-0", "exit-1"])
+def test_run_ends_in_os_exit_after_the_exit_hooks(argv, code, exits, tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(Exited):
+        _run_as(argv, monkeypatch)
+    assert exits == ["hooks", ("exit", code)]
+
+
+def _setprofile():
+    sys.setprofile(lambda *_: None)
+    return lambda: sys.setprofile(None)
+
+
+def _monitoring_tool():
+    """A sys.monitoring profiler, as cProfile registers from Python 3.12."""
+    if not hasattr(sys, "monitoring"):
+        pytest.skip("no sys.monitoring before Python 3.12")
+    sys.monitoring.use_tool_id(sys.monitoring.PROFILER_ID, "test")
+    return lambda: sys.monitoring.free_tool_id(sys.monitoring.PROFILER_ID)
+
+
+@pytest.mark.parametrize("watch", [_setprofile, _monitoring_tool],
+                         ids=["setprofile", "monitoring"])
+def test_run_under_a_profiler_exits_the_usual_way(watch, exits, capsys, monkeypatch):
+    unwatch = watch()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            _run_as(["eval-dim", "--eta", "2", "--vhat", "7/5"], monkeypatch)
+    finally:
+        unwatch()
+    assert exc.value.code == 0
+    assert exits == []
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["eval-dim", "--help"], 0),
+    (["eval-dim", "--eta", "2", "--frobnicate", "1"], 2),
+], ids=["help", "unknown-flag"])
+def test_run_leaves_argparse_exits_alone(argv, code, exits, capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        _run_as(argv, monkeypatch)
+    assert exc.value.code == code
+    assert exits == []
+
+
+def test_run_reports_a_failed_final_flush(exits, monkeypatch):
+    class FullStdout(io.StringIO):
+        def flush(self):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    with pytest.raises(Exited):
+        _run_as(["eval-dim", "--eta", "2", "--vhat", "7/5"], monkeypatch)
+    assert exits == ["hooks", ("exit", 1)]
+    assert sys.stderr.getvalue() == "error: [Errno 28] No space left on device\n"
+
+
+def _child(argv, cwd, **kwargs):
+    """Run `python argv` with the package on its path and output buffered
+    as in a user's shell."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dioph_lab.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, text=True, **kwargs)
+
+
+def test_run_runs_registered_exit_hooks(tmp_path):
+    proc = _child(["-c", "import atexit, sys; from dioph_lab import cli; "
+                   "atexit.register(print, 'hook ran'); cli.run()",
+                   "eval-dim", "--eta", "2", "--vhat", "7/5"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("eta = 2\n") and proc.stdout.endswith("\nhook ran\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_child_with_stdout_on_a_full_disk_is_one_error_line(tmp_path):
+    """The output is flushed only when `run` ends the process, so the full
+    disk shows there: one `error:` line and exit 1, where the interpreter's
+    own teardown would print two lines and exit 120."""
+    with open("/dev/full", "w") as full:
+        proc = _child(["-m", "dioph_lab.cli", *GEN, "--base", "3", "--regime", "eta1",
+                       "--depth", "5000", "--out", "x.txt"], tmp_path, stdout=full)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+
+def test_pinned_round_trip_as_children(tmp_path):
+    """The benchmark runs `python -m dioph_lab.cli`, which ends in `run`:
+    the children print and write what the in-process pins hold."""
+    case = next(c for c in PINNED if c.name == "eta1-roundtrip-2e4")
+    failure = transcript.check(case, tmp_path, child=True)
+    assert failure is None, failure
+
+
+def test_cprofile_still_prints_its_table(tmp_path):
+    proc = _child(["-m", "cProfile", "-m", "dioph_lab.cli", "eval-dim", "--eta", "2",
+                   "--vhat", "7/5"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "function calls" in proc.stdout
 
 
 def test_sweep_theta_grid(tmp_path, capsys):
@@ -698,10 +861,6 @@ def test_invariant_error_is_reported_not_blanked(tmp_path, capsys, monkeypatch):
                       "--csv", str(tmp_path / "rt.csv")], capsys)
     assert code == 1
     assert err.splitlines() == ["error: broken invariant"]
-
-
-GEN = ["gen-digits", "--seq", "linear", "--theta", "3", "--vhat", "1/3"]
-BOX = ["box-dim", "--seq", "linear", "--theta", "3", "--vhat", "1/3", "--base", "3"]
 
 
 @pytest.mark.parametrize("argv,flag", [
