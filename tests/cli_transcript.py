@@ -127,13 +127,30 @@ def _shown(name: str, data: bytes) -> str:
     return f"--- {name}\n{_dotted(data.decode())}"
 
 
-def _run_child(command: str) -> tuple[int, str, str]:
-    """(exit status, stdout, stderr) of `python -m dioph_lab.cli ARGV`, with
-    this package on its path and its output buffered as in a user's shell."""
+def child_env() -> dict[str, str]:
+    """The environment of a child Python: this package on its path, and its
+    output buffered as in a user's shell."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _run_in_process(command: str) -> tuple[int, str, str]:
+    """(exit status, stdout, stderr) of `cli.main(ARGV)`, argparse's
+    SystemExit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(command.split())
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run_child(command: str) -> tuple[int, str, str]:
+    """(exit status, stdout, stderr) of `python -m dioph_lab.cli ARGV`."""
     proc = subprocess.run([sys.executable, "-m", "dioph_lab.cli", *command.split()],
-                          env=env, capture_output=True, text=True)
+                          env=child_env(), capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -154,16 +171,7 @@ def run_case(commands: list[str], workdir, child: bool = False) -> str:
                 parts.append(f"< {name} sha256 {_sha256(Path(name).read_bytes())}\n")
         for command in commands:
             before = _files(".")
-            if child:
-                code, out, err = _run_child(command)
-            else:
-                out_io, err_io = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out_io), contextlib.redirect_stderr(err_io):
-                    try:
-                        code = cli.main(command.split())
-                    except SystemExit as exc:
-                        code = exc.code
-                out, err = out_io.getvalue(), err_io.getvalue()
+            code, out, err = (_run_child if child else _run_in_process)(command)
             parts.append(f"$ {command}\n{_dotted(out)}")
             if err:
                 parts.append(f"--- stderr\n{_dotted(err)}")

@@ -534,12 +534,10 @@ def test_run_reports_a_failed_final_flush(exits, monkeypatch):
 
 
 def _child(argv, cwd, **kwargs):
-    """Run `python argv` with the package on its path and output buffered
-    as in a user's shell."""
-    env = dict(os.environ, PYTHONPATH=str(Path(dioph_lab.__file__).resolve().parents[1]))
-    env.pop("PYTHONUNBUFFERED", None)
+    """Run `python ARGV` in the transcripts' child environment."""
     kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
-    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, text=True, **kwargs)
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=transcript.child_env(),
+                          text=True, **kwargs)
 
 
 def test_run_runs_registered_exit_hooks(tmp_path):
