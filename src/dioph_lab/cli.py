@@ -139,29 +139,6 @@ def _write_csv(path, header, rows):
 
 # --- eval-dim ----------------------------------------------------------------
 
-def _formula_rows(eta: Fraction, vhat: Fraction, theta: Fraction | None,
-                  rho: Fraction | None):
-    """Every closed-form report whose domain covers the parameter point."""
-    reports = []
-    if 0 <= vhat <= eta:
-        reports.append(dimfx.baseline_bound(eta, vhat))
-    if eta == 1:
-        if 0 <= vhat <= 1:
-            reports.append(dimfx.dim_eta1(vhat))
-        if theta is not None and 0 < vhat < 1:
-            reports.append(dimfx.dim_pair_eta1(vhat, theta))
-    elif 0 < vhat < eta:
-        reports.append(dimfx.refined_upper_bound(eta, vhat))
-        reports.append(dimfx.construction_lower_bound(eta, vhat))
-        reports.append(dimfx.exact_dimension_window(eta, vhat))
-    if theta is not None and 0 < vhat < eta:
-        pair = dimfx.upper_bound_pair(eta, vhat, theta)
-        reports.append(pair)
-        if rho is not None and pair.kind != dimfx.EMPTY:
-            reports.append(dimfx.upper_bound_strip(eta, vhat, theta, rho))
-    return reports
-
-
 def cmd_eval_dim(args) -> int:
     eta = args.eta
     _check_eta(eta)
@@ -175,7 +152,7 @@ def cmd_eval_dim(args) -> int:
         return _usage("eval-dim needs --vhat or --grid")
     rows = []
     for vhat in grid:
-        for rep in _formula_rows(eta, vhat, args.theta, args.rho):
+        for rep in dimfx.reports(eta, vhat, args.theta, args.rho):
             exact = ("" if rep.value is None else
                      dimfx.exact_text(rep.value, f"the {rep.source} value at vhat = {vhat}"))
             rows.append((str(vhat), rep.source, exact,
@@ -291,7 +268,7 @@ SWEEP_FORMULAS = ("baseline", "eta1-exact", "pair-eta1", "refined-upper",
 
 def _sweep_point(eta, vhat, theta, rho, roundtrip):
     row = [str(vhat), _fmt(vhat), str(theta) if theta is not None else ""]
-    reports = {r.source: r for r in _formula_rows(eta, vhat, theta, rho)}
+    reports = {r.source: r for r in dimfx.reports(eta, vhat, theta, rho)}
     for name in SWEEP_FORMULAS:
         rep = reports.get(name)
         row.append(_fmt(rep.value) if rep is not None and rep.value is not None else "")
@@ -509,6 +486,11 @@ def main(argv=None) -> int:
             else SimpleNamespace(**values))
     try:
         return args.func(args)
+    except BrokenPipeError:  # stdout's reader has gone (`| head -1`): end quietly
+        # the idiom of the signal module's "Note on SIGPIPE": what is still
+        # buffered is flushed to devnull, not to the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError, dimfx.InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -548,6 +530,8 @@ def run() -> None:
         try:
             if sys.stdout is not None:
                 sys.stdout.flush()
+        except BrokenPipeError:  # as in `main`, a closed stdout ends quietly
+            code = 1
         except OSError as exc:  # e.g. a full disk under redirected output
             code = 1
             print(f"error: {exc}", file=sys.stderr)

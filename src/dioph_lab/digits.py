@@ -50,12 +50,6 @@ class DigitStream(_StreamFields):
     def prefix_len(self) -> int:
         return len(self.data)
 
-    def digit(self, j: int) -> int:
-        """Digit x_j at 1-based position j."""
-        if not 1 <= j <= len(self.data):
-            raise IndexError(f"position {j} outside prefix of length {len(self.data)}")
-        return CODE.index(self.data[j - 1])
-
     @property
     def run_bytes(self) -> bytes:
         """The bytes of the run digits 0 and b - 1 (just 0 when b - 1 has no

@@ -253,14 +253,14 @@ def _in_refined_window(eta: Fraction, vhat: Fraction, l1: int, l0: int) -> bool:
     return left < vhat < right
 
 
-def refined_upper_bound(eta: Fraction, vhat: Fraction) -> DimensionReport:
-    """Refined upper bound on the union of admissible vhat windows (eta > 1).
+def refined_upper_bound(eta: Fraction, vhat: Fraction, th: Thresholds) -> DimensionReport:
+    """Refined upper bound on the union of admissible vhat windows (eta > 1);
+    `th` is `thresholds(eta, vhat)`.
 
     Outside the windows no value is claimed (domain_ok False).  Inside, the
     bound is strictly below baseline_bound; that strictness is checked.
     """
     eta, vhat = Fraction(eta), Fraction(vhat)
-    th = thresholds(eta, vhat)
     inside = _in_refined_window(eta, vhat, th.l1, th.l0)
     cond = (f"window l={th.l1}: max(1, eta - 2*eta/(eta^l+1)) < vhat < eta - 2/eta^l, "
             f"l >= l0={th.l0}; eta taken as the exact limit of a(n+1)/a(n), "
@@ -285,47 +285,66 @@ def refined_upper_bound(eta: Fraction, vhat: Fraction) -> DimensionReport:
                            condition=cond)
 
 
-def construction_lower_bound(eta: Fraction, vhat: Fraction) -> DimensionReport:
-    """Best lower bound realized by fixed-stride schedules (eta > 1)."""
+def construction_lower_bound(eta: Fraction, vhat: Fraction, th: Thresholds) -> DimensionReport:
+    """Best lower bound realized by fixed-stride schedules (eta > 1); `th`
+    is `thresholds(eta, vhat)`."""
     eta, vhat = Fraction(eta), Fraction(vhat)
-    th = thresholds(eta, vhat)
     p = eta ** th.ltilde
     value = (eta * p - 1 - p * vhat) / ((eta * p - 1) * (1 + p * vhat))
     return DimensionReport(value=value, kind=LOWER, source="construction-lower",
                            condition=f"optimal stride ltilde={th.ltilde}")
 
 
-def exact_dimension_window(eta: Fraction, vhat: Fraction) -> DimensionReport:
-    """Exact dimension where upper and lower bounds meet (eta > 1).
+def exact_dimension_window(eta: Fraction, vhat: Fraction, th: Thresholds) -> DimensionReport:
+    """Exact dimension where upper and lower bounds meet (eta > 1); `th` is
+    `thresholds(eta, vhat)`.
 
     The admissible vhat windows are left-open, right-closed; the right
     endpoints eta - 2/eta^l are exactly the values where the bound equals
-    baseline_bound.
+    baseline_bound.  Their stride `lc` is not `th.l1`: the two differ
+    where 2/(eta - vhat) is an exact power of eta.
     """
     eta, vhat = Fraction(eta), Fraction(vhat)
-    if eta <= 1:
-        raise ValueError(f"needs eta > 1, got {eta}")
-    not_ok = DimensionReport(value=None, kind=EXACT, source="exact-window",
-                             condition="vhat outside every resolvable window")
-    if not 0 < vhat < eta:
-        return not_ok
-    l0 = l0_threshold(eta)
     lc = smallest_power_at_least(eta, 2 / (eta - vhat))
     p = eta ** lc
     left = max(Fraction(1), eta - (p + eta * p - 1) / p ** 2)
     right = eta - 2 / p
     end = f"an end of window l={lc} for eta = {eta}"
     cond = (f"window l={lc}: {exact_text(left, end)} < vhat <= {exact_text(right, end)}, "
-            f"l >= l0={l0}")
-    if lc < l0 or not (left < vhat <= right):
+            f"l >= l0={th.l0}")
+    if lc < th.l0 or not (left < vhat <= right):
         return DimensionReport(value=None, kind=EXACT, source="exact-window",
                                condition=cond)
-    lower = construction_lower_bound(eta, vhat)
-    th = thresholds(eta, vhat)
+    lower = construction_lower_bound(eta, vhat, th)
     if th.ltilde != lc:
         raise InvariantError(f"window stride {lc} disagrees with ltilde {th.ltilde}")
     return DimensionReport(value=lower.value, kind=EXACT, source="exact-window",
                            condition=cond)
+
+
+def reports(eta: Fraction, vhat: Fraction, theta: Fraction | None = None,
+            rho: Fraction | None = None) -> list[DimensionReport]:
+    """Every closed-form report whose domain covers the point (eta >= 1):
+    the one statement of which formula applies where.  The eta > 1 bounds
+    share one `thresholds(eta, vhat)`."""
+    found = []
+    if 0 <= vhat <= eta:
+        found.append(baseline_bound(eta, vhat))
+    if eta == 1:
+        if 0 <= vhat <= 1:
+            found.append(dim_eta1(vhat))
+        if theta is not None and 0 < vhat < 1:
+            found.append(dim_pair_eta1(vhat, theta))
+    elif 0 < vhat < eta:
+        th = thresholds(eta, vhat)
+        found += (refined_upper_bound(eta, vhat, th), construction_lower_bound(eta, vhat, th),
+                  exact_dimension_window(eta, vhat, th))
+    if theta is not None and 0 < vhat < eta:
+        pair = upper_bound_pair(eta, vhat, theta)
+        found.append(pair)
+        if rho is not None and pair.kind != EMPTY:
+            found.append(upper_bound_strip(eta, vhat, theta, rho))
+    return found
 
 
 def theta_is_forbidden(eta: Fraction, vhat: Fraction, theta: Fraction) -> bool:

@@ -240,8 +240,9 @@ def check_sandwich_and_strictness():
             right = eta - 2 / p
             for vhat in dimfx.rational_linspace(left, right, 19)[1:-1]:
                 total += 1
-                up = dimfx.refined_upper_bound(eta, vhat)
-                low = dimfx.construction_lower_bound(eta, vhat)
+                th = dimfx.thresholds(eta, vhat)
+                up = dimfx.refined_upper_bound(eta, vhat, th)
+                low = dimfx.construction_lower_bound(eta, vhat, th)
                 base = dimfx.baseline_bound(eta, vhat)
                 if not up.domain_ok:
                     return False, f"window point rejected: eta={eta}, vhat={vhat}"
@@ -249,7 +250,7 @@ def check_sandwich_and_strictness():
                     return False, f"not strictly below baseline at eta={eta}, vhat={vhat}"
                 if not low.value <= up.value:
                     return False, f"lower above upper at eta={eta}, vhat={vhat}"
-                ex = dimfx.exact_dimension_window(eta, vhat)
+                ex = dimfx.exact_dimension_window(eta, vhat, th)
                 if ex.domain_ok and ex.value != low.value:
                     return False, f"exact != lower at eta={eta}, vhat={vhat}"
     if total < 200:
@@ -262,11 +263,12 @@ def check_remark_equality():
         l0 = dimfx.l0_threshold(eta)
         for l in range(l0, l0 + 4):
             vhat = eta - 2 / eta ** l
-            low = dimfx.construction_lower_bound(eta, vhat)
+            th = dimfx.thresholds(eta, vhat)
+            low = dimfx.construction_lower_bound(eta, vhat, th)
             base = dimfx.baseline_bound(eta, vhat)
             if low.value != base.value:
                 return False, f"no equality at eta={eta}, l={l}"
-            ex = dimfx.exact_dimension_window(eta, vhat)
+            ex = dimfx.exact_dimension_window(eta, vhat, th)
             if not ex.domain_ok or ex.value != base.value:
                 return False, f"window misses endpoint eta={eta}, l={l}"
     return True, "lower bound meets baseline exactly at vhat = eta - 2/eta^l"

@@ -560,6 +560,22 @@ def test_child_with_stdout_on_a_full_disk_is_one_error_line(tmp_path):
     assert proc.stderr == "error: [Errno 28] No space left on device\n"
 
 
+@pytest.mark.parametrize("argv", [["--grid", "1/100:199/100:3000"], ["--vhat", "7/5"]],
+                         ids=["write-in-main", "final-flush"])
+def test_child_with_a_closed_stdout_ends_quietly(argv, tmp_path):
+    """A stdout whose reader has gone (`| head -1`) ends the child with exit
+    1 and nothing on stderr, whether a write inside `main` fails (12,000
+    rows overflow the buffer) or `run`'s final flush does."""
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = _child(["-m", "dioph_lab.cli", "eval-dim", "--eta", "2", *argv], tmp_path,
+                      stdout=w)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 def test_pinned_round_trip_as_children(tmp_path):
     """The benchmark runs `python -m dioph_lab.cli`, which ends in `run`:
     the children print and write what the in-process pins hold."""

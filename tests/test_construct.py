@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dioph_lab import boxdim, construct, dimfx, exponents, sequences
+from dioph_lab import boxdim, construct, digits, dimfx, exponents, sequences
 from dioph_lab.construct import (
     constrained_digit,
     emit_digits,
@@ -292,10 +292,11 @@ def test_construction_lower_bound_is_the_block_end_limit_over_a_grid(eta):
     seq = sequences.make_sequence(GRID_SEQS[eta])
     grid = dimfx.rational_linspace(F(1, 20), eta - F(1, 20), 30)
     for vhat in grid:
-        l = dimfx.thresholds(eta, vhat).ltilde
+        th = dimfx.thresholds(eta, vhat)
+        l = th.ltilde
         theta = eta ** l
         limit = geometric_local_dimension_limit(eta, theta, vhat, l)
-        assert dimfx.construction_lower_bound(eta, vhat).value == limit, vhat
+        assert dimfx.construction_lower_bound(eta, vhat, th).value == limit, vhat
         sched = schedule_geometric(seq, theta, vhat, l, cover_to=10 ** 6)
         assert sched.covered_to >= 10 ** 6
         _assert_block_ends_near(sched, limit)
@@ -351,9 +352,9 @@ def test_constrained_digit_matches_emission(small_sched):
         for pos in range(1, small_sched.covered_to + 1):
             forced = constrained_digit(small_sched, base, pos)
             if forced is not None:
-                assert stream.digit(pos) == forced, (base, pos)
+                assert digits.CODE.index(stream.data[pos - 1]) == forced, (base, pos)
             else:
-                assert stream.digit(pos) == construct.FILL_DIGIT
+                assert digits.CODE.index(stream.data[pos - 1]) == construct.FILL_DIGIT
 
 
 def test_roundtrip_recovers_schedule_pairs(eta1_sched, geo_sched, eta1_streams,

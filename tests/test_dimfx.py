@@ -166,30 +166,35 @@ def test_baseline_bound():
     assert baseline_bound(F(2), F(3, 2)).value == F(1, 49)
 
 
+def _at(formula, eta, vhat):
+    """`formula` at (eta, vhat), given the point's thresholds."""
+    return formula(eta, vhat, thresholds(eta, vhat))
+
+
 def test_refined_upper_bound_window():
-    rep = refined_upper_bound(F(2), F(7, 5))
+    rep = _at(refined_upper_bound, F(2), F(7, 5))
     assert rep.domain_ok and rep.value == F(7, 231) == F(1, 33)
     assert baseline_bound(F(2), F(7, 5)).value == F(9, 289)
     assert rep.value < F(9, 289)
-    assert not refined_upper_bound(F(2), F(1)).domain_ok
+    assert not _at(refined_upper_bound, F(2), F(1)).domain_ok
     # inside the second window for eta = 3: (12/5, 25/9)
-    rep3 = refined_upper_bound(F(3), F(5, 2))
+    rep3 = _at(refined_upper_bound, F(3), F(5, 2))
     assert rep3.domain_ok and rep3.value == F(1, 129)
 
 
 def test_construction_lower_bound_values():
-    assert construction_lower_bound(F(2), F(3, 2)).value == F(1, 49)
-    assert construction_lower_bound(F(2), F(7, 5)).value == F(1, 33)
-    assert construction_lower_bound(F(2), F(1, 100)).value == F(149, 153)
+    assert _at(construction_lower_bound, F(2), F(3, 2)).value == F(1, 49)
+    assert _at(construction_lower_bound, F(2), F(7, 5)).value == F(1, 33)
+    assert _at(construction_lower_bound, F(2), F(1, 100)).value == F(149, 153)
 
 
 def test_exact_dimension_window():
-    rep = exact_dimension_window(F(2), F(7, 5))
+    rep = _at(exact_dimension_window, F(2), F(7, 5))
     assert rep.domain_ok and rep.value == F(1, 33)
-    rep = exact_dimension_window(F(2), F(3, 2))  # right-closed endpoint
+    rep = _at(exact_dimension_window, F(2), F(3, 2))  # right-closed endpoint
     assert rep.domain_ok and rep.value == F(1, 49)
-    assert not exact_dimension_window(F(2), F(5, 4)).domain_ok  # 5/4 < 21/16
-    assert not exact_dimension_window(F(2), F(1, 2)).domain_ok
+    assert not _at(exact_dimension_window, F(2), F(5, 4)).domain_ok  # 5/4 < 21/16
+    assert not _at(exact_dimension_window, F(2), F(1, 2)).domain_ok
 
 
 def test_forbidden_gaps_worked():
@@ -240,9 +245,28 @@ def test_forbidden_gaps_match_the_raw_pieces(en, ed, vn, l_top):
         assert theta_is_forbidden(eta, vhat, theta) == in_piece
 
 
+def test_reports_find_one_thresholds_per_point(monkeypatch):
+    """`reports` finds each eta > 1 point's thresholds, and l0 with them,
+    once: no formula finds them again.  At eta = 1 it finds none."""
+    calls = dict.fromkeys(("thresholds", "l0_threshold"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(dimfx, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(dimfx, name, counted)
+    grid = rational_linspace(F(-1, 2), F(5, 2), 61)  # 0 and 2 on it, a step 1/20
+    for vhat in grid:
+        dimfx.reports(F(2), vhat, F(4), F(1, 2))
+    inside = sum(0 < vhat < 2 for vhat in grid)
+    assert inside == 39 and calls == {"thresholds": inside, "l0_threshold": inside}
+    for vhat in rational_linspace(F(0), F(1), 21):
+        dimfx.reports(F(1), vhat, F(3), F(1, 2))
+    assert calls == {"thresholds": inside, "l0_threshold": inside}
+
+
 def test_domain_ok_follows_the_value():
-    assert refined_upper_bound(F(2), F(7, 5)).domain_ok
-    assert not refined_upper_bound(F(2), F(1)).domain_ok
+    assert _at(refined_upper_bound, F(2), F(7, 5)).domain_ok
+    assert not _at(refined_upper_bound, F(2), F(1)).domain_ok
     assert dimfx.DimensionReport(None, dimfx.EXACT, "test").domain_ok is False
     assert dimfx.DimensionReport(F(0), dimfx.EMPTY, "test").domain_ok is True
 
