@@ -152,7 +152,8 @@ def cmd_eval_dim(args) -> int:
         return _usage("eval-dim needs --vhat or --grid")
     rows = []
     for vhat in grid:
-        for rep in dimfx.reports(eta, vhat, args.theta, args.rho):
+        th, found = dimfx.reports(eta, vhat, args.theta, args.rho)
+        for rep in found:
             exact = ("" if rep.value is None else
                      dimfx.exact_text(rep.value, f"the {rep.source} value at vhat = {vhat}"))
             rows.append((str(vhat), rep.source, exact,
@@ -161,20 +162,23 @@ def cmd_eval_dim(args) -> int:
         _write_csv(args.csv, ["vhat", "formula", "exact", "decimal", "kind",
                               "domain_ok", "condition"], rows)
         print(f"wrote {len(rows)} rows to {args.csv}")
-    else:
-        print(f"eta = {eta}" + (f", theta = {args.theta}" if args.theta is not None else "")
-              + (f", rho = {args.rho}" if args.rho is not None else ""))
-        if eta > 1 and len(grid) == 1 and 0 < grid[0] < eta:
-            th = dimfx.thresholds(eta, grid[0])
-            print(f"thresholds: l0={th.l0} l1={th.l1} ltilde={th.ltilde} lprime={th.lprime}")
-        if eta > 1 and args.theta is not None and len(grid) == 1 and 1 <= grid[0] < eta:
-            verdict = "forbidden" if dimfx.theta_is_forbidden(eta, grid[0], args.theta) \
-                else "admissible"
-            print(f"theta = {args.theta}: {verdict}")
-        print(f"{'vhat':>10}  {'formula':<20} {'exact':>12} {'decimal':>16} "
-              f"{'kind':<6} {'domain_ok':<9} condition")
-        for r in rows:
-            print(f"{r[0]:>10}  {r[1]:<20} {r[2]:>12} {r[3]:>16} {r[4]:<6} {r[5]:<9} {r[6]}")
+        return 0
+    # The header is built whole before it prints, so a verdict that fails
+    # leaves stdout empty.  A one-point grid's thresholds are the last found.
+    header = [f"eta = {eta}" + (f", theta = {args.theta}" if args.theta is not None else "")
+              + (f", rho = {args.rho}" if args.rho is not None else "")]
+    if len(grid) == 1 and th is not None:
+        header.append(f"thresholds: l0={th.l0} l1={th.l1} ltilde={th.ltilde} "
+                      f"lprime={th.lprime}")
+        if args.theta is not None and grid[0] >= 1:
+            verdict = ("forbidden" if dimfx.theta_is_forbidden(eta, grid[0], args.theta)
+                       else "admissible")
+            header.append(f"theta = {args.theta}: {verdict}")
+    print("\n".join(header))
+    print(f"{'vhat':>10}  {'formula':<20} {'exact':>12} {'decimal':>16} "
+          f"{'kind':<6} {'domain_ok':<9} condition")
+    for r in rows:
+        print(f"{r[0]:>10}  {r[1]:<20} {r[2]:>12} {r[3]:>16} {r[4]:<6} {r[5]:<9} {r[6]}")
     return 0
 
 
@@ -268,7 +272,7 @@ SWEEP_FORMULAS = ("baseline", "eta1-exact", "pair-eta1", "refined-upper",
 
 def _sweep_point(eta, vhat, theta, rho, roundtrip):
     row = [str(vhat), _fmt(vhat), str(theta) if theta is not None else ""]
-    reports = {r.source: r for r in dimfx.reports(eta, vhat, theta, rho)}
+    reports = {r.source: r for r in dimfx.reports(eta, vhat, theta, rho)[1]}
     for name in SWEEP_FORMULAS:
         rep = reports.get(name)
         row.append(_fmt(rep.value) if rep is not None and rep.value is not None else "")

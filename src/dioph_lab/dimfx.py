@@ -204,6 +204,13 @@ def dim_pair_eta1(vhat: Fraction, theta: Fraction) -> DimensionReport:
                            condition=f"theta >= {cut}")
 
 
+def _pair_bound(eta: Fraction, vhat: Fraction, theta: Fraction) -> Fraction:
+    """The (vhat, theta*vhat) pair-set bound; the eta > 1 formulas take it at
+    theta = eta^l."""
+    tv = theta * vhat
+    return (eta * theta - 1 - tv) / ((eta * theta - 1) * (1 + tv))
+
+
 def upper_bound_pair(eta: Fraction, vhat: Fraction, theta: Fraction) -> DimensionReport:
     """Upper bound for the (vhat, theta*vhat) pair set, any eta >= 1."""
     eta, vhat, theta = Fraction(eta), Fraction(vhat), Fraction(theta)
@@ -213,10 +220,8 @@ def upper_bound_pair(eta: Fraction, vhat: Fraction, theta: Fraction) -> Dimensio
     if theta < cut:
         return DimensionReport(value=Fraction(0), kind=EMPTY, source="pair-upper",
                                condition=f"theta < {cut}: empty")
-    tv = theta * vhat
-    value = (eta * theta - 1 - tv) / ((eta * theta - 1) * (1 + tv))
-    return DimensionReport(value=value, kind=UPPER, source="pair-upper",
-                           condition=f"theta >= {cut}")
+    return DimensionReport(value=_pair_bound(eta, vhat, theta), kind=UPPER,
+                           source="pair-upper", condition=f"theta >= {cut}")
 
 
 def upper_bound_strip(eta: Fraction, vhat: Fraction, theta: Fraction,
@@ -245,14 +250,6 @@ def baseline_bound(eta: Fraction, vhat: Fraction) -> DimensionReport:
                            condition="0 <= vhat <= eta")
 
 
-def _in_refined_window(eta: Fraction, vhat: Fraction, l1: int, l0: int) -> bool:
-    if l1 < l0:
-        return False
-    left = max(Fraction(1), eta - 2 * eta / (eta ** l1 + 1))
-    right = eta - 2 / eta ** l1
-    return left < vhat < right
-
-
 def refined_upper_bound(eta: Fraction, vhat: Fraction, th: Thresholds) -> DimensionReport:
     """Refined upper bound on the union of admissible vhat windows (eta > 1);
     `th` is `thresholds(eta, vhat)`.
@@ -261,21 +258,19 @@ def refined_upper_bound(eta: Fraction, vhat: Fraction, th: Thresholds) -> Dimens
     bound is strictly below baseline_bound; that strictness is checked.
     """
     eta, vhat = Fraction(eta), Fraction(vhat)
-    inside = _in_refined_window(eta, vhat, th.l1, th.l0)
+    p = eta ** th.l1
     cond = (f"window l={th.l1}: max(1, eta - 2*eta/(eta^l+1)) < vhat < eta - 2/eta^l, "
             f"l >= l0={th.l0}; eta taken as the exact limit of a(n+1)/a(n), "
             "which a finite prefix cannot certify")
-    if not inside:
+    if th.l1 < th.l0 or not max(Fraction(1), eta - 2 * eta / (p + 1)) < vhat < eta - 2 / p:
         return DimensionReport(value=None, kind=UPPER, source="refined-upper",
                                condition=cond)
-    l1 = th.l1
-    p = eta ** l1
-    branch_a = (eta * p - 1 - p * vhat) / ((eta * p - 1) * (1 + p * vhat))
+    branch_a = _pair_bound(eta, vhat, p)
     l2 = smallest_power_at_least(eta, 1 / (eta - vhat))
-    if l2 == l1:
+    if l2 == th.l1:
         value = branch_a
     else:
-        q = eta ** (l1 - 1)
+        q = eta ** (th.l1 - 1)
         branch_b = (p - 1 - q * vhat) / (q * (eta * (p - 1) - vhat))
         value = max(branch_a, branch_b)
     base = baseline_bound(eta, vhat).value
@@ -289,8 +284,7 @@ def construction_lower_bound(eta: Fraction, vhat: Fraction, th: Thresholds) -> D
     """Best lower bound realized by fixed-stride schedules (eta > 1); `th`
     is `thresholds(eta, vhat)`."""
     eta, vhat = Fraction(eta), Fraction(vhat)
-    p = eta ** th.ltilde
-    value = (eta * p - 1 - p * vhat) / ((eta * p - 1) * (1 + p * vhat))
+    value = _pair_bound(eta, vhat, eta ** th.ltilde)
     return DimensionReport(value=value, kind=LOWER, source="construction-lower",
                            condition=f"optimal stride ltilde={th.ltilde}")
 
@@ -315,19 +309,19 @@ def exact_dimension_window(eta: Fraction, vhat: Fraction, th: Thresholds) -> Dim
     if lc < th.l0 or not (left < vhat <= right):
         return DimensionReport(value=None, kind=EXACT, source="exact-window",
                                condition=cond)
-    lower = construction_lower_bound(eta, vhat, th)
     if th.ltilde != lc:
         raise InvariantError(f"window stride {lc} disagrees with ltilde {th.ltilde}")
-    return DimensionReport(value=lower.value, kind=EXACT, source="exact-window",
-                           condition=cond)
+    return DimensionReport(value=_pair_bound(eta, vhat, p), kind=EXACT,
+                           source="exact-window", condition=cond)
 
 
 def reports(eta: Fraction, vhat: Fraction, theta: Fraction | None = None,
-            rho: Fraction | None = None) -> list[DimensionReport]:
-    """Every closed-form report whose domain covers the point (eta >= 1):
-    the one statement of which formula applies where.  The eta > 1 bounds
-    share one `thresholds(eta, vhat)`."""
-    found = []
+            rho: Fraction | None = None) -> tuple[Thresholds | None, list[DimensionReport]]:
+    """The point's thresholds and every closed-form report whose domain
+    covers it (eta >= 1): the one statement of which formula applies where.
+    The thresholds are None where eta = 1 or vhat is outside (0, eta);
+    elsewhere the eta > 1 bounds share them."""
+    th, found = None, []
     if 0 <= vhat <= eta:
         found.append(baseline_bound(eta, vhat))
     if eta == 1:
@@ -344,7 +338,7 @@ def reports(eta: Fraction, vhat: Fraction, theta: Fraction | None = None,
         found.append(pair)
         if rho is not None and pair.kind != EMPTY:
             found.append(upper_bound_strip(eta, vhat, theta, rho))
-    return found
+    return th, found
 
 
 def theta_is_forbidden(eta: Fraction, vhat: Fraction, theta: Fraction) -> bool:

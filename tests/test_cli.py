@@ -999,6 +999,9 @@ DIGIT_LIMIT = f"past the limit {sys.get_int_max_str_digits()} on printed integer
     (["eval-dim", "--eta", "100000000000000000001/100000000000000000000", "--vhat", "1/2"],
      "4.67e+21", EXPONENT_CAP),
     (["eval-dim", "--eta", "10001/10000", "--vhat", "1/2"], "9.9e+04", EXPONENT_CAP),
+    # the theta verdict, found before eval-dim's header prints
+    (["eval-dim", "--eta", "2", "--vhat", "3/2", "--theta", str(2 ** 1500)], "1.5e+03",
+     EXPONENT_CAP),
     (["gen-digits", "--seq", "geometric:eta=2,a1=1", "--theta", "4", "--vhat", "3/2",
       "--base", "2", "--regime", "geo:l=100000", "--depth", "100", "--out", "unused.txt"],
      "eta^100001", EXPONENT_CAP),
@@ -1011,15 +1014,17 @@ DIGIT_LIMIT = f"past the limit {sys.get_int_max_str_digits()} on printed integer
       "--base", "2", "--regime", "geo:l=800", "--depth", "100", "--out", "unused.txt"],
      "[eta^800, (eta^801 - 1)/vhat)", DIGIT_LIMIT),
 ], ids=["eta-1e-6-above-one", "eta-1e-20-above-one", "eta-1e-4-above-one",
-        "gen-digits-stride-1e5", "eta-long-terms", "eta-long-terms-value",
-        "gen-digits-long-terms-stride-800"])
+        "eval-dim-verdict-theta-2e1500", "gen-digits-stride-1e5", "eta-long-terms",
+        "eta-long-terms-value", "gen-digits-long-terms-stride-800"])
 def test_exact_power_cap_ends_in_one_error_line(argv, exponent, cap, capsys, tmp_path,
                                                 monkeypatch):
+    """Exit 1 with one `error:` line, quickly, with nothing on stdout."""
     monkeypatch.chdir(tmp_path)
     start = time.perf_counter()
-    code, err = _run(argv, capsys)
+    code = main(argv)
     assert time.perf_counter() - start < 1.0
-    assert code == 1
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
     [line] = err.splitlines()
     assert line.startswith("error: ") and exponent in line
     assert cap in line

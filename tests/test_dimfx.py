@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dioph_lab import dimfx
+from dioph_lab import cli, dimfx
 from dioph_lab.dimfx import (
     baseline_bound,
     construction_lower_bound,
@@ -247,7 +247,8 @@ def test_forbidden_gaps_match_the_raw_pieces(en, ed, vn, l_top):
 
 def test_reports_find_one_thresholds_per_point(monkeypatch):
     """`reports` finds each eta > 1 point's thresholds, and l0 with them,
-    once: no formula finds them again.  At eta = 1 it finds none."""
+    once: no formula finds them again, and neither does `eval-dim`.  At
+    eta = 1 it finds none."""
     calls = dict.fromkeys(("thresholds", "l0_threshold"), 0)
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(dimfx, name)):
@@ -262,6 +263,8 @@ def test_reports_find_one_thresholds_per_point(monkeypatch):
     for vhat in rational_linspace(F(0), F(1), 21):
         dimfx.reports(F(1), vhat, F(3), F(1, 2))
     assert calls == {"thresholds": inside, "l0_threshold": inside}
+    assert cli.main(["eval-dim", "--eta", "2", "--vhat", "7/5"]) == 0
+    assert calls == {"thresholds": inside + 1, "l0_threshold": inside + 1}
 
 
 def test_domain_ok_follows_the_value():
