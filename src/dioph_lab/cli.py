@@ -45,6 +45,13 @@ def _base(text: str) -> int:
     return base
 
 
+def _mode(text: str) -> str:
+    if text not in (dimfx.ALL_DEPTHS, dimfx.AT_BLOCK_ENDS):
+        raise ValueError(f"invalid choice: {text!r} "
+                         f"(choose from {dimfx.ALL_DEPTHS!r}, {dimfx.AT_BLOCK_ENDS!r})")
+    return text
+
+
 def _usage(message: str) -> int:
     """One `error:` line on stderr and the usage exit code."""
     print(f"error: {message}", file=sys.stderr)
@@ -353,7 +360,6 @@ class Flag(NamedTuple):
     required: bool = False
     default: object = None
     help: str | None = None
-    choices: tuple[str, ...] | None = None
 
     @property
     def dest(self) -> str:
@@ -400,8 +406,8 @@ COMMANDS = {
     "box-dim": Command(cmd_box_dim, "box-counting estimate for a schedule set", (
         *SCHEDULE,
         Flag("--max-depth", int, required=True),
-        Flag("--mode", default=dimfx.AT_BLOCK_ENDS,
-             choices=(dimfx.ALL_DEPTHS, dimfx.AT_BLOCK_ENDS)),
+        Flag("--mode", _mode, default=dimfx.AT_BLOCK_ENDS,
+             help=f"{dimfx.ALL_DEPTHS} or {dimfx.AT_BLOCK_ENDS}"),
         Flag("--csv"))),
     "sweep": Command(cmd_sweep, "grid sweep emitting one CSV row per point", (
         *POINT,
@@ -445,8 +451,6 @@ def read_args(argv) -> dict | None:
             values[f.dest] = text if f.convert is None else f.convert(text)
         except ValueError:
             return None
-        if f.choices is not None and values[f.dest] not in f.choices:
-            return None
     return None if given else values
 
 
@@ -477,7 +481,7 @@ def build_parser():
         for f in command.flags:
             (one_of if f.flag in command.one_of else p).add_argument(
                 f.flag, type=typed(f.convert), required=f.required, default=f.default,
-                help=f.help, choices=f.choices)
+                help=f.help)
         p.set_defaults(func=command.func)
     return ap
 

@@ -150,8 +150,8 @@ def run_end_table(stream: DigitStream, positions) -> memoryview:
     0 nor b-1.  An anchored match reads each run end; a position inside the
     run last read reuses its end, so ascending positions read each digit
     about once.  The entries are int64s.  The estimators do not call it:
-    `matching_times` finds run ends with `_run_stop`.  Its one remaining
-    caller is `MatchingTimes.pairs`.
+    `matching_times` finds run ends with `_run_stop`.  `MatchingTimes.pairs`
+    reads it, and `verify`'s run-block-maximality checks it at every position.
     """
     data, P, runs = stream.data, stream.prefix_len, stream.run_bytes
     out = array("q")

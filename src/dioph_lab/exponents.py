@@ -16,7 +16,6 @@ table is found by a byte search over the digits.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cached_property
 from typing import NamedTuple
 
 from .digits import CODE, DigitStream, _run_stop, run_end_table
@@ -39,16 +38,7 @@ class MatchingPair(NamedTuple):
         return self.m - self.a
 
 
-class _TableFields(NamedTuple):
-    depth: int
-    seq: DenominatorSequence
-    stream: DigitStream
-    dominant: list[MatchingPair]  # the complete indices whose gap is a strict record
-    index_count: int           # number of indices n with a_n + 1 in the prefix
-    first_truncated_index: int | None  # smallest n whose run is cut off
-
-
-class MatchingTimes(_TableFields):
+class MatchingTimes(NamedTuple):
     """Gap table of one (stream, sequence): its dominant records and counts.
 
     The indices of the table are n = 1..index_count, those whose run start
@@ -61,9 +51,15 @@ class MatchingTimes(_TableFields):
     whose gap strictly exceeds every gap before it).  `dominant` lists those
     records as MatchingPair tuples, found by `matching_times`; the
     estimators read only it and the scalars.  `pairs` lists every complete
-    index, built from the stream on first read.  No `__slots__`: the
-    instance dict holds the cached `pairs`.
+    index, built from the stream on each read.
     """
+
+    depth: int
+    seq: DenominatorSequence
+    stream: DigitStream
+    dominant: list[MatchingPair]  # the complete indices whose gap is a strict record
+    index_count: int           # number of indices n with a_n + 1 in the prefix
+    first_truncated_index: int | None  # smallest n whose run is cut off
 
     @property
     def longest_complete_run(self) -> int:
@@ -77,41 +73,15 @@ class MatchingTimes(_TableFields):
         k = len(self.dominant)
         return min(int(k * BURN_FRACTION), max(0, k - 2))
 
-    @cached_property
+    @property
     def pairs(self) -> list[MatchingPair]:
-        """Every complete index's pair, in index order.
-
-        Each index n whose digit after a_n is 0 or b - 1 starts in a run and
-        is kept.  From any other index the search jumps to the first n with
-        a_n at or after the next such digit, found by `bytes.find`, each
-        needle resuming at its last hit.  One `run_end_table` call then
-        reads the run ends of the kept indices, in ascending order, so each
-        run is read once.
-        """
-        data, a_of = self.stream.data, self.seq.a
-        run_digits = self.stream.run_bytes
-        hits = dict.fromkeys(run_digits, 0)
-        ns: list[int] = []
-        avals: list[int] = []
-        n = 1
-        while n <= self.index_count:
-            a = a_of(n)
-            if data[a] in run_digits:
-                ns.append(n)
-                avals.append(a)
-                n += 1
-                continue
-            for d in list(hits):
-                if hits[d] < a:
-                    hits[d] = data.find(d, a)
-                    if hits[d] < 0:
-                        del hits[d]
-            if not hits:
-                break
-            n = self.seq.index_count_upto(min(hits.values()) - 1) + 1  # a_n at or past it
+        """Every complete index's pair, in index order: one `run_end_table`
+        call reads the run end after each a_n, and index n is kept when a
+        run starts there (its end is not 0) and ends inside the prefix."""
+        avals = [self.seq.a(n) for n in range(1, self.index_count + 1)]
         ends = run_end_table(self.stream, [a + 1 for a in avals])
-        return [MatchingPair(n, a, e + 1) for n, a, e in zip(ns, avals, ends)
-                if e < self.depth]  # a run ending at the prefix end is cut off
+        return [MatchingPair(n, a, e + 1) for n, (a, e) in enumerate(zip(avals, ends), 1)
+                if 0 < e < self.depth]
 
 
 def _final_run_start(data: bytes, base: int) -> int:

@@ -185,13 +185,11 @@ def make_sequence(spec: str) -> DenominatorSequence:
         return DenominatorSequence("poly", degree=d, spec=spec)
     if spec.startswith("geometric:"):
         body = spec[len("geometric:"):]
-        kv = {}
-        for item in body.split(","):
-            if "=" not in item:
-                raise ValueError(f"malformed geometric spec {spec!r}")
-            k, v = item.split("=", 1)
-            kv[k.strip()] = v.strip()
-        if set(kv) != {"eta", "a1"}:
+        items = [item.split("=", 1) for item in body.split(",")]
+        if any(len(item) != 2 for item in items):
+            raise ValueError(f"malformed geometric spec {spec!r}")
+        kv = {k.strip(): v.strip() for k, v in items}
+        if len(kv) != len(items) or set(kv) != {"eta", "a1"}:  # each key once
             raise ValueError(f"geometric spec needs eta=<p/q>,a1=<int>, got {spec!r}")
         return DenominatorSequence("geometric", ratio=parse_rational(kv["eta"]),
                                    seed=_spec_int(spec, "a1", kv["a1"]), spec=spec)

@@ -3,10 +3,13 @@
 Each check re-derives its expectation independently (brute-force scans,
 alternative formulas, exact rational identities) and returns pass/fail with
 a short detail string.  `dioph-lab verify` prints one line per check and
-exits nonzero if any fails.  Each invariant lives only in `CHECKS`: Tier-1
-runs it as `tests/test_acceptance.py::test_invariant[<name>]`, and unit
-tests do not restate a check.  Run one with
-`pytest tests/test_acceptance.py -k <name>`.
+exits nonzero if any fails.  Each invariant is stated in `CHECKS`: Tier-1
+runs it as `tests/test_acceptance.py::test_invariant[<name>]`.  Three unit
+tests check the same properties on inputs that `verify` does not draw:
+`test_exponents.py::test_prefix_extension_only_appends` and
+`::test_greedy_resyncs_after_deleting_a_dominant_pair` (hypothesis
+streams) and `test_boxdim.py::test_block_end_slope_stabilizes` (horizons up
+to 8e5).  Run one check with `pytest tests/test_acceptance.py -k <name>`.
 """
 
 from __future__ import annotations
@@ -53,19 +56,6 @@ def _run_ends(data: bytes) -> list[int]:
     return ends
 
 
-def _scan_pairs(mt: exponents.MatchingTimes) -> list[exponents.MatchingPair]:
-    """Every complete index's pair, from the walk: index n is kept when the
-    digit after a_n is 0 or b - 1 and its run ends inside the prefix."""
-    data, runs = mt.stream.data, mt.stream.run_bytes
-    ends = _run_ends(data)
-    pairs = []
-    for n in range(1, mt.index_count + 1):
-        a = mt.seq.a(n)
-        if data[a] in runs and ends[a] < mt.depth:
-            pairs.append(exponents.MatchingPair(n, a, ends[a] + 1))
-    return pairs
-
-
 def greedy_dominant(pairs: list[exponents.MatchingPair]) -> list[exponents.MatchingPair]:
     """The greedy rule on an explicit pair list: the first pair, then each
     later one whose gap strictly exceeds every gap before it."""
@@ -79,17 +69,22 @@ def greedy_dominant(pairs: list[exponents.MatchingPair]) -> list[exponents.Match
 
 
 def check_run_maximality():
-    """The run end the record search reads (`digits._run_stop`) agrees at
+    """The run ends the record search reads (`digits._run_stop`) and the pair
+    listing reads (`digits.run_end_table`, 0 off the 0/(b-1) runs) agree at
     every position with the walk from the right."""
     for seed in range(20):
         base = random.Random(seed).choice([2, 3, 10])
-        data = digits.random_digits(base, 2000, seed + 1000).data
-        want = _run_ends(data)
-        for i, end in enumerate(want):
+        stream = digits.random_digits(base, 2000, seed + 1000)
+        data = stream.data
+        table = digits.run_end_table(stream, range(1, len(data) + 1))
+        for i, end in enumerate(_run_ends(data)):
             got = digits._run_stop(data, i)
             if got != end:
                 return False, (f"run end {got} at position {i + 1}, scan says {end} "
                                f"(seed {seed})")
+            if table[i] != (end if data[i] in stream.run_bytes else 0):
+                return False, (f"run end table {table[i]} at position {i + 1}, scan says "
+                               f"{end} (seed {seed})")
     return True, "20 seeded streams, direct scan"
 
 
@@ -116,7 +111,7 @@ def check_greedy_properties():
         dom = mt.dominant
         if len(dom) < 3:
             continue
-        pairs = _scan_pairs(mt)
+        pairs = mt.pairs
         for drop in range(1, len(dom)):
             redone = greedy_dominant([p for p in pairs if p != dom[drop]])
             if drop + 1 < len(dom):

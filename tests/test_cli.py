@@ -21,13 +21,6 @@ from dioph_lab import boxdim, cli, digits, dimfx, exponents, sequences, verify
 from dioph_lab.cli import main
 
 
-def test_eval_dim_table(capsys):
-    assert main(["eval-dim", "--eta", "2", "--vhat", "7/5"]) == 0
-    out = capsys.readouterr().out
-    assert "exact-window" in out and "1/33" in out and "True" in out
-    assert "thresholds: l0=2 l1=2 ltilde=2 lprime=1" in out
-
-
 def test_eval_dim_rejects_decimals():
     with pytest.raises(SystemExit) as exc:
         main(["eval-dim", "--eta", "2", "--vhat", "1.4"])
@@ -80,31 +73,6 @@ def test_runner_records_an_argparse_exit(tmp_path):
     got = transcript.run_case(["eval-dim --eta 2 --vhat 1.4"], tmp_path)
     assert got.startswith("$ eval-dim --eta 2 --vhat 1.4\n--- stderr\nusage: dioph-lab eval-dim")
     assert got.endswith("argument --vhat: '1.4' is not a p or p/q rational\nexit 2\n")
-
-
-@pytest.mark.parametrize("sha256", ["417379aa631737a6066525d18632e595403c5f1f15c16b15491237bad29f01b6"],
-                         ids=["random-base2-2e5"])
-def test_pinned_digit_bytes(sha256, tmp_path):
-    """The seeded random digit file the benchmark pins, written by the library
-    in process (the transcript's random2.txt input line checks the same bytes)."""
-    out = tmp_path / "out"
-    digits.save_digit_file(digits.random_digits(2, 200_000, 0), out)
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
-
-
-@pytest.mark.parametrize("seq,lines", [
-    ("linear", ["depth 200000: 5 dominant pairs (burn-in 1)",
-                "v_est = 2.33333333333   vhat_est = 0.000264533798083   "
-                "vhat_def = 0.000100010001"]),
-    ("poly:d=2", ["depth 200000: 4 dominant pairs (burn-in 0)",
-                  "v_est = 2   vhat_est = 0.00222222222222   vhat_def = 4.50430160804e-05"]),
-])
-def test_seeded_random_estimate_lines(seq, lines, tmp_path, capsys):
-    path = tmp_path / "random.txt"
-    digits.save_digit_file(digits.random_digits(2, 200_000, 0), path)
-    assert main(["estimate", "--digits", str(path), "--seq", seq]) == 0
-    assert capsys.readouterr().out.splitlines()[:3] == [
-        *lines, "eta = 1   inequality v >= vhat/(eta - vhat): ok"]
 
 
 def test_gen_digits_geometric_regime(tmp_path, capsys):
@@ -258,17 +226,19 @@ SCHED_POLY = ["--seq", "poly:d=2", "--theta", "6", "--vhat", "1/6", "--base", "2
     ["gen-digits", *SCHED_GEO, "--depth", "20000", "--out", "o.txt"],
     ["gen-digits", *SCHED_POLY, "--depth", "20000", "--out", "o.txt"],
     ["estimate", "--digits", "eta1.txt", "--seq", "linear"],
+    ["estimate", "--digits", "geo.txt", "--seq", "geometric:eta=2,a1=1"],
     ["box-dim", *SCHED_GEO, "--max-depth", "20000"],
     ["box-dim", *SCHED_GEO, "--max-depth", "20000", "--mode", "all-depths", "--csv", "o.csv"],
     ["verify"],
 ], ids=["import", "eval-dim", "formula-sweep", "roundtrip-sweep", "gen-digits-eta1",
-        "gen-digits-geo", "gen-digits-poly", "estimate", "box-dim", "box-dim-all-depths-csv",
-        "verify"])
+        "gen-digits-geo", "gen-digits-poly", "estimate", "estimate-geo", "box-dim",
+        "box-dim-all-depths-csv", "verify"])
 def test_no_command_loads_numpy_or_dataclasses(argv, tmp_path):
     if argv[:1] == ["estimate"]:  # the digits it reads
+        sched = {"eta1.txt": SCHED_ETA1, "geo.txt": SCHED_GEO}[argv[2]]
         with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["gen-digits", *SCHED_ETA1, "--depth", "20000",
-                         "--out", str(tmp_path / "eta1.txt")]) == 0
+            assert main(["gen-digits", *sched, "--depth", "20000",
+                         "--out", str(tmp_path / argv[2])]) == 0
     src = str(Path(dioph_lab.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], cwd=tmp_path,
                           capture_output=True, text=True,
@@ -286,16 +256,10 @@ FLAG_VALUES = {
                            ["1.5", "1/0", "x", "²", ""]),
     cli._base: (["2", "3", "40", " 5"], ["1", "x"]),
     cli._parse_regime: (["eta1", "geo:l=2"], ["geo:x", "geo:l=0"]),
+    cli._mode: (["all-depths", "block-ends"], ["bogus", "all", "Block-ends"]),
     int: (["5", "20000", " 12 ", "1_000", "٣"], ["x", "1.5"]),
     None: (["linear", "o.csv", "a b", "x=y", ""], []),
 }
-
-
-def _values(flag):
-    """(values the flag takes, values it rejects)."""
-    if flag.choices:
-        return flag.choices, ["bogus", "all", "Block-ends"]
-    return FLAG_VALUES[flag.convert]
 
 
 def _deferred(argv):
@@ -333,13 +297,13 @@ def test_read_args_is_argparse_or_defers(name, data):
     with - or @, that argparse accepts; it leaves every other argv to
     argparse."""
     flags = cli.COMMANDS[name].flags if name in cli.COMMANDS else cli.POINT
-    pairs = [[f, data.draw(st.sampled_from(_values(f)[0]))]
+    pairs = [[f, data.draw(st.sampled_from(FLAG_VALUES[f.convert][0]))]
              for f in data.draw(st.permutations(flags))
              if f.required or data.draw(st.booleans())]
     change = data.draw(st.sampled_from(["none", "bad-value", "no-required", "deferred"]))
-    if change == "bad-value" and any(_values(f)[1] for f, _ in pairs):
-        pair = data.draw(st.sampled_from([p for p in pairs if _values(p[0])[1]]))
-        pair[1] = data.draw(st.sampled_from(_values(pair[0])[1]))
+    if change == "bad-value" and any(FLAG_VALUES[f.convert][1] for f, _ in pairs):
+        pair = data.draw(st.sampled_from([p for p in pairs if FLAG_VALUES[p[0].convert][1]]))
+        pair[1] = data.draw(st.sampled_from(FLAG_VALUES[pair[0].convert][1]))
     if change == "no-required" and any(f.required for f, _ in pairs):
         pairs.remove(data.draw(st.sampled_from([p for p in pairs if p[0].required])))
     argv = [name, *(text for f, value in pairs for text in (f.flag, value))]

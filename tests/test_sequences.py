@@ -61,6 +61,7 @@ def test_explicit_file(tmp_path):
     "poly", "poly:d=1", "poly:k=2", "geometric:eta=1,a1=1",
     "geometric:eta=2", "geometric:eta=2,a1=0", "geometric:eta=0.5,a1=1",
     "fibonacci", "geometric:eta=3/2,a1=2,x=1", "poly:d=x", "geometric:eta=2,a1=x",
+    "geometric:eta=2,a1=1,eta=3", "geometric:eta=2,a1=1,a1=5",
 ])
 def test_malformed_specs(bad):
     with pytest.raises(ValueError):
