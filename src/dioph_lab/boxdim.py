@@ -6,8 +6,8 @@ digits, so the count exponent c(n) is the number of free positions up to n.
 Those are read off `construct.forced_digits`, the one statement of the
 schedule's pattern, which emission reads as well, as its maximal stretches
 of FREE cells.  A schedule leaves few of them (6 for the eta = 2 reference
-up to depth 2e5), so no count is held per depth: c(n) is a bisection over
-the stretches, a run of consecutive counts is filled stretch by stretch,
+up to depth 2e5), so no count is held per depth: c(n) is a sum over the
+stretches, a run of consecutive counts is filled stretch by stretch,
 and the least-squares slope over every depth comes from closed-form sums
 over the stretches, in exact arithmetic.  For the uniform mass the count
 is the reciprocal of the cylinder mass, so the count exponent must equal
@@ -21,8 +21,6 @@ import re
 from array import array
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate
 from math import comb
 from operator import attrgetter
 from typing import Iterable, NamedTuple
@@ -33,32 +31,23 @@ from .dimfx import ALL_DEPTHS, AT_BLOCK_ENDS
 MIN_POINTS = 3  # fewest points a dimension estimate is made from
 
 _FREE_CELLS = re.compile(re.escape(bytes((FREE,))) + b"+")
-_START, _STOP = attrgetter("start"), attrgetter("stop")
+_STOP = attrgetter("stop")
 
 
-class _SeriesFields(NamedTuple):
-    depths: range | list[int]
-    free: list[range]
-
-
-class CountSeries(_SeriesFields):
+class CountSeries(NamedTuple):
     """Count exponents at `depths`, held as the free stretches they count.
 
     depths: strictly increasing depths >= 1; `range(1, N + 1)` for every
         depth up to N.
     free: the maximal stretches of free positions in 1..depths[-1], in order.
-    No `__slots__`: the instance dict holds the cached `_totals`.
     """
-
-    @cached_property
-    def _totals(self) -> list[int]:
-        """Free positions up to the end of each stretch."""
-        return list(accumulate(map(len, self.free)))
+    depths: range | list[int]
+    free: list[range]
 
     def count(self, n: int) -> int:
-        """The count exponent c(n): free positions in 1..n."""
-        i = bisect_right(self.free, n, key=_START)
-        return self._totals[i - 1] - max(0, self.free[i - 1].stop - 1 - n) if i else 0
+        """The count exponent c(n): free positions in 1..n, summed over the
+        few stretches that start at or before n."""
+        return sum(min(r.stop, n + 1) - r.start for r in self.free if r.start <= n)
 
     def exponents(self, lo: int = 0, hi: int | None = None) -> array:
         """array('q') of the count exponents at depths[lo:hi].  A run of

@@ -5,12 +5,10 @@ rejected because schedule construction requires exact arithmetic.  CSV is
 the single output format (plot-ready columns, deterministic bytes).
 Each command imports the layers it runs, and only those.  The library is
 plain Python and its records are NamedTuples, so no command loads numpy or
-`dataclasses`.  Every flag is declared once, in COMMANDS, and `main` reads
-a command followed by exact `--flag value` pairs straight from that table.
-argparse loads only for `--help`, for usage errors and for the forms only
-it reads (`--flag=value`, `@FILE`, abbreviated or repeated flags, values
-that start with `-`).  `run`, the program's entry point, ends the process
-without the interpreter's teardown.
+`dataclasses`.  Every flag is declared once, in COMMANDS, and `read_args`
+reads every argv from that table: its help, and each usage error as one
+`error:` line with exit status 2.  `run`, the program's entry point, ends
+the process without the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -149,14 +147,7 @@ def _write_csv(path, header, rows):
 def cmd_eval_dim(args) -> int:
     eta = args.eta
     _check_eta(eta)
-    if args.vhat is not None and args.grid is not None:
-        return _usage("--vhat and --grid cannot both be given")
-    if args.grid is not None:
-        grid = _grid(args.grid)
-    elif args.vhat is not None:
-        grid = [args.vhat]
-    else:
-        return _usage("eval-dim needs --vhat or --grid")
+    grid = [args.vhat] if args.grid is None else _grid(args.grid)
     rows = []
     for vhat in grid:
         th, found = dimfx.reports(eta, vhat, args.theta, args.rho)
@@ -350,11 +341,15 @@ def cmd_verify(_args) -> int:
 
 # --- the command line ----------------------------------------------------------
 
+class UsageError(Exception):
+    """A command line COMMANDS does not accept: one `error:` line, exit 2."""
+
+
 class Flag(NamedTuple):
-    """`--flag VALUE` sets the attribute named after the flag (`--max-depth`:
-    `max_depth`) to `convert(VALUE)`, or to VALUE itself when `convert` is
-    None; a flag not given sets it to `default`.  `convert` raises
-    ValueError on a bad value."""
+    """`--flag VALUE` or `--flag=VALUE` sets the attribute named after the
+    flag (`--max-depth`: `max_depth`) to `convert(VALUE)`, or to VALUE
+    itself when `convert` is None; a flag not given sets it to `default`.
+    `convert` raises ValueError on a bad value."""
     flag: str
     convert: Callable[[str], object] | None = None
     required: bool = False
@@ -368,13 +363,12 @@ class Flag(NamedTuple):
 
 class Command(NamedTuple):
     """A subcommand: the function it runs, its help line, and its flags in
-    the order its usage and help list them."""
+    the order its help lists them."""
     func: Callable[..., int]
     help: str
     flags: tuple[Flag, ...]
     one_of: tuple[str, ...] = ()  # flags of which exactly one must be given
-    epilog: str | None = None
-    fromfile_prefix_chars: str | None = None
+    args_file: bool = False  # an `@FILE` argument stands for the file's lines
 
 
 # the flags two commands share, each declared once
@@ -392,7 +386,8 @@ COMMANDS = {
     "eval-dim": Command(cmd_eval_dim, "evaluate every applicable dimension formula", (
         *POINT,
         Flag("--grid", help="vhat grid lo:hi:count (rationals)"),
-        Flag("--csv"))),
+        Flag("--csv")),
+        one_of=("--vhat", "--grid")),
     "gen-digits": Command(cmd_gen_digits, "emit a schedule's digit stream to a file", (
         *SCHEDULE,
         Flag("--depth", int, required=True),
@@ -418,82 +413,92 @@ COMMANDS = {
         Flag("--regime", _parse_regime),
         Flag("--depth", int, default=10 ** 5),
         Flag("--csv", required=True)),
-        one_of=("--vhat-grid", "--theta-grid"),
-        epilog="@FILE reads one argument per line, e.g. --eta=2; flags after it override "
-               "the file",
-        fromfile_prefix_chars="@"),
+        one_of=("--vhat-grid", "--theta-grid"), args_file=True),
     "verify": Command(cmd_verify, "run the full invariant suite", ()),
 }
 
 
-def read_args(argv) -> dict | None:
-    """The attributes argparse returns for `<command>` followed by exact
-    `--flag value` pairs of COMMANDS, or None for any other argv: a missing,
-    unknown, abbreviated or repeated flag, `--flag=value`, a value that
-    starts with `-` or `@` or that its flag rejects, and so on."""
-    command = COMMANDS.get(argv[0]) if argv else None
-    if command is None or len(argv) % 2 == 0:
-        return None
-    given = dict(zip(argv[1::2], argv[2::2]))
-    if len(given) != len(argv) // 2 or any(v[:1] in ("-", "@") for v in given.values()):
-        return None
+def _print_help(args) -> int:
+    """Print the help of the command `args.name`, or of the program when it
+    is None: one line per command or flag, never wrapped."""
+    command = COMMANDS.get(args.name)
+    if command is None:
+        usage, about = "COMMAND [--flag VALUE ...]", __doc__.splitlines()[0]
+        rows = [(n, c.help) for n, c in COMMANDS.items()]
+    else:
+        usage = args.name + (" [--flag VALUE ...]" if command.flags else "")
+        about, one_of = command.help, f"exactly one of {', '.join(command.one_of)}"
+        rows = [(f"{f.flag} {f.dest.upper()}", "; ".join(filter(None, (
+                     "required" if f.required else None,
+                     one_of if f.flag in command.one_of else None, f.help))))
+                for f in command.flags]
+        if command.args_file:
+            rows.append(("@FILE", "one argument per line; flags after it override the file"))
+    width = max((len(left) for left, _ in rows), default=0)
+    print("\n".join([f"usage: dioph-lab {usage}", about,
+                     *(f"  {left:<{width}}  {right}".rstrip() for left, right in rows)]))
+    return 0
+
+
+def _args_file(arg: str) -> list[str]:
+    """The lines of the file `@FILE` names, one argument each."""
+    try:
+        with open(arg[1:], encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"{arg}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def read_args(argv) -> SimpleNamespace:
+    """The function an argv runs and its flags' values, read with COMMANDS.
+
+    An argv is a command and its `--flag VALUE` or `--flag=VALUE` pairs; a
+    repeated flag's last value wins, and with `args_file` an `@FILE` stands
+    for the file's lines.  A VALUE may start with one `-`, not two.  `-h` or
+    `--help` reads as a function that prints help.  Any other argv raises
+    UsageError.
+    """
+    name, rest = (argv[0], argv[1:]) if argv else ("", [])
+    command = COMMANDS.get(name)
+    if command is None and name not in ("-h", "--help"):
+        raise UsageError((f"unknown command {name!r}" if name else "no command given")
+                         + f"; choose from {', '.join(COMMANDS)}")
+    if command is not None and command.args_file:
+        rest = [line for arg in rest
+                for line in (_args_file(arg) if arg.startswith("@") else [arg])]
+    if command is None or "-h" in rest or "--help" in rest:
+        return SimpleNamespace(func=_print_help, name=name if command else None)
+    flags, given, args = {f.flag for f in command.flags}, {}, iter(rest)
+    for arg in args:
+        flag, joined, value = arg.partition("=")
+        if flag not in flags:
+            raise UsageError(f"unrecognized argument {arg!r}")
+        if not joined:
+            value = next(args, None)
+            if value is None or value.startswith("--"):
+                raise UsageError(f"{flag} needs a value")
+        given[flag] = value
     if command.one_of and sum(flag in given for flag in command.one_of) != 1:
-        return None
-    values = {"command": argv[0], "func": command.func}
+        raise UsageError(f"{name} needs exactly one of {', '.join(command.one_of)}")
+    values = {"func": command.func}
     for f in command.flags:
-        text = given.pop(f.flag, None)
-        if text is None:
-            if f.required:
-                return None
-            values[f.dest] = f.default
-            continue
+        text = given.get(f.flag)
+        if text is None and f.required:
+            raise UsageError(f"{name} needs {f.flag}")
         try:
-            values[f.dest] = text if f.convert is None else f.convert(text)
-        except ValueError:
-            return None
-    return None if given else values
-
-
-def build_parser():
-    """The argparse parser of COMMANDS, for the command lines `read_args`
-    leaves to it: it prints help and usage errors."""
-    import argparse
-
-    def typed(convert):
-        """`convert` with its ValueError shown as argparse shows its own
-        errors; `int` stays bare, so argparse names it."""
-        if convert is None or convert is int:
-            return convert
-
-        def checked(text):
-            try:
-                return convert(text)
-            except ValueError as exc:
-                raise argparse.ArgumentTypeError(str(exc)) from None
-        return checked
-
-    ap = argparse.ArgumentParser(prog="dioph-lab", description=__doc__.splitlines()[0])
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help, epilog=command.epilog,
-                           fromfile_prefix_chars=command.fromfile_prefix_chars)
-        one_of = p.add_mutually_exclusive_group(required=True) if command.one_of else None
-        for f in command.flags:
-            (one_of if f.flag in command.one_of else p).add_argument(
-                f.flag, type=typed(f.convert), required=f.required, default=f.default,
-                help=f.help)
-        p.set_defaults(func=command.func)
-    return ap
+            values[f.dest] = (f.default if text is None else
+                              text if f.convert is None else f.convert(text))
+        except ValueError as exc:
+            raise UsageError(f"{f.flag}: {exc}") from None
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    values = read_args(argv)
-    args = (build_parser().parse_args(argv) if values is None
-            else SimpleNamespace(**values))
     try:
+        args = read_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
+    except UsageError as exc:
+        return _usage(str(exc))
     except BrokenPipeError:  # stdout's reader has gone (`| head -1`): end quietly
         # the idiom of the signal module's "Note on SIGPIPE": what is still
         # buffered is flushed to devnull, not to the closed pipe

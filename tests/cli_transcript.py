@@ -10,7 +10,7 @@ first `$` line names it); the rest is what running it prints:
     ...                   its stdout
     --- stderr            its stderr, when not empty
     ...
-    exit N                its exit status, argparse's SystemExit included
+    exit N                its exit status
     --- PATH              each file whose bytes it changed: inline up to
     ...                   INLINE_LIMIT bytes,
     --- PATH sha256 HEX   by SHA-256 above (every pinned digit file)
@@ -136,14 +136,10 @@ def child_env() -> dict[str, str]:
 
 
 def _run_in_process(command: str) -> tuple[int, str, str]:
-    """(exit status, stdout, stderr) of `cli.main(ARGV)`, argparse's
-    SystemExit included."""
+    """(exit status, stdout, stderr) of `cli.main(ARGV)`."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(command.split())
-        except SystemExit as exc:
-            code = exc.code
+        code = cli.main(command.split())
     return code, out.getvalue(), err.getvalue()
 
 
@@ -156,14 +152,10 @@ def _run_child(command: str) -> tuple[int, str, str]:
 
 def run_case(commands: list[str], workdir, child: bool = False) -> str:
     """Run the commands in `workdir` and return the transcript they make,
-    in process or, with `child`, each as a `python -m dioph_lab.cli` child.
-
-    argparse wraps help and usage lines at $COLUMNS - 2, so COLUMNS is 80
-    while they run."""
+    in process or, with `child`, each as a `python -m dioph_lab.cli` child."""
     parts = []
-    here, columns = os.getcwd(), os.environ.get("COLUMNS")
+    here = os.getcwd()
     os.chdir(workdir)
-    os.environ["COLUMNS"] = "80"
     try:
         for name, write in INPUTS.items():
             if any(name in command for command in commands):
@@ -180,10 +172,6 @@ def run_case(commands: list[str], workdir, child: bool = False) -> str:
                          if before.get(name) != data)
     finally:
         os.chdir(here)
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
     return "".join(parts)
 
 

@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -21,19 +22,19 @@ from dioph_lab import boxdim, cli, digits, dimfx, exponents, sequences, verify
 from dioph_lab.cli import main
 
 
-def test_eval_dim_rejects_decimals():
-    with pytest.raises(SystemExit) as exc:
-        main(["eval-dim", "--eta", "2", "--vhat", "1.4"])
-    assert exc.value.code == 2
+def test_eval_dim_rejects_decimals(capsys):
+    assert main(["eval-dim", "--eta", "2", "--vhat", "1.4"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --vhat: '1.4' is not a p or p/q rational"]
 
 
-def test_unknown_flag_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["eval-dim", "--eta", "2", "--frobnicate", "1"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
+def test_unknown_flag_exits_2(capsys):
+    assert main(["eval-dim", "--eta", "2", "--frobnicate", "1"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: unrecognized argument '--frobnicate'"]
+    assert main(["no-such-command"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unknown command 'no-such-command'; choose from "
+        "eval-dim, gen-digits, estimate, box-dim, sweep, verify"]
 
 
 def test_gen_digits_worked_prefix(tmp_path, capsys):
@@ -71,8 +72,18 @@ def test_runner_names_the_case_and_its_first_differing_line(tmp_path):
 
 def test_runner_records_an_argparse_exit(tmp_path):
     got = transcript.run_case(["eval-dim --eta 2 --vhat 1.4"], tmp_path)
-    assert got.startswith("$ eval-dim --eta 2 --vhat 1.4\n--- stderr\nusage: dioph-lab eval-dim")
-    assert got.endswith("argument --vhat: '1.4' is not a p or p/q rational\nexit 2\n")
+    assert got == ("$ eval-dim --eta 2 --vhat 1.4\n--- stderr\n"
+                   "error: --vhat: '1.4' is not a p or p/q rational\nexit 2\n")
+
+
+def test_every_pinned_usage_error_is_one_error_line():
+    """Each pinned command that exits 2 printed nothing on stdout and one
+    `error:` line on stderr."""
+    outputs = [m[1] for case in PINNED
+               for m in re.finditer(r"^\$ .*\n((?:(?!\$ ).*\n)*?)exit 2\n", case.text, re.M)]
+    assert len(outputs) >= 11
+    for out in outputs:
+        assert re.fullmatch(r"--- stderr\nerror: .+\n", out), out
 
 
 def test_gen_digits_geometric_regime(tmp_path, capsys):
@@ -230,9 +241,10 @@ SCHED_POLY = ["--seq", "poly:d=2", "--theta", "6", "--vhat", "1/6", "--base", "2
     ["box-dim", *SCHED_GEO, "--max-depth", "20000"],
     ["box-dim", *SCHED_GEO, "--max-depth", "20000", "--mode", "all-depths", "--csv", "o.csv"],
     ["verify"],
+    ["eval-dim", "--help"],
 ], ids=["import", "eval-dim", "formula-sweep", "roundtrip-sweep", "gen-digits-eta1",
         "gen-digits-geo", "gen-digits-poly", "estimate", "estimate-geo", "box-dim",
-        "box-dim-all-depths-csv", "verify"])
+        "box-dim-all-depths-csv", "verify", "help"])
 def test_no_command_loads_numpy_or_dataclasses(argv, tmp_path):
     if argv[:1] == ["estimate"]:  # the digits it reads
         sched = {"eta1.txt": SCHED_ETA1, "geo.txt": SCHED_GEO}[argv[2]]
@@ -246,99 +258,6 @@ def test_no_command_loads_numpy_or_dataclasses(argv, tmp_path):
     assert proc.returncode == 0, proc.stderr
     writes_csv = argv[:1] == ["sweep"]  # box-dim writes its CSV rows by hand
     assert proc.stdout == ("csv\n" if writes_csv else "\n")
-
-
-# --- the flag table's reader against argparse --------------------------------
-
-# Values for each converter of cli.COMMANDS: (some it takes, some it rejects).
-FLAG_VALUES = {
-    dimfx.parse_rational: (["2", "1/3", "3/2", " 7 ", "+3/+4", "٣/4"],
-                           ["1.5", "1/0", "x", "²", ""]),
-    cli._base: (["2", "3", "40", " 5"], ["1", "x"]),
-    cli._parse_regime: (["eta1", "geo:l=2"], ["geo:x", "geo:l=0"]),
-    cli._mode: (["all-depths", "block-ends"], ["bogus", "all", "Block-ends"]),
-    int: (["5", "20000", " 12 ", "1_000", "٣"], ["x", "1.5"]),
-    None: (["linear", "o.csv", "a b", "x=y", ""], []),
-}
-
-
-def _deferred(argv):
-    """Changes to `<command>` and `--flag value` pairs that make an argv the
-    table's reader leaves to argparse."""
-    (flag, value), rest = argv[1:3] or ["--eta", "1"], argv[3:]
-    return {
-        "no-command": argv[1:],
-        "unknown-flag": [*argv, "--frobnicate", "1"],
-        "prefix": [argv[0], flag[:-1], value, *rest],
-        "repeat": [argv[0], flag, "x", flag, value, *rest],
-        "joined": [argv[0], f"{flag}={value}", *rest],
-        "dash-value": [argv[0], flag, "-5", *rest],
-        "at-value": [argv[0], flag, "@no-such.args", *rest],
-        "help": [argv[0], "-h", *argv[1:]],
-        "help-first": ["--help", *argv],
-    }
-
-
-def _argparse_vars(argv):
-    """vars() of the namespace build_parser() returns, or None when it exits."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return vars(cli.build_parser().parse_args(argv))
-        except SystemExit:
-            return None
-
-
-@pytest.mark.parametrize("name", [*cli.COMMANDS, "no-such-command"])
-@given(data=st.data())
-@settings(max_examples=150, deadline=None)
-def test_read_args_is_argparse_or_defers(name, data):
-    """read_args returns exactly argparse's attributes, or None.  It reads
-    every argv of exact, unrepeated `--flag value` pairs, no value starting
-    with - or @, that argparse accepts; it leaves every other argv to
-    argparse."""
-    flags = cli.COMMANDS[name].flags if name in cli.COMMANDS else cli.POINT
-    pairs = [[f, data.draw(st.sampled_from(FLAG_VALUES[f.convert][0]))]
-             for f in data.draw(st.permutations(flags))
-             if f.required or data.draw(st.booleans())]
-    change = data.draw(st.sampled_from(["none", "bad-value", "no-required", "deferred"]))
-    if change == "bad-value" and any(FLAG_VALUES[f.convert][1] for f, _ in pairs):
-        pair = data.draw(st.sampled_from([p for p in pairs if FLAG_VALUES[p[0].convert][1]]))
-        pair[1] = data.draw(st.sampled_from(FLAG_VALUES[pair[0].convert][1]))
-    if change == "no-required" and any(f.required for f, _ in pairs):
-        pairs.remove(data.draw(st.sampled_from([p for p in pairs if p[0].required])))
-    argv = [name, *(text for f, value in pairs for text in (f.flag, value))]
-    if change == "deferred":
-        argv = data.draw(st.sampled_from(list(_deferred(argv).values())))
-    got, want = cli.read_args(argv), _argparse_vars(argv)
-    if got is not None:
-        assert change != "deferred" and got == want, argv
-    elif change != "deferred" and name in cli.COMMANDS:
-        assert want is None, argv  # argparse takes it, so the table must
-
-
-def _pinned_exit_zero_argv():
-    """Each command of cli_pinned.txt that exits 0, but for help and @FILE."""
-    for case in PINNED:
-        command = None
-        for line in case.text.splitlines():
-            if line.startswith("$ "):
-                command = line[2:]
-            elif line == "exit 0" and "--help" not in command and "@" not in command:
-                yield command.split()
-
-
-def test_read_args_reads_every_benchmark_and_pinned_command(tmp_path, monkeypatch):
-    """No command the benchmark times or the transcripts pin as a success
-    builds the argparse parser."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    run = importlib.import_module("run")
-    argvs = [c.args for workload in run.WORKLOADS.values() for c in workload(tmp_path, 0)]
-    argvs += list(_pinned_exit_zero_argv())
-    assert len(argvs) > 40
-    for argv in argvs:
-        got = cli.read_args(argv)
-        assert got is not None, argv
-        assert got == _argparse_vars(argv), argv
 
 
 GEN = ["gen-digits", "--seq", "linear", "--theta", "3", "--vhat", "1/3"]
@@ -438,7 +357,9 @@ def _run_as(argv, monkeypatch):
 @pytest.mark.parametrize("argv,code", [
     (["eval-dim", "--eta", "2", "--vhat", "7/5"], 0),
     (["estimate", "--digits", "nope.txt", "--seq", "linear"], 1),
-], ids=["exit-0", "exit-1"])
+    (["eval-dim", "--help"], 0),
+    (["eval-dim", "--eta", "2", "--frobnicate", "1"], 2),
+], ids=["exit-0", "exit-1", "help", "unknown-flag"])
 def test_run_ends_in_os_exit_after_the_exit_hooks(argv, code, exits, tmp_path, capsys,
                                                    monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -470,17 +391,6 @@ def test_run_under_a_profiler_exits_the_usual_way(watch, exits, capsys, monkeypa
     finally:
         unwatch()
     assert exc.value.code == 0
-    assert exits == []
-
-
-@pytest.mark.parametrize("argv,code", [
-    (["eval-dim", "--help"], 0),
-    (["eval-dim", "--eta", "2", "--frobnicate", "1"], 2),
-], ids=["help", "unknown-flag"])
-def test_run_leaves_argparse_exits_alone(argv, code, exits, capsys, monkeypatch):
-    with pytest.raises(SystemExit) as exc:
-        _run_as(argv, monkeypatch)
-    assert exc.value.code == code
     assert exits == []
 
 
@@ -586,14 +496,14 @@ def test_sweep_args_file_rejects_unknown_flags(tmp_path, capsys):
     args.write_text("--eta=2\n--vhat-grid=1:3/2:3\n--bogus=1\n")
     code, err = _run(["sweep", f"@{args}", "--csv", str(tmp_path / "x.csv")], capsys)
     assert code == 2
-    assert "unrecognized arguments: --bogus=1" in err
+    assert err.splitlines() == ["error: unrecognized argument '--bogus=1'"]
     assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_needs_grid(tmp_path, capsys):
     code, err = _run(["sweep", "--eta", "2", "--csv", str(tmp_path / "x.csv")], capsys)
     assert code == 2
-    assert "--vhat-grid --theta-grid is required" in err
+    assert err.splitlines() == ["error: sweep needs exactly one of --vhat-grid, --theta-grid"]
 
 
 def test_estimate_missing_file_errors(tmp_path, capsys):
@@ -620,12 +530,8 @@ def test_verify_exit_code_follows_the_checks(capsys, monkeypatch):
 
 
 def _run(argv, capsys):
-    """Exit code and stderr of one CLI call, argparse exits included."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    return code, capsys.readouterr().err
+    """Exit code and stderr of one CLI call."""
+    return main(argv), capsys.readouterr().err
 
 
 # a round trip at each point: bad round-trip input must exit, not blank cells
@@ -695,12 +601,10 @@ def test_unicode_digits_are_no_rational(tmp_path, capsys):
     # '²' passes str.isdigit but not int(); the parser's own message is kept
     code, err = _run(["eval-dim", "--eta", "2", "--vhat", "²"], capsys)
     assert code == 2
-    assert err.splitlines()[-1] == (
-        "dioph-lab eval-dim: error: argument --vhat: '²' is not a p or p/q rational")
+    assert err.splitlines() == ["error: --vhat: '²' is not a p or p/q rational"]
     code, err = _run(["eval-dim", "--eta", "++2", "--vhat", "1/2"], capsys)
     assert code == 2
-    assert err.splitlines()[-1] == (
-        "dioph-lab eval-dim: error: argument --eta: '++2' is not a p or p/q rational")
+    assert err.splitlines() == ["error: --eta: '++2' is not a p or p/q rational"]
     code, err = _run(["sweep", "--eta", "2", "--theta", "4", "--vhat-grid", "1:3/2:2",
                       "--seq", "geometric:eta=²,a1=1", "--regime", "geo:l=2",
                       "--csv", str(tmp_path / "s.csv")], capsys)
@@ -738,7 +642,7 @@ def test_eval_dim_vhat_beside_grid_is_a_usage_error(tmp_path, capsys):
                  "--csv", str(csv_path)])
     out, err = capsys.readouterr()
     assert code == 2
-    assert (out, err.splitlines()) == ("", ["error: --vhat and --grid cannot both be given"])
+    assert (out, err.splitlines()) == ("", ["error: eval-dim needs exactly one of --vhat, --grid"])
     assert not csv_path.exists()
 
 
@@ -1003,10 +907,7 @@ def _fuzz_run(argv, workdir):
     os.chdir(workdir)
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+            code = main(argv)
     finally:
         os.chdir(here)
     assert code in (0, 1, 2), argv
