@@ -3,34 +3,34 @@
 Counts are held as base-b exponents (raw counts overflow around depth 10^3).
 A depth-n cylinder meets the set once its forced positions hold their
 digits, so the count exponent c(n) is the number of free positions up to n.
-Those are read off `construct.forced_digits`, the one statement of the
-schedule's pattern, which emission reads as well, as its maximal stretches
-of FREE cells.  A schedule leaves few of them (6 for the eta = 2 reference
-up to depth 2e5), so no count is held per depth: c(n) is a sum over the
-stretches, a run of consecutive counts is filled stretch by stretch,
-and the least-squares slope over every depth comes from closed-form sums
-over the stretches, in exact arithmetic.  For the uniform mass the count
-is the reciprocal of the cylinder mass, so the count exponent must equal
-the mass exponent of `construct.mu_exponents_upto` at every depth: the
-mass formula checks the emitted layout.
+Those are the gaps between `construct.forced_runs`, the one statement of
+the schedule's pattern, which emission reads as well.  A schedule leaves
+few of them (6 for the eta = 2 reference up to depth 2e5), so no count is
+held per depth: c(n) is a sum over the stretches, a run of consecutive
+counts is filled stretch by stretch, and the least-squares slope over
+every depth comes from closed-form sums over the stretches, in exact
+arithmetic.  For the uniform mass the count is the reciprocal of the
+cylinder mass, so the count exponent must equal the mass exponent of
+`construct.mu_exponents_upto` at every depth: the mass formula checks the
+forced runs.
 """
 
 from __future__ import annotations
 
-import re
-from array import array
 from bisect import bisect_right
 from fractions import Fraction
 from math import comb
 from operator import attrgetter
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .construct import FREE, CantorSchedule, forced_digits
+from .construct import CantorSchedule, forced_runs
 from .dimfx import ALL_DEPTHS, AT_BLOCK_ENDS
+
+if TYPE_CHECKING:
+    from array import array
 
 MIN_POINTS = 3  # fewest points a dimension estimate is made from
 
-_FREE_CELLS = re.compile(re.escape(bytes((FREE,))) + b"+")
 _STOP = attrgetter("stop")
 
 
@@ -53,6 +53,7 @@ class CountSeries(NamedTuple):
         """array('q') of the count exponents at depths[lo:hi].  A run of
         consecutive depths is filled a stretch at a time, other depths are
         looked up one by one."""
+        from array import array
         ns = self.depths[lo:hi]
         if not (isinstance(ns, range) and ns.step == 1):
             return array("q", map(self.count, ns))
@@ -92,10 +93,15 @@ class CountSeries(NamedTuple):
 
 def constraint_mask(sched: CantorSchedule, base: int, upto: int) -> list[range]:
     """The maximal stretches of free positions in 1..upto, in order: the
-    runs of FREE cells of the `forced_digits` layout.  Every other position
-    is forced."""
-    layout = forced_digits(sched, base, upto)
-    return [range(*m.span()) for m in _FREE_CELLS.finditer(layout, 1)]
+    gaps between the `forced_runs`.  Every other position is forced."""
+    free, pos = [], 1
+    for lo, hi, _digit in forced_runs(sched, base, upto):
+        if pos < lo:
+            free.append(range(pos, lo))
+        pos = hi + 1
+    if pos <= upto:
+        free.append(range(pos, upto + 1))
+    return free
 
 
 def count_exponents_upto(sched: CantorSchedule, base: int, max_n: int) -> CountSeries:

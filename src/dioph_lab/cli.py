@@ -43,6 +43,13 @@ def _base(text: str) -> int:
     return base
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {text!r}") from None
+
+
 def _mode(text: str) -> str:
     if text not in (dimfx.ALL_DEPTHS, dimfx.AT_BLOCK_ENDS):
         raise ValueError(f"invalid choice: {text!r} "
@@ -390,17 +397,17 @@ COMMANDS = {
         one_of=("--vhat", "--grid")),
     "gen-digits": Command(cmd_gen_digits, "emit a schedule's digit stream to a file", (
         *SCHEDULE,
-        Flag("--depth", int, required=True),
+        Flag("--depth", _integer, required=True),
         Flag("--out", required=True),
         Flag("--schedule-csv"))),
     "estimate": Command(cmd_estimate, "estimate exponents from a digit file", (
         Flag("--digits", required=True),
         Flag("--seq", required=True),
-        Flag("--depth", int),
+        Flag("--depth", _integer),
         Flag("--csv"))),
     "box-dim": Command(cmd_box_dim, "box-counting estimate for a schedule set", (
         *SCHEDULE,
-        Flag("--max-depth", int, required=True),
+        Flag("--max-depth", _integer, required=True),
         Flag("--mode", _mode, default=dimfx.AT_BLOCK_ENDS,
              help=f"{dimfx.ALL_DEPTHS} or {dimfx.AT_BLOCK_ENDS}"),
         Flag("--csv"))),
@@ -411,7 +418,7 @@ COMMANDS = {
         Flag("--seq", help="with --regime, run the round trip at each point"),
         Flag("--base", _base, default=3),
         Flag("--regime", _parse_regime),
-        Flag("--depth", int, default=10 ** 5),
+        Flag("--depth", _integer, default=10 ** 5),
         Flag("--csv", required=True)),
         one_of=("--vhat-grid", "--theta-grid"), args_file=True),
     "verify": Command(cmd_verify, "run the full invariant suite", ()),

@@ -14,6 +14,9 @@ per-block check:
   i_{k+1} = i_k + l + 1 with theta in [eta^l, (eta^{l+1}-1)/vhat).
 
 `check_regime` tells whether a sequence's growth fits a regime.
+`forced_runs` states a schedule's digit pattern once, as the runs of forced
+positions: `emit_digits` joins the stream's bytes from them, and `boxdim`
+counts the free positions between them.
 
 All schedule arithmetic is exact: theta and vhat are Fractions and every
 floor is an integer floor of a rational product.  Floating point is not used
@@ -23,15 +26,18 @@ anywhere in construction.
 from __future__ import annotations
 
 import math
-from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .digits import CODE, DigitStream
 from .sequences import DenominatorSequence, eta_estimate
 from . import dimfx
+
+if TYPE_CHECKING:
+    from array import array
 
 START_SCAN_CAP = 10 ** 6  # max indices scanned for a valid first block
 MAX_ENTRIES = 10_000
@@ -225,37 +231,46 @@ def schedule_geometric(seq: DenominatorSequence, theta: Fraction, vhat: Fraction
 
 
 FILL_DIGIT = 1  # unconstrained positions; never 0 or b-1, so no spurious runs
-FREE = 255      # layout cell of a position the schedule leaves free; never a digit
-# layout cell -> stream byte: the digit's CODE byte, and FREE's is FILL_DIGIT's
-_EMIT = bytes(CODE[FILL_DIGIT if c == FREE else c] for c in range(256))
-_FILL_CHUNK = 1 << 16  # most cells `forced_digits` checks and writes at once
+_EMIT_CHUNK = 1 << 16  # digits of one cached piece of a run; longer runs join several
 
 
-def forced_digits(sched: CantorSchedule, base: int, upto: int) -> bytearray:
-    """The schedule's digit pattern: a bytearray layout of positions 1..upto
-    (cell 0 unused) holding the forced digit, or FREE where there is none.
+@cache
+def _digit_chunk(digit: int) -> memoryview:
+    """_EMIT_CHUNK copies of the digit's CODE byte, which every emitted run of
+    the digit slices: a slice of a memoryview copies nothing."""
+    return memoryview(bytes((CODE[digit],)) * _EMIT_CHUNK)
+
+
+def forced_runs(sched: CantorSchedule, base: int, upto: int) -> list[tuple[int, int, int]]:
+    """The schedule's digit pattern: the sorted, disjoint runs (lo, hi, digit)
+    of forced positions in 1..upto; every other position is free.
 
     For base 2 the variant pattern also forces a 0 immediately before each
     spaced marker, which caps the length of the 1-runs the fill would
-    otherwise create.  Emission fills the FREE cells; box counting counts
-    the others.
+    otherwise create.  The forces are applied in schedule order, each
+    clipped to upto; one that meets an earlier force of another digit is an
+    InvariantError naming its smallest such position.  Emission fills the
+    free positions; box counting counts them.
     """
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if upto < 0 or upto > sched.covered_to:
         raise ValueError(f"upto {upto} outside covered range [0, {sched.covered_to}]")
-    layout = bytearray([FREE]) * (upto + 1)
+    runs: list[tuple[int, int, int]] = []
 
     def force(lo: int, hi: int, digit: int) -> None:  # positions lo..hi, clipped to upto
-        end = min(hi, upto) + 1
-        keep, run = bytes((FREE, digit)), bytes((digit,)) * min(end - lo, _FILL_CHUNK)
-        for i in range(lo, end, _FILL_CHUNK):  # a chunk at a time: no copy of a long stretch
-            j = min(i + _FILL_CHUNK, end)
-            clash = layout[i:j].translate(None, keep)
-            if clash:  # the first clashing cell holds the first byte left over
+        hi = min(hi, upto)
+        if lo > hi:
+            return
+        i = j = bisect_left(runs, lo, key=lambda r: r[1])  # the first run ending at or after lo
+        start, end = lo, hi
+        while j < len(runs) and runs[j][0] <= hi:  # the runs it meets, in order
+            if runs[j][2] != digit:
                 raise dimfx.InvariantError(
-                    f"conflicting digits at position {layout.index(clash[0], i, j)}")
-            layout[i:j] = run[:j - i]
+                    f"conflicting digits at position {max(lo, runs[j][0])}")
+            start, end = min(start, runs[j][0]), max(end, runs[j][1])
+            j += 1
+        runs[i:j] = [(start, end, digit)]
 
     for e in sched.entries:
         if e.a > upto:
@@ -266,15 +281,25 @@ def forced_digits(sched: CantorSchedule, base: int, upto: int) -> bytearray:
             force(pos, pos, 1)
             if base == 2 and pos > e.m:
                 force(pos - 1, pos - 1, 0)
-    return layout
+    return runs
 
 
 def emit_digits(sched: CantorSchedule, base: int, upto: int) -> DigitStream:
     """Materialize the first `upto` digits of the schedule's pattern, with
-    FILL_DIGIT at the free positions."""
-    cells = forced_digits(sched, base, upto).translate(_EMIT)
-    del cells[0]  # cell 0 is not a position
-    return DigitStream(base, bytes(cells))
+    FILL_DIGIT at the free positions: one join of the runs' bytes."""
+    pieces, pos = [], 1
+
+    def run(digit: int, length: int) -> None:
+        chunk = _digit_chunk(digit)
+        pieces.extend(repeat(chunk, length // _EMIT_CHUNK))
+        pieces.append(chunk[:length % _EMIT_CHUNK])
+
+    for lo, hi, digit in forced_runs(sched, base, upto):
+        run(FILL_DIGIT, lo - pos)
+        run(digit, hi - lo + 1)
+        pos = hi + 1
+    run(FILL_DIGIT, upto + 1 - pos)
+    return DigitStream(base, b"".join(pieces))
 
 
 def _entry_base_exponents(sched: CantorSchedule, base: int) -> list[int]:
@@ -326,6 +351,7 @@ def mu_exponents_upto(sched: CantorSchedule, base: int, max_n: int) -> array:
     `_ramp_exponent`.  Below the first block every position is free, so the
     exponent is the depth itself.
     """
+    from array import array
     _check_depth(sched, max_n)
     out = array("q", range(min(sched.entries[0].a - 1, max_n) + 1))
     for ent, flat in zip(sched.entries, _entry_base_exponents(sched, base)):

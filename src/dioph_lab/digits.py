@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import os
 import re
-from array import array
-from functools import cache
+import stat
 from typing import NamedTuple
 
 # Positions are 1-based everywhere: digit j of xi is x_j, j >= 1.
@@ -65,15 +64,17 @@ class DigitStream(_StreamFields):
         return DigitStream(self.base, self.data[:count])
 
 
-def digits_from_string(text: str, base: int) -> DigitStream:
+def digits_from_string(text: str | bytes, base: int) -> DigitStream:
     """Parse digit characters (0-9 then a-z, base <= 36; uppercase letters
-    read as lowercase) into a stream."""
+    read as lowercase), as text or as their ASCII bytes, into a stream."""
     if base > MAX_BASE:
         raise ValueError(f"base {base} exceeds the digit alphabet (max {MAX_BASE})")
-    try:
-        raw = text.encode("ascii")
-    except UnicodeEncodeError as exc:
-        raise ValueError(f"non-ascii character in digit text: {exc}") from None
+    raw = text
+    if isinstance(text, str):
+        try:
+            raw = text.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"non-ascii character in digit text: {exc}") from None
     if base > 10:  # checked as written, so an error names an uppercase letter
         _check_digits(raw, CODE[:base] + CODE[10:base].upper(), base)
         raw = raw.lower()
@@ -131,15 +132,36 @@ def random_digits(base: int, count: int, seed: int) -> DigitStream:
     return DigitStream(base, data)
 
 
-@cache
-def _run_pattern(d: int) -> re.Pattern[bytes]:
-    """The anchored match of a run of the digit d, compiled once per digit."""
-    return re.compile(re.escape(bytes([d])) + b"*")
+_RUN_CHUNK = 4096  # most digits one anchored match reads
+
+
+class _RunMatches(dict):
+    """Digit -> the anchored match of a run of at most _RUN_CHUNK of it,
+    compiled on first use."""
+
+    def __missing__(self, d: int):
+        match = self[d] = re.compile(re.escape(bytes((d,))) + b"{0,%d}" % _RUN_CHUNK).match
+        return match
+
+
+_RUN_MATCH = _RunMatches()
 
 
 def _run_stop(data: bytes, i: int) -> int:
-    """0-based offset one past the run of equal digits through data[i]."""
-    return _run_pattern(data[i]).match(data, i).end()
+    """0-based offset one past the run of equal digits through data[i].
+
+    The anchored match reads at most one chunk.  A run that fills it is
+    compared a whole chunk at a time, and the match reads only its last one.
+    """
+    d = data[i]
+    match = _RUN_MATCH[d]
+    end = match(data, i).end()
+    if end - i == _RUN_CHUNK:
+        chunk = bytes((d,)) * _RUN_CHUNK
+        while data.startswith(chunk, end):
+            end += _RUN_CHUNK
+        end = match(data, end).end()
+    return end
 
 
 def run_end_table(stream: DigitStream, positions) -> memoryview:
@@ -147,12 +169,13 @@ def run_end_table(stream: DigitStream, positions) -> memoryview:
 
     Entry i is the 1-based position of the last digit of the maximal 0- or
     (b-1)-run containing positions[i], or 0 when the digit there is neither
-    0 nor b-1.  An anchored match reads each run end; a position inside the
-    run last read reuses its end, so ascending positions read each digit
-    about once.  The entries are int64s.  The estimators do not call it:
+    0 nor b-1.  `_run_stop` reads each run end; a position inside the run
+    last read reuses its end, so ascending positions read each digit about
+    once.  The entries are int64s.  The estimators do not call it:
     `matching_times` finds run ends with `_run_stop`.  `MatchingTimes.pairs`
     reads it, and `verify`'s run-block-maximality checks it at every position.
     """
+    from array import array
     data, P, runs = stream.data, stream.prefix_len, stream.run_bytes
     out = array("q")
     start = end = 0  # positions start..end lie in one run, which ends at end
@@ -188,18 +211,53 @@ def save_digit_file(stream: DigitStream, path) -> None:
         raise
 
 
-def load_digit_file(path) -> DigitStream:
-    """Read a digit file; a malformed file raises ValueError naming the path."""
+_HEADER = re.compile(rb"base=([0-9]+)\n")  # the header `save_digit_file` writes
+
+
+def _read_whole(fh, size: int) -> DigitStream | None:
+    """The stream of a file of `size` bytes as `save_digit_file` writes it,
+    read from `fh` at its start with one read of the body; None for any
+    other file, or one whose digits the stream refuses."""
+    header = fh.readline()
+    found = _HEADER.fullmatch(header)
+    count = size - len(header) - 1
+    if found is None or count < 0:
+        return None
+    body = fh.read(count)
+    if len(body) != count or fh.read(2) != b"\n":
+        return None
     try:
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if not header.startswith("base="):
-                raise ValueError(f"must start with 'base=<b>', got {header!r}")
-            try:
-                base = int(header[len("base="):])
-            except ValueError:
-                raise ValueError(f"header {header!r} has no integer base") from None
-            body = "".join(line.strip() for line in fh)
+        return digits_from_string(body, int(found[1]))
+    except ValueError:
+        return None
+
+
+def load_digit_file(path) -> DigitStream:
+    """Read a digit file; a malformed file raises ValueError naming the path.
+
+    A regular file as `save_digit_file` writes it is read in one piece.
+    Every other file (a pipe, wrapped lines, CRLF line ends, another header
+    form, a digit the stream refuses) is read again from its start as text,
+    or only as text when it cannot be read twice, and every error is raised
+    there.
+    """
+    try:
+        with open(path, "rb") as fh:
+            info = os.fstat(fh.fileno())
+            if stat.S_ISREG(info.st_mode):
+                stream = _read_whole(fh, info.st_size)
+                if stream is not None:
+                    return stream
+                os.lseek(fh.fileno(), 0, os.SEEK_SET)
+            with open(fh.fileno(), encoding="utf-8", closefd=False) as text:
+                header = text.readline().strip()
+                if not header.startswith("base="):
+                    raise ValueError(f"must start with 'base=<b>', got {header!r}")
+                try:
+                    base = int(header[len("base="):])
+                except ValueError:
+                    raise ValueError(f"header {header!r} has no integer base") from None
+                body = "".join(line.strip() for line in text)
         return digits_from_string(body, base)
     except ValueError as exc:  # UnicodeDecodeError included
         raise ValueError(f"digit file {path}: {exc}") from None

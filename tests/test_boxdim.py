@@ -14,8 +14,8 @@ from dioph_lab.boxdim import (
     count_series,
     dimension_slope,
 )
-from dioph_lab.construct import FREE
 from dioph_lab.digits import CODE, DigitStream
+from test_construct import apply_forces
 
 
 def test_count_worked_values(small_sched):
@@ -107,16 +107,16 @@ def test_series_memory_does_not_grow_with_depth(eta1_sched):
         tracemalloc.stop()
     assert series.depths == range(1, depth + 1)
     assert slope == pytest.approx(0.451124613994, abs=1e-12)
-    # the layout, one byte per depth, and a few objects per free stretch
-    assert peak <= 1_500_000
+    # a few objects per forced run and per free stretch, none per depth:
+    # 3-6 kB measured, where a byte per depth would be 1 MB
+    assert peak <= 50_000
 
 
 def _brute_counts(sched, base, upto):
-    """c(n) for n = 0..upto, one position at a time."""
-    layout = construct.forced_digits(sched, base, upto)
+    """c(n) for n = 0..upto, from `constrained_digit` one position at a time."""
     out = [0]
     for n in range(1, upto + 1):
-        out.append(out[-1] + (layout[n] == FREE))
+        out.append(out[-1] + (construct.constrained_digit(sched, base, n) is None))
     return out
 
 
@@ -124,7 +124,9 @@ def _brute_counts(sched, base, upto):
 @pytest.mark.parametrize("sched_name", ["eta1_sched", "geo_sched"])
 def test_counts_and_slope_match_brute_force(sched_name, base, request):
     """The closed-form sums, the slope, the block-end counts and the chunk
-    fills against sums over `forced_digits`, one position at a time."""
+    fills against sums over `constrained_digit`, one position at a time, and
+    the block-end counts at depth 10^6 against the free cells of the forces
+    applied one position at a time."""
     sched = request.getfixturevalue(sched_name)
     top = 6000
     c = _brute_counts(sched, base, top)
@@ -144,10 +146,10 @@ def test_counts_and_slope_match_brute_force(sched_name, base, request):
     for lo, hi in [(0, top), (0, 1), (5, 6)] + [(max(e - 2, 0), e + 3) for e in sorted(edges)]:
         assert list(series.exponents(lo, hi)) == c[lo + 1:hi + 1], (lo, hi)
     depth = 10 ** 6
-    layout = construct.forced_digits(sched, base, depth)
+    cells = apply_forces(sched, base, depth)
     ends = sched.block_ends(depth)
     assert list(count_series(sched, base, ends).exponents()) == [
-        layout.count(FREE, 1, n + 1) for n in ends]
+        cells.count(0, 1, n + 1) for n in ends]
 
 
 # (sequence fixture, schedule fixture, v, vhat, v tolerance, vhat tolerance):

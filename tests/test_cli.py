@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -206,15 +207,16 @@ def test_geometric_sweep_shares_one_sequence(tmp_path, capsys, monkeypatch):
 
 # Runs the command given on its command line (none: only the import) in a
 # fresh interpreter and prints which of the modules no command should need
-# it loaded: numpy, dataclasses, argparse with gettext and locale, and csv
-# unless the command writes a CSV through the csv module.
+# it loaded: numpy, dataclasses, argparse with gettext and locale, csv
+# unless the command writes a CSV through the csv module, and array unless
+# it builds an array.
 NUMPY_PROBE = """
 import contextlib, io, sys
 import dioph_lab.cli
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert dioph_lab.cli.main(sys.argv[1:]) == 0
-print(*[m for m in ("numpy", "dataclasses", "argparse", "gettext", "locale", "csv")
+print(*[m for m in ("numpy", "dataclasses", "argparse", "gettext", "locale", "csv", "array")
         if m in sys.modules])
 """
 
@@ -239,12 +241,13 @@ SCHED_POLY = ["--seq", "poly:d=2", "--theta", "6", "--vhat", "1/6", "--base", "2
     ["estimate", "--digits", "eta1.txt", "--seq", "linear"],
     ["estimate", "--digits", "geo.txt", "--seq", "geometric:eta=2,a1=1"],
     ["box-dim", *SCHED_GEO, "--max-depth", "20000"],
+    ["box-dim", *SCHED_GEO, "--max-depth", "20000", "--mode", "all-depths"],
     ["box-dim", *SCHED_GEO, "--max-depth", "20000", "--mode", "all-depths", "--csv", "o.csv"],
     ["verify"],
     ["eval-dim", "--help"],
 ], ids=["import", "eval-dim", "formula-sweep", "roundtrip-sweep", "gen-digits-eta1",
         "gen-digits-geo", "gen-digits-poly", "estimate", "estimate-geo", "box-dim",
-        "box-dim-all-depths-csv", "verify", "help"])
+        "box-dim-all-depths", "box-dim-all-depths-csv", "verify", "help"])
 def test_no_command_loads_numpy_or_dataclasses(argv, tmp_path):
     if argv[:1] == ["estimate"]:  # the digits it reads
         sched = {"eta1.txt": SCHED_ETA1, "geo.txt": SCHED_GEO}[argv[2]]
@@ -257,7 +260,11 @@ def test_no_command_loads_numpy_or_dataclasses(argv, tmp_path):
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     writes_csv = argv[:1] == ["sweep"]  # box-dim writes its CSV rows by hand
-    assert proc.stdout == ("csv\n" if writes_csv else "\n")
+    # box-dim's block-end counts and its CSV rows are arrays, and so are
+    # verify's mass and run-end tables
+    builds_arrays = argv[:1] == ["verify"] or argv[:1] == ["box-dim"] and (
+        "all-depths" not in argv or "--csv" in argv)
+    assert proc.stdout == " ".join(["csv"] * writes_csv + ["array"] * builds_arrays) + "\n"
 
 
 GEN = ["gen-digits", "--seq", "linear", "--theta", "3", "--vhat", "1/3"]
@@ -448,6 +455,27 @@ def test_child_with_a_closed_stdout_ends_quietly(argv, tmp_path):
     finally:
         os.close(w)
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_estimate_reads_a_named_pipe_once(tmp_path):
+    """A pipe cannot be read twice, so the loader reads it only as text: a
+    child reading the digits through a FIFO prints and writes what it does
+    on the regular file."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*GEN, "--base", "3", "--regime", "eta1", "--depth", "20000",
+                     "--out", str(tmp_path / "eta1.txt")]) == 0
+    os.mkfifo(tmp_path / "pipe")
+    feed = threading.Thread(target=lambda: (tmp_path / "pipe").write_bytes(
+        (tmp_path / "eta1.txt").read_bytes()), daemon=True)  # blocks until the child opens it
+    feed.start()
+    runs = [_child(["-m", "dioph_lab.cli", "estimate", "--digits", name, "--seq", "linear",
+                    "--csv", f"{name}.csv"], tmp_path, timeout=60)
+            for name in ("pipe", "eta1.txt")]
+    feed.join(timeout=60)
+    assert [(p.returncode, p.stderr) for p in runs] == [(0, "")] * 2
+    assert runs[0].stdout == runs[1].stdout.replace("eta1.txt.csv", "pipe.csv")
+    assert (tmp_path / "pipe.csv").read_bytes() == (tmp_path / "eta1.txt.csv").read_bytes()
 
 
 def test_pinned_round_trip_as_children(tmp_path):
@@ -705,13 +733,13 @@ BOX_DIM = ["box-dim", "--seq", "linear", "--theta", "3", "--vhat", "1/3", "--bas
 
 
 @pytest.mark.parametrize("argv,module,layer,replacement", [
-    (GEN_DIGITS, "construct", "forced_digits", _out_of_memory),
+    (GEN_DIGITS, "construct", "forced_runs", _out_of_memory),
     (GEN_DIGITS, "construct", "emit_digits", _out_of_memory),
     (BOX_DIM, "boxdim", "count_exponents_upto", _out_of_memory),
     (["estimate", "--digits", "in.txt", "--seq", "linear", "--csv", "out.txt"],
      "exponents", "matching_times", _out_of_memory),
     (["sweep", "--eta", "1", "--theta", "3", "--vhat-grid", "1/4:1/2:2", "--seq", "linear",
-      "--regime", "eta1", "--csv", "out.txt"], "construct", "forced_digits", _out_of_memory),
+      "--regime", "eta1", "--csv", "out.txt"], "construct", "forced_runs", _out_of_memory),
     (["eval-dim", "--eta", "2", "--grid", "1/2:3/2:3", "--csv", "out.txt"],
      "dimfx", "baseline_bound", _out_of_memory),
     (["verify"], "verify", "run_all", _out_of_memory),

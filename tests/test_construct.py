@@ -149,24 +149,117 @@ def test_check_regime():
         construct.check_regime(LIN, "eta2")
 
 
+def _clashing(*entries):
+    """A schedule over a_n = n from (a, m, t, next_a) blocks, checked by
+    nothing, so that its forces may clash."""
+    return construct.CantorSchedule(seq=LIN, theta=F(3), vhat=F(1, 3), entries=tuple(
+        construct.ScheduleEntry(index=a, a=a, m=m, t=t, next_index=nxt, next_a=nxt)
+        for a, m, t, nxt in entries))
+
+
+# the second block's marker at 6 lands inside the first block's zero run
+MARKER_IN_ZERO_RUN = _clashing((4, 10, 0, 6), (6, 12, 0, 30))
+# the second block's zero run 9..11 covers the first block's spaced marker at 10
+ZERO_RUN_OVER_MARKER = _clashing((1, 4, 2, 8), (8, 12, 0, 20))
+
+
 def test_emit_conflicting_digits_is_an_invariant_error():
-    # the second block's marker at 6 lands inside the first block's zero run
-    sched = construct.CantorSchedule(
-        seq=LIN, theta=F(3), vhat=F(1, 3),
-        entries=(construct.ScheduleEntry(index=4, a=4, m=10, t=0, next_index=6, next_a=6),
-                 construct.ScheduleEntry(index=6, a=6, m=12, t=0, next_index=30, next_a=30)))
     with pytest.raises(dimfx.InvariantError, match="conflicting digits at position 6"):
-        emit_digits(sched, 3, 20)
+        emit_digits(MARKER_IN_ZERO_RUN, 3, 20)
 
 
 def test_emit_zero_run_over_a_marker_is_an_invariant_error():
-    # the second block's zero run 9..11 covers the first block's spaced marker at 10
-    sched = construct.CantorSchedule(
-        seq=LIN, theta=F(3), vhat=F(1, 3),
-        entries=(construct.ScheduleEntry(index=1, a=1, m=4, t=2, next_index=8, next_a=8),
-                 construct.ScheduleEntry(index=8, a=8, m=12, t=0, next_index=20, next_a=20)))
     with pytest.raises(dimfx.InvariantError, match="conflicting digits at position 10"):
-        emit_digits(sched, 3, 19)
+        emit_digits(ZERO_RUN_OVER_MARKER, 3, 19)
+
+
+@pytest.mark.parametrize("sched,upto,position", [
+    (MARKER_IN_ZERO_RUN, 20, 6), (ZERO_RUN_OVER_MARKER, 19, 10)],
+    ids=["marker-in-zero-run", "zero-run-over-marker"])
+def test_counting_conflicts_are_the_same_invariant_error(sched, upto, position):
+    """Box counting reads the forced runs, so a clash stops it as it stops
+    emission, naming the same position."""
+    with pytest.raises(dimfx.InvariantError,
+                       match=f"^conflicting digits at position {position}$"):
+        boxdim.count_series(sched, 3, range(1, upto + 1))
+
+
+def apply_forces(sched, base, upto):
+    """The forced digits of positions 0..upto as a bytearray, 1 + the digit
+    at a forced position and 0 at a free one (position 0 is unused).
+
+    The oracle of `construct.forced_runs`: it applies the schedule's forces
+    in schedule order, one position at a time, and a position that already
+    holds another digit is an InvariantError naming it.
+    """
+    cells = bytearray(upto + 1)
+
+    def force(lo, hi, digit):
+        for p in range(lo, min(hi, upto) + 1):
+            if cells[p] not in (0, 1 + digit):
+                raise dimfx.InvariantError(f"conflicting digits at position {p}")
+            cells[p] = 1 + digit
+
+    for e in sched.entries:
+        if e.a > upto:
+            break
+        force(e.a, e.a, 1)
+        force(e.a + 1, e.m - 1, 0)
+        for j in range(e.t + 1):  # m_k, then the spaced markers
+            force(e.m + j * e.gap, e.m + j * e.gap, 1)
+            if base == 2 and j:
+                force(e.m + j * e.gap - 1, e.m + j * e.gap - 1, 0)
+    return cells
+
+
+@given(blocks=st.lists(st.tuples(st.integers(1, 40), st.integers(1, 12), st.integers(0, 3)),
+                       min_size=1, max_size=4),
+       base=st.sampled_from([2, 3]), upto=st.integers(0, 120))
+@settings(max_examples=300, deadline=None)
+def test_forced_runs_name_the_first_clash_in_schedule_order(blocks, base, upto):
+    """On random blocks, clashing or not, in any order: `forced_runs` raises
+    where the oracle does, and otherwise lays out the same digits."""
+    sched = _clashing(*[(a, a + gap, t, 200) for a, gap, t in blocks])
+    try:
+        want = apply_forces(sched, base, upto)
+    except dimfx.InvariantError as exc:
+        with pytest.raises(dimfx.InvariantError, match=f"^{exc}$"):
+            construct.forced_runs(sched, base, upto)
+        return
+    runs = construct.forced_runs(sched, base, upto)
+    assert all(hi < lo for (_, hi, _), (lo, _, _) in pairwise(runs))  # sorted, disjoint
+    got = bytearray(upto + 1)
+    for lo, hi, digit in runs:
+        got[lo:hi + 1] = bytes((1 + digit,)) * (hi - lo + 1)
+    assert got == want
+
+
+@st.composite
+def schedules(draw):
+    """A schedule covering 3000 positions, in either regime."""
+    if draw(st.booleans()):
+        vhat = F(draw(st.integers(1, 8)), draw(st.integers(9, 12)))
+        theta = 2 / (1 - vhat) + F(draw(st.integers(0, 6)), 2)
+        return schedule_eta1(LIN, theta, vhat, cover_to=3000)
+    eta = draw(st.sampled_from([F(3, 2), F(2)]))
+    vhat = F(1, 4) + (eta - F(1, 2)) * F(draw(st.integers(2, 9)), 10 * draw(st.integers(8, 10)))
+    seq = sequences.make_sequence(f"geometric:eta={eta.numerator}/{eta.denominator},a1=1")
+    l = dimfx.thresholds(eta, vhat).lprime
+    return schedule_geometric(seq, eta ** l, vhat, l, cover_to=3000)
+
+
+@given(sched=schedules(), base=st.sampled_from([2, 3, 10]), upto=st.integers(0, 3000))
+@settings(max_examples=40, deadline=None)
+def test_emission_and_free_stretches_are_the_constrained_digits(sched, base, upto):
+    """Emission holds `constrained_digit` at every position, FILL_DIGIT
+    where it is None, and `constraint_mask` holds exactly those positions,
+    as maximal stretches."""
+    forced = [constrained_digit(sched, base, p) for p in range(1, upto + 1)]
+    assert emit_digits(sched, base, upto).data == bytes(
+        digits.CODE[construct.FILL_DIGIT if d is None else d] for d in forced)
+    free = boxdim.constraint_mask(sched, base, upto)
+    assert all(r.stop < s.start for r, s in pairwise(free))
+    assert [p for r in free for p in r] == [p for p, d in enumerate(forced, 1) if d is None]
 
 
 def test_sandwich_and_gap_growth(eta1_sched, geo_sched):

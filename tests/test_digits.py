@@ -1,6 +1,8 @@
 import random
 import re
 import string
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,54 @@ def test_digit_file_wrapped_lines_and_no_trailing_newline(tmp_path):
     path.write_text("base=3\n1022\n0110")  # body may wrap; newline optional
     stream = digits.load_digit_file(path)
     assert stream.data == b"10220110"
+
+
+def _text_load(path):
+    """The digit file loader before the one-read path, kept as its oracle:
+    every line read as text and stripped."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if not header.startswith("base="):
+                raise ValueError(f"must start with 'base=<b>', got {header!r}")
+            try:
+                base = int(header[len("base="):])
+            except ValueError:
+                raise ValueError(f"header {header!r} has no integer base") from None
+            body = "".join(line.strip() for line in fh)
+        return digits.digits_from_string(body, base)
+    except ValueError as exc:
+        raise ValueError(f"digit file {path}: {exc}") from None
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+# file pieces: the headers `save_digit_file` writes and others, digit runs
+# with uppercase letters and characters no base has, and line ends
+HEADERS = [b"base=3\n", b"base=2\n", b"base=16\n", b"base=36\n", b"base=03\n", b"base=1\n",
+           b"base=40\n", b"base= 3\n", b"base=3 \n", b"base=3\r\n", b"base=+3\n", b"base=x\n",
+           b"BASE=3\n", b"base=3", b"base=\xd9\xa3\n", b""]
+DIGIT_PIECES = [b"0", b"1", b"2", b"012", b"9", b"a", b"F", b"z"]
+OTHER_PIECES = [b"\n", b"\r\n", b"\r", b" ", b"\t", b"\xc3\xa9", b"\xff"]
+
+
+@given(header=st.sampled_from(HEADERS[:5]) | st.sampled_from(HEADERS),
+       body=(st.lists(st.sampled_from(DIGIT_PIECES), max_size=12)
+             | st.lists(st.sampled_from(DIGIT_PIECES + OTHER_PIECES), max_size=12)),
+       end=st.sampled_from([b"\n", b"", b"\r\n", b"\n\n", b" \n"]))
+@settings(max_examples=400, deadline=None)
+def test_digit_file_loads_as_the_text_loader_does(header, body, end):
+    """Whatever the file's bytes, `load_digit_file` returns the stream, or
+    raises the error text, that the text loader does."""
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "digits.txt"
+        path.write_bytes(header + b"".join(body) + end)
+        assert _outcome(digits.load_digit_file, path) == _outcome(_text_load, path)
 
 
 def test_random_digits_reproducible():

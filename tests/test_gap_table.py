@@ -107,6 +107,30 @@ def test_run_end_table_matches_scan(stream, data):
     assert digits.run_end_table(stream, positions).tolist() == want
 
 
+@pytest.mark.parametrize("base", [2, 3, 10])
+def test_run_ends_of_runs_a_chunk_long(base):
+    """Runs of 0 and of b - 1 whose lengths are chunk multiples, one less and
+    one more, inside the prefix and at its end: `_run_stop` reads them a
+    chunk at a time, and must end each where the scan does, from its first
+    digit and from points a chunk multiple before its end."""
+    chunk = digits._RUN_CHUNK
+    lengths = [k * chunk + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+    sep = b"" if base == 2 else digits.CODE[1:2]  # base 2 has no other digit
+    for tail in (0, base - 1):
+        # the run before the final one holds the other digit, even in base 2
+        runs = [(digits.CODE[v:v + 1] * n, n) for n in lengths for v in (tail, base - 1 - tail)]
+        runs.append((digits.CODE[tail:tail + 1] * lengths[-1], lengths[-1]))  # the final run
+        data, starts = b"", []
+        for run, _n in runs:
+            data += sep
+            starts.append(len(data))
+            data += run
+        for s, (_run, n) in zip(starts, runs):
+            for off in {0, 1, n - 1} | {n - k * chunk + d for k in (1, 2) for d in (-1, 0, 1)}:
+                if 0 <= off < n:
+                    assert digits._run_stop(data, s + off) == scan_run_end(data, base, s + off + 1)
+
+
 def test_run_end_table_rejects_positions_outside_prefix():
     stream = digits.digits_from_string("1001", 2)
     for bad in ([0], [5], [1, 5]):
