@@ -5,14 +5,17 @@ rejected because schedule construction requires exact arithmetic.  CSV is
 the single output format (plot-ready columns, deterministic bytes).
 Each command imports the layers it runs, and only those.  The library is
 plain Python and its records are NamedTuples, so no command loads numpy or
-`dataclasses`.  Every flag is declared once, in COMMANDS, and `read_args`
-reads every argv from that table: its help, and each usage error as one
-`error:` line with exit status 2.  `run`, the program's entry point, ends
-the process without the interpreter's teardown.
+`dataclasses`.  COMMANDS states each flag and each rule on a flag's value
+(its converter) or on which flags go together, once; `read_args` checks
+them before any command runs (a refusal: one `error:` line, exit 2), and
+the help prints the second kind.  Exit 1 is left for input that fails once
+work has begun: a digit file, a `--seq` spec, a point that cannot be built.
+`run`, the program's entry point, ends the process without the teardown.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 from fractions import Fraction
@@ -33,21 +36,38 @@ def _fmt(x) -> str:
                          "decimal form: it is past the float range") from None
 
 
-def _base(text: str) -> int:
-    try:
-        base = int(text)
-    except ValueError:
-        base = 0
-    if base < 2:
-        raise ValueError(f"base must be an integer >= 2, got {text!r}")
+def _at_least(least: int) -> Callable[[str], int]:
+    """The converter of an integer flag whose value is at least `least`."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise ValueError(f"must be an integer >= {least}, got {text!r}")
+        return value
+    return convert
+
+
+_base = _at_least(2)
+_positive = _at_least(1)  # a depth counts digit positions
+
+
+def _file_base(text: str) -> int:
+    """gen-digits' --base: a digit file holds one character per digit."""
+    from .digits import MAX_BASE
+    base = _base(text)
+    if base > MAX_BASE:
+        raise ValueError(f"must be <= {MAX_BASE} to write a digit file, got {text!r}")
     return base
 
 
-def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"must be an integer, got {text!r}") from None
+def _eta(text: str) -> Fraction:
+    """Every formula and schedule needs a growth exponent eta >= 1."""
+    eta = dimfx.parse_rational(text)
+    if eta < 1:
+        raise ValueError(f"must be a rational >= 1, got {text!r}")
+    return eta
 
 
 def _mode(text: str) -> str:
@@ -57,33 +77,15 @@ def _mode(text: str) -> str:
     return text
 
 
-def _usage(message: str) -> int:
-    """One `error:` line on stderr and the usage exit code."""
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _grid(text: str) -> list[Fraction]:
     """'lo:hi:count' -> count exact rationals from lo to hi inclusive."""
     try:
         lo, hi, count = text.split(":")
         count = int(count)
     except ValueError:
-        raise ValueError(f"grid must be lo:hi:count, got {text!r}") from None
+        raise ValueError(f"must be lo:hi:count, got {text!r}") from None
     return dimfx.rational_linspace(dimfx.parse_rational(lo), dimfx.parse_rational(hi),
                                    count)
-
-
-def _check_positive(flag: str, value: int) -> None:
-    """Depth flags count digit positions, so each must be at least 1."""
-    if value < 1:
-        raise ValueError(f"{flag} must be >= 1, got {value}")
-
-
-def _check_eta(eta: Fraction) -> None:
-    """Every formula and schedule needs a growth exponent eta >= 1."""
-    if eta < 1:
-        raise ValueError(f"eta must be >= 1, got {eta}")
 
 
 def _parse_regime(text: str):
@@ -94,13 +96,10 @@ def _parse_regime(text: str):
     """
     if text == "eta1":
         return "eta1", None
-    try:
-        stride = int(text[len("geo:l="):]) if text.startswith("geo:l=") else 0
-    except ValueError:
-        stride = 0
-    if stride < 1:
-        raise ValueError(f"regime must be eta1 or geo:l=<int >= 1>, got {text!r}")
-    return "geometric", stride
+    if text.startswith("geo:l="):
+        with contextlib.suppress(ValueError):
+            return "geometric", _positive(text[len("geo:l="):])
+    raise ValueError(f"regime must be eta1 or geo:l=<int >= 1>, got {text!r}")
 
 
 def _build_schedule(seq, theta: Fraction, vhat: Fraction, regime, depth: int):
@@ -112,10 +111,9 @@ def _build_schedule(seq, theta: Fraction, vhat: Fraction, regime, depth: int):
     return construct.schedule_geometric(seq, theta, vhat, stride, cover_to=depth)
 
 
-def _schedule(args, flag: str, depth: int):
-    """Check the depth flag, then build the schedule the shared flags describe."""
+def _schedule(args, depth: int):
+    """The schedule the shared flags describe, covering `depth` digits."""
     from . import sequences
-    _check_positive(flag, depth)
     return _build_schedule(sequences.make_sequence(args.seq), args.theta, args.vhat,
                            args.regime, depth)
 
@@ -141,20 +139,14 @@ def _write_file(path, write) -> None:
 
 def _write_csv(path, header, rows):
     import csv
-
-    def write(fh):
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-    _write_file(path, write)
+    _write_file(path, lambda fh: csv.writer(fh, lineterminator="\n").writerows([header, *rows]))
 
 
 # --- eval-dim ----------------------------------------------------------------
 
 def cmd_eval_dim(args) -> int:
     eta = args.eta
-    _check_eta(eta)
-    grid = [args.vhat] if args.grid is None else _grid(args.grid)
+    grid = [args.vhat] if args.grid is None else args.grid
     rows = []
     for vhat in grid:
         th, found = dimfx.reports(eta, vhat, args.theta, args.rho)
@@ -191,10 +183,7 @@ def cmd_eval_dim(args) -> int:
 
 def cmd_gen_digits(args) -> int:
     from . import construct, digits
-    if args.base > digits.MAX_BASE:
-        raise ValueError(f"--base must be <= {digits.MAX_BASE} to write a digit file, "
-                         f"got {args.base}")
-    sched = _schedule(args, "--depth", args.depth)
+    sched = _schedule(args, args.depth)
     stream = construct.emit_digits(sched, args.base, args.depth)
     digits.save_digit_file(stream, args.out)
     print(f"wrote {stream.prefix_len} base-{args.base} digits to {args.out} "
@@ -212,11 +201,9 @@ def cmd_gen_digits(args) -> int:
 
 def cmd_estimate(args) -> int:
     from . import digits, exponents, sequences
-    if args.depth is not None:
-        _check_positive("--depth", args.depth)
     stream = digits.load_digit_file(args.digits)
-    if args.depth is not None:
-        stream = stream.truncated(min(args.depth, stream.prefix_len))
+    if args.depth is not None and args.depth < stream.prefix_len:
+        stream = stream.truncated(args.depth)
     seq = sequences.make_sequence(args.seq)
     mt = exponents.matching_times(stream, seq)
     est = exponents.estimate_exponents(mt)
@@ -243,7 +230,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_box_dim(args) -> int:
     from . import boxdim
-    sched = _schedule(args, "--max-depth", args.max_depth)
+    sched = _schedule(args, args.max_depth)
     if args.mode == dimfx.AT_BLOCK_ENDS:
         depths, what = sched.block_ends(args.max_depth), "block ends"
     else:
@@ -301,41 +288,28 @@ def _sweep_point(eta, vhat, theta, rho, roundtrip):
 
 
 def cmd_sweep(args) -> int:
-    _check_eta(args.eta)
-    for flag, fixed, grid in (("--vhat", args.vhat, args.vhat_grid),
-                              ("--theta", args.theta, args.theta_grid)):
-        if fixed is not None and grid is not None:
-            return _usage(f"{flag} and {flag}-grid cannot both be given")
-    if (args.seq is None) != (args.regime is None):
-        return _usage("a round-trip sweep needs both --seq and --regime")
     # Input errors stop here; only a point that cannot be built blanks its
-    # cells.  Every round trip reads the one sequence built here.
+    # cells.  Every round trip reads the one sequence built here, for the
+    # formulas' eta (a file: sequence declares none, and passes eta1 only).
     roundtrip = None
     if args.seq is not None:
         from . import construct, sequences
         seq = sequences.make_sequence(args.seq)
         construct.check_regime(seq, args.regime[0])
+        eta = 1 if seq.eta_declared is None else seq.eta_declared
+        if args.eta != eta:
+            raise ValueError(f"--eta {args.eta} is not the eta {eta} of --seq {args.seq}: "
+                             "a row's formulas and round trip need one eta")
         roundtrip = (seq, args.base, args.regime, args.depth)
-    _check_positive("--depth", args.depth)
-
     if args.vhat_grid is not None:
-        if roundtrip is not None and args.theta is None:
-            return _usage("a round-trip sweep over --vhat-grid needs --theta")
-        points = [(args.eta, v, args.theta, args.rho, roundtrip)
-                  for v in _grid(args.vhat_grid)]
+        points = [(args.eta, v, args.theta, args.rho, roundtrip) for v in args.vhat_grid]
     else:
-        if args.vhat is None:
-            return _usage("a sweep over --theta-grid needs --vhat")
-        points = [(args.eta, args.vhat, t, args.rho, roundtrip)
-                  for t in _grid(args.theta_grid)]
-
+        points = [(args.eta, args.vhat, t, args.rho, roundtrip) for t in args.theta_grid]
     rows = [_sweep_point(*p) for p in points]
 
-    header = ["vhat", "vhat_decimal", "theta"]
-    for name in SWEEP_FORMULAS:
-        col = name.replace("-", "_")
-        header.extend([col, col + "_ok"])
-    header.extend(["v_est", "vhat_est", "lemma21_ok"])
+    cols = [name.replace("-", "_") for name in SWEEP_FORMULAS]
+    header = ["vhat", "vhat_decimal", "theta", *(c + ok for c in cols for ok in ("", "_ok")),
+              "v_est", "vhat_est", "lemma21_ok"]
     _write_csv(args.csv, header, rows)
     print(f"wrote {len(rows)} grid points to {args.csv}")
     return 0
@@ -356,7 +330,7 @@ class Flag(NamedTuple):
     """`--flag VALUE` or `--flag=VALUE` sets the attribute named after the
     flag (`--max-depth`: `max_depth`) to `convert(VALUE)`, or to VALUE
     itself when `convert` is None; a flag not given sets it to `default`.
-    `convert` raises ValueError on a bad value."""
+    `convert` raises ValueError on a value outside the flag's rule."""
     flag: str
     convert: Callable[[str], object] | None = None
     required: bool = False
@@ -369,60 +343,78 @@ class Flag(NamedTuple):
 
 
 class Command(NamedTuple):
-    """A subcommand: the function it runs, its help line, and its flags in
-    the order its help lists them."""
+    """A subcommand: the function it runs, its help line, its flags in the
+    order its help lists them, and its rules on which flags go together."""
     func: Callable[..., int]
     help: str
     flags: tuple[Flag, ...]
     one_of: tuple[str, ...] = ()  # flags of which exactly one must be given
+    needs: tuple[tuple[str, tuple[str, ...]], ...] = ()  # (flag, one of which it needs)
+    apart: tuple[tuple[str, str], ...] = ()  # pairs of flags not both given
     args_file: bool = False  # an `@FILE` argument stands for the file's lines
 
 
 # the flags two commands share, each declared once
-POINT = (Flag("--eta", dimfx.parse_rational, required=True),
+POINT = (Flag("--eta", _eta, required=True),
          Flag("--vhat", dimfx.parse_rational),
          Flag("--theta", dimfx.parse_rational),
          Flag("--rho", dimfx.parse_rational))
-SCHEDULE = (Flag("--seq", required=True),
+
+
+def _schedule_flags(base: Callable[[str], int]) -> tuple[Flag, ...]:
+    """The flags that describe a schedule, with `base` as --base's converter."""
+    return (Flag("--seq", required=True),
             Flag("--theta", dimfx.parse_rational, required=True),
             Flag("--vhat", dimfx.parse_rational, required=True),
-            Flag("--base", _base, required=True),
+            Flag("--base", base, required=True),
             Flag("--regime", _parse_regime, default=("eta1", None)))
+
 
 COMMANDS = {
     "eval-dim": Command(cmd_eval_dim, "evaluate every applicable dimension formula", (
         *POINT,
-        Flag("--grid", help="vhat grid lo:hi:count (rationals)"),
+        Flag("--grid", _grid, help="vhat grid lo:hi:count (rationals)"),
         Flag("--csv")),
         one_of=("--vhat", "--grid")),
     "gen-digits": Command(cmd_gen_digits, "emit a schedule's digit stream to a file", (
-        *SCHEDULE,
-        Flag("--depth", _integer, required=True),
+        *_schedule_flags(_file_base),
+        Flag("--depth", _positive, required=True),
         Flag("--out", required=True),
         Flag("--schedule-csv"))),
     "estimate": Command(cmd_estimate, "estimate exponents from a digit file", (
         Flag("--digits", required=True),
         Flag("--seq", required=True),
-        Flag("--depth", _integer),
+        Flag("--depth", _positive),
         Flag("--csv"))),
     "box-dim": Command(cmd_box_dim, "box-counting estimate for a schedule set", (
-        *SCHEDULE,
-        Flag("--max-depth", _integer, required=True),
+        *_schedule_flags(_base),
+        Flag("--max-depth", _positive, required=True),
         Flag("--mode", _mode, default=dimfx.AT_BLOCK_ENDS,
              help=f"{dimfx.ALL_DEPTHS} or {dimfx.AT_BLOCK_ENDS}"),
         Flag("--csv"))),
     "sweep": Command(cmd_sweep, "grid sweep emitting one CSV row per point", (
         *POINT,
-        Flag("--vhat-grid", help="lo:hi:count"),
-        Flag("--theta-grid", help="lo:hi:count"),
-        Flag("--seq", help="with --regime, run the round trip at each point"),
+        Flag("--vhat-grid", _grid, help="lo:hi:count"),
+        Flag("--theta-grid", _grid, help="lo:hi:count"),
+        Flag("--seq", help="run the round trip at each point"),
         Flag("--base", _base, default=3),
         Flag("--regime", _parse_regime),
-        Flag("--depth", _integer, default=10 ** 5),
+        Flag("--depth", _positive, default=10 ** 5),
         Flag("--csv", required=True)),
-        one_of=("--vhat-grid", "--theta-grid"), args_file=True),
+        one_of=("--vhat-grid", "--theta-grid"),
+        needs=(("--seq", ("--regime",)), ("--regime", ("--seq",)),
+               ("--seq", ("--theta", "--theta-grid")), ("--theta-grid", ("--vhat",))),
+        apart=(("--vhat", "--vhat-grid"), ("--theta", "--theta-grid")), args_file=True),
     "verify": Command(cmd_verify, "run the full invariant suite", ()),
 }
+
+
+def _rules(command: Command, flag: str) -> list[str]:
+    """The help's text for each rule of `command` on which flags go with `flag`."""
+    rules = [f"exactly one of {', '.join(command.one_of)}"] if flag in command.one_of else []
+    rules += [f"needs {' or '.join(others)}" for f, others in command.needs if f == flag]
+    return rules + [f"not with {other}" for pair in command.apart if flag in pair
+                    for other in pair if other != flag]
 
 
 def _print_help(args) -> int:
@@ -434,10 +426,9 @@ def _print_help(args) -> int:
         rows = [(n, c.help) for n, c in COMMANDS.items()]
     else:
         usage = args.name + (" [--flag VALUE ...]" if command.flags else "")
-        about, one_of = command.help, f"exactly one of {', '.join(command.one_of)}"
+        about = command.help
         rows = [(f"{f.flag} {f.dest.upper()}", "; ".join(filter(None, (
-                     "required" if f.required else None,
-                     one_of if f.flag in command.one_of else None, f.help))))
+                     "required" if f.required else None, *_rules(command, f.flag), f.help))))
                 for f in command.flags]
         if command.args_file:
             rows.append(("@FILE", "one argument per line; flags after it override the file"))
@@ -462,8 +453,9 @@ def read_args(argv) -> SimpleNamespace:
     An argv is a command and its `--flag VALUE` or `--flag=VALUE` pairs; a
     repeated flag's last value wins, and with `args_file` an `@FILE` stands
     for the file's lines.  A VALUE may start with one `-`, not two.  `-h` or
-    `--help` reads as a function that prints help.  Any other argv raises
-    UsageError.
+    `--help` reads as a function that prints help.  An argv that breaks a
+    rule raises UsageError: first `one_of`, `apart` and `needs`, then each
+    flag's `required` and converter.
     """
     name, rest = (argv[0], argv[1:]) if argv else ("", [])
     command = COMMANDS.get(name)
@@ -487,6 +479,12 @@ def read_args(argv) -> SimpleNamespace:
         given[flag] = value
     if command.one_of and sum(flag in given for flag in command.one_of) != 1:
         raise UsageError(f"{name} needs exactly one of {', '.join(command.one_of)}")
+    for first, second in command.apart:
+        if first in given and second in given:
+            raise UsageError(f"{first} and {second} cannot both be given")
+    for flag, others in command.needs:
+        if flag in given and not any(other in given for other in others):
+            raise UsageError(f"{flag} needs {' or '.join(others)}")
     values = {"func": command.func}
     for f in command.flags:
         text = given.get(f.flag)
@@ -505,7 +503,8 @@ def main(argv=None) -> int:
         args = read_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except UsageError as exc:
-        return _usage(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:  # stdout's reader has gone (`| head -1`): end quietly
         # the idiom of the signal module's "Note on SIGPIPE": what is still
         # buffered is flushed to devnull, not to the closed pipe

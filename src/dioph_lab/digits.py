@@ -56,12 +56,13 @@ class DigitStream(_StreamFields):
         return CODE[:1] + CODE[self.base - 1:self.base]
 
     def truncated(self, count: int) -> "DigitStream":
-        """Stream holding only the first `count` digits."""
+        """Stream holding only the first `count` digits.  A prefix of checked
+        digits needs no check, so `_replace` skips the one `__new__` makes."""
         if count < 0:
             raise ValueError(f"cannot truncate to {count}: count must be >= 0")
         if count > len(self.data):
             raise ValueError(f"cannot truncate to {count}: only {len(self.data)} digits")
-        return DigitStream(self.base, self.data[:count])
+        return self._replace(data=self.data[:count])
 
 
 def digits_from_string(text: str | bytes, base: int) -> DigitStream:

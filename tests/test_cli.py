@@ -82,7 +82,7 @@ def test_every_pinned_usage_error_is_one_error_line():
     `error:` line on stderr."""
     outputs = [m[1] for case in PINNED
                for m in re.finditer(r"^\$ .*\n((?:(?!\$ ).*\n)*?)exit 2\n", case.text, re.M)]
-    assert len(outputs) >= 11
+    assert len(outputs) >= 29
     for out in outputs:
         assert re.fullmatch(r"--- stderr\nerror: .+\n", out), out
 
@@ -743,7 +743,7 @@ def test_flags_are_checked_before_the_schedule(argv, flag, capsys, tmp_path, mon
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "_build_schedule", no_schedule)
     code, err = _run(argv, capsys)
-    assert code == 1
+    assert code == 2
     errors = [ln for ln in err.splitlines() if "error:" in ln]
     assert len(errors) == 1 and flag in errors[0], errors
     if flag == "--base":

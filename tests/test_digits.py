@@ -228,6 +228,15 @@ def test_truncated():
         s.truncated(-1)
 
 
+def test_truncated_does_not_check_its_digits_again(monkeypatch):
+    s = digits.digits_from_string("120212", 3)
+    checks = []
+    monkeypatch.setattr(digits, "_check_digits", lambda *args: checks.append(args))
+    t = s.truncated(4)
+    assert checks == []
+    assert type(t) is digits.DigitStream and t == digits.DigitStream(3, b"1202")
+
+
 def test_streams_with_the_same_digits_compare_equal():
     a = digits.DigitStream(3, b"1200")
     b = digits.digits_from_string("1200", 3)
