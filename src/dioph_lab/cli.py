@@ -349,7 +349,7 @@ class Command(NamedTuple):
     help: str
     flags: tuple[Flag, ...]
     one_of: tuple[str, ...] = ()  # flags of which exactly one must be given
-    needs: tuple[tuple[str, tuple[str, ...]], ...] = ()  # (flag, one of which it needs)
+    needs: tuple[tuple[str, tuple[str, ...]], ...] = ()  # (flag, others): it needs one
     apart: tuple[tuple[str, str], ...] = ()  # pairs of flags not both given
     args_file: bool = False  # an `@FILE` argument stands for the file's lines
 
