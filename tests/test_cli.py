@@ -664,6 +664,19 @@ def test_bad_typed_flag_names_the_value(flag, value, tmp_path, capsys):
     assert "_base" not in errors[0] and "_parse_regime" not in errors[0]
 
 
+@pytest.mark.parametrize("flag,value", [("--depth", "-3")], ids=["negative-depth"])
+def test_estimate_bad_flag_is_an_error(flag, value, tmp_path, capsys):
+    dig = tmp_path / "digits.txt"
+    main(["gen-digits", "--seq", "linear", "--theta", "3", "--vhat", "1/3",
+          "--base", "3", "--depth", "1000", "--out", str(dig)])
+    code, err = _run(["estimate", "--digits", str(dig), "--seq", "linear",
+                      flag, value], capsys)
+    assert code == 2
+    errors = [ln for ln in err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and value in errors[0]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--digits", "unused.txt", "--seq", "linear"],
     ["sweep", "--eta", "1", "--theta", "3", "--vhat-grid", "1/4:1/2:2", "--seq", "linear",
@@ -789,15 +802,17 @@ def test_bad_digit_file_names_the_path(content, message, capsys, tmp_path):
         assert lines == [f"error: digit file {path}: {message}"]
 
 
-@pytest.mark.parametrize("setup,message", [
-    ("1" * 500, "no observable matching times in prefix"),
-    ("1001" * 16, "need at least 2 dominant pairs, have 1"),
-], ids=["estimate-no-matching-times", "estimate-one-dominant-pair"])
-def test_estimate_error_is_one_line(setup, message, tmp_path, capsys):
+@pytest.mark.parametrize("setup,argv,code,message", [
+    ("1" * 1000, ["--depth", "-5"], 2, "--depth: must be an integer >= 1, got '-5'"),
+    ("1" * 500, [], 1, "no observable matching times in prefix"),
+    ("1001" * 16, [], 1, "need at least 2 dominant pairs, have 1"),
+], ids=["estimate-negative-depth-names-flag", "estimate-no-matching-times",
+        "estimate-one-dominant-pair"])
+def test_estimate_error_is_one_line(setup, argv, code, message, tmp_path, capsys):
     path = tmp_path / "digits.txt"
     path.write_text(f"base=3\n{setup}\n")
-    code, err = _run(["estimate", "--digits", str(path), "--seq", "linear"], capsys)
-    assert code == 1
+    got, err = _run(["estimate", "--digits", str(path), "--seq", "linear", *argv], capsys)
+    assert got == code
     assert err.splitlines() == [f"error: {message}"]
 
 
