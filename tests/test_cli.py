@@ -23,32 +23,6 @@ from dioph_lab import boxdim, cli, digits, dimfx, exponents, sequences, verify
 from dioph_lab.cli import main
 
 
-def test_eval_dim_rejects_decimals(capsys):
-    assert main(["eval-dim", "--eta", "2", "--vhat", "1.4"]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "error: --vhat: '1.4' is not a p or p/q rational"]
-
-
-def test_unknown_flag_exits_2(capsys):
-    assert main(["eval-dim", "--eta", "2", "--frobnicate", "1"]) == 2
-    assert capsys.readouterr().err.splitlines() == ["error: unrecognized argument '--frobnicate'"]
-    assert main(["no-such-command"]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "error: unknown command 'no-such-command'; choose from "
-        "eval-dim, gen-digits, estimate, box-dim, sweep, verify"]
-
-
-def test_gen_digits_worked_prefix(tmp_path, capsys):
-    out = tmp_path / "digits.txt"
-    rc = main(["gen-digits", "--seq", "linear", "--theta", "3", "--vhat", "1/3",
-               "--base", "3", "--regime", "eta1", "--depth", "100",
-               "--out", str(out)])
-    assert rc == 0
-    stream = digits.load_digit_file(out)
-    assert stream.prefix_len == 100 and stream.base == 3
-    assert stream.data[:13] == b"1111000111111"
-
-
 PINNED = transcript.read_cases(Path(__file__).with_name("cli_pinned.txt"))
 
 
