@@ -23,8 +23,8 @@ from math import comb
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
+from . import ALL_DEPTHS, AT_BLOCK_ENDS
 from .construct import CantorSchedule, forced_runs
-from .dimfx import ALL_DEPTHS, AT_BLOCK_ENDS
 
 if TYPE_CHECKING:
     from array import array

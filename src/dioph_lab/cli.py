@@ -3,7 +3,10 @@
 Rationals on the command line are `p` or `p/q` strings; decimal forms are
 rejected because schedule construction requires exact arithmetic.  CSV is
 the single output format (plot-ready columns, deterministic bytes).
-Each command imports the layers it runs, and only those.  The library is
+Each command imports the layers it runs, and only those, and this module
+imports none at its top: the help, a usage error and `estimate` on a
+`linear` or `poly` sequence load neither `dimfx` nor `fractions`.  A
+rational flag's converter loads `dimfx` when it converts.  The library is
 plain Python and its records are NamedTuples, so no command loads numpy or
 `dataclasses`.  COMMANDS states each flag and each rule on a flag's value
 (its converter) or on which flags go together, once; `read_args` checks
@@ -18,11 +21,13 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import dimfx
+from . import ALL_DEPTHS, AT_BLOCK_ENDS, InvariantError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _fmt(x) -> str:
@@ -32,6 +37,7 @@ def _fmt(x) -> str:
     try:
         return format(float(x), ".12g")
     except OverflowError:
+        from . import dimfx
         raise ValueError(f"{dimfx.exact_text(x, 'a value past the float range')} has no "
                          "decimal form: it is past the float range") from None
 
@@ -62,18 +68,24 @@ def _file_base(text: str) -> int:
     return base
 
 
+def _rational(text: str) -> Fraction:
+    """--vhat, --theta and --rho: `p` or `p/q`."""
+    from . import dimfx
+    return dimfx.parse_rational(text)
+
+
 def _eta(text: str) -> Fraction:
     """Every formula and schedule needs a growth exponent eta >= 1."""
-    eta = dimfx.parse_rational(text)
+    eta = _rational(text)
     if eta < 1:
         raise ValueError(f"must be a rational >= 1, got {text!r}")
     return eta
 
 
 def _mode(text: str) -> str:
-    if text not in (dimfx.ALL_DEPTHS, dimfx.AT_BLOCK_ENDS):
+    if text not in (ALL_DEPTHS, AT_BLOCK_ENDS):
         raise ValueError(f"invalid choice: {text!r} "
-                         f"(choose from {dimfx.ALL_DEPTHS!r}, {dimfx.AT_BLOCK_ENDS!r})")
+                         f"(choose from {ALL_DEPTHS!r}, {AT_BLOCK_ENDS!r})")
     return text
 
 
@@ -84,6 +96,7 @@ def _grid(text: str) -> list[Fraction]:
         count = int(count)
     except ValueError:
         raise ValueError(f"must be lo:hi:count, got {text!r}") from None
+    from . import dimfx
     return dimfx.rational_linspace(dimfx.parse_rational(lo), dimfx.parse_rational(hi),
                                    count)
 
@@ -145,6 +158,7 @@ def _write_csv(path, header, rows):
 # --- eval-dim ----------------------------------------------------------------
 
 def cmd_eval_dim(args) -> int:
+    from . import dimfx
     eta = args.eta
     grid = [args.vhat] if args.grid is None else args.grid
     rows = []
@@ -231,7 +245,7 @@ def cmd_estimate(args) -> int:
 def cmd_box_dim(args) -> int:
     from . import boxdim
     sched = _schedule(args, args.max_depth)
-    if args.mode == dimfx.AT_BLOCK_ENDS:
+    if args.mode == AT_BLOCK_ENDS:
         depths, what = sched.block_ends(args.max_depth), "block ends"
     else:
         depths, what = range(1, args.max_depth + 1), "depths"
@@ -263,6 +277,7 @@ SWEEP_FORMULAS = ("baseline", "eta1-exact", "pair-eta1", "refined-upper",
 
 
 def _sweep_point(eta, vhat, theta, rho, roundtrip):
+    from . import dimfx
     row = [str(vhat), _fmt(vhat), str(theta) if theta is not None else ""]
     reports = {r.source: r for r in dimfx.reports(eta, vhat, theta, rho)[1]}
     for name in SWEEP_FORMULAS:
@@ -356,16 +371,16 @@ class Command(NamedTuple):
 
 # the flags two commands share, each declared once
 POINT = (Flag("--eta", _eta, required=True),
-         Flag("--vhat", dimfx.parse_rational),
-         Flag("--theta", dimfx.parse_rational),
-         Flag("--rho", dimfx.parse_rational))
+         Flag("--vhat", _rational),
+         Flag("--theta", _rational),
+         Flag("--rho", _rational))
 
 
 def _schedule_flags(base: Callable[[str], int]) -> tuple[Flag, ...]:
     """The flags that describe a schedule, with `base` as --base's converter."""
     return (Flag("--seq", required=True),
-            Flag("--theta", dimfx.parse_rational, required=True),
-            Flag("--vhat", dimfx.parse_rational, required=True),
+            Flag("--theta", _rational, required=True),
+            Flag("--vhat", _rational, required=True),
             Flag("--base", base, required=True),
             Flag("--regime", _parse_regime, default=("eta1", None)))
 
@@ -389,8 +404,8 @@ COMMANDS = {
     "box-dim": Command(cmd_box_dim, "box-counting estimate for a schedule set", (
         *_schedule_flags(_base),
         Flag("--max-depth", _positive, required=True),
-        Flag("--mode", _mode, default=dimfx.AT_BLOCK_ENDS,
-             help=f"{dimfx.ALL_DEPTHS} or {dimfx.AT_BLOCK_ENDS}"),
+        Flag("--mode", _mode, default=AT_BLOCK_ENDS,
+             help=f"{ALL_DEPTHS} or {AT_BLOCK_ENDS}"),
         Flag("--csv"))),
     "sweep": Command(cmd_sweep, "grid sweep emitting one CSV row per point", (
         *POINT,
@@ -510,7 +525,7 @@ def main(argv=None) -> int:
         # buffered is flushed to devnull, not to the closed pipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, OSError, dimfx.InvariantError) as exc:
+    except (ValueError, OSError, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # e.g. a depth too large to allocate

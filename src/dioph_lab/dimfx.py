@@ -9,9 +9,9 @@ few exact powers however large its answer is.  No exponent past
 `MAX_EXPONENT` is raised (`check_power`), and an exact value is turned into
 text by `exact_text`, which names what is too long to print.
 
-This module imports no other layer, so it also holds what the command line
-reads before any command runs: `parse_rational`, and the mode names of the
-box-counting estimator.
+This module imports no other layer.  The command line loads it only when
+it converts a rational flag (`parse_rational`, `rational_linspace`) or runs
+a command that evaluates a formula.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import InvariantError
+
 # Largest |f| for which an exact power eta^f is raised.  As eta nears 1 the
 # thresholds grow like log(1/(eta - 1))/(eta - 1), and the formulas' terms
 # carry eta^f.  Over eta = (k+1)/k, k = 150..315, and 79 vhat each, the
@@ -29,23 +31,10 @@ from typing import NamedTuple
 # 1000 evaluates in milliseconds.  Past the cap the formulas raise ValueError.
 MAX_EXPONENT = 1000
 
-# Stated here, not in the layer that uses them, so that the argument parser
-# loads only this module.
-ALL_DEPTHS = "all-depths"     # boxdim: least-squares slope over every depth
-AT_BLOCK_ENDS = "block-ends"  # boxdim: liminf surrogate at block ends
-
 EXACT = "exact"
 UPPER = "upper"
 LOWER = "lower"
 EMPTY = "empty"
-
-
-class InvariantError(Exception):
-    """A library invariant failed: a bug or corrupted input, never a user error.
-
-    Not a ValueError, so handlers for bad input cannot swallow it, and raised
-    explicitly, so it survives `python -O`.
-    """
 
 
 class _ReportFields(NamedTuple):

@@ -18,8 +18,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import NamedTuple
 
+from . import InvariantError
 from .digits import CODE, DigitStream, _run_stop, run_end_table
-from .dimfx import InvariantError
 from .sequences import DenominatorSequence, eta_estimate
 
 BURN_FRACTION = 0.2  # MatchingTimes.burn_in: this share of the dominant pairs

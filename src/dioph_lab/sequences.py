@@ -9,12 +9,10 @@ recurrence.
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .dimfx import parse_rational
-
 if TYPE_CHECKING:
+    from fractions import Fraction
     from pathlib import Path
 
 
@@ -69,10 +67,11 @@ class DenominatorSequence:
             raise ValueError(f"unknown sequence kind {kind!r}")
 
     @property
-    def eta_declared(self) -> Fraction | None:
-        """Exact growth exponent when known from the construction."""
+    def eta_declared(self) -> int | Fraction | None:
+        """Exact growth exponent when known from the construction: the int 1
+        for a polynomial sequence, the Fraction ratio for a geometric one."""
         if self.kind == "poly":
-            return Fraction(1)
+            return 1
         if self.kind == "geometric":
             return self.ratio
         return None
@@ -191,6 +190,7 @@ def make_sequence(spec: str) -> DenominatorSequence:
         kv = {k.strip(): v.strip() for k, v in items}
         if len(kv) != len(items) or set(kv) != {"eta", "a1"}:  # each key once
             raise ValueError(f"geometric spec needs eta=<p/q>,a1=<int>, got {spec!r}")
+        from .dimfx import parse_rational
         return DenominatorSequence("geometric", ratio=parse_rational(kv["eta"]),
                                    seed=_spec_int(spec, "a1", kv["a1"]), spec=spec)
     if spec.startswith("file:"):
@@ -213,6 +213,7 @@ def eta_estimate(seq: DenominatorSequence, n_max: int) -> Fraction:
     sup = seq.max_index()
     if sup is not None and n_max > sup:
         raise ValueError(f"n_max {n_max} exceeds sequence length {sup}")
+    from fractions import Fraction
     best = Fraction(0)
     prev = seq.a(n_max - window)
     for n in range(n_max - window, n_max):

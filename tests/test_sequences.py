@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dioph_lab.sequences import eta_estimate, make_sequence, parse_rational
+from dioph_lab.dimfx import parse_rational
+from dioph_lab.sequences import eta_estimate, make_sequence
 
 
 def test_linear_and_poly():
