@@ -180,18 +180,21 @@ def test_geometric_sweep_shares_one_sequence(tmp_path, capsys, monkeypatch):
 
 
 # Runs the command given on its command line (none: only the import) in a
-# fresh interpreter and prints which of the modules no command should need
-# it loaded: numpy, dataclasses, argparse with gettext and locale, csv
-# unless the command writes a CSV through the csv module, and array unless
-# it builds an array.
+# fresh interpreter, and prints its exit status and which of these modules
+# it loaded: numpy, dataclasses, argparse with gettext and locale, which no
+# command needs; csv, array, fractions and decimal, which only some do; and
+# the library's layers.  It must run as a child: pytest loads fractions.
 NUMPY_PROBE = """
 import contextlib, io, sys
 import dioph_lab.cli
+code = 0
 if sys.argv[1:]:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert dioph_lab.cli.main(sys.argv[1:]) == 0
-print(*[m for m in ("numpy", "dataclasses", "argparse", "gettext", "locale", "csv", "array")
-        if m in sys.modules])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = dioph_lab.cli.main(sys.argv[1:])
+print(code, *[m for m in ("numpy", "dataclasses", "argparse", "gettext", "locale", "csv",
+                          "array", "fractions", "decimal") if m in sys.modules],
+      *sorted(m[len("dioph_lab."):] for m in sys.modules
+              if m.startswith("dioph_lab.") and m != "dioph_lab.cli"))
 """
 
 
@@ -202,29 +205,49 @@ SCHED_GEO = ["--seq", "geometric:eta=2,a1=1", "--theta", "4", "--vhat", "3/2", "
              "--regime", "geo:l=2"]
 SCHED_POLY = ["--seq", "poly:d=2", "--theta", "6", "--vhat", "1/6", "--base", "2"]
 
+# what each command loads besides cli: `fractions` stands for the exact
+# arithmetic, which brings `decimal` with it
+LOADS_ESTIMATE = "digits exponents sequences"
+LOADS_SCHEDULE = "fractions construct digits dimfx sequences"
+LOADS_BOX_DIM = "fractions boxdim construct digits dimfx sequences"
 
-@pytest.mark.parametrize("argv", [
-    [],
-    ["eval-dim", "--eta", "2", "--vhat", "7/5"],
-    ["sweep", "--eta", "2", "--theta", "4", "--vhat-grid", "1/2:19/10:8", "--csv", "o.csv"],
-    ["sweep", "--eta", "1", "--theta", "3", "--vhat-grid", "1/4:1/2:2", "--seq", "linear",
-     "--regime", "eta1", "--depth", "2000", "--csv", "o.csv"],
-    ["gen-digits", *SCHED_ETA1, "--depth", "20000", "--out", "o.txt"],
-    ["gen-digits", *SCHED_GEO, "--depth", "20000", "--out", "o.txt"],
-    ["gen-digits", *SCHED_POLY, "--depth", "20000", "--out", "o.txt"],
-    ["estimate", "--digits", "eta1.txt", "--seq", "linear"],
-    ["estimate", "--digits", "geo.txt", "--seq", "geometric:eta=2,a1=1"],
-    ["box-dim", *SCHED_GEO, "--max-depth", "20000"],
-    ["box-dim", *SCHED_GEO, "--max-depth", "20000", "--mode", "all-depths"],
-    ["box-dim", *SCHED_GEO, "--max-depth", "20000", "--mode", "all-depths", "--csv", "o.csv"],
-    ["verify"],
-    ["eval-dim", "--help"],
-], ids=["import", "eval-dim", "formula-sweep", "roundtrip-sweep", "gen-digits-eta1",
-        "gen-digits-geo", "gen-digits-poly", "estimate", "estimate-geo", "box-dim",
-        "box-dim-all-depths", "box-dim-all-depths-csv", "verify", "help"])
-def test_no_command_loads_numpy_or_dataclasses(argv, tmp_path):
-    if argv[:1] == ["estimate"]:  # the digits it reads
-        sched = {"eta1.txt": SCHED_ETA1, "geo.txt": SCHED_GEO}[argv[2]]
+
+@pytest.mark.parametrize("argv,loads", [
+    ([], ""),
+    (["--help"], ""),
+    (["eval-dim", "--help"], ""),
+    (["estimate", "--help"], ""),
+    (["eval-dim", "--eta", "2", "--frobnicate", "1"], ""),
+    (["eval-dim", "--eta", "2", "--vhat", "7/5"], "fractions dimfx"),
+    (["sweep", "--eta", "2", "--theta", "4", "--vhat-grid", "1/2:19/10:8", "--csv", "o.csv"],
+     "csv fractions dimfx"),
+    (["sweep", "--eta", "1", "--theta", "3", "--vhat-grid", "1/4:1/2:2", "--seq", "linear",
+      "--regime", "eta1", "--depth", "2000", "--csv", "o.csv"],
+     "csv fractions construct digits dimfx exponents sequences"),
+    (["gen-digits", *SCHED_ETA1, "--depth", "20000", "--out", "o.txt"], LOADS_SCHEDULE),
+    (["gen-digits", *SCHED_GEO, "--depth", "20000", "--out", "o.txt"], LOADS_SCHEDULE),
+    (["gen-digits", *SCHED_POLY, "--depth", "20000", "--out", "o.txt"], LOADS_SCHEDULE),
+    (["estimate", "--digits", "eta1.txt", "--seq", "linear"], LOADS_ESTIMATE),
+    (["estimate", "--digits", "poly.txt", "--seq", "poly:d=2"], LOADS_ESTIMATE),
+    (["estimate", "--digits", "geo.txt", "--seq", "geometric:eta=2,a1=1"],
+     "fractions digits dimfx exponents sequences"),
+    (["box-dim", *SCHED_GEO, "--max-depth", "20000"], "array " + LOADS_BOX_DIM),
+    (["box-dim", *SCHED_GEO, "--max-depth", "20000", "--mode", "all-depths"], LOADS_BOX_DIM),
+    (["box-dim", *SCHED_GEO, "--max-depth", "20000", "--mode", "all-depths", "--csv", "o.csv"],
+     "array " + LOADS_BOX_DIM),
+    (["verify"], "array fractions boxdim construct digits dimfx exponents sequences verify"),
+], ids=["import", "program-help", "help", "estimate-help", "usage-error", "eval-dim",
+        "formula-sweep", "roundtrip-sweep", "gen-digits-eta1", "gen-digits-geo",
+        "gen-digits-poly", "estimate", "estimate-poly", "estimate-geo", "box-dim",
+        "box-dim-all-depths", "box-dim-all-depths-csv", "verify"])
+def test_no_command_loads_numpy_or_dataclasses(argv, loads, tmp_path):
+    """Each command loads the modules it needs and no more.  Only a command
+    that computes with rationals loads `fractions`: not the import, the
+    help, a usage error, or `estimate` on a linear or poly sequence.
+    box-dim's block-end counts and its CSV rows are arrays, and so are
+    verify's mass and run-end tables; box-dim writes its CSV rows by hand."""
+    if argv[:1] == ["estimate"] and "--help" not in argv:  # the digits it reads
+        sched = {"eta1.txt": SCHED_ETA1, "poly.txt": SCHED_POLY, "geo.txt": SCHED_GEO}[argv[2]]
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["gen-digits", *sched, "--depth", "20000",
                          "--out", str(tmp_path / argv[2])]) == 0
@@ -233,12 +256,11 @@ def test_no_command_loads_numpy_or_dataclasses(argv, tmp_path):
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    writes_csv = argv[:1] == ["sweep"]  # box-dim writes its CSV rows by hand
-    # box-dim's block-end counts and its CSV rows are arrays, and so are
-    # verify's mass and run-end tables
-    builds_arrays = argv[:1] == ["verify"] or argv[:1] == ["box-dim"] and (
-        "all-depths" not in argv or "--csv" in argv)
-    assert proc.stdout == " ".join(["csv"] * writes_csv + ["array"] * builds_arrays) + "\n"
+    code, *loaded = proc.stdout.split()
+    assert code == ("2" if "--frobnicate" in argv else "0")
+    if "fractions" in loaded:  # decimal is pinned only where it must be absent
+        loaded = [m for m in loaded if m != "decimal"]
+    assert loaded == loads.split()
 
 
 GEN = ["gen-digits", "--seq", "linear", "--theta", "3", "--vhat", "1/3"]
