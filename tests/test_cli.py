@@ -23,7 +23,16 @@ from dioph_lab import boxdim, cli, digits, dimfx, exponents, sequences, verify
 from dioph_lab.cli import main
 
 
-PINNED = transcript.read_cases(Path(__file__).with_name("cli_pinned.txt"))
+def test_unknown_flag_exits_2(capsys):
+    assert main(["eval-dim", "--eta", "2", "--frobnicate", "1"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: unrecognized argument '--frobnicate'"]
+    assert main(["no-such-command"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unknown command 'no-such-command'; choose from "
+        "eval-dim, gen-digits, estimate, box-dim, sweep, verify"]
+
+
+PINNED =transcript.read_cases(Path(__file__).with_name("cli_pinned.txt"))
 
 
 @pytest.mark.parametrize("case", PINNED, ids=[case.name for case in PINNED])
