@@ -24,7 +24,7 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import ALL_DEPTHS, AT_BLOCK_ENDS, InvariantError
+from . import ALL_DEPTHS, AT_BLOCK_ENDS, InvariantError, write_file
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -136,23 +136,9 @@ def _flag(ok: bool | None) -> str:
     return "" if ok is None else str(ok).lower()
 
 
-def _write_file(path, write) -> None:
-    """Open `path` for text and pass it to `write`.  A write that fails
-    leaves no file behind, as `digits.save_digit_file` does: a partial CSV
-    would still read."""
-    fh = open(path, "w", newline="")
-    try:
-        with fh:
-            write(fh)
-    except OSError:
-        if os.path.isfile(path):  # never a device such as /dev/full
-            os.remove(path)
-        raise
-
-
 def _write_csv(path, header, rows):
     import csv
-    _write_file(path, lambda fh: csv.writer(fh, lineterminator="\n").writerows([header, *rows]))
+    write_file(path, lambda fh: csv.writer(fh, lineterminator="\n").writerows([header, *rows]))
 
 
 # --- eval-dim ----------------------------------------------------------------
@@ -265,7 +251,7 @@ def cmd_box_dim(args) -> int:
                 ns = series.depths[lo: lo + (1 << 16)]
                 cs = series.exponents(lo, lo + (1 << 16))
                 fh.write("".join(f"{n},{c},{c / n:.12g}\n" for n, c in zip(ns, cs)))
-        _write_file(args.csv, write)
+        write_file(args.csv, write)
         print(f"wrote {args.csv}")
     return 0
 
@@ -550,10 +536,9 @@ def run() -> None:
     `os._exit`, in the order the interpreter's own shutdown uses.  That
     skips the teardown that clears every module and collects garbage, which
     takes longer than most commands' work.  It is safe only while no
-    command starts a thread that outlives `main` and every file the program
-    writes is closed by its `with` block before `main` returns: keep both
-    true.  Under a tracer or profiler (cProfile, coverage) the process exits
-    the usual way, so they can write their reports.
+    command starts a thread that outlives `main` and every file is written
+    by `dioph_lab.write_file`: keep both true.  Under a tracer or profiler
+    (cProfile, coverage) the process exits the usual way, for their reports.
     """
     code = main()
     if _watched():

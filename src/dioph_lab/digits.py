@@ -11,7 +11,10 @@ from __future__ import annotations
 import os
 import re
 import stat
+from functools import cache
 from typing import NamedTuple
+
+from . import write_file
 
 # Positions are 1-based everywhere: digit j of xi is x_j, j >= 1.
 
@@ -136,16 +139,11 @@ def random_digits(base: int, count: int, seed: int) -> DigitStream:
 _RUN_CHUNK = 4096  # most digits one anchored match reads
 
 
-class _RunMatches(dict):
-    """Digit -> the anchored match of a run of at most _RUN_CHUNK of it,
+@cache
+def _run_match(d: int):
+    """The anchored match of a run of at most _RUN_CHUNK of digit `d`,
     compiled on first use."""
-
-    def __missing__(self, d: int):
-        match = self[d] = re.compile(re.escape(bytes((d,))) + b"{0,%d}" % _RUN_CHUNK).match
-        return match
-
-
-_RUN_MATCH = _RunMatches()
+    return re.compile(re.escape(bytes((d,))) + b"{0,%d}" % _RUN_CHUNK).match
 
 
 def _run_stop(data: bytes, i: int) -> int:
@@ -155,7 +153,7 @@ def _run_stop(data: bytes, i: int) -> int:
     compared a whole chunk at a time, and the match reads only its last one.
     """
     d = data[i]
-    match = _RUN_MATCH[d]
+    match = _run_match(d)
     end = match(data, i).end()
     if end - i == _RUN_CHUNK:
         chunk = bytes((d,)) * _RUN_CHUNK
@@ -196,20 +194,15 @@ def run_end_table(stream: DigitStream, positions) -> memoryview:
 
 def save_digit_file(stream: DigitStream, path) -> None:
     """Write the header and the stream's bytes, which are the digit
-    characters.  A write that fails leaves no file behind: a truncated one
-    would still load, as a shorter stream."""
+    characters, through `write_file`."""
     if stream.base > MAX_BASE:
         raise ValueError(f"base {stream.base} has no character encoding")
-    fh = open(path, "wb")
-    try:
-        with fh:
-            fh.write(b"base=%d\n" % stream.base)
-            fh.write(stream.data)
-            fh.write(b"\n")
-    except OSError:
-        if os.path.isfile(path):  # never a device such as /dev/full
-            os.remove(path)
-        raise
+
+    def write(fh):
+        fh.write(b"base=%d\n" % stream.base)
+        fh.write(stream.data)
+        fh.write(b"\n")
+    write_file(path, write, binary=True)
 
 
 _HEADER = re.compile(rb"base=([0-9]+)\n")  # the header `save_digit_file` writes

@@ -23,15 +23,6 @@ from dioph_lab import boxdim, cli, digits, dimfx, exponents, sequences, verify
 from dioph_lab.cli import main
 
 
-def test_unknown_flag_exits_2(capsys):
-    assert main(["eval-dim", "--eta", "2", "--frobnicate", "1"]) == 2
-    assert capsys.readouterr().err.splitlines() == ["error: unrecognized argument '--frobnicate'"]
-    assert main(["no-such-command"]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "error: unknown command 'no-such-command'; choose from "
-        "eval-dim, gen-digits, estimate, box-dim, sweep, verify"]
-
-
 PINNED =transcript.read_cases(Path(__file__).with_name("cli_pinned.txt"))
 
 
@@ -299,7 +290,7 @@ def test_failed_digit_write_leaves_no_file(tmp_path, capsys, monkeypatch):
     """A write that fails after the file is opened (here a full disk after
     the header) removes the file: a truncated one would load as a shorter
     stream.  gen-digits then ends in one `error:` line."""
-    monkeypatch.setattr(digits, "open", FullDisk, raising=False)
+    monkeypatch.setattr(dioph_lab, "open", FullDisk, raising=False)
     out = tmp_path / "d.txt"
     code, err = _run([*GEN, "--base", "3", "--depth", "1000", "--out", str(out)], capsys)
     assert code == 1
@@ -315,14 +306,24 @@ def test_failed_digit_write_keeps_a_device(capsys):
     assert os.path.exists("/dev/full")
 
 
+ETA1_DIGITS = "<eta1 digit file>"  # stands for a digit file the test writes
+
+
 @pytest.mark.parametrize("argv", [
     ["eval-dim", "--eta", "1", "--grid", "1/10:9/10:9"],
     [*BOX, "--max-depth", "1000"],
-], ids=["eval-dim", "box-dim"])
-def test_failed_csv_write_leaves_no_file(argv, tmp_path, capsys, monkeypatch):
+    ["sweep", "--eta", "2", "--theta", "4", "--vhat-grid", "1/2:19/10:8"],
+    ["estimate", "--digits", ETA1_DIGITS, "--seq", "linear"],
+], ids=["eval-dim", "box-dim", "formula-sweep", "estimate"])
+def test_failed_csv_write_leaves_no_file(argv, tmp_path, tmp_path_factory, capsys,
+                                         monkeypatch):
     """A CSV write that fails after the header removes the file, as a digit
     write does: a partial CSV would still read."""
-    monkeypatch.setattr(cli, "open", FullDisk, raising=False)
+    if ETA1_DIGITS in argv:  # written before the disk fills, outside tmp_path
+        path = str(tmp_path_factory.mktemp("digits") / "eta1.txt")
+        assert main([*GEN, "--base", "3", "--depth", "1000", "--out", path]) == 0
+        argv = [path if arg == ETA1_DIGITS else arg for arg in argv]
+    monkeypatch.setattr(dioph_lab, "open", FullDisk, raising=False)
     code, err = _run([*argv, "--csv", str(tmp_path / "out.csv")], capsys)
     assert code == 1
     assert err.splitlines() == ["error: [Errno 28] No space left on device"]
@@ -531,12 +532,6 @@ def test_sweep_args_file_rejects_unknown_flags(tmp_path, capsys):
     assert code == 2
     assert err.splitlines() == ["error: unrecognized argument '--bogus=1'"]
     assert not (tmp_path / "x.csv").exists()
-
-
-def test_sweep_needs_grid(tmp_path, capsys):
-    code, err = _run(["sweep", "--eta", "2", "--csv", str(tmp_path / "x.csv")], capsys)
-    assert code == 2
-    assert err.splitlines() == ["error: sweep needs exactly one of --vhat-grid, --theta-grid"]
 
 
 def test_estimate_missing_file_errors(tmp_path, capsys):
