@@ -202,10 +202,8 @@ def cmd_gen_digits(args) -> int:
 def cmd_estimate(args) -> int:
     from . import digits, exponents, sequences
     stream = digits.load_digit_file(args.digits)
-    if args.depth is not None and args.depth < stream.prefix_len:
-        stream = stream.truncated(args.depth)
     seq = sequences.make_sequence(args.seq)
-    mt = exponents.matching_times(stream, seq)
+    mt = exponents.matching_times(stream, seq, args.depth)
     est = exponents.estimate_exponents(mt)
     ok = exponents.check_exponent_inequality(est.v_est, est.vhat_est, est.eta)
     try:

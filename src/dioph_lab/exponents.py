@@ -41,12 +41,14 @@ class MatchingPair(NamedTuple):
 class MatchingTimes(NamedTuple):
     """Gap table of one (stream, sequence): its dominant records and counts.
 
-    The indices of the table are n = 1..index_count, those whose run start
-    a_n + 1 lies inside the prefix.  Index n's gap is the run length m - a_n
-    when the digit after a_n opens a 0/(b-1) run whose break digit m is
-    observed; runs still open at the prefix end are discarded, never
-    extrapolated.  All indices whose run start falls in one run share its
-    m, and their gaps shrink as n grows, so only a run's first index can be
+    The prefix is the stream's first `depth` digits, and `depth` may be
+    below `stream.prefix_len`: no record or count depends on the digits past
+    it.  The indices of the table are n = 1..index_count, those whose run
+    start a_n + 1 lies inside the prefix.  Index n's gap is the run length
+    m - a_n when the digit after a_n opens a 0/(b-1) run whose break digit m
+    is observed; runs still open at the prefix end are discarded, never
+    extrapolated.  All indices whose run start falls in one run share its m,
+    and their gaps shrink as n grows, so only a run's first index can be
     dominant (greedy-maximal: the first complete index, then each later one
     whose gap strictly exceeds every gap before it).  `dominant` lists those
     records as MatchingPair tuples, found by `matching_times`; the
@@ -84,22 +86,24 @@ class MatchingTimes(NamedTuple):
                 if 0 < e < self.depth]
 
 
-def _final_run_start(data: bytes, base: int) -> int:
-    """0-based start of the run that ends `data`: one past the last other
-    digit, found by `rfind` in windows that double back from the end, so
+def _final_run_start(data: bytes, base: int, end: int) -> int:
+    """0-based start of the run that ends `data[:end]`: one past the last
+    other digit, found by `rfind` in windows that double back from `end`, so
     the search reads about twice the run per digit value."""
-    others = CODE[:base].replace(data[-1:], b"")
+    others = CODE[:base].replace(data[end - 1:end], b"")
     width = NEEDLE_CAP
     while True:
-        lo = max(0, len(data) - width)
-        last = max(data.rfind(v, lo) for v in others)
+        lo = max(0, end - width)
+        last = max(data.rfind(v, lo, end) for v in others)
         if last >= 0 or not lo:
             return last + 1
         width *= 2
 
 
-def matching_times(stream: DigitStream, seq: DenominatorSequence) -> MatchingTimes:
-    """Find the gap table's dominant records by searching the digits.
+def matching_times(stream: DigitStream, seq: DenominatorSequence,
+                   depth: int | None = None) -> MatchingTimes:
+    """Find the gap table of the first `depth` digits (all of them when
+    `depth` is None or past the stream) by searching them in place.
 
     An index's gap is at most its run's length plus one, since a_n + 1 lies
     in the run, so a record above the best gap B so far lies in a run of at
@@ -111,9 +115,12 @@ def matching_times(stream: DigitStream, seq: DenominatorSequence) -> MatchingTim
     about once.  The first n with a_n at or after the hit is the run's first
     index; when a_n lies past the run, no index starts in between, and the
     search resumes at a_n.  The final run, the only one the prefix can cut
-    off, is checked on its own: it may be shorter than B.
+    off, is checked on its own: it may be shorter than B.  Every search
+    ends at the depth, and only `_run_stop` reads past it, to the end of
+    the one run that crosses it.
     """
-    data, P = stream.data, stream.prefix_len
+    data = stream.data
+    P = len(data) if depth is None else min(depth, len(data))
     if seq.a(1) + 2 > P:
         raise ValueError(f"prefix of {P} digits too short: a(1)+2 = {seq.a(1) + 2}")
     K = seq.index_count_upto(P - 1)  # the indices with a_n + 1 in the prefix
@@ -124,14 +131,14 @@ def matching_times(stream: DigitStream, seq: DenominatorSequence) -> MatchingTim
     best = pos = 0  # offsets are 0-based: data[a_n] is the digit at a_n + 1
     while True:
         for d in list(hits):
-            hits[d] = data.find(needles[d], max(pos, hits[d]))
+            hits[d] = data.find(needles[d], max(pos, hits[d]), P)
             if hits[d] < 0:
                 del hits[d]
         if not hits:
             break
         h = min(hits.values())
         e = _run_stop(data, h)  # the break digit's offset
-        if e == P:  # the final run, checked below
+        if e >= P:  # the final run, checked below
             break
         n = seq.index_count_upto(h - 1) + 1  # the first n with a_n >= h
         if n > K:
@@ -146,8 +153,8 @@ def matching_times(stream: DigitStream, seq: DenominatorSequence) -> MatchingTim
             needles = {d: bytes([d]) * min(best, NEEDLE_CAP) for d in hits}
         pos = e
     first_trunc = None
-    if data[-1] in run_digits:
-        n = seq.index_count_upto(_final_run_start(data, stream.base) - 1) + 1
+    if data[P - 1] in run_digits:
+        n = seq.index_count_upto(_final_run_start(data, stream.base, P) - 1) + 1
         first_trunc = n if n <= K else None
     return MatchingTimes(depth=P, seq=seq, stream=stream, dominant=dominant,
                          index_count=K, first_truncated_index=first_trunc)

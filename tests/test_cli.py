@@ -76,35 +76,6 @@ def test_gen_digits_geometric_regime(tmp_path, capsys):
     assert float(row[3]) == pytest.approx(1.5, abs=0.1)
 
 
-def test_gen_then_estimate_csv(tmp_path, capsys):
-    dig = tmp_path / "digits.txt"
-    est_csv = tmp_path / "est.csv"
-    main(["gen-digits", "--seq", "linear", "--theta", "3", "--vhat", "1/3",
-          "--base", "3", "--regime", "eta1", "--depth", "100000",
-          "--out", str(dig)])
-    rc = main(["estimate", "--digits", str(dig), "--seq", "linear",
-               "--csv", str(est_csv)])
-    assert rc == 0
-    header, row = est_csv.read_text().splitlines()
-    assert header == "depth,k_count,v_est,vhat_est,lemma21_ok"
-    fields = row.split(",")
-    assert fields[0] == "100000"
-    assert float(fields[2]) == pytest.approx(1.0, abs=0.05)
-    assert float(fields[3]) == pytest.approx(1 / 3, abs=0.02)
-    assert fields[4] == "true"
-
-
-def test_estimate_depth_flag(tmp_path, capsys):
-    dig = tmp_path / "digits.txt"
-    main(["gen-digits", "--seq", "linear", "--theta", "3", "--vhat", "1/3",
-          "--base", "3", "--regime", "eta1", "--depth", "50000",
-          "--out", str(dig)])
-    csv_path = tmp_path / "e.csv"
-    main(["estimate", "--digits", str(dig), "--seq", "linear",
-          "--depth", "20000", "--csv", str(csv_path)])
-    assert csv_path.read_text().splitlines()[1].startswith("20000,")
-
-
 def test_schedule_csv_dump(tmp_path, capsys):
     out = tmp_path / "digits.txt"
     sched_csv = tmp_path / "sched.csv"
@@ -532,12 +503,6 @@ def test_sweep_args_file_rejects_unknown_flags(tmp_path, capsys):
     assert code == 2
     assert err.splitlines() == ["error: unrecognized argument '--bogus=1'"]
     assert not (tmp_path / "x.csv").exists()
-
-
-def test_estimate_missing_file_errors(tmp_path, capsys):
-    rc = main(["estimate", "--digits", str(tmp_path / "nope.txt"),
-               "--seq", "linear"])
-    assert rc == 1
 
 
 def test_verify_exit_code_follows_the_checks(capsys, monkeypatch):

@@ -219,24 +219,6 @@ def test_random_digits_are_the_randrange_draws(base, count, seed):
     assert digits.random_digits(base, count, seed).data == expected
 
 
-def test_truncated():
-    s = digits.digits_from_string("12021", 3)
-    assert s.truncated(3).data == b"120"
-    with pytest.raises(ValueError):
-        s.truncated(9)
-    with pytest.raises(ValueError):
-        s.truncated(-1)
-
-
-def test_truncated_does_not_check_its_digits_again(monkeypatch):
-    s = digits.digits_from_string("120212", 3)
-    checks = []
-    monkeypatch.setattr(digits, "_check_digits", lambda *args: checks.append(args))
-    t = s.truncated(4)
-    assert checks == []
-    assert type(t) is digits.DigitStream and t == digits.DigitStream(3, b"1202")
-
-
 def test_streams_with_the_same_digits_compare_equal():
     a = digits.DigitStream(3, b"1200")
     b = digits.digits_from_string("1200", 3)
@@ -244,4 +226,4 @@ def test_streams_with_the_same_digits_compare_equal():
         a.cache = 1
     assert a == b and hash(a) == hash(b)
     assert a != digits.DigitStream(4, a.data)
-    assert a != b.truncated(3)
+    assert a != digits.DigitStream(3, b"120")

@@ -153,7 +153,7 @@ def test_prefix_extension_only_appends(stream, cut):
     cut = min(cut, stream.prefix_len - 1)
     if cut < 3:
         return
-    short = matching_times(stream.truncated(cut), LIN)
+    short = matching_times(stream, LIN, cut)
     full = matching_times(stream, LIN)
     assert full.pairs[: len(short.pairs)] == short.pairs
     assert full.dominant[: len(short.dominant)] == short.dominant

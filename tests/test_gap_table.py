@@ -97,6 +97,23 @@ def run_streams(draw):
     return digits.DigitStream(base, data)
 
 
+@st.composite
+def streams_and_depths(draw):
+    """A run stream and a depth: none, any up to three past the end, or the
+    last digit or the break digit of one of its runs."""
+    stream = draw(run_streams())
+    data = stream.data
+    ends = [j for j in range(1, len(data)) if data[j - 1] != data[j]]
+    depth = draw(st.one_of(st.sampled_from([None, *ends, *(j + 1 for j in ends)]),
+                           st.integers(1, len(data) + 3)))
+    return stream, depth
+
+
+def prefix(stream, depth):
+    """A copy of the first `depth` digits of `stream`, for the scan."""
+    return stream if depth is None else digits.DigitStream(stream.base, stream.data[:depth])
+
+
 @given(run_streams(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_run_end_table_matches_scan(stream, data):
@@ -139,10 +156,18 @@ def test_run_end_table_rejects_positions_outside_prefix():
     assert len(digits.run_end_table(stream, [])) == 0
 
 
-def check_against_scan(stream, seq):
-    """The table of `stream` under `seq` holds what the scan finds; returns it."""
-    avals, gaps, pairs, first_trunc = scan_table(stream, seq)
-    mt = matching_times(stream, seq)
+def check_against_scan(stream, seq, depth=None):
+    """The table of the first `depth` digits of `stream` under `seq` holds
+    what the scan finds on a copy of them; returns it (None when they are
+    too few for a table)."""
+    cut = prefix(stream, depth)
+    if seq.a(1) + 2 > cut.prefix_len:
+        with pytest.raises(ValueError, match=f"prefix of {cut.prefix_len} digits too short"):
+            matching_times(stream, seq, depth)
+        return None
+    avals, gaps, pairs, first_trunc = scan_table(cut, seq)
+    mt = matching_times(stream, seq, depth)
+    assert mt.depth == cut.prefix_len
     assert mt.index_count == len(avals)
     # one listing row per run, at its first complete index
     assert scan_runs(mt.pairs) == scan_runs(pairs)
@@ -157,10 +182,11 @@ def check_against_scan(stream, seq):
 
 
 @pytest.mark.parametrize("seq", SEQS, ids=lambda s: s.spec)
-@given(stream=run_streams())
+@given(case=streams_and_depths())
 @settings(max_examples=100, deadline=None)
-def test_matching_times_matches_scan(seq, stream):
-    check_against_scan(stream, seq)
+def test_matching_times_matches_scan(seq, case):
+    stream, depth = case
+    check_against_scan(stream, seq, depth)
 
 
 def test_final_run_shorter_than_the_record_is_cut_off():
@@ -223,12 +249,15 @@ def test_file_sequence_ending_inside_the_prefix(tmp_path):
 
 
 @pytest.mark.parametrize("seq", SEQS, ids=lambda s: s.spec)
-@given(stream=run_streams())
+@given(case=streams_and_depths())
 @settings(max_examples=100, deadline=None)
-def test_definition_grid_and_estimate_match_scan(seq, stream):
-    avals, gaps, _, first_trunc = scan_table(stream, seq)
-    mt = matching_times(stream, seq)
-    want = loop_grid(avals, gaps, first_trunc, stream.prefix_len)
+def test_definition_grid_and_estimate_match_scan(seq, case):
+    stream, depth = case
+    cut = prefix(stream, depth)
+    assume(cut.prefix_len >= seq.a(1) + 2)
+    avals, gaps, _, first_trunc = scan_table(cut, seq)
+    mt = matching_times(stream, seq, depth)
+    want = loop_grid(avals, gaps, first_trunc, cut.prefix_len)
     if want is None:
         with pytest.raises(ValueError):
             definition_grid(mt)
@@ -241,12 +270,15 @@ def test_definition_grid_and_estimate_match_scan(seq, stream):
 
 
 @pytest.mark.parametrize("seq", SEQS, ids=lambda s: s.spec)
-@given(stream=run_streams())
+@given(case=streams_and_depths())
 @settings(max_examples=100, deadline=None)
-def test_block_estimators_match_scan(seq, stream):
+def test_block_estimators_match_scan(seq, case):
     # the paper's block form over the scanned dominant pairs i_1 < i_2 < ...
-    _, _, pairs, _ = scan_table(stream, seq)
-    mt = matching_times(stream, seq)
+    stream, depth = case
+    cut = prefix(stream, depth)
+    assume(cut.prefix_len >= seq.a(1) + 2)
+    _, _, pairs, _ = scan_table(cut, seq)
+    mt = matching_times(stream, seq, depth)
     dom = greedy_dominant(pairs)
     k = len(dom)
     burn = min(int(0.2 * k), max(0, k - 2))
@@ -302,3 +334,42 @@ def test_table_rows_grow_with_runs_not_indices():
         tracemalloc.stop()
     assert mt.index_count == 10 ** 6 - 1 and len(mt.dominant) >= 2
     assert peak < 100_000
+
+
+class _Searched(bytes):
+    """Digit bytes that record the end of each `find` and `rfind` on them."""
+
+    def find(self, sub, start=0, end=None):
+        self.ends.append(end)
+        return super().find(sub, start, end)
+
+    def rfind(self, sub, start=0, end=None):
+        self.ends.append(end)
+        return super().rfind(sub, start, end)
+
+
+@pytest.mark.parametrize("depth", [1000, 1003, 54321])
+def test_every_search_ends_at_the_depth(depth):
+    # random base-2 digits, each of them a run digit, so the final run is
+    # always cut off and found by `rfind`
+    data = _Searched(digits.random_digits(2, 10 ** 5, 1).data)
+    data.ends = []
+    mt = matching_times(digits.DigitStream(2, data), SEQS[0], depth)
+    assert data.ends and set(data.ends) == {depth}
+    assert mt.depth == depth and mt.first_truncated_index is not None
+
+
+def test_depth_bounds_the_search_in_place():
+    # the table of the first 9 * 10^5 of 10^6 random digits, as a search of
+    # a copy finds it; the copy would hold 900 kB
+    stream = digits.random_digits(3, 10 ** 6, 0)
+    tracemalloc.start()
+    try:
+        mt = matching_times(stream, SEQS[0], 9 * 10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert mt.depth == 9 * 10 ** 5 and mt.index_count == 9 * 10 ** 5 - 1
+    short = matching_times(prefix(stream, 9 * 10 ** 5), SEQS[0])
+    assert mt._replace(stream=short.stream) == short
