@@ -55,8 +55,13 @@ def _text_file(text):
     return lambda path: Path(path).write_text(text)
 
 
+def _bytes_file(data):
+    return lambda path: Path(path).write_bytes(data)
+
+
 # The input files that no command writes, each made by its writer when a
-# command of the case names it.
+# command of the case names it.  A file that one case alone reads is named
+# after that case.
 INPUTS = {
     "random2.txt": _random_digit_file(2, 200_000),
     "random3.txt": _random_digit_file(3, 10 ** 7),
@@ -65,6 +70,24 @@ INPUTS = {
     "short-runs.txt": _text_file("base=3\n" + "21222122" * 1_250_000),
     "sweep.args": _text_file("--eta=1\n--theta=3\n--vhat-grid=1/20:3/5:16\n--seq=linear\n"
                              "--regime=eta1\n--csv=sweep.csv\n"),
+    # argument files: a --csv path in one is relative to the case's directory
+    "sweep-deterministic.args": _text_file("--eta=2\n--vhat-grid=11/10:19/10:5\n--csv=a.csv\n"),
+    "sweep-roundtrip-targets.args": _text_file(
+        "--eta=1\n--vhat-grid=1/4:1/2:3\n--theta=5\n--seq=linear\n--regime=eta1\n"
+        "--depth=30000\n--base=3\n--csv=rt.csv\n"),
+    "sweep-args-unknown-flag.args": _text_file("--eta=2\n--vhat-grid=1:3/2:3\n--bogus=1\n"),
+    # digit files that estimate refuses, or reads to an edge of its report
+    "digit-file-byte-ff.txt": _bytes_file(b"base=3\n10\xff2\n"),
+    "digit-file-base-not-int.txt": _text_file("base=x\n1022\n"),
+    "digit-file-base-1.txt": _text_file("base=1\n0120\n"),
+    "digit-file-base-0.txt": _text_file("base=0\n0120\n"),
+    "digit-file-base-negative.txt": _text_file("base=-3\n0120\n"),
+    "estimate-past-eta.txt": _text_file("base=3\n22200000000000222222\n"),
+    "estimate-no-matching-times.txt": _text_file("base=3\n" + "1" * 500 + "\n"),
+    "estimate-one-dominant-pair.txt": _text_file("base=3\n" + "1001" * 16 + "\n"),
+    # term files that a file: sequence refuses
+    "sweep-seq-file-line-not-int.txt": _text_file("1\n2\n3.5\n"),
+    "sweep-seq-file-not-utf8.txt": _bytes_file(b"1\n2\xff\n"),
 }
 
 
