@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 
 import cli_transcript as transcript
 import dioph_lab
-from dioph_lab import boxdim, cli, digits, dimfx, exponents, sequences, verify
+from dioph_lab import boxdim, cli, dimfx, exponents, sequences, verify
 from dioph_lab.cli import main
 
 
-PINNED =transcript.read_cases(Path(__file__).with_name("cli_pinned.txt"))
+PINNED = transcript.read_cases(Path(__file__).with_name("cli_pinned.txt"))
+PINNED_SLOW = transcript.read_cases(Path(__file__).with_name("cli_pinned_slow.txt"))
 
 
 @pytest.mark.parametrize("case", PINNED, ids=[case.name for case in PINNED])
@@ -52,75 +53,14 @@ def test_runner_records_an_argparse_exit(tmp_path):
 
 
 def test_every_pinned_usage_error_is_one_error_line():
-    """Each pinned command that exits 2 printed nothing on stdout and one
-    `error:` line on stderr."""
-    outputs = [m[1] for case in PINNED
-               for m in re.finditer(r"^\$ .*\n((?:(?!\$ ).*\n)*?)exit 2\n", case.text, re.M)]
-    assert len(outputs) >= 29
-    for out in outputs:
+    """Each pinned command of either transcript that exits 1 or 2 printed
+    nothing on stdout and one `error:` line on stderr."""
+    found = [m.groups() for case in [*PINNED, *PINNED_SLOW]
+             for m in re.finditer(r"^\$ .*\n((?:(?!\$ ).*\n)*?)exit ([12])\n", case.text, re.M)]
+    codes = [code for _, code in found]
+    assert codes.count("1") >= 23 and codes.count("2") >= 57
+    for out, _ in found:
         assert re.fullmatch(r"--- stderr\nerror: .+\n", out), out
-
-
-def test_gen_digits_geometric_regime(tmp_path, capsys):
-    dig = tmp_path / "geo.txt"
-    csv_path = tmp_path / "geo_est.csv"
-    rc = main(["gen-digits", "--seq", "geometric:eta=2,a1=1", "--theta", "4",
-               "--vhat", "3/2", "--base", "3", "--regime", "geo:l=2",
-               "--depth", "100000", "--out", str(dig)])
-    assert rc == 0
-    rc = main(["estimate", "--digits", str(dig), "--seq", "geometric:eta=2,a1=1",
-               "--csv", str(csv_path)])
-    assert rc == 0
-    row = csv_path.read_text().splitlines()[1].split(",")
-    assert float(row[2]) == pytest.approx(6.0, abs=0.2)
-    assert float(row[3]) == pytest.approx(1.5, abs=0.1)
-
-
-def test_schedule_csv_dump(tmp_path, capsys):
-    out = tmp_path / "digits.txt"
-    sched_csv = tmp_path / "sched.csv"
-    main(["gen-digits", "--seq", "linear", "--theta", "3", "--vhat", "1/3",
-          "--base", "3", "--depth", "100", "--out", str(out),
-          "--schedule-csv", str(sched_csv)])
-    lines = sched_csv.read_text().splitlines()
-    assert lines[0] == "k,i_k,a_ik,m_k,t_k"
-    assert lines[1] == "1,4,4,8,1"
-    assert lines[2] == "2,13,13,26,1"
-
-
-def test_sweep_deterministic(tmp_path, capsys):
-    args = tmp_path / "sweep.args"
-    args.write_text(
-        "--eta=2\n"
-        "--vhat-grid=11/10:19/10:5\n"
-        f"--csv={tmp_path / 'a.csv'}\n")
-    assert main(["sweep", f"@{args}"]) == 0
-    assert main(["sweep", f"@{args}", "--csv", str(tmp_path / "b.csv")]) == 0
-    a = (tmp_path / "a.csv").read_bytes()
-    b = (tmp_path / "b.csv").read_bytes()
-    assert a == b
-    header = a.decode().splitlines()[0]
-    assert header.startswith("vhat,vhat_decimal,theta,baseline")
-
-
-def test_sweep_with_roundtrip_estimates(tmp_path, capsys):
-    args = tmp_path / "sweep.args"
-    args.write_text(
-        "--eta=1\n"
-        "--vhat-grid=1/4:1/2:3\n"
-        "--theta=5\n"
-        "--seq=linear\n"
-        "--regime=eta1\n"
-        "--depth=30000\n"
-        "--base=3\n"
-        f"--csv={tmp_path / 'rt.csv'}\n")
-    assert main(["sweep", f"@{args}"]) == 0
-    lines = (tmp_path / "rt.csv").read_text().splitlines()
-    header = lines[0].split(",")
-    i_v, i_vhat = header.index("v_est"), header.index("vhat_est")
-    row = lines[1].split(",")  # vhat = 1/4, targets (5/4, 1/4)
-    assert float(row[i_v]) == pytest.approx(5 / 4, abs=0.1)
-    assert float(row[i_vhat]) == pytest.approx(1 / 4, abs=0.05)
 
 
 def test_geometric_sweep_shares_one_sequence(tmp_path, capsys, monkeypatch):
@@ -470,41 +410,6 @@ def test_cprofile_still_prints_its_table(tmp_path):
     assert "function calls" in proc.stdout
 
 
-def test_sweep_theta_grid(tmp_path, capsys):
-    csv_path = tmp_path / "theta.csv"
-    rc = main(["sweep", "--eta", "2", "--vhat", "3/2",
-               "--theta-grid", "2:5:7", "--csv", str(csv_path)])
-    assert rc == 0
-    lines = csv_path.read_text().splitlines()
-    assert len(lines) == 8
-    header = lines[0].split(",")
-    i_theta, i_pair = header.index("theta"), header.index("pair_upper")
-    by_theta = {r.split(",")[i_theta]: r.split(",")[i_pair] for r in lines[1:]}
-    assert by_theta["4"] == format(1 / 49, ".12g")
-    assert by_theta["2"] != ""
-
-
-def test_eval_dim_grid_csv(tmp_path, capsys):
-    csv_path = tmp_path / "grid.csv"
-    rc = main(["eval-dim", "--eta", "1", "--grid", "1/10:9/10:5",
-               "--csv", str(csv_path)])
-    assert rc == 0
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "vhat,formula,exact,decimal,kind,domain_ok,condition"
-    # 5 grid points x (baseline + eta1 exact)
-    assert len(lines) == 11
-    assert any(row.startswith("1/2,eta1-exact,1/9,") for row in lines)
-
-
-def test_sweep_args_file_rejects_unknown_flags(tmp_path, capsys):
-    args = tmp_path / "bad.args"
-    args.write_text("--eta=2\n--vhat-grid=1:3/2:3\n--bogus=1\n")
-    code, err = _run(["sweep", f"@{args}", "--csv", str(tmp_path / "x.csv")], capsys)
-    assert code == 2
-    assert err.splitlines() == ["error: unrecognized argument '--bogus=1'"]
-    assert not (tmp_path / "x.csv").exists()
-
-
 def test_verify_exit_code_follows_the_checks(capsys, monkeypatch):
     def crash():
         raise RuntimeError("boom")
@@ -527,108 +432,6 @@ def _run(argv, capsys):
     return main(argv), capsys.readouterr().err
 
 
-# a round trip at each point: bad round-trip input must exit, not blank cells
-ROUNDTRIP_SWEEP = ["sweep", "--eta", "1", "--theta", "5", "--vhat-grid", "1/4:1/2:2",
-                   "--regime", "eta1", "--csv", "unused.csv"]
-
-
-@pytest.mark.parametrize("argv", [
-    ["eval-dim", "--eta", "1/0", "--vhat", "1"],
-    ["eval-dim", "--eta", "0", "--vhat", "0"],
-    ["eval-dim", "--eta", "1/2", "--grid", "0:1/4:3"],
-    ["eval-dim", "--eta", "1", "--grid", "0:1/0:3"],
-    ["sweep", "--eta", "0", "--vhat-grid", "0:1/2:3", "--csv", "unused.csv"],
-    ["sweep", "--eta", "3/0", "--vhat-grid", "0:1/2:3", "--csv", "unused.csv"],
-    ["sweep", "--eta", "1", "--vhat-grid", "1/2:3/4:3", "--seq", "linear",
-     "--regime", "eta1", "--csv", "unused.csv"],
-    ["eval-dim", "--eta", "1", "--grid", "1:2"],
-    ["eval-dim", "--eta", "1", "--grid", "1:2:x"],
-    [*ROUNDTRIP_SWEEP, "--seq", "bogus"],
-    [*ROUNDTRIP_SWEEP, "--seq", "linear", "--depth", "-5"],
-    [*ROUNDTRIP_SWEEP, "--seq", "linear", "--burn-in", "-1"],
-    ["box-dim", "--seq", "linear", "--theta", "3", "--vhat", "1/3", "--base", "1",
-     "--max-depth", "1000", "--mode", "all-depths"],
-    [*ROUNDTRIP_SWEEP, "--seq", "linear", "--base", "1"],
-    ["sweep", "--eta", "1", "--theta", "5", "--vhat-grid", "1/4:1/2:2", "--seq", "linear",
-     "--regime", "geo:l=-1", "--csv", "unused.csv"],
-    ["sweep", "--eta", "1", "--theta", "5", "--vhat-grid", "1/4:1/2:2", "--seq", "linear",
-     "--regime", "geo:l=2", "--csv", "unused.csv"],
-    ["sweep", "--eta", "2", "--theta", "4", "--vhat-grid", "1:3/2:2",
-     "--seq", "geometric:eta=2,a1=1", "--regime", "eta1", "--csv", "unused.csv"],
-    [*ROUNDTRIP_SWEEP, "--seq", "poly:d=x"],
-    ["sweep", "--eta", "2", "--theta", "4", "--vhat-grid", "1:3/2:2",
-     "--seq", "geometric:eta=2,a1=x", "--regime", "geo:l=2", "--csv", "unused.csv"],
-    [*ROUNDTRIP_SWEEP, "--seq", "file:not-an-int.txt"],
-    [*ROUNDTRIP_SWEEP, "--seq", "file:not-utf8.txt"],
-    ["sweep", "--eta", "1", "--vhat-grid", f"1:1{'0' * 400}:2", "--csv", "unused.csv"],
-], ids=["zero-denominator", "eta-zero", "eta-below-one", "grid-zero-denominator",
-        "sweep-eta-zero", "sweep-zero-denominator", "sweep-roundtrip-without-theta",
-        "grid-two-fields", "grid-count-not-int", "sweep-bad-seq", "sweep-negative-depth",
-        "sweep-burn-in-unknown-flag", "box-dim-base-one", "sweep-base-one",
-        "sweep-negative-stride", "sweep-geometric-on-linear", "sweep-eta1-on-geometric",
-        "sweep-poly-degree-not-int", "sweep-geometric-a1-not-int",
-        "sweep-seq-file-line-not-int", "sweep-seq-file-not-utf8",
-        "sweep-vhat-past-float-range"])
-def test_bad_rationals_give_one_error_line(argv, capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "not-an-int.txt").write_text("1\n2\n3.5\n")
-    (tmp_path / "not-utf8.txt").write_bytes(b"1\n2\xff\n")
-    code, err = _run(argv, capsys)
-    assert code in (1, 2)
-    assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
-    assert "Traceback" not in err
-    assert not (tmp_path / "unused.csv").exists()
-
-
-def test_vhat_past_float_range_names_the_value(tmp_path, capsys):
-    huge = "1" + "0" * 400
-    code, err = _run(["sweep", "--eta", "1", "--vhat-grid", f"1:{huge}:2",
-                      "--csv", str(tmp_path / "s.csv")], capsys)
-    assert code == 1
-    assert err.splitlines() == [
-        f"error: {huge} has no decimal form: it is past the float range"]
-    assert not (tmp_path / "s.csv").exists()
-
-
-def test_unicode_digits_are_no_rational(tmp_path, capsys):
-    # '²' passes str.isdigit but not int(); the parser's own message is kept
-    code, err = _run(["eval-dim", "--eta", "2", "--vhat", "²"], capsys)
-    assert code == 2
-    assert err.splitlines() == ["error: --vhat: '²' is not a p or p/q rational"]
-    code, err = _run(["eval-dim", "--eta", "++2", "--vhat", "1/2"], capsys)
-    assert code == 2
-    assert err.splitlines() == ["error: --eta: '++2' is not a p or p/q rational"]
-    code, err = _run(["sweep", "--eta", "2", "--theta", "4", "--vhat-grid", "1:3/2:2",
-                      "--seq", "geometric:eta=²,a1=1", "--regime", "geo:l=2",
-                      "--csv", str(tmp_path / "s.csv")], capsys)
-    assert code == 1
-    assert err.splitlines() == ["error: '²' is not a p or p/q rational"]
-    assert not (tmp_path / "s.csv").exists()
-
-
-def test_eval_dim_vhat_beside_grid_is_a_usage_error(tmp_path, capsys):
-    csv_path = tmp_path / "e.csv"
-    code = main(["eval-dim", "--eta", "2", "--vhat", "7/5", "--grid", "1/2:1:2",
-                 "--csv", str(csv_path)])
-    out, err = capsys.readouterr()
-    assert code == 2
-    assert (out, err.splitlines()) == ("", ["error: eval-dim needs exactly one of --vhat, --grid"])
-    assert not csv_path.exists()
-
-
-@pytest.mark.parametrize("flag,value", [("--regime", "geo:x"), ("--regime", "geo:l=0"),
-                                        ("--base", "x")],
-                         ids=["regime-not-int", "regime-zero-stride", "base-not-int"])
-def test_bad_typed_flag_names_the_value(flag, value, tmp_path, capsys):
-    argv = ["gen-digits", "--seq", "linear", "--theta", "3", "--vhat", "1/3",
-            "--base", "3", "--depth", "100", "--out", str(tmp_path / "d.txt"), flag, value]
-    code, err = _run(argv, capsys)
-    assert code == 2
-    errors = [ln for ln in err.splitlines() if "error:" in ln]
-    assert len(errors) == 1 and repr(value) in errors[0]
-    assert "_base" not in errors[0] and "_parse_regime" not in errors[0]
-
-
 @pytest.mark.parametrize("flag,value", [("--depth", "-3")], ids=["negative-depth"])
 def test_estimate_bad_flag_is_an_error(flag, value, tmp_path, capsys):
     dig = tmp_path / "digits.txt"
@@ -640,21 +443,6 @@ def test_estimate_bad_flag_is_an_error(flag, value, tmp_path, capsys):
     errors = [ln for ln in err.splitlines() if "error:" in ln]
     assert len(errors) == 1 and value in errors[0]
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("argv", [
-    ["estimate", "--digits", "unused.txt", "--seq", "linear"],
-    ["sweep", "--eta", "1", "--theta", "3", "--vhat-grid", "1/4:1/2:2", "--seq", "linear",
-     "--regime", "eta1", "--csv", "unused.csv"],
-], ids=["estimate", "sweep"])
-def test_burn_in_is_not_a_flag(argv, capsys, tmp_path, monkeypatch):
-    """The burn-in is fixed (exponents.BURN_FRACTION), so no command takes it."""
-    monkeypatch.chdir(tmp_path)
-    code, err = _run([*argv, "--burn-in", "0.2"], capsys)
-    assert code == 2
-    errors = [ln for ln in err.splitlines() if "error:" in ln]
-    assert len(errors) == 1 and "--burn-in" in errors[0]
-    assert not (tmp_path / "unused.csv").exists()
 
 
 def _out_of_memory(*_args, **_kwargs):
@@ -747,55 +535,15 @@ def test_box_dim_too_few_points_names_max_depth(argv, message, capsys, monkeypat
     assert err.splitlines() == [f"error: {message} needs at least 3"]
 
 
-@pytest.mark.parametrize("content, message", [
-    (b"base=3\n10\xff2\n", None),
-    (b"base=x\n1022\n", None),
-    # a base below 2 is named as such, not as a bad digit character
-    (b"base=1\n0120\n", "base must be >= 2, got 1"),
-    (b"base=0\n0120\n", "base must be >= 2, got 0"),
-    (b"base=-3\n0120\n", "base must be >= 2, got -3"),
-], ids=["digit-file-not-utf8", "digit-file-base-not-int", "digit-file-base-1",
-        "digit-file-base-0", "digit-file-base-negative"])
-def test_bad_digit_file_names_the_path(content, message, capsys, tmp_path):
-    path = tmp_path / "digits.txt"
-    path.write_bytes(content)
-    code, err = _run(["estimate", "--digits", str(path), "--seq", "linear"], capsys)
-    assert code == 1
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0]
-    if message is not None:
-        assert lines == [f"error: digit file {path}: {message}"]
-
-
 @pytest.mark.parametrize("setup,argv,code,message", [
     ("1" * 1000, ["--depth", "-5"], 2, "--depth: must be an integer >= 1, got '-5'"),
-    ("1" * 500, [], 1, "no observable matching times in prefix"),
-    ("1001" * 16, [], 1, "need at least 2 dominant pairs, have 1"),
-], ids=["estimate-negative-depth-names-flag", "estimate-no-matching-times",
-        "estimate-one-dominant-pair"])
+], ids=["estimate-negative-depth-names-flag"])
 def test_estimate_error_is_one_line(setup, argv, code, message, tmp_path, capsys):
     path = tmp_path / "digits.txt"
     path.write_text(f"base=3\n{setup}\n")
     got, err = _run(["estimate", "--digits", str(path), "--seq", "linear", *argv], capsys)
     assert got == code
     assert err.splitlines() == [f"error: {message}"]
-
-
-def test_estimate_reports_estimates_past_eta(tmp_path, capsys):
-    # pairs (1, 4) and (3, 15) give vhat_est = 1.5 >= eta = 1, where the
-    # inequality v >= vhat/(eta - vhat) has no meaning
-    path = tmp_path / "digits.txt"
-    path.write_text("base=3\n22200000000000222222\n")
-    csv_path = tmp_path / "est.csv"
-    assert main(["estimate", "--digits", str(path), "--seq", "linear",
-                 "--csv", str(csv_path)]) == 0
-    out, err = capsys.readouterr()
-    assert err == ""
-    assert out.splitlines()[:3] == [
-        "depth 20: 2 dominant pairs (burn-in 0)",
-        "v_est = 4   vhat_est = 1.5   vhat_def = 1.5",
-        "eta = 1   inequality v >= vhat/(eta - vhat): not applicable (vhat_est >= eta)"]
-    assert csv_path.read_text() == "depth,k_count,v_est,vhat_est,lemma21_ok\n20,2,4,1.5,\n"
 
 
 def test_sweep_fills_estimates_past_eta(tmp_path, capsys, monkeypatch):
@@ -812,14 +560,6 @@ def test_sweep_fills_estimates_past_eta(tmp_path, capsys, monkeypatch):
     assert (code, err) == (0, "")
     assert [r.split(",")[-2:] for r in csv_path.read_text().splitlines()[1:]] == [
         ["1.5", ""], ["1.5", ""]]
-
-
-@pytest.mark.parametrize("eta", ["1001/1000", "10001/10000"])
-def test_eval_dim_near_one_finishes(eta, capsys):
-    code, err = _run(["eval-dim", "--eta", eta, "--vhat", "1/2"], capsys)
-    assert code in (0, 1)
-    assert "Traceback" not in err
-    assert len([ln for ln in err.splitlines() if "error:" in ln]) <= 1
 
 
 EXPONENT_CAP = f"past the cap {dimfx.MAX_EXPONENT} on exact exponents"
