@@ -196,23 +196,22 @@ def save_digit_file(stream: DigitStream, path) -> None:
     write_file(path, write, binary=True)
 
 
-_HEADER = re.compile(rb"base=([0-9]+)\n")  # the header `save_digit_file` writes
-
-
 def _read_whole(fh, size: int) -> DigitStream | None:
     """The stream of a file of `size` bytes as `save_digit_file` writes it,
     read from `fh` at its start with one read of the body; None for any
-    other file, or one whose digits the stream refuses."""
+    other file, or one whose digits the stream refuses.  The header it takes
+    is `base=`, one or more ASCII digits and a newline."""
     header = fh.readline()
-    found = _HEADER.fullmatch(header)
+    base = header[5:-1]
     count = size - len(header) - 1
-    if found is None or count < 0:
+    header_ok = header.startswith(b"base=") and header.endswith(b"\n") and base.isdigit()
+    if not header_ok or count < 0:
         return None
     body = fh.read(count)
     if len(body) != count or fh.read(2) != b"\n":
         return None
     try:
-        return digits_from_string(body, int(found[1]))
+        return digits_from_string(body, int(base))
     except ValueError:
         return None
 

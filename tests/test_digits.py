@@ -1,3 +1,4 @@
+import io
 import random
 import re
 import string
@@ -198,6 +199,24 @@ def test_digit_file_loads_as_the_text_loader_does(header, body, end):
         path = Path(workdir) / "digits.txt"
         path.write_bytes(header + b"".join(body) + end)
         assert _outcome(digits.load_digit_file, path) == _outcome(_text_load, path)
+
+
+# the header regex the one-piece read matched before it checked bytes by hand
+OLD_HEADER = re.compile(rb"base=([0-9]+)\n")
+
+
+@pytest.mark.parametrize("header", [*HEADERS, b"base=\n", b"base=-3\n", b"base=0036\n",
+                                    b"base=\xc2\xb2\n"])
+def test_one_piece_read_takes_the_headers_the_regex_took(header):
+    """A header with a leading zero, a sign, an empty base, a non-ASCII
+    digit or no newline is taken by the one-piece read exactly when the old
+    regex fullmatches it (and the stream takes its base)."""
+    data = header + b"1\n" if header.endswith(b"\n") else header
+    found = OLD_HEADER.fullmatch(header)
+    want = None
+    if found is not None and 2 <= int(found[1]) <= digits.MAX_BASE:
+        want = digits.DigitStream(int(found[1]), b"1")
+    assert digits._read_whole(io.BytesIO(data), len(data)) == want
 
 
 def test_random_digits_reproducible():
