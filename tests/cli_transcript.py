@@ -1,8 +1,9 @@
 """Pinned CLI output, written as transcripts, and the one runner that checks it.
 
-A transcript file holds cases separated by blank lines.  A case may open
-with `#` comment lines, the first of them `## NAME` to name it (else its
-first `$` line names it); the rest is what running it prints:
+A transcript file is UTF-8 text that holds cases separated by blank lines.
+A case may open with `#` comment lines, the first of them `## NAME` to
+name it (else its first `$` line names it); the rest is what running it
+prints:
 
     < NAME sha256 HEX     each input from INPUTS that a command names
     $ ARGV                a command, run in process through `cli.main` (or,
@@ -127,7 +128,7 @@ def _case(path, start: int, lines: list[str]) -> Case | None:
 
 
 def read_cases(path) -> list[Case]:
-    return [case for start, lines in _blocks(Path(path).read_text())
+    return [case for start, lines in _blocks(Path(path).read_text("utf-8"))
             if (case := _case(path, start, lines)) is not None]
 
 
@@ -214,7 +215,7 @@ def rewrite(path) -> None:
     """Rebuild every case of a transcript file from its comments and `$`
     lines.  Run it only on code whose output is known to be right, and
     read the diff."""
-    text = Path(path).read_text()
+    text = Path(path).read_text("utf-8")
     blocks = []
     for start, lines in _blocks(text):
         case = _case(path, start, lines)
@@ -223,7 +224,7 @@ def rewrite(path) -> None:
             continue
         with tempfile.TemporaryDirectory() as workdir:
             blocks.append(case.comment + run_case(case.commands, workdir))
-    Path(path).write_text("\n".join(blocks))
+    Path(path).write_text("\n".join(blocks), "utf-8")
 
 
 def main(paths: list[str]) -> int:
