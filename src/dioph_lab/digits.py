@@ -200,7 +200,8 @@ def _read_whole(fh, size: int) -> DigitStream | None:
     """The stream of a file of `size` bytes as `save_digit_file` writes it,
     read from `fh` at its start with one read of the body; None for any
     other file, or one whose digits the stream refuses.  The header it takes
-    is `base=`, one or more ASCII digits and a newline."""
+    is `base=`, one or more ASCII digits (`bytes.isdigit` knows no others)
+    and a newline."""
     header = fh.readline()
     base = header[5:-1]
     count = size - len(header) - 1

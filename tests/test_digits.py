@@ -201,7 +201,7 @@ def test_digit_file_loads_as_the_text_loader_does(header, body, end):
         assert _outcome(digits.load_digit_file, path) == _outcome(_text_load, path)
 
 
-# the header regex the one-piece read matched before it checked bytes by hand
+# the oracle: the header `save_digit_file` writes, as a regex
 OLD_HEADER = re.compile(rb"base=([0-9]+)\n")
 
 
