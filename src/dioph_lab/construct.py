@@ -368,27 +368,6 @@ def local_dimension(sched: CantorSchedule, base: int, n: int) -> float:
     return mu_cylinder(sched, base, n) / n
 
 
-def constrained_digit(sched: CantorSchedule, base: int, pos: int) -> int | None:
-    """Forced digit at a position, or None when the position is free."""
-    if not 1 <= pos <= sched.covered_to:
-        raise ValueError(f"position {pos} outside covered range")
-    kk = bisect_right(sched.entries, pos, key=lambda e: e.a) - 1  # the block holding pos
-    if kk < 0:
-        return None
-    ent = sched.entries[kk]
-    if pos == ent.a or pos == ent.m:
-        return 1
-    if ent.a < pos < ent.m:
-        return 0
-    off = pos - ent.m
-    g = ent.gap
-    if off % g == 0 and 1 <= off // g <= ent.t:
-        return 1
-    if base == 2 and (off + 1) % g == 0 and 1 <= (off + 1) // g <= ent.t:
-        return 0
-    return None
-
-
 def geometric_local_dimension_limit(eta: Fraction, theta: Fraction, vhat: Fraction,
                                     l: int) -> Fraction:
     """Limit of log_b(mu(I_n))/n along block ends in the fixed-stride regime

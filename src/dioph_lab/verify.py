@@ -305,12 +305,14 @@ def check_measure_additivity():
     sched = _eta1_schedule(100)
     for base in (3, 2):
         # mass of the root cylinder of each admissible prefix must equal the
-        # sum over its admissible one-digit extensions
+        # sum over its admissible one-digit extensions, read off the forced
+        # runs that emission and box counting read
+        forced = {p for lo, hi, _ in construct.forced_runs(sched, base, 31)
+                  for p in range(lo, hi + 1)}
         for n in range(1, 31):
             parent = construct.mu_cylinder(sched, base, n)
-            forced = construct.constrained_digit(sched, base, n + 1)
             child = construct.mu_cylinder(sched, base, n + 1)
-            n_children = 1 if forced is not None else base
+            n_children = 1 if n + 1 in forced else base
             # uniform rule: children split the parent mass equally
             total = n_children * F(1, base ** child)
             if total != F(1, base ** parent):

@@ -5,7 +5,8 @@ A case may open with `#` comment lines, the first of them `## NAME` to
 name it (else its first `$` line names it); the rest is what running it
 prints:
 
-    < NAME sha256 HEX     each input from INPUTS that a command names
+    < NAME sha256 HEX     each input from INPUTS that a command names, as
+                          an argument NAME, @NAME or file:NAME
     $ ARGV                a command, run in process through `cli.main` (or,
                           with `child`, as a `python -m dioph_lab.cli` child)
     ...                   its stdout
@@ -181,8 +182,9 @@ def run_case(commands: list[str], workdir, child: bool = False) -> str:
     here = os.getcwd()
     os.chdir(workdir)
     try:
+        tokens = {token for command in commands for token in command.split()}
         for name, write in INPUTS.items():
-            if any(name in command for command in commands):
+            if tokens & {name, f"@{name}", f"file:{name}"}:
                 write(name)
                 parts.append(f"< {name} sha256 {_sha256(Path(name).read_bytes())}\n")
         for command in commands:

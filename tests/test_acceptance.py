@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dioph_lab import cli, digits, exponents, sequences, verify
+from dioph_lab import cli, construct, digits, exponents, sequences, verify
 
 # the line `dioph-lab verify` prints for each check, keyed by its name
 PINNED = {line.split(":", 1)[0].removeprefix("PASS  "): line
@@ -22,6 +22,16 @@ def test_invariant(name, fn):
     ok, detail = fn()
     assert ok, f"{name}: {detail}"
     assert f"PASS  {name}: {detail}" == PINNED[name]
+
+
+def test_measure_additivity_reads_the_forced_runs(monkeypatch):
+    """With the zero runs gone from `construct.forced_runs`, the positions
+    the mass formula holds forced look free, and the check fails."""
+    runs = construct.forced_runs
+    monkeypatch.setattr(construct, "forced_runs",
+                        lambda *args: [r for r in runs(*args) if r[2] != 0])
+    ok, detail = verify.check_measure_additivity()
+    assert not ok, detail
 
 
 def test_criterion_04_roundtrip_eta1(tmp_path):

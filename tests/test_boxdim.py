@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -113,20 +114,17 @@ def test_series_memory_does_not_grow_with_depth(eta1_sched):
 
 
 def _brute_counts(sched, base, upto):
-    """c(n) for n = 0..upto, from `constrained_digit` one position at a time."""
-    out = [0]
-    for n in range(1, upto + 1):
-        out.append(out[-1] + (construct.constrained_digit(sched, base, n) is None))
-    return out
+    """c(n) for n = 0..upto, from the forces applied one position at a time."""
+    return list(accumulate((not c for c in apply_forces(sched, base, upto)[1:]), initial=0))
 
 
 @pytest.mark.parametrize("base", [2, 3, 10])
 @pytest.mark.parametrize("sched_name", ["eta1_sched", "geo_sched"])
 def test_counts_and_slope_match_brute_force(sched_name, base, request):
     """The closed-form sums, the slope, the block-end counts and the chunk
-    fills against sums over `constrained_digit`, one position at a time, and
-    the block-end counts at depth 10^6 against the free cells of the forces
-    applied one position at a time."""
+    fills against sums over the free cells of the forces applied one
+    position at a time (`apply_forces`), up to depth 6000 and at the block
+    ends up to depth 10^6."""
     sched = request.getfixturevalue(sched_name)
     top = 6000
     c = _brute_counts(sched, base, top)

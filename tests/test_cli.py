@@ -52,6 +52,15 @@ def test_runner_records_an_argparse_exit(tmp_path):
                    "error: --vhat: '1.4' is not a p or p/q rational\nexit 2\n")
 
 
+def test_runner_writes_only_the_inputs_a_command_names(tmp_path):
+    """An input whose name is only a substring of an argument is not
+    written, and no `<` line pins it."""
+    got = transcript.run_case(
+        ["estimate --digits old-sweep-seq-file-not-utf8.txt --seq linear"], tmp_path)
+    assert got.startswith("$ estimate") and "\n< " not in got
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
 def test_every_pinned_usage_error_is_one_error_line():
     """Each pinned command of either transcript that exits 1 or 2 printed
     nothing on stdout and one `error:` line on stderr."""
@@ -91,10 +100,11 @@ def test_geometric_sweep_shares_one_sequence(tmp_path, capsys, monkeypatch):
 
 
 # Runs the command given on its command line (none: only the import) in a
-# fresh interpreter, and prints its exit status and which of these modules
-# it loaded: numpy, dataclasses, argparse with gettext and locale, which no
-# command needs; csv, array, fractions and decimal, which only some do; and
-# the library's layers.  It must run as a child: pytest loads fractions.
+# fresh interpreter under python -O, and prints its exit status and which of
+# these modules it loaded: numpy, dataclasses, argparse with gettext and
+# locale, which no command needs; csv, array, fractions and decimal, which
+# only some do; and the library's layers.  It must run as a child: pytest
+# loads fractions.
 NUMPY_PROBE = """
 import contextlib, io, sys
 import dioph_lab.cli
@@ -163,7 +173,7 @@ def test_no_command_loads_numpy_or_dataclasses(argv, loads, tmp_path):
             assert main(["gen-digits", *sched, "--depth", "20000",
                          "--out", str(tmp_path / argv[2])]) == 0
     src = str(Path(dioph_lab.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], cwd=tmp_path,
+    proc = subprocess.run([sys.executable, "-O", "-c", NUMPY_PROBE, *argv], cwd=tmp_path,
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr

@@ -5,12 +5,11 @@ from itertools import pairwise
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dioph_lab import boxdim, construct, digits, dimfx, exponents, sequences
 from dioph_lab.construct import (
-    constrained_digit,
     emit_digits,
     geometric_local_dimension_limit,
     local_dimension,
@@ -248,18 +247,23 @@ def schedules(draw):
     return schedule_geometric(seq, eta ** l, vhat, l, cover_to=3000)
 
 
+SMALL = schedule_eta1(LIN, F(3), F(1, 3), cover_to=120)  # the small_sched fixture's schedule
+
+
 @given(sched=schedules(), base=st.sampled_from([2, 3, 10]), upto=st.integers(0, 3000))
+@example(sched=SMALL, base=2, upto=SMALL.covered_to)
+@example(sched=SMALL, base=3, upto=SMALL.covered_to)
 @settings(max_examples=40, deadline=None)
-def test_emission_and_free_stretches_are_the_constrained_digits(sched, base, upto):
-    """Emission holds `constrained_digit` at every position, FILL_DIGIT
-    where it is None, and `constraint_mask` holds exactly those positions,
-    as maximal stretches."""
-    forced = [constrained_digit(sched, base, p) for p in range(1, upto + 1)]
+def test_emission_and_free_stretches_are_the_forced_cells(sched, base, upto):
+    """Emission holds the forced digit of `apply_forces` at every forced
+    position, FILL_DIGIT at every free one, and `constraint_mask` holds
+    exactly the free positions, as maximal stretches."""
+    cells = apply_forces(sched, base, upto)[1:]
     assert emit_digits(sched, base, upto).data == bytes(
-        digits.CODE[construct.FILL_DIGIT if d is None else d] for d in forced)
+        digits.CODE[c - 1 if c else construct.FILL_DIGIT] for c in cells)
     free = boxdim.constraint_mask(sched, base, upto)
     assert all(r.stop < s.start for r, s in pairwise(free))
-    assert [p for r in free for p in r] == [p for p, d in enumerate(forced, 1) if d is None]
+    assert [p for r in free for p in r] == [p for p, c in enumerate(cells, 1) if not c]
 
 
 def test_sandwich_and_gap_growth(eta1_sched, geo_sched):
@@ -439,17 +443,6 @@ def test_estimator_grid_is_pinned():
     assert estimator_grid_transcript() == pinned
 
 
-def test_constrained_digit_matches_emission(small_sched):
-    for base in (3, 2):
-        stream = emit_digits(small_sched, base, small_sched.covered_to)
-        for pos in range(1, small_sched.covered_to + 1):
-            forced = constrained_digit(small_sched, base, pos)
-            if forced is not None:
-                assert digits.CODE.index(stream.data[pos - 1]) == forced, (base, pos)
-            else:
-                assert digits.CODE.index(stream.data[pos - 1]) == construct.FILL_DIGIT
-
-
 def test_roundtrip_recovers_schedule_pairs(eta1_sched, geo_sched, eta1_streams,
                                            geo_streams):
     for sched, streams, seq in ((eta1_sched, eta1_streams, LIN),
@@ -482,10 +475,11 @@ def test_many_marker_schedule():
         est = exponents.estimate_exponents(exponents.matching_times(stream, LIN))
         assert est.v_est == pytest.approx(1.0, abs=0.05)
         assert est.vhat_est == pytest.approx(1 / 6, abs=0.02)
+        cells = apply_forces(sched, base, 31)
         for n in range(1, 31):
             parent = mu_cylinder(sched, base, n)
             child = mu_cylinder(sched, base, n + 1)
-            children = 1 if constrained_digit(sched, base, n + 1) is not None else base
+            children = 1 if cells[n + 1] else base
             assert children * F(1, base ** child) == F(1, base ** parent)
 
 

@@ -245,7 +245,7 @@ def test_forbidden_gaps_match_the_raw_pieces(en, ed, vn, l_top):
         assert theta_is_forbidden(eta, vhat, theta) == in_piece
 
 
-def test_reports_find_one_thresholds_per_point(monkeypatch):
+def test_reports_find_one_thresholds_per_point(monkeypatch, capsys):
     """`reports` finds each eta > 1 point's thresholds, and l0 with them,
     once: no formula finds them again, and neither does `eval-dim`.  At
     eta = 1 it finds none."""
@@ -265,6 +265,7 @@ def test_reports_find_one_thresholds_per_point(monkeypatch):
     assert calls == {"thresholds": inside, "l0_threshold": inside}
     assert cli.main(["eval-dim", "--eta", "2", "--vhat", "7/5"]) == 0
     assert calls == {"thresholds": inside + 1, "l0_threshold": inside + 1}
+    assert capsys.readouterr().err == ""
 
 
 def test_domain_ok_follows_the_value():
