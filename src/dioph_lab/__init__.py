@@ -29,16 +29,17 @@ def write_file(path, write, binary=False) -> None:
     """Open `path` for writing (bytes, or text with no newline translation),
     pass the file to `write` and close it: the program's one file writer.
 
-    A write that fails leaves no file behind, since a partial CSV would
-    still read and a truncated digit file would load as a shorter stream;
-    a device such as /dev/full is never removed.  Every file is closed
-    before `cli.main` returns, which `cli.run`'s `os._exit` relies on.
+    A write that fails or is interrupted (any exception, Ctrl-C too) leaves
+    no file behind, since a partial CSV would still read and a truncated
+    digit file would load as a shorter stream; a device such as /dev/full
+    is never removed.  Every file is closed before `cli.main` returns,
+    which `cli.run`'s `os._exit` relies on.
     """
     fh = open(path, "wb") if binary else open(path, "w", newline="")
     try:
         with fh:
             write(fh)
-    except OSError:
+    except BaseException:
         if os.path.isfile(path):
             os.remove(path)
         raise

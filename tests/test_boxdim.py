@@ -2,10 +2,9 @@ import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
-import numpy as np
 import pytest
 
-from dioph_lab import boxdim, construct, exponents
+from dioph_lab import boxdim, construct, digits, exponents
 from dioph_lab.boxdim import (
     ALL_DEPTHS,
     AT_BLOCK_ENDS,
@@ -15,7 +14,7 @@ from dioph_lab.boxdim import (
     count_series,
     dimension_slope,
 )
-from dioph_lab.digits import CODE, DigitStream
+from dioph_lab.digits import DigitStream
 from test_construct import apply_forces
 
 
@@ -167,9 +166,7 @@ def test_uniform_mass_points_hit_the_targets(case, base, seed, request):
     seq, sched = request.getfixturevalue(seq_name), request.getfixturevalue(sched_name)
     depth = 10 ** 6
     free = constraint_mask(sched, base, depth)
-    rng = np.random.default_rng(seed)
-    draws = rng.integers(0, base, size=sum(map(len, free))).astype(np.uint8).tobytes()
-    fill = draws.translate(CODE)  # each drawn digit as the stream holds it
+    fill = digits.random_digits(base, sum(map(len, free)), seed).data
     point, i = bytearray(construct.emit_digits(sched, base, depth).data), 0
     for r in free:  # the stretches in order, each taking the next draws
         point[r.start - 1: r.stop - 1] = fill[i: i + len(r)]

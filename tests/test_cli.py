@@ -148,8 +148,12 @@ LOADS_BOX_DIM = "fractions boxdim construct digits dimfx sequences"
     (["gen-digits", *SCHED_ETA1, "--depth", "20000", "--out", "o.txt"], LOADS_SCHEDULE),
     (["gen-digits", *SCHED_GEO, "--depth", "20000", "--out", "o.txt"], LOADS_SCHEDULE),
     (["gen-digits", *SCHED_POLY, "--depth", "20000", "--out", "o.txt"], LOADS_SCHEDULE),
+    (["gen-digits", *SCHED_ETA1, "--depth", "20000", "--out", "o.txt", "--schedule-csv", "o.csv"],
+     "csv " + LOADS_SCHEDULE),
     (["estimate", "--digits", "eta1.txt", "--seq", "linear"], LOADS_ESTIMATE),
     (["estimate", "--digits", "poly.txt", "--seq", "poly:d=2"], LOADS_ESTIMATE),
+    (["estimate", "--digits", "eta1.txt", "--seq", "linear", "--csv", "o.csv"],
+     "csv " + LOADS_ESTIMATE),
     (["estimate", "--digits", "geo.txt", "--seq", "geometric:eta=2,a1=1"],
      "fractions digits dimfx exponents sequences"),
     (["box-dim", *SCHED_GEO, "--max-depth", "20000"], "array " + LOADS_BOX_DIM),
@@ -159,14 +163,16 @@ LOADS_BOX_DIM = "fractions boxdim construct digits dimfx sequences"
     (["verify"], "array fractions boxdim construct digits dimfx exponents sequences verify"),
 ], ids=["import", "program-help", "help", "estimate-help", "usage-error", "eval-dim",
         "formula-sweep", "roundtrip-sweep", "gen-digits-eta1", "gen-digits-geo",
-        "gen-digits-poly", "estimate", "estimate-poly", "estimate-geo", "box-dim",
-        "box-dim-all-depths", "box-dim-all-depths-csv", "verify"])
+        "gen-digits-poly", "gen-digits-schedule-csv", "estimate", "estimate-poly",
+        "estimate-csv", "estimate-geo", "box-dim", "box-dim-all-depths",
+        "box-dim-all-depths-csv", "verify"])
 def test_no_command_loads_numpy_or_dataclasses(argv, loads, tmp_path):
     """Each command loads the modules it needs and no more.  Only a command
     that computes with rationals loads `fractions`: not the import, the
-    help, a usage error, or `estimate` on a linear or poly sequence.
-    box-dim's block-end counts and its CSV rows are arrays, and so are
-    verify's mass and run-end tables; box-dim writes its CSV rows by hand."""
+    help, a usage error, or `estimate` on a linear or poly sequence.  Only
+    a command that writes a CSV loads `csv`.  box-dim's block-end counts and
+    its CSV rows are arrays, and so are verify's mass and run-end tables;
+    box-dim writes its CSV rows by hand."""
     if argv[:1] == ["estimate"] and "--help" not in argv:  # the digits it reads
         sched = {"eta1.txt": SCHED_ETA1, "poly.txt": SCHED_POLY, "geo.txt": SCHED_GEO}[argv[2]]
         with contextlib.redirect_stdout(io.StringIO()):
@@ -259,6 +265,24 @@ def test_failed_csv_write_keeps_a_device(capsys):
     assert os.path.exists("/dev/full")
 
 
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, ValueError])
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "text"])
+def test_interrupted_write_leaves_no_file(binary, exc, tmp_path):
+    """Any exception out of the writer removes the file, not only an
+    OSError: a digit file cut short by Ctrl-C would load as a shorter
+    stream.  A device is still never removed."""
+    def write(fh):
+        text = "base=3\n" + "1" * 4000
+        fh.write(text.encode() if binary else text)
+        raise exc
+
+    for path in (tmp_path / "d.txt", os.devnull):
+        with pytest.raises(exc):
+            dioph_lab.write_file(path, write, binary)
+    assert list(tmp_path.iterdir()) == []
+    assert os.path.exists(os.devnull)
+
+
 # --- cli.run, the entry point that ends the process ---------------------------
 
 class Exited(Exception):
@@ -288,18 +312,24 @@ def _run_as(argv, monkeypatch):
     cli.run()
 
 
-@pytest.mark.parametrize("argv,code", [
-    (["eval-dim", "--eta", "2", "--vhat", "7/5"], 0),
-    (["estimate", "--digits", "nope.txt", "--seq", "linear"], 1),
-    (["eval-dim", "--help"], 0),
-    (["eval-dim", "--eta", "2", "--frobnicate", "1"], 2),
+# (argv, exit status, first stdout line if any, stderr lines)
+@pytest.mark.parametrize("argv,code,out,err", [
+    (["eval-dim", "--eta", "2", "--vhat", "7/5"], 0, ["eta = 2"], []),
+    (["estimate", "--digits", "nope.txt", "--seq", "linear"], 1, [],
+     ["error: [Errno 2] No such file or directory: 'nope.txt'"]),
+    (["eval-dim", "--help"], 0, ["usage: dioph-lab eval-dim [--flag VALUE ...]"], []),
+    (["eval-dim", "--eta", "2", "--frobnicate", "1"], 2, [],
+     ["error: unrecognized argument '--frobnicate'"]),
 ], ids=["exit-0", "exit-1", "help", "unknown-flag"])
-def test_run_ends_in_os_exit_after_the_exit_hooks(argv, code, exits, tmp_path, capsys,
-                                                   monkeypatch):
+def test_run_ends_in_os_exit_after_the_exit_hooks(argv, code, out, err, exits, tmp_path,
+                                                   capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(Exited):
         _run_as(argv, monkeypatch)
     assert exits == ["hooks", ("exit", code)]
+    printed = capsys.readouterr()
+    assert printed.out.splitlines()[:1] == out
+    assert printed.err.splitlines() == err
 
 
 def _setprofile():
@@ -326,6 +356,7 @@ def test_run_under_a_profiler_exits_the_usual_way(watch, exits, capsys, monkeypa
         unwatch()
     assert exc.value.code == 0
     assert exits == []
+    assert capsys.readouterr().out.startswith("eta = 2\n")
 
 
 def test_run_reports_a_failed_final_flush(exits, monkeypatch):
@@ -456,8 +487,7 @@ def test_estimate_bad_flag_is_an_error(flag, value, tmp_path, capsys):
 
 
 def _out_of_memory(*_args, **_kwargs):
-    raise MemoryError("Unable to allocate 93.1 GiB for an array with shape "
-                      "(100000000000,) and data type int8")
+    raise MemoryError("cannot allocate 10^11 digits")
 
 
 GEN_DIGITS = ["gen-digits", "--seq", "linear", "--theta", "3", "--vhat", "1/3", "--base", "3",
@@ -482,16 +512,15 @@ BOX_DIM = ["box-dim", "--seq", "linear", "--theta", "3", "--vhat", "1/3", "--bas
 def test_out_of_memory_is_one_error_line(argv, module, layer, replacement, capsys,
                                          tmp_path, monkeypatch):
     """A depth too large to allocate ends in one `error:` line, exit 1 and no
-    output file.  A layer of each command raises MemoryError by hand, as
-    numpy does: a real huge depth could be granted by a host that
-    overcommits memory, and then fill it."""
+    output file.  A layer of each command raises MemoryError by hand, since
+    a real huge depth could be granted by a host that overcommits memory,
+    and then fill it."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "in.txt").write_text("base=3\n" + "1002" * 250 + "\n")
     monkeypatch.setattr(importlib.import_module(f"dioph_lab.{module}"), layer, replacement)
     code, err = _run(argv, capsys)
     assert code == 1
-    assert err.splitlines() == ["error: out of memory: Unable to allocate 93.1 GiB for an "
-                                "array with shape (100000000000,) and data type int8"]
+    assert err.splitlines() == ["error: out of memory: cannot allocate 10^11 digits"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt"]
 
 
