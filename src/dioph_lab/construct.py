@@ -362,17 +362,3 @@ def mu_exponents_upto(sched: CantorSchedule, base: int, max_n: int) -> array:
         out.extend(_ramp_exponent(ent, base, flat, off) for off in range(1, hi - ent.m + 1))
     return out
 
-
-def local_dimension(sched: CantorSchedule, base: int, n: int) -> float:
-    """Cylinder local-dimension ratio log_b(mu)/n at depth n."""
-    return mu_cylinder(sched, base, n) / n
-
-
-def geometric_local_dimension_limit(eta: Fraction, theta: Fraction, vhat: Fraction,
-                                    l: int) -> Fraction:
-    """Limit of log_b(mu(I_n))/n along block ends in the fixed-stride regime
-    with stride parameter l (for the eta1 regime see `dimfx.dim_pair_eta1`)."""
-    eta, theta, vhat = Fraction(eta), Fraction(theta), Fraction(vhat)
-    tv = theta * vhat
-    top = eta ** (l + 1) - 1
-    return (top - tv) / (top * (1 + tv))

@@ -334,18 +334,19 @@ def check_count_equals_measure():
     return True, "count exponent == mass exponent at every depth <= 1e5"
 
 
-def check_local_dimension_limits():
+def check_block_end_limits():
     sched = _eta1_schedule(10 ** 6)
     ends = [m for m in sched.block_ends(10 ** 6) if m >= 10 ** 5]
     target = float(dimfx.dim_pair_eta1(F(1, 3), F(3)).value)
     for m in ends:
-        if abs(construct.local_dimension(sched, 3, m) - target) > 0.02:
+        if abs(construct.mu_cylinder(sched, 3, m) / m - target) > 0.02:
             return False, f"eta1 at block end {m}"
     gsched = _geo_schedule(10 ** 6)
-    gtarget = float(construct.geometric_local_dimension_limit(F(2), F(4), F(3, 2), 2))
+    eta, vhat = F(2), F(3, 2)  # stride ltilde = 2 and theta = eta^2, as _geo_schedule
+    gtarget = float(dimfx.construction_lower_bound(eta, vhat, dimfx.thresholds(eta, vhat)).value)
     gends = [m for m in gsched.block_ends(10 ** 6) if m >= 10 ** 5]
     for m in gends:
-        if abs(construct.local_dimension(gsched, 3, m) - gtarget) > 0.01:
+        if abs(construct.mu_cylinder(gsched, 3, m) / m - gtarget) > 0.01:
             return False, f"geo at block end {m}"
     return True, f"block ends past 1e5 within 0.02 of {target:.4f} and 0.01 of {gtarget:.6f}"
 
@@ -382,7 +383,7 @@ CHECKS = [
     ("forbidden-gap-coherence", check_gap_coherence),
     ("measure-additivity", check_measure_additivity),
     ("count-equals-measure", check_count_equals_measure),
-    ("local-dimension-limits", check_local_dimension_limits),
+    ("local-dimension-limits", check_block_end_limits),
     ("slope-stabilization", check_slope_stabilization),
 ]
 

@@ -34,9 +34,10 @@ def test_measure_additivity_reads_the_forced_runs(monkeypatch):
     assert not ok, detail
 
 
-def test_criterion_04_roundtrip_eta1(tmp_path):
+def test_criterion_04_roundtrip_eta1(tmp_path, capsys):
     """gen-digits then estimate at depth 1e6 (b=3 and b=2): vhat within 0.02
-    of 1/3, v within 0.05 of 1, and the definition estimator within 0.01."""
+    of 1/3, v within 0.05 of 1, and the definition estimator within 0.01;
+    each command prints its report on stdout and nothing on stderr."""
     lin = sequences.make_sequence("linear")
     for base in (3, 2):
         dig = tmp_path / f"eta1_b{base}.txt"
@@ -44,8 +45,13 @@ def test_criterion_04_roundtrip_eta1(tmp_path):
         assert cli.main(["gen-digits", "--seq", "linear", "--theta", "3",
                          "--vhat", "1/3", "--base", str(base), "--regime", "eta1",
                          "--depth", "1000000", "--out", str(dig)]) == 0
+        out, err = capsys.readouterr()
+        assert "targets: vhat = 1/3, v = 1" in out.splitlines() and err == "", (out, err)
         assert cli.main(["estimate", "--digits", str(dig), "--seq", "linear",
                          "--csv", str(csv_path)]) == 0
+        out, err = capsys.readouterr()
+        assert "eta = 1   inequality v >= vhat/(eta - vhat): ok" in out.splitlines(), out
+        assert err == ""
         row = csv_path.read_text().splitlines()[1].split(",")
         v_est, vhat_est = float(row[2]), float(row[3])
         assert abs(vhat_est - 1 / 3) <= 0.02 and abs(v_est - 1.0) <= 0.05, (base, row)

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from dioph_lab import boxdim, construct, digits, dimfx, exponents, sequences
 from dioph_lab.construct import (
     emit_digits,
-    geometric_local_dimension_limit,
-    local_dimension,
     mu_cylinder,
     mu_exponents_upto,
     schedule_eta1,
@@ -305,8 +303,6 @@ def test_mu_worked_values(small_sched):
     assert mu_cylinder(small_sched, 3, 13) == 6  # 3 + (13-8-1-1)
     assert mu_cylinder(small_sched, 3, 20) == 6  # flat across the block
     assert mu_cylinder(small_sched, 3, 26) == 6
-    assert local_dimension(small_sched, 3, 26) == pytest.approx(6 / 26)
-    assert local_dimension(small_sched, 3, 13) == pytest.approx(6 / 13)
     assert mu_cylinder(small_sched, 3, 3) == 3  # all free below the first marker
     assert mu_cylinder(small_sched, 3, 8) == 3
     with pytest.raises(ValueError):
@@ -334,18 +330,31 @@ def test_mu_cylinder_matches_the_table_at_every_depth(name, base):
     assert got == table[1:].tolist()
 
 
-def test_local_dimension_reads_one_block():
-    """One depth costs one block's lookup, not a table over every depth."""
-    n = 10 ** 6
-    sched = schedule_eta1(LIN, F(3), F(1, 3), cover_to=n)
+def _mu_cylinder_peak(sched, n):
+    """mu_cylinder(sched, 3, n) and the peak bytes traced while it ran."""
     tracemalloc.start()
     try:
-        value = local_dimension(sched, 3, n)
+        value = mu_cylinder(sched, 3, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert value == mu_exponents_upto(sched, 3, n)[n] / n
+    return value, peak
+
+
+def test_mu_cylinder_reads_one_block():
+    """One depth costs one block's lookup, not a table over every depth: at
+    10^6, where the table is the oracle, and at 10^15, where no table over
+    the depths could be built."""
+    n = 10 ** 6
+    sched = schedule_eta1(LIN, F(3), F(1, 3), cover_to=n)
+    value, peak = _mu_cylinder_peak(sched, n)
+    assert value == mu_exponents_upto(sched, 3, n)[n]
     assert peak < 100_000  # a table over the depths would be 8 bytes per depth
+    n = 10 ** 15
+    sched = schedule_eta1(LIN, F(3), F(1, 3), cover_to=n)
+    value, peak = _mu_cylinder_peak(sched, n)
+    assert value == boxdim.count_series(sched, 3, [n]).count(n)
+    assert peak < 100_000
 
 
 def test_mu_monotone_and_bounded(small_sched):
@@ -359,7 +368,6 @@ def test_mu_monotone_and_bounded(small_sched):
 
 def test_limit_formulas():
     assert dimfx.dim_pair_eta1(F(1, 3), F(3)).value == F(1, 4)
-    assert geometric_local_dimension_limit(F(2), F(4), F(3, 2), 2) == F(1, 49)
 
 
 GRID_SEQS = {F(3, 2): "geometric:eta=3/2,a1=4", F(2): "geometric:eta=2,a1=1",
@@ -371,43 +379,79 @@ GRID_BASES = (2, 3, 10)
 BLOCK_END_TOL = 3e-3
 
 
-def _assert_block_ends_near(sched, target):
-    """local_dimension at every block end 1e5 <= m <= 1e6, in each grid base."""
+DEEP = 10 ** 15  # the grid schedules are checked at every block end up to here
+
+
+def _assert_block_ends_meet(sched, eta, limit):
+    """The schedule's block-end local dimensions meet the closed form
+    `limit`, in each grid base: within BLOCK_END_TOL at every block end
+    1e5 <= m <= 1e6, and within an exact bound C_k/m_k at every block end
+    m_k <= DEEP.  At those block ends the count exponents of
+    `boxdim.count_series` equal the mass exponents.
+
+    C_k is derived from the schedule's entries.  Let R = eta*theta,
+    s = 1 + theta*vhat, g_j = m_j - a_{i_j}, and c = 2 in base 2 (a forced
+    zero before each spaced marker) or 1 otherwise.  The positions below
+    a_{i_k} that earlier blocks force give the mass exponent at m_k:
+
+        E_k = a_{i_k} - 1 - sum_{j<k} (g_j + 1 + c*t_j).
+
+    The floor in m_j leaves delta_j = s*a_{i_j} - m_j in [0, 1), and the
+    next block starts eps_j = a_{i_{j+1}} - R*a_{i_j} from R*a_{i_j}.  For
+    L = limit with L*s = lam = (R - s)/(R - 1) the terms in a_{i_k} cancel:
+
+        E_k - L*m_k = (1 - lam)*a_{i_1} - 1 + L*delta_k
+                      + sum_{j<k} ((1 - lam)*eps_j + delta_j - 1 - c*t_j).
+
+    With 1 - lam = (s - 1)/(R - 1), |L| <= 1 and 0 <= delta_j < 1:
+
+        |E_k - L*m_k| <= C_k = (1 - lam)*a_{i_1} + 2
+                               + sum_{j<k} ((1 - lam)*|eps_j| + 1 + c*t_j).
+
+    C_k gains O(1 + t_j) a block while m_k grows geometrically, so a closed
+    form off by any fixed amount leaves a term in a_{i_k} that outgrows C_k.
+    """
+    ends = sched.block_ends(DEEP)
+    assert sched.covered_to >= DEEP and len(ends) >= 3
+    r, s = eta * sched.theta, 1 + sched.target_v
+    one_minus_lam = (s - 1) / (r - 1)
     for base in GRID_BASES:
-        for m in sched.block_ends(10 ** 6):
-            if m >= 10 ** 5:
-                assert local_dimension(sched, base, m) == pytest.approx(
-                    float(target), abs=BLOCK_END_TOL), (sched.vhat, base, m)
+        c = 2 if base == 2 else 1
+        bound = one_minus_lam * sched.entries[0].a + 2
+        mus = []
+        for e in sched.entries[:len(ends)]:
+            mu = mu_cylinder(sched, base, e.m)
+            assert abs(mu - limit * e.m) <= bound, (sched.vhat, base, e.m)
+            if 10 ** 5 <= e.m <= 10 ** 6:
+                assert mu / e.m == pytest.approx(float(limit), abs=BLOCK_END_TOL), (
+                    sched.vhat, base, e.m)
+            mus.append(mu)
+            bound += one_minus_lam * abs(e.next_a - r * e.a) + 1 + c * e.t
+        assert boxdim.count_series(sched, base, ends).exponents().tolist() == mus
 
 
 @pytest.mark.parametrize("eta", sorted(GRID_SEQS), ids=str)
 def test_construction_lower_bound_is_the_block_end_limit_over_a_grid(eta):
-    """At stride l = ltilde and theta = eta^l the construction's block-end
-    local dimension is the construction lower bound, at 30 vhat across
-    (0, eta); every one of those schedules builds, and its local dimensions
-    at the block ends past 1e5 approach that limit in bases 2, 3 and 10."""
+    """At stride l = ltilde and theta = eta^l, at 30 vhat across (0, eta),
+    every schedule builds to 1e15, and its block-end local dimensions meet
+    the construction lower bound in bases 2, 3 and 10."""
     seq = sequences.make_sequence(GRID_SEQS[eta])
-    grid = dimfx.rational_linspace(F(1, 20), eta - F(1, 20), 30)
-    for vhat in grid:
+    for vhat in dimfx.rational_linspace(F(1, 20), eta - F(1, 20), 30):
         th = dimfx.thresholds(eta, vhat)
         l = th.ltilde
-        theta = eta ** l
-        limit = geometric_local_dimension_limit(eta, theta, vhat, l)
-        assert dimfx.construction_lower_bound(eta, vhat, th).value == limit, vhat
-        sched = schedule_geometric(seq, theta, vhat, l, cover_to=10 ** 6)
-        assert sched.covered_to >= 10 ** 6
-        _assert_block_ends_near(sched, limit)
+        sched = schedule_geometric(seq, eta ** l, vhat, l, cover_to=DEEP)
+        _assert_block_ends_meet(sched, eta, dimfx.construction_lower_bound(eta, vhat, th).value)
 
 
 def test_pair_formula_at_theta0_is_the_eta1_dimension():
     """At eta = 1 the pair (theta0, vhat) with theta0 = 2/(1 - vhat) attains
-    dim_eta1, at 30 vhat across [1/20, 19/20], and the eta1 schedule's local
-    dimensions at the block ends past 1e5 approach it in bases 2, 3 and 10."""
+    dim_eta1, at 30 vhat across [1/20, 19/20], and the eta1 schedule's
+    block-end local dimensions meet it in bases 2, 3 and 10."""
     for vhat in dimfx.rational_linspace(F(1, 20), F(19, 20), 30):
         theta0 = 2 / (1 - vhat)
         limit = dimfx.dim_pair_eta1(vhat, theta0).value
         assert limit == dimfx.dim_eta1(vhat).value, vhat
-        _assert_block_ends_near(schedule_eta1(LIN, theta0, vhat, cover_to=10 ** 6), limit)
+        _assert_block_ends_meet(schedule_eta1(LIN, theta0, vhat, cover_to=DEEP), 1, limit)
 
 
 def estimator_grid_transcript() -> str:
